@@ -9,13 +9,13 @@ measurements or observables.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TruncationWarning
 
@@ -149,15 +149,33 @@ def identity_matrix(n_max: int) -> ModeOperator:
     return ModeOperator(np.eye(n_max + 1, dtype=np.complex128), kind="identity")
 
 
+@lru_cache(maxsize=32)
+def _quadrature_eigh(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam, V) of the truncated Q = a + a^dag, so Q = V diag(lam) V^T.
+
+    Q is real symmetric tridiagonal; one decomposition per cutoff serves
+    every displacement amplitude.
+    """
+    off = np.sqrt(np.arange(1.0, n_max + 1))
+    lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    lam.setflags(write=False)
+    vecs.setflags(write=False)
+    return lam, vecs
+
+
 @lru_cache(maxsize=4096)
 def _displacement_raw(gamma: complex, n_max: int) -> np.ndarray:
-    # expm of the anti-Hermitian generator gamma a^dag - conj(gamma) a is
-    # unitary to machine precision at every truncation size, so downstream
-    # norms are preserved exactly; truncation quality shows up in how well
-    # column 0 matches the analytic coherent column, not in unitarity.
-    a = annihilation_matrix(n_max).matrix
-    gen = gamma * a.conj().T - np.conj(gamma) * a
-    mat = expm(gen)
+    # With R = e^{i (arg gamma + pi/2) n}, the truncated generator satisfies
+    # gamma a^dag - conj(gamma) a = -i |gamma| R Q R^dag exactly, because R
+    # only rephases the off-diagonal ladder entries.  Its exponential is then
+    # R V e^{-i |gamma| lam} V^T R^dag: unitary to rounding at every cutoff,
+    # so downstream norms are preserved, and truncation shows up only in how
+    # well column 0 matches the analytic coherent column.
+    lam, vecs = _quadrature_eigh(n_max)
+    angle = abs(gamma) * lam
+    rotated = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
+    phase = np.exp(1j * (cmath.phase(gamma) + 0.5 * math.pi) * np.arange(n_max + 1))
+    mat = phase[:, None] * rotated * phase.conj()
     mat.setflags(write=False)
     return mat
 
@@ -165,8 +183,10 @@ def _displacement_raw(gamma: complex, n_max: int) -> np.ndarray:
 def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
     """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a).
 
-    Matrices are cached on (gamma, n_max); repeated grid evaluations reuse
-    them without rebuilding.
+    Built from the cached eigendecomposition of the quadrature a + a^dag at
+    this cutoff plus a diagonal phase rotation; no matrix exponential is
+    evaluated.  Matrices are cached on (gamma, n_max); repeated grid
+    evaluations reuse them without rebuilding.
     """
     return ModeOperator(_displacement_raw(complex(gamma), int(n_max)), kind="displacement")
 

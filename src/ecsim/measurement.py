@@ -68,6 +68,9 @@ class EcsParams:
     def __post_init__(self) -> None:
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"r must be finite and >= 0, got {self.r!r}")
+        for label, phase in (("mu", self.mu), ("varphi", self.varphi)):
+            if not math.isfinite(phase):
+                raise ValueError(f"{label} must be finite, got {phase!r}")
         object.__setattr__(self, "mu", float(self.mu) % TWO_PI)
         object.__setattr__(self, "varphi", float(self.varphi) % TWO_PI)
 

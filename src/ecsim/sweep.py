@@ -185,7 +185,7 @@ def cmd_hz(
     config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec
 ) -> SweepResult:
     """Intensity-correlation witness over the coupling grid; the flag column
-    is 1 exactly when E < 0 (entanglement witnessed)."""
+    is 1 exactly when E < 0 (entanglement witnessed) and NA when E is NaN."""
 
     def produce() -> list[tuple]:
         ecs = config.ecs_state()
@@ -201,7 +201,8 @@ def cmd_hz(
                         tail_tol=config.tail_tolerance,
                     )
                     e_val = hz_correlation(outcome.state)
-                    row = (float(s1), float(s2), e_val, int(e_val < 0.0))
+                    flag = NA if math.isnan(e_val) else int(e_val < 0.0)
+                    row = (float(s1), float(s2), e_val, flag)
                 except DegeneratePostSelectionError:
                     row = (float(s1), float(s2), NA, NA)
                 rows.append(row)

@@ -1,5 +1,6 @@
 """Tests for argument parsing, exit codes, output plumbing, and goldens."""
 
+import csv
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import pytest
 
 from golden_cases import GOLDEN_CASES, golden_mismatches
 
-from ecsim import __version__
+import ecsim
+from ecsim import __version__, sweep
 from ecsim.cli import main, parse_angle, parse_cutoff, parse_sweep
 from ecsim.config import RangeSpec
 from ecsim.fock import FockCutoff
@@ -110,6 +112,59 @@ def test_invalid_theta_exits_two(capsys):
     code = main(["probability", "--theta1", "pi"])
     assert code == 2
     assert "theta1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--mu", "--varphi"])
+def test_non_finite_phase_exits_two(capsys, flag, value):
+    code = main(["hz", flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag[2:] in captured.err
+
+
+def test_nan_correlation_gets_na_flag(capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "hz_correlation", lambda state: math.nan)
+    code = main(["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"])
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2
+    assert all(row["E"] == "nan" and row["entangled_flag"] == "NA" for row in rows)
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_qcrb_renormalized_default_grid_matches_fixed_kappa(tmp_path):
+    # The finite-difference route must finish the default grid without a
+    # false Richardson trip and agree with the closed-form QFI.
+    renormalized = tmp_path / "renormalized.csv"
+    fixed = tmp_path / "fixed.csv"
+    assert main(["qcrb", "--qfi-gauge", "renormalized", "--out", str(renormalized)]) == 0
+    assert main(["qcrb", "--out", str(fixed)]) == 0
+    fd_rows, closed_rows = _read_rows(renormalized), _read_rows(fixed)
+    assert len(fd_rows) == len(closed_rows) == 50
+    for fd, closed in zip(fd_rows, closed_rows):
+        assert (fd["r"], fd["s"]) == (closed["r"], closed["s"])
+        q_fd, q_closed = float(fd["Q_fi"]), float(closed["Q_fi"])
+        assert abs(q_fd - q_closed) <= 1e-6 * abs(q_closed)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ecsim.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ecsim.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_sweep_axis_exits_two(capsys):

@@ -5,10 +5,13 @@ the explicit factorial constructions in oracles.py, never from the code
 under test.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ecsim import fock
@@ -123,7 +126,8 @@ def test_displacement_unitarity():
 
 
 def test_displacement_inverse_is_exact():
-    # D(-g) = expm(-G) inverts expm(G) identically, independent of cutoff.
+    # The truncated generator G is anti-Hermitian, so D(-g) = exp(-G) is the
+    # adjoint of D(g) at every cutoff and undoes it up to rounding.
     rng = np.random.default_rng(11)
     cut = fock.FockCutoff(12, 12)
     state = random_state(rng, cut)
@@ -132,6 +136,41 @@ def test_displacement_inverse_is_exact():
     d_back = fock.displacement_matrix(-g, 12)
     roundtrip = fock.apply_to_mode(d_back, "a", fock.apply_to_mode(d_fwd, "a", state))
     assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) < 1e-13
+
+
+# Complex displacement amplitudes with |gamma| <= 3, drawn in polar form.
+GAMMAS = st.builds(
+    cmath.rect, st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)
+)
+
+
+@settings(deadline=None, derandomize=True)
+@given(gamma=GAMMAS, n_max=st.sampled_from([12, 40]))
+def test_displacement_matches_expm_oracle(gamma, n_max):
+    op = fock.displacement_matrix(gamma, n_max)
+    reference = oracles.displacement(gamma, n_max)
+    assert np.max(np.abs(op.matrix - reference)) <= 1e-13
+    assert fock.unitarity_defect(op) <= 1e-13
+
+
+@settings(deadline=None, derandomize=True)
+@given(gamma_a=GAMMAS, gamma_b=GAMMAS)
+def test_displacement_on_asymmetric_state_matches_expm_oracle(gamma_a, gamma_b):
+    # Cutoff 30,41: the two modes need matrices of different sizes.
+    cut = fock.FockCutoff(30, 41)
+    state = random_state(np.random.default_rng(17), cut)
+    shifted = fock.apply_to_mode(
+        fock.displacement_matrix(gamma_b, 41),
+        "b",
+        fock.apply_to_mode(fock.displacement_matrix(gamma_a, 30), "a", state),
+    )
+    reference = (
+        oracles.displacement(gamma_a, 30)
+        @ state.amplitudes
+        @ oracles.displacement(gamma_b, 41).T
+    )
+    assert np.max(np.abs(shifted.amplitudes - reference)) <= 1e-13
+    assert abs(fock.norm(shifted) - 1.0) <= 1e-13
 
 
 def composition_defect(g1, g2, n_max, interior):

@@ -42,6 +42,10 @@ def test_ecs_params_validation_and_reduction():
         EcsParams(-0.1)
     with pytest.raises(ValueError):
         EcsParams(float("nan"))
+    with pytest.raises(ValueError):
+        EcsParams(0.1, mu=float("nan"))
+    with pytest.raises(ValueError):
+        EcsParams(0.1, varphi=float("inf"))
     p = EcsParams(0.4, mu=2.0 * math.pi + 0.3, varphi=-0.5)
     assert abs(p.mu - 0.3) < 1e-12
     assert abs(p.varphi - (2.0 * math.pi - 0.5)) < 1e-12
