@@ -6,9 +6,10 @@ wigner, hz, qcrb.  Angles accept either raw radians or pi-suffix notation
 axes; declaration order sets the outer-to-inner nesting of emitted rows.
 
 Exit codes: 0 success; 2 configuration or argument validation error;
-3 numerical failure (displacement out of validated range, unstable
-finite-difference step); 4 degenerate post-selection on a single-point
-invocation.
+3 numerical failure (a wigner displacement out of validated range, an
+unstable finite-difference step on a single-point qcrb run); 4 degenerate
+post-selection on a single-point invocation.  Multi-point sweeps other than
+wigner write NA cells for these points instead.
 """
 
 from __future__ import annotations

@@ -111,8 +111,8 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     col = np.empty(n_max + 1, dtype=np.complex128)
     col[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, n_max + 1):
-        col[n] = col[n - 1] * alpha / math.sqrt(n)
+    col[1:] = alpha / np.sqrt(np.arange(1.0, n_max + 1))
+    np.cumprod(col, out=col)
     deficit = max(0.0, 1.0 - float(np.sum(np.abs(col) ** 2)))
     if deficit > tail_tol:
         warnings.warn(
@@ -143,10 +143,6 @@ def number_matrix(n_max: int) -> ModeOperator:
 def parity_matrix(n_max: int) -> ModeOperator:
     signs = np.array([(-1.0) ** n for n in range(n_max + 1)], dtype=np.complex128)
     return ModeOperator(np.diag(signs), kind="parity")
-
-
-def identity_matrix(n_max: int) -> ModeOperator:
-    return ModeOperator(np.eye(n_max + 1, dtype=np.complex128), kind="identity")
 
 
 @lru_cache(maxsize=32)
@@ -288,19 +284,42 @@ def embed(state: TwoModeState, cutoff: FockCutoff) -> TwoModeState:
     return TwoModeState(amp, cutoff)
 
 
+_MODE_AXIS = {"a": 0, "b": 1}
+
+
+def _mode_axis(mode: str) -> int:
+    if mode not in _MODE_AXIS:
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    return _MODE_AXIS[mode]
+
+
+def annihilate(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Annihilation on one index of an amplitude grid; exact, same shape (top level zeroed)."""
+    out = np.zeros_like(arr)
+    n = np.sqrt(np.arange(1, arr.shape[axis], dtype=np.float64))
+    if axis == 0:
+        out[:-1, :] = n[:, None] * arr[1:, :]
+    else:
+        out[:, :-1] = n[None, :] * arr[:, 1:]
+    return out
+
+
+def create(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Creation on one index of an amplitude grid, grown by one level so it is exact."""
+    shape = list(arr.shape)
+    shape[axis] += 1
+    out = np.zeros(shape, dtype=np.complex128)
+    n = np.sqrt(np.arange(1, shape[axis], dtype=np.float64))
+    if axis == 0:
+        out[1:, :] = n[:, None] * arr
+    else:
+        out[:, 1:] = n[None, :] * arr
+    return out
+
+
 def apply_annihilation(state: TwoModeState, mode: str) -> TwoModeState:
     """a|psi> (or b|psi>).  Exact on the truncated support; same cutoff."""
-    amp = state.amplitudes
-    out = np.zeros_like(amp)
-    if mode == "a":
-        n = np.sqrt(np.arange(1, amp.shape[0], dtype=np.float64))
-        out[:-1, :] = n[:, None] * amp[1:, :]
-    elif mode == "b":
-        n = np.sqrt(np.arange(1, amp.shape[1], dtype=np.float64))
-        out[:, :-1] = n[None, :] * amp[:, 1:]
-    else:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return TwoModeState(out, state.cutoff)
+    return TwoModeState(annihilate(state.amplitudes, _mode_axis(mode)), state.cutoff)
 
 
 def apply_creation(state: TwoModeState, mode: str) -> TwoModeState:
@@ -310,17 +329,5 @@ def apply_creation(state: TwoModeState, mode: str) -> TwoModeState:
     quadratic moments built from these applications carry no boundary
     defect from the truncated commutator.
     """
-    amp = state.amplitudes
-    if mode == "a":
-        grown = FockCutoff(state.cutoff.n_max_a + 1, state.cutoff.n_max_b)
-        out = np.zeros((grown.dim_a, grown.dim_b), dtype=np.complex128)
-        n = np.sqrt(np.arange(1, grown.dim_a, dtype=np.float64))
-        out[1:, :] = n[:, None] * amp
-    elif mode == "b":
-        grown = FockCutoff(state.cutoff.n_max_a, state.cutoff.n_max_b + 1)
-        out = np.zeros((grown.dim_a, grown.dim_b), dtype=np.complex128)
-        n = np.sqrt(np.arange(1, grown.dim_b, dtype=np.float64))
-        out[:, 1:] = n[None, :] * amp
-    else:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return TwoModeState(out, grown)
+    out = create(state.amplitudes, _mode_axis(mode))
+    return TwoModeState(out, FockCutoff(out.shape[0] - 1, out.shape[1] - 1))

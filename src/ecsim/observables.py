@@ -20,9 +20,10 @@ from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
     TwoModeState,
+    annihilate,
     apply_to_mode,
     coherent_column,
-    creation_matrix,
+    create,
     displacement_matrix,
 )
 from .measurement import DEFAULT_P_FLOOR, apply_displacement_branches
@@ -43,30 +44,6 @@ _FD_STEP_MAX = 1e-3
 # default qcrb grid, under several OpenBLAS kernels) was 4.5 of these units;
 # 32 leaves a margin of 7.
 _FD_ROUNDING_UNITS = 32.0
-
-
-def _lower(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Annihilation on one tensor index; exact, same shape (top level zeroed)."""
-    out = np.zeros_like(arr)
-    n = np.sqrt(np.arange(1, arr.shape[axis], dtype=np.float64))
-    if axis == 0:
-        out[:-1, :] = n[:, None] * arr[1:, :]
-    else:
-        out[:, :-1] = n[None, :] * arr[:, 1:]
-    return out
-
-
-def _raise(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Creation on one tensor index; output grown by one level, exact."""
-    shape = list(arr.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=np.complex128)
-    n = np.sqrt(np.arange(1, shape[axis], dtype=np.float64))
-    if axis == 0:
-        out[1:, :] = n[:, None] * arr
-    else:
-        out[:, 1:] = n[None, :] * arr
-    return out
 
 
 def _mode_occupations(arr: np.ndarray) -> tuple[float, float, float]:
@@ -100,9 +77,9 @@ def sum_squeezing_direct(state: TwoModeState, theta_big: float) -> float:
     and agrees with the normal-ordered route to rounding error.
     """
     arr = state.amplitudes
-    up = _raise(_raise(arr, 0), 1)
+    up = create(create(arr, 0), 1)
     down = np.zeros_like(up)
-    down[: arr.shape[0], : arr.shape[1]] = _lower(_lower(arr, 0), 1)
+    down[: arr.shape[0], : arr.shape[1]] = annihilate(annihilate(arr, 0), 1)
     phase = cmath.exp(1j * theta_big)
     v_psi = 0.5 * (phase * up + np.conj(phase) * down)
 
@@ -125,9 +102,9 @@ def sum_squeezing_normal_ordered(state: TwoModeState, theta_big: float) -> float
     form needs no enlarged grid.
     """
     arr = state.amplitudes
-    ab = _lower(_lower(arr, 0), 1)
+    ab = annihilate(annihilate(arr, 0), 1)
     m_ab = complex(np.vdot(arr, ab))
-    m_a2b2 = complex(np.vdot(arr, _lower(_lower(ab, 0), 1)))
+    m_a2b2 = complex(np.vdot(arr, annihilate(annihilate(ab, 0), 1)))
     n_a, n_b, n_ab = _mode_occupations(arr)
     phase = cmath.exp(-1j * theta_big)
     numerator = (phase * phase * m_a2b2).real - 2.0 * ((phase * m_ab).real) ** 2 + n_ab
@@ -236,7 +213,7 @@ def hz_correlation(state: TwoModeState) -> float:
     """E = <N_a><N_b> - |<a b>|^2; negative values witness entanglement."""
     arr = state.amplitudes
     n_a, n_b, _ = _mode_occupations(arr)
-    m_ab = complex(np.vdot(arr, _lower(_lower(arr, 0), 1)))
+    m_ab = complex(np.vdot(arr, annihilate(annihilate(arr, 0), 1)))
     return n_a * n_b - abs(m_ab) ** 2
 
 
@@ -377,10 +354,9 @@ def qfi_analytic(config: WeakMeasurementConfig) -> float:
     beta = ecs.alpha * cmath.exp(1j * ecs.varphi)
     branch_amp = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=np.complex128)
     branch_amp[0, :] = coherent_column(beta, cutoff.n_max_b, config.tail_tolerance)
-    branch_state = TwoModeState(branch_amp, cutoff)
-    lifted = apply_to_mode(creation_matrix(cutoff.n_max_b), "b", branch_state)
-    dphi_amp = 1j * beta * ecs.normalization * lifted.amplitudes
-    dphi_state = TwoModeState(dphi_amp, cutoff)
+    # b^dag on the truncated basis: the exact ladder shift with its top level dropped.
+    lifted = create(branch_amp, 1)[:, :-1]
+    dphi_state = TwoModeState(1j * beta * ecs.normalization * lifted, cutoff)
 
     dpointer = apply_displacement_branches(
         dphi_state, config.wv, config.coupling, config.displacement_scale

@@ -3,7 +3,8 @@
 Every command evaluates its grid serially in row-major order of the
 declared axes and returns a SweepResult whose CSV rendering is
 deterministic: shortest-round-trip float formatting, UNIX newlines,
-mandatory header, and the literal sentinel "NA" for degenerate points.
+mandatory header, and the literal sentinel "NA" for degenerate points
+and, in multi-point qcrb sweeps, for tripped finite-difference checks.
 Reruns on one numpy/BLAS build are byte-identical; across builds the last
 digits of computed floats may differ, while the structure, axis values,
 flags and NA cells do not.
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import RangeSpec, WeakMeasurementConfig
-from .errors import DegeneratePostSelectionError, TruncationWarning
+from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
 from .measurement import CouplingParams, build_pointer_state
 from .observables import (
     hz_correlation,
@@ -218,8 +219,11 @@ def cmd_qcrb(
 
     The "fixed-kappa" gauge uses the closed-form derivative construction,
     "renormalized" falls back to checked finite differences on normalized
-    outcomes (both agree to finite-difference accuracy).
+    outcomes (both agree to finite-difference accuracy).  A point whose
+    finite-difference check trips becomes an NA row; a single-point run
+    raises the NumericalRangeError instead.
     """
+    single_point = r_range.is_single and s_range.is_single
 
     def produce() -> list[tuple]:
         rows: list[tuple] = []
@@ -237,6 +241,10 @@ def cmd_qcrb(
                     delta = qcrb(q, 1) if q >= QFI_SENTINEL_FLOOR else NA
                     row = (float(r), float(s), q, delta)
                 except DegeneratePostSelectionError:
+                    row = (float(r), float(s), NA, NA)
+                except NumericalRangeError:
+                    if single_point:
+                        raise
                     row = (float(r), float(s), NA, NA)
                 rows.append(row)
         return rows

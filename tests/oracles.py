@@ -81,14 +81,14 @@ def pivot_phase(amp):
     return amp * (mag / pivot)
 
 
-def brute_force_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
-                        n_max, scale=0.5):
-    """Post-selected pointer state from the explicit tensor construction.
+def brute_force_raw_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
+                            n_max, scale=0.5):
+    """Unnormalized post-selected pointer amplitudes from the explicit tensor
+    construction.
 
     Meter qubit 1 couples through sigma_x to mode a, meter qubit 2 through
     sigma_y to mode b, with displacement arms u_i = scale * s_i.  Both
-    qubits are post-selected on their first basis state.  Returns the
-    normalized phase-fixed amplitude grid and the success probability.
+    qubits are post-selected on their first basis state.
     """
     dim = n_max + 1
     field = ecs_amplitudes(r, mu, varphi, n_max)
@@ -104,6 +104,14 @@ def brute_force_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
     joint = np.einsum("AKik,ijkl->AjKl", u1r, joint)
     joint = np.einsum("BLjl,ijkl->iBkL", u2r, joint)
 
-    amp = joint[0, 0, :, :]
+    return joint[0, 0, :, :]
+
+
+def brute_force_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
+                        n_max, scale=0.5):
+    """Normalized phase-fixed pointer amplitudes and the success probability."""
+    amp = brute_force_raw_pointer(
+        r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, n_max, scale
+    )
     p_s = float(np.sum(np.abs(amp) ** 2))
     return pivot_phase(amp / math.sqrt(p_s)), p_s

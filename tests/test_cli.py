@@ -15,6 +15,7 @@ import ecsim
 from ecsim import __version__, sweep
 from ecsim.cli import main, parse_angle, parse_cutoff, parse_sweep
 from ecsim.config import RangeSpec
+from ecsim.errors import NumericalRangeError
 from ecsim.fock import FockCutoff
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -131,6 +132,43 @@ def test_nan_correlation_gets_na_flag(capsys, monkeypatch):
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2
     assert all(row["E"] == "nan" and row["entangled_flag"] == "NA" for row in rows)
+
+
+def _trip_richardson_at(monkeypatch, r, s):
+    """Make the finite-difference QFI refuse the point (r, s) and nothing else."""
+    real = sweep.qfi_finite_difference
+
+    def tripping(point, *args, **kwargs):
+        if (point.ecs.r, point.coupling.s1) == (r, s):
+            raise NumericalRangeError("finite-difference step is cancellation-dominated")
+        return real(point, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "qfi_finite_difference", tripping)
+
+
+def test_qcrb_range_trip_in_grid_gets_na_row(capsys, monkeypatch):
+    _trip_richardson_at(monkeypatch, 0.1, 1.0)
+    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.05:0.1:2", "--sweep", "s=0:1:2"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(row["r"], row["s"]) for row in rows] == [
+        ("0.05", "0.0"), ("0.05", "1.0"), ("0.1", "0.0"), ("0.1", "1.0")
+    ]
+    for row in rows:
+        tripped = (row["r"], row["s"]) == ("0.1", "1.0")
+        assert (row["Q_fi"] == "NA") == tripped
+        assert (row["delta_phi"] == "NA") == tripped
+        if not tripped:
+            assert float(row["Q_fi"]) > 0.0
+
+
+def test_qcrb_range_trip_at_single_point_exits_three(capsys, monkeypatch):
+    _trip_richardson_at(monkeypatch, 0.1, 1.0)
+    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.1:0.1:1", "--sweep", "s=1:1:1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cancellation-dominated" in captured.err
 
 
 def _read_rows(path):

@@ -74,6 +74,18 @@ def test_coherent_column_warns_on_heavy_tail():
         fock.coherent_column(3.0, 5)
 
 
+def test_coherent_column_stays_finite_at_huge_amplitude():
+    # e^{-|alpha|^2/2} underflows to 0 first, so the running product stays 0.
+    with pytest.warns(TruncationWarning):
+        col = fock.coherent_column(1e9, 40)
+    assert np.all(np.isfinite(col))
+    with pytest.warns(TruncationWarning):
+        col = fock.coherent_column(30.0 * cmath.exp(0.7j), 40)
+    assert np.all(np.isfinite(col))
+    expected = oracles.coherent_vector(30.0 * cmath.exp(0.7j), 40)
+    assert np.max(np.abs(col - expected) / np.abs(expected)) < 1e-13
+
+
 def test_coherent_column_rejects_tiny_basis():
     with pytest.raises(ValueError):
         fock.coherent_column(0.5, 0)
@@ -333,5 +345,6 @@ def test_apply_creation_grows_exactly():
     # Adjointness: <a^dag u | a^dag u> = <u| a a^dag |u> = <u|(N+1)|u>.
     n_plus_one = fock.expectation(state, op_a=fock.number_matrix(6)).real + 1.0
     assert abs(fock.norm(lifted) ** 2 - n_plus_one) < 1e-12
+    assert fock.apply_creation(state, "b").cutoff == fock.FockCutoff(6, 6)
     with pytest.raises(ValueError):
         fock.apply_creation(state, "x")

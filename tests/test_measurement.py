@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ecsim import fock, measurement
@@ -19,6 +21,7 @@ from ecsim.measurement import (
     CouplingParams,
     EcsParams,
     WeakValueParams,
+    apply_displacement_branches,
     branch_terms,
     build_ecs,
     build_pointer_state,
@@ -254,3 +257,69 @@ def test_brute_force_tensor_oracle_agreement():
         )
         assert abs(outcome.success_probability - expected_p) < 1e-12
         assert np.linalg.norm(outcome.state.amplitudes - expected_amp) < 1e-9
+
+
+PHASES = st.floats(0.0, 2.0 * math.pi)
+THETAS = st.floats(0.0, 0.9 * math.pi)
+COUPLINGS = st.floats(0.0, 3.0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.floats(0.0, 1.5),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=COUPLINGS,
+    s2=COUPLINGS,
+    n_max=st.sampled_from([12, 40]),
+)
+def test_branches_on_ecs_match_tensor_oracle(r, mu, varphi, angles, s1, s2, n_max):
+    """The factored kernel on the probe equals the explicit two-meter evolution."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        ecs = build_ecs(EcsParams(r, mu, varphi), fock.FockCutoff(n_max, n_max))
+    raw = apply_displacement_branches(ecs, WeakValueParams(*angles), CouplingParams(s1, s2))
+    expected = oracles.brute_force_raw_pointer(r, mu, varphi, *angles, s1, s2, n_max)
+    assert np.max(np.abs(raw.amplitudes - expected)) <= 1e-13
+
+
+def eight_product_reference(amp, wv, coupling, scale=0.5):
+    """(omega/4) sum_k w_k D_a(+-u1) amp D_b(+-u2)^T, one branch at a time."""
+    n_a, n_b = amp.shape[0] - 1, amp.shape[1] - 1
+    total = np.zeros_like(amp)
+    for weight, sign_a, sign_b in branch_terms(wv):
+        d_a = fock.displacement_matrix(sign_a * scale * coupling.s1, n_a).matrix
+        d_b = fock.displacement_matrix(sign_b * scale * coupling.s2, n_b).matrix
+        total += weight * (d_a @ amp @ d_b.T)
+    return 0.25 * meter_overlap(wv) * total
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    support=st.sampled_from(["dense", "row", "column", "row_and_column", "one_inside"]),
+    dims=st.sampled_from([(12, 12), (40, 40), (13, 9)]),
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=COUPLINGS,
+    s2=COUPLINGS,
+)
+def test_branches_match_eight_product_reference(seed, support, dims, angles, s1, s2):
+    """Dense states take the general route; row/column-supported ones (such
+    as e0 (x) v) take the two-column factoring.  Both equal the branch sum,
+    also for row 0 and column 0 plus the single interior cell (1, 1)."""
+    rng = np.random.default_rng(seed)
+    shape = (dims[0] + 1, dims[1] + 1)
+    amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if support != "dense":
+        keep = np.zeros(shape, dtype=bool)
+        keep[0, :] = support in ("row", "row_and_column", "one_inside")
+        keep[:, 0] |= support in ("column", "row_and_column", "one_inside")
+        keep[1, 1] = support == "one_inside"
+        amp = np.where(keep, amp, 0.0)
+    amp /= np.linalg.norm(amp)
+    state = fock.TwoModeState(amp, fock.FockCutoff(*dims))
+    wv, coupling = WeakValueParams(*angles), CouplingParams(s1, s2)
+    out = apply_displacement_branches(state, wv, coupling)
+    expected = eight_product_reference(amp, wv, coupling)
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-13
