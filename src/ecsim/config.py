@@ -10,13 +10,15 @@ import numpy as np
 
 from .fock import DEFAULT_TAIL_TOL, FockCutoff, TwoModeState
 from .measurement import (
+    DEFAULT_P_FLOOR,
     CouplingParams,
     EcsParams,
     PostSelectedOutcome,
     WeakValueParams,
+    _branch_family,
+    _post_select,
     build_ecs,
-    build_pointer_state,
-    unnormalized_pointer_state,
+    ecs_factors,
 )
 
 DISPLACEMENT_CONVENTIONS = {"half": 0.5, "full": 1.0}
@@ -98,18 +100,15 @@ class WeakMeasurementConfig:
         return build_ecs(params, self.cutoff, self.tail_tolerance)
 
     def raw_pointer_state(self, varphi: float | None = None) -> TwoModeState:
-        return unnormalized_pointer_state(
-            self.ecs_state(varphi), self.wv, self.coupling, self.displacement_scale
-        )
+        phases = None if varphi is None else [varphi]
+        left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance, phases)
+        raw = _branch_family(left, right, self.wv, self.coupling, self.displacement_scale)
+        return TwoModeState(raw[0], self.cutoff)
 
     def pointer_outcome(self) -> PostSelectedOutcome:
-        return build_pointer_state(
-            self.ecs_state(),
-            self.wv,
-            self.coupling,
-            displacement_scale=self.displacement_scale,
-            tail_tol=self.tail_tolerance,
-        )
+        raw = self.raw_pointer_state().amplitudes
+        states, p_s = _post_select(raw[None], self.tail_tolerance, DEFAULT_P_FLOOR)
+        return PostSelectedOutcome(TwoModeState(states[0], self.cutoff), float(p_s[0]))
 
     def to_dict(self) -> dict:
         return {

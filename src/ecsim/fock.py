@@ -254,17 +254,18 @@ def normalize(u: TwoModeState) -> TwoModeState:
 
 def tail_mass(state: TwoModeState) -> float:
     """Probability mass on the top retained level of either mode."""
-    amp = state.amplitudes
-    top_a = float(np.sum(np.abs(amp[-1, :]) ** 2))
-    top_b = float(np.sum(np.abs(amp[:, -1]) ** 2))
-    # The corner cell sits in both slices; count it once.
-    corner = float(np.abs(amp[-1, -1]) ** 2)
-    return top_a + top_b - corner
+    return float(top_level_mass(state.amplitudes))
 
 
-def warn_if_truncated(state: TwoModeState, tail_tol: float, context: str) -> float:
-    """Emit TruncationWarning when the top-level mass exceeds tail_tol."""
-    mass = tail_mass(state)
+def top_level_mass(amps: np.ndarray) -> np.ndarray:
+    """tail_mass over the last two axes of an amplitude grid or a stack of them."""
+    # The corner cell sits in both edges; count it once.
+    top_a = np.sum(np.abs(amps[..., -1, :]) ** 2, axis=-1)
+    return top_a + np.sum(np.abs(amps[..., :-1, -1]) ** 2, axis=-1)
+
+
+def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
+    """Emit TruncationWarning when a top-level mass exceeds tail_tol."""
     if mass > tail_tol:
         warnings.warn(
             TruncationWarning(
@@ -272,7 +273,6 @@ def warn_if_truncated(state: TwoModeState, tail_tol: float, context: str) -> flo
             ),
             stacklevel=3,
         )
-    return mass
 
 
 def embed(state: TwoModeState, cutoff: FockCutoff) -> TwoModeState:

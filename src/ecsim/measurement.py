@@ -32,16 +32,24 @@ L = N [c_a, e0] and R = [e0, c_b].  Grouping the branches by the sign of
 the mode-a arm gives
 
     |Phi~> = (omega / 4) [ D_a(+u1) L (A+ D_b(+u2) R + B- D_b(-u2) R)^T
-                         + D_a(-u1) L (A- D_b(-u2) R + B+ D_b(+u2) R)^T ],
+                         + D_a(-u1) L (A- D_b(-u2) R + B+ D_b(+u2) R)^T ]
+           = (omega / 4) A X^T,
 
-a pointer state of rank at most 4, built from displacements applied to two
-columns per mode.
+a pointer state of rank at most 4, with A = [D_a(+u1) L, D_a(-u1) L] and
+X = [A+ D_b(+u2) R + B- D_b(-u2) R, A- D_b(-u2) R + B+ D_b(+u2) R].
+
+Only c_b depends on varphi, so a family of probes at phases varphi_k (the
+finite-difference QFI, or the probe together with its varphi derivative)
+shares L and stacks R_k.  Every member is then (omega / 4) A X_k^T with one
+A: the mode-a displacements are applied once, and the mode-b ones once per
+sign to all 2K columns of the stack.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +62,7 @@ from .fock import (
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     coherent_column,
     displacement_matrix,
-    norm,
+    top_level_mass,
     warn_if_truncated,
 )
 
@@ -151,6 +159,40 @@ def weak_value_y(theta2: float, delta2: float) -> complex:
     return -1j * cmath.exp(1j * delta2) * math.tan(0.5 * theta2)
 
 
+def ecs_factors(
+    params: EcsParams,
+    cutoff: FockCutoff,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    varphis: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors L (dim_a x 2) and R_k (K x dim_b x 2) of |phi> at each phase in varphis.
+
+    L R_k^T is the probe's amplitude grid at varphi_k (default: params.varphi
+    alone), with L = [N c_a, e0] and R_k = [e0, N c_b(varphi_k)] except that
+    the shared cell (0, 0), N (c_a[0] + c_b[0]), is stored in R_k.  So L does
+    not depend on varphi, L R_0^T is the grid build_ecs returns, bit for bit,
+    and apply_displacement_branches splits that grid back into these factors.
+    Warns once per coherent column built and once per probe whose top-level
+    mass exceeds tail_tol.
+    """
+    phases = [params.varphi] if varphis is None else [float(v) % TWO_PI for v in varphis]
+    alpha = params.alpha
+    col_a = coherent_column(alpha, cutoff.n_max_a, tail_tol)
+    left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)
+    left[1:, 0] = params.normalization * col_a[1:]
+    left[0, 1] = 1.0
+    right = np.zeros((len(phases), cutoff.dim_b, 2), dtype=np.complex128)
+    right[:, 0, 0] = 1.0
+    for k, varphi in enumerate(phases):
+        col_b = coherent_column(alpha * cmath.exp(1j * varphi), cutoff.n_max_b, tail_tol)
+        col_b[0] += col_a[0]
+        right[k, :, 1] = params.normalization * col_b
+    # The top levels of L R_k^T hold N c_a[-1] (column 0) and N c_b[-1] (row 0).
+    for mass in abs(left[-1, 0]) ** 2 + np.abs(right[:, -1, 1]) ** 2:
+        warn_if_truncated(mass, tail_tol, "build_ecs")
+    return left, right
+
+
 def build_ecs(
     params: EcsParams,
     cutoff: FockCutoff,
@@ -161,15 +203,8 @@ def build_ecs(
     The numeric norm then equals 1 up to the truncated tail; the state is
     deliberately not renormalized so the tail deficit stays observable.
     """
-    alpha = params.alpha
-    col_a = coherent_column(alpha, cutoff.n_max_a, tail_tol)
-    col_b = coherent_column(alpha * cmath.exp(1j * params.varphi), cutoff.n_max_b, tail_tol)
-    amp = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=np.complex128)
-    amp[:, 0] += col_a
-    amp[0, :] += col_b
-    state = TwoModeState(params.normalization * amp, cutoff)
-    warn_if_truncated(state, tail_tol, "build_ecs")
-    return state
+    left, right = ecs_factors(params, cutoff, tail_tol)
+    return TwoModeState(left @ right[0].T, cutoff)
 
 
 def branch_terms(
@@ -196,12 +231,39 @@ def meter_overlap(wv: WeakValueParams) -> float:
     return math.cos(0.5 * wv.theta1) * math.cos(0.5 * wv.theta2)
 
 
-def _displaced_factor(u: float, n_max: int, factor: np.ndarray | None) -> np.ndarray:
-    """D(u) @ factor, where factor None stands for the identity; D(0) is exactly 1."""
+def _displaced(u: float, factor: np.ndarray) -> np.ndarray:
+    """D(u) @ factor on the factor's cutoff; D(0) is exactly the identity."""
     if u == 0.0:
-        return np.eye(n_max + 1, dtype=np.complex128) if factor is None else factor
-    mat = displacement_matrix(u, n_max).matrix
-    return mat if factor is None else mat @ factor
+        return factor
+    return displacement_matrix(u, factor.shape[0] - 1).matrix @ factor
+
+
+def _branch_family(
+    left: np.ndarray,
+    right: np.ndarray,
+    wv: WeakValueParams,
+    coupling: CouplingParams,
+    displacement_scale: float,
+) -> np.ndarray:
+    """The raw pointer grids (omega/4) A X_k^T of the module docstring.
+
+    left is L (dim_a x m) and right the stack R_k (K x dim_b x m); returns the
+    K unnormalized amplitude grids, K x dim_a x dim_b.
+    """
+    u1 = displacement_scale * coupling.s1
+    u2 = displacement_scale * coupling.s2
+    scale = 0.25 * meter_overlap(wv)
+    a_plus, a_minus, b_plus, b_minus = (scale * weight for weight, _, _ in branch_terms(wv))
+    arms = np.concatenate([_displaced(u1, left), _displaced(-u1, left)], axis=1)
+    count, dim_b, width = right.shape
+    columns = right.transpose(1, 0, 2).reshape(dim_b, count * width)
+
+    def shifted(u: float) -> np.ndarray:
+        return _displaced(u, columns).reshape(dim_b, count, width).transpose(1, 0, 2)
+
+    b_up, b_down = shifted(u2), shifted(-u2)
+    mixed = [a_plus * b_up + b_minus * b_down, a_minus * b_down + b_plus * b_up]
+    return arms @ np.concatenate(mixed, axis=2).transpose(0, 2, 1)
 
 
 def apply_displacement_branches(
@@ -212,59 +274,66 @@ def apply_displacement_branches(
 ) -> TwoModeState:
     """(omega/4) sum of the four weighted displacement branches applied to state.
 
-    The amplitudes are factored as L R^T and the branches grouped by the
-    sign of the mode-a arm, as in the module docstring, so the displacements
-    act on L and R only.  A state supported on row 0 and column 0 (the ECS,
-    or the varphi derivative of its mode-b branch) splits exactly into two
-    columns, L = [amp[:, 0], e0] and R = [e0, amp[0, :] with entry 0 zeroed].
-    Any other state keeps L = amp and R = 1.
+    The amplitudes are factored as L R^T and passed to the kernel of the
+    module docstring.  A state supported on row 0 and column 0 (the ECS, or
+    the varphi derivative of its mode-b branch) splits exactly into two
+    columns, L = [amp[:, 0] with entry 0 zeroed, e0] and R = [e0, amp[0, :]],
+    the factors ecs_factors builds.  Any other state keeps L = amp and R = 1.
     """
-    u1 = displacement_scale * coupling.s1
-    u2 = displacement_scale * coupling.s2
     cutoff = state.cutoff
     amp = state.amplitudes
     if amp[1:, 1:].any():
-        left, right = amp, None
+        left, right = amp, np.eye(cutoff.dim_b, dtype=np.complex128)
     else:
         left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)
-        left[:, 0] = amp[:, 0]
+        left[1:, 0] = amp[1:, 0]
         left[0, 1] = 1.0
         right = np.zeros((cutoff.dim_b, 2), dtype=np.complex128)
         right[0, 0] = 1.0
-        right[1:, 1] = amp[0, 1:]
-    (a_plus, _, _), (a_minus, _, _), (b_plus, _, _), (b_minus, _, _) = branch_terms(wv)
-    a_up = _displaced_factor(u1, cutoff.n_max_a, left)
-    a_down = _displaced_factor(-u1, cutoff.n_max_a, left)
-    b_up = _displaced_factor(u2, cutoff.n_max_b, right)
-    b_down = _displaced_factor(-u2, cutoff.n_max_b, right)
-    total = a_up @ (a_plus * b_up + b_minus * b_down).T
-    total += a_down @ (a_minus * b_down + b_plus * b_up).T
-    return TwoModeState(0.25 * meter_overlap(wv) * total, cutoff)
+        right[:, 1] = amp[0, :]
+    raw = _branch_family(left, right[None], wv, coupling, displacement_scale)
+    return TwoModeState(raw[0], cutoff)
 
 
-def unnormalized_pointer_state(
-    ecs: TwoModeState,
-    wv: WeakValueParams,
-    coupling: CouplingParams,
-    displacement_scale: float = 0.5,
-) -> TwoModeState:
-    """|Phi~> before post-selection renormalization; <Phi~|Phi~> = P_s."""
-    return apply_displacement_branches(ecs, wv, coupling, displacement_scale)
+def _phase_fixed(flat: np.ndarray, scale: np.ndarray | float = 1.0) -> np.ndarray:
+    """Scale each row of flat, rotated so its first largest entry is real positive."""
+    rows, cols = np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)
+    pivot = flat[rows, cols]
+    mag = np.abs(pivot)
+    rotation = np.divide(mag, pivot, out=np.ones_like(pivot), where=mag != 0.0)
+    fixed = flat * (scale * rotation)[:, None]
+    # pivot * (mag / pivot) can keep an imaginary part of order eps^2 * mag.
+    fixed[rows, cols] = scale * mag
+    return fixed
 
 
 def fix_global_phase(state: TwoModeState) -> TwoModeState:
     """Rotate the global phase so the largest-magnitude amplitude is real positive.
 
     Ties resolve to the first flat index, which makes repeated builds
-    byte-reproducible.
+    byte-reproducible.  A zero state is returned unchanged.
     """
     amp = state.amplitudes
-    idx = int(np.argmax(np.abs(amp)))
-    pivot = amp.flat[idx]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return state
-    return TwoModeState(amp * (mag / pivot), state.cutoff)
+    return TwoModeState(_phase_fixed(amp.reshape(1, -1)).reshape(amp.shape), state.cutoff)
+
+
+def _post_select(raw: np.ndarray, tail_tol: float, p_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized, phase-fixed grids of a raw stack (K x dim_a x dim_b) and their P_s.
+
+    Raises DegeneratePostSelectionError when any P_s falls below p_floor, the
+    measure-zero regime where the conditional state is undefined.  Warns
+    once per grid whose top-level mass exceeds tail_tol.
+    """
+    flat = raw.reshape(len(raw), -1)
+    p_s = np.array([np.vdot(row, row).real for row in flat])
+    if p_s.min() < p_floor:
+        raise DegeneratePostSelectionError(
+            f"post-selection probability {p_s.min():.3e} below floor {p_floor:.1e}"
+        )
+    states = _phase_fixed(flat, 1.0 / np.sqrt(p_s)).reshape(raw.shape)
+    for mass in top_level_mass(states):
+        warn_if_truncated(mass, tail_tol, "build_pointer_state")
+    return states, p_s
 
 
 def build_pointer_state(
@@ -280,13 +349,6 @@ def build_pointer_state(
     Raises DegeneratePostSelectionError when P_s falls below p_floor, the
     measure-zero regime where the conditional state is undefined.
     """
-    raw = unnormalized_pointer_state(ecs, wv, coupling, displacement_scale)
-    p_s = norm(raw) ** 2
-    if p_s < p_floor:
-        raise DegeneratePostSelectionError(
-            f"post-selection probability {p_s:.3e} below floor {p_floor:.1e}"
-        )
-    normalized = TwoModeState(raw.amplitudes / math.sqrt(p_s), raw.cutoff)
-    normalized = fix_global_phase(normalized)
-    warn_if_truncated(normalized, tail_tol, "build_pointer_state")
-    return PostSelectedOutcome(state=normalized, success_probability=p_s)
+    raw = apply_displacement_branches(ecs, wv, coupling, displacement_scale)
+    states, p_s = _post_select(raw.amplitudes[None], tail_tol, p_floor)
+    return PostSelectedOutcome(TwoModeState(states[0], ecs.cutoff), float(p_s[0]))

@@ -9,7 +9,6 @@ merit (quantum Fisher information and the resulting Cramer-Rao bound).
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,15 +17,8 @@ import numpy as np
 
 from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
-from .fock import (
-    TwoModeState,
-    annihilate,
-    apply_to_mode,
-    coherent_column,
-    create,
-    displacement_matrix,
-)
-from .measurement import DEFAULT_P_FLOOR, apply_displacement_branches
+from .fock import TwoModeState, annihilate, apply_to_mode, create, displacement_matrix
+from .measurement import DEFAULT_P_FLOOR, _branch_family, _post_select, ecs_factors
 
 # Phase-space density prefactor: W_J(gamma, beta) = (4 / pi^2) P_J(gamma, beta).
 WIGNER_PREFACTOR = 4.0 / math.pi**2
@@ -289,6 +281,16 @@ def _checked_richardson(q_of_step: Callable[[float], float], h: float) -> float:
     return q2
 
 
+def _frozen_kappa(raw0: np.ndarray) -> float:
+    """1 / sqrt(P_s) of the raw pointer grid at the working point."""
+    p0 = float(np.real(np.vdot(raw0, raw0)))
+    if p0 < DEFAULT_P_FLOOR:
+        raise DegeneratePostSelectionError(
+            f"post-selection probability {p0:.3e} too small for QFI"
+        )
+    return 1.0 / math.sqrt(p0)
+
+
 def qfi_finite_difference(config: WeakMeasurementConfig, h: float = 1e-5) -> float:
     """Finite-difference QFI of the post-selected pointer family in varphi.
 
@@ -296,71 +298,44 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = 1e-5) -> flo
     differentiated with the success-probability rescaling frozen at the
     working point; under "renormalized" the normalized outcome family is
     differentiated directly.  The projection term in the QFI formula makes
-    both gauges agree to finite-difference accuracy.
+    both gauges agree to finite-difference accuracy.  The seven pointer
+    states, at varphi and varphi +- step for the three Richardson steps, come
+    from one kernel call.
     """
     if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
         raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
     phi0 = config.ecs.varphi
-
+    steps = (h, 0.5 * h, 0.25 * h)
+    varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
+    left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance, varphis)
+    family = _branch_family(left, right, config.wv, config.coupling, config.displacement_scale)
     if config.qfi_gauge == "fixed-kappa":
-        raw0 = config.raw_pointer_state()
-        p0 = float(np.real(np.vdot(raw0.amplitudes, raw0.amplitudes)))
-        if p0 < DEFAULT_P_FLOOR:
-            raise DegeneratePostSelectionError(
-                f"post-selection probability {p0:.3e} too small for QFI"
-            )
-        kappa = 1.0 / math.sqrt(p0)
-        psi0 = kappa * raw0.amplitudes
-
-        def q_of_step(step: float) -> float:
-            plus = config.raw_pointer_state(varphi=phi0 + step).amplitudes
-            minus = config.raw_pointer_state(varphi=phi0 - step).amplitudes
-            dpsi = kappa * (plus - minus) / (2.0 * step)
-            return _pure_state_qfi(dpsi, psi0)
-
+        scale = _frozen_kappa(family[0])
     else:
-        outcome0 = config.pointer_outcome()
-        psi0 = outcome0.state.amplitudes
-
-        def outcome_at(varphi: float) -> np.ndarray:
-            shifted = config.replace(ecs=dataclasses.replace(config.ecs, varphi=varphi))
-            return shifted.pointer_outcome().state.amplitudes
-
-        def q_of_step(step: float) -> float:
-            dpsi = (outcome_at(phi0 + step) - outcome_at(phi0 - step)) / (2.0 * step)
-            return _pure_state_qfi(dpsi, psi0)
-
-    return _checked_richardson(q_of_step, h)
+        family, _ = _post_select(family, config.tail_tolerance, DEFAULT_P_FLOOR)
+        scale = 1.0
+    psi0 = scale * family[0]
+    q_at = {
+        step: _pure_state_qfi(scale * (family[2 * i + 1] - family[2 * i + 2]) / (2.0 * step), psi0)
+        for i, step in enumerate(steps)
+    }
+    return _checked_richardson(q_at.__getitem__, h)
 
 
 def qfi_analytic(config: WeakMeasurementConfig) -> float:
     """Closed-form QFI of the pointer family in varphi.
 
     Only the mode-b coherent branch of the probe depends on varphi, so the
-    family derivative is i alpha e^{i varphi} b^dag applied to that branch,
-    pushed through the same four displacement branches with the
-    success-probability rescaling frozen at the working point.
+    family derivative is i n applied to that branch (i beta b^dag on the
+    coherent column), pushed through the same four displacement branches
+    with the success-probability rescaling frozen at the working point: one
+    kernel call on the probe's R and the derivative's R_d = [0, i n N c_b].
     """
-    raw0 = config.raw_pointer_state()
-    p0 = float(np.real(np.vdot(raw0.amplitudes, raw0.amplitudes)))
-    if p0 < DEFAULT_P_FLOOR:
-        raise DegeneratePostSelectionError(
-            f"post-selection probability {p0:.3e} too small for QFI"
-        )
-    kappa = 1.0 / math.sqrt(p0)
-
-    ecs = config.ecs
-    cutoff = config.cutoff
-    beta = ecs.alpha * cmath.exp(1j * ecs.varphi)
-    branch_amp = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=np.complex128)
-    branch_amp[0, :] = coherent_column(beta, cutoff.n_max_b, config.tail_tolerance)
-    # b^dag on the truncated basis: the exact ladder shift with its top level dropped.
-    lifted = create(branch_amp, 1)[:, :-1]
-    dphi_state = TwoModeState(1j * beta * ecs.normalization * lifted, cutoff)
-
-    dpointer = apply_displacement_branches(
-        dphi_state, config.wv, config.coupling, config.displacement_scale
-    )
-    dpsi = kappa * dpointer.amplitudes
-    psi0 = kappa * raw0.amplitudes
-    return _pure_state_qfi(dpsi, psi0)
+    left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
+    derivative = np.zeros_like(right)
+    # Entry 0 of R's second column also holds N c_a[0]; n = 0 drops it.
+    derivative[0, :, 1] = 1j * np.arange(config.cutoff.dim_b) * right[0, :, 1]
+    stack = np.concatenate([right, derivative])
+    raw0, draw = _branch_family(left, stack, config.wv, config.coupling, config.displacement_scale)
+    kappa = _frozen_kappa(raw0)
+    return _pure_state_qfi(kappa * draw, kappa * raw0)

@@ -221,9 +221,11 @@ def cmd_qcrb(
     "renormalized" falls back to checked finite differences on normalized
     outcomes (both agree to finite-difference accuracy).  A point whose
     finite-difference check trips becomes an NA row; a single-point run
-    raises the NumericalRangeError instead.
+    raises the NumericalRangeError instead.  The metadata counts the NA rows
+    by cause under "na_rows".
     """
     single_point = r_range.is_single and s_range.is_single
+    na_rows = {"degenerate": 0, "richardson": 0}
 
     def produce() -> list[tuple]:
         rows: list[tuple] = []
@@ -242,11 +244,14 @@ def cmd_qcrb(
                     row = (float(r), float(s), q, delta)
                 except DegeneratePostSelectionError:
                     row = (float(r), float(s), NA, NA)
+                    na_rows["degenerate"] += 1
                 except NumericalRangeError:
                     if single_point:
                         raise
                     row = (float(r), float(s), NA, NA)
+                    na_rows["richardson"] += 1
                 rows.append(row)
         return rows
 
-    return _collect(config, ("r", "s", "Q_fi", "delta_phi"), produce)
+    # _collect reads na_rows after produce has filled it.
+    return _collect(config, ("r", "s", "Q_fi", "delta_phi"), produce, {"na_rows": na_rows})

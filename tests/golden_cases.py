@@ -44,6 +44,16 @@ FLOAT_BOUND = 1e-12
 _MAX_REPORTED = 20
 
 
+def is_float_column(column: str) -> bool:
+    """True for an observable column whose finite cells are compared within a bound."""
+    return column not in AXIS_COLUMNS and column not in INTEGER_COLUMNS
+
+
+def cell_bound(golden: float) -> float:
+    """Largest |new - golden| accepted for a finite float cell."""
+    return FLOAT_BOUND * max(1.0, abs(golden))
+
+
 def _float_mismatch(golden: str, new: str) -> str | None:
     """Why the float cell `new` does not match `golden`, or None."""
     try:
@@ -56,7 +66,7 @@ def _float_mismatch(golden: str, new: str) -> str | None:
         got = float(new)
     except ValueError:
         return "not a number"
-    bound = FLOAT_BOUND * max(1.0, abs(want))
+    bound = cell_bound(want)
     delta = abs(got - want)
     if delta <= bound:
         return None
@@ -102,10 +112,10 @@ def golden_mismatches(name: str, golden: str, new: str) -> list[str]:
             )
             continue
         for column, want, got in zip(header, want_cells, got_cells):
-            if column in AXIS_COLUMNS or column in INTEGER_COLUMNS:
-                why = None if got == want else "text differs"
-            else:
+            if is_float_column(column):
                 why = _float_mismatch(want, got)
+            else:
+                why = None if got == want else "text differs"
             if why is not None:
                 problems.append(
                     f"{name} line {number}, column {column}: golden {want!r}, new {got!r}: {why}"

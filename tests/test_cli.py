@@ -146,10 +146,12 @@ def _trip_richardson_at(monkeypatch, r, s):
     monkeypatch.setattr(sweep, "qfi_finite_difference", tripping)
 
 
-def test_qcrb_range_trip_in_grid_gets_na_row(capsys, monkeypatch):
+def test_qcrb_range_trip_in_grid_gets_na_row(capsys, monkeypatch, tmp_path):
     _trip_richardson_at(monkeypatch, 0.1, 1.0)
+    meta = tmp_path / "meta.json"
     argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.05:0.1:2", "--sweep", "s=0:1:2"]
-    assert main(argv) == 0
+    assert main(argv + ["--meta", str(meta)]) == 0
+    assert json.loads(meta.read_text())["na_rows"] == {"degenerate": 0, "richardson": 1}
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [(row["r"], row["s"]) for row in rows] == [
         ("0.05", "0.0"), ("0.05", "1.0"), ("0.1", "0.0"), ("0.1", "1.0")
@@ -169,6 +171,17 @@ def test_qcrb_range_trip_at_single_point_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cancellation-dominated" in captured.err
+
+
+def test_renormalized_qcrb_builds_the_mode_a_column_once(tmp_path):
+    # At a truncating cutoff each of the seven finite-difference probes warns
+    # for its mode-b column, its ECS tail and its pointer tail; the mode-a
+    # column they share is built, and warns, once: 1 + 3 * 7 warnings.
+    meta = tmp_path / "meta.json"
+    argv = ["qcrb", "--qfi-gauge", "renormalized", "--cutoff", "10",
+            "--sweep", "r=2:2:1", "--sweep", "s=0:0:1"]
+    assert main(argv + ["--out", str(tmp_path / "q.csv"), "--meta", str(meta)]) == 0
+    assert json.loads(meta.read_text())["truncation_warnings"] == 22
 
 
 def _read_rows(path):

@@ -7,6 +7,7 @@ under test.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,8 @@ def test_tail_mass_counts_corner_once():
     amp[2, 2] = 0.5
     state = fock.TwoModeState(amp, cut)
     assert abs(fock.tail_mass(state) - 0.50) < 1e-15
+    stacked = fock.top_level_mass(np.stack([amp, 2.0 * amp]))
+    assert np.allclose(stacked, [0.50, 2.00], rtol=0.0, atol=1e-15)
 
 
 def test_warn_if_truncated_threshold():
@@ -301,11 +304,13 @@ def test_warn_if_truncated_threshold():
     amp = np.zeros((3, 3), dtype=complex)
     amp[0, 0] = 1.0
     amp[2, 2] = 1e-4
-    state = fock.TwoModeState(amp, cut)
-    with pytest.warns(TruncationWarning):
-        fock.warn_if_truncated(state, 1e-10, "test")
-    mass = fock.warn_if_truncated(state, 1e-4, "test")
+    mass = fock.tail_mass(fock.TwoModeState(amp, cut))
     assert abs(mass - 1e-8) < 1e-20
+    with pytest.warns(TruncationWarning):
+        fock.warn_if_truncated(mass, 1e-10, "test")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        fock.warn_if_truncated(mass, 1e-4, "test")
 
 
 def test_embed_preserves_inner_products():

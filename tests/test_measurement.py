@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import oracles
 from ecsim import fock, measurement
+from ecsim.config import default_config
 from ecsim.errors import DegeneratePostSelectionError, TruncationWarning
 from ecsim.measurement import (
+    DEFAULT_P_FLOOR,
     CouplingParams,
     EcsParams,
     WeakValueParams,
@@ -25,12 +27,13 @@ from ecsim.measurement import (
     branch_terms,
     build_ecs,
     build_pointer_state,
+    ecs_factors,
     fix_global_phase,
     meter_overlap,
-    unnormalized_pointer_state,
     weak_value_x,
     weak_value_y,
 )
+from ecsim.observables import qfi_analytic
 
 CUT40 = fock.FockCutoff(40, 40)
 HALF_PI = 0.5 * math.pi
@@ -217,7 +220,7 @@ def test_degenerate_post_selection_raises():
 
 def test_unnormalized_norm_squared_is_success_probability():
     ecs = build_ecs(EcsParams(0.1, HALF_PI, HALF_PI), CUT40)
-    raw = unnormalized_pointer_state(ecs, baseline_wv(), CouplingParams(1.2, 0.4))
+    raw = apply_displacement_branches(ecs, baseline_wv(), CouplingParams(1.2, 0.4))
     outcome = build_pointer_state(ecs, baseline_wv(), CouplingParams(1.2, 0.4))
     assert abs(fock.norm(raw) ** 2 - outcome.success_probability) < 1e-14
 
@@ -323,3 +326,79 @@ def test_branches_match_eight_product_reference(seed, support, dims, angles, s1,
     out = apply_displacement_branches(state, wv, coupling)
     expected = eight_product_reference(amp, wv, coupling)
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-13
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.floats(0.0, 1.5),
+    mu=PHASES,
+    varphis=st.lists(PHASES, min_size=1, max_size=7),
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=COUPLINGS,
+    s2=COUPLINGS,
+    n_max=st.sampled_from([12, 40]),
+)
+def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
+    """Each slice of one family call, raw and post-selected, equals the
+    per-phase route build_ecs -> apply_displacement_branches -> build_pointer_state,
+    and each raw slice equals the explicit two-meter evolution at its phase."""
+    cutoff = fock.FockCutoff(n_max, n_max)
+    wv, coupling = WeakValueParams(*angles), CouplingParams(s1, s2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
+        raw = measurement._branch_family(left, right, wv, coupling, 0.5)
+        states, p_s = measurement._post_select(raw, fock.DEFAULT_TAIL_TOL, DEFAULT_P_FLOOR)
+        assert raw.shape == states.shape == (len(varphis), n_max + 1, n_max + 1)
+        for k, varphi in enumerate(varphis):
+            ecs = build_ecs(EcsParams(r, mu, varphi), cutoff)
+            dense_raw = apply_displacement_branches(ecs, wv, coupling).amplitudes
+            outcome = build_pointer_state(ecs, wv, coupling)
+            assert np.max(np.abs(raw[k] - dense_raw)) <= 1e-13
+            expected = oracles.brute_force_raw_pointer(r, mu, varphi, *angles, s1, s2, n_max)
+            assert np.max(np.abs(raw[k] - expected)) <= 1e-13
+            assert np.max(np.abs(states[k] - outcome.state.amplitudes)) <= 1e-13
+            assert abs(p_s[k] - outcome.success_probability) <= 1e-13
+
+
+def dense_derivative_qfi(config):
+    """QFI with the varphi derivative built as a dense grid, i beta N e0 (x) b^dag c_b
+    with b^dag truncated, and pushed through the four branches on its own."""
+    ecs, cutoff = config.ecs, config.cutoff
+    wv, coupling, scale = config.wv, config.coupling, config.displacement_scale
+    raw0 = apply_displacement_branches(config.ecs_state(), wv, coupling, scale).amplitudes
+    beta = ecs.alpha * cmath.exp(1j * ecs.varphi)
+    col_b = fock.coherent_column(beta, cutoff.n_max_b)
+    lifted = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=complex)
+    lifted[0, 1:] = np.sqrt(np.arange(1.0, cutoff.dim_b)) * col_b[:-1]
+    dphi = fock.TwoModeState(1j * beta * ecs.normalization * lifted, cutoff)
+    draw = apply_displacement_branches(dphi, wv, coupling, scale).amplitudes
+    kappa = 1.0 / np.linalg.norm(raw0)
+    psi, dpsi = kappa * raw0, kappa * draw
+    return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.floats(0.0, 1.5),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=COUPLINGS,
+    s2=COUPLINGS,
+    n_max=st.sampled_from([12, 40]),
+)
+def test_qfi_analytic_matches_dense_derivative(r, mu, varphi, angles, s1, s2, n_max):
+    """The derivative column i n N c_b in the family call gives the QFI of the
+    dense derivative grid."""
+    config = default_config(
+        ecs=EcsParams(r, mu, varphi),
+        wv=WeakValueParams(*angles),
+        coupling=CouplingParams(s1, s2),
+        cutoff=fock.FockCutoff(n_max, n_max),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        q = qfi_analytic(config)
+        expected = dense_derivative_qfi(config)
+    assert abs(q - expected) <= 1e-12 * abs(expected) + 1e-15

@@ -192,6 +192,16 @@ def test_cmd_qcrb_values_and_sentinel():
     assert zero.has_na()
 
 
+def test_cmd_qcrb_counts_na_rows_by_cause():
+    near_pi = math.pi - 1e-8
+    config = default_config(wv=WeakValueParams(near_pi, HALF_PI, near_pi, HALF_PI))
+    result = cmd_qcrb(config, RangeSpec(0.1, 0.3, 2), single(0.0))
+    assert [row[2:] for row in result.rows] == [(NA, NA), (NA, NA)]
+    assert result.metadata["na_rows"] == {"degenerate": 2, "richardson": 0}
+    clean = cmd_qcrb(default_config(), single(0.3), single(1.0))
+    assert clean.metadata["na_rows"] == {"degenerate": 0, "richardson": 0}
+
+
 def test_cmd_qcrb_gauges_agree():
     config = default_config()
     fixed = cmd_qcrb(config, single(0.3), single(1.0))
