@@ -1,15 +1,18 @@
 """Sweep command-line interface.
 
-Five subcommands map onto the sweep drivers: probability, squeezing,
-wigner, hz, qcrb.  Angles accept either raw radians or pi-suffix notation
-("0.8pi").  Repeatable --sweep flags override the per-command default
-axes; declaration order sets the outer-to-inner nesting of emitted rows.
+One subcommand per entry of the sweep command table: probability,
+squeezing, wigner, hz, qcrb.  Angles accept either raw radians or pi-suffix
+notation ("0.8pi").  Repeatable --sweep flags override the per-command
+default axes; declaration order sets the outer-to-inner nesting of emitted
+rows.
 
 Exit codes: 0 success; 2 configuration or argument validation error;
 3 numerical failure (a wigner displacement out of validated range, an
 unstable finite-difference step on a single-point qcrb run); 4 degenerate
 post-selection on a single-point invocation.  Multi-point sweeps other than
-wigner write NA cells for these points instead.
+wigner write NA cells for these points instead.  An NA cell that is a value
+rather than a failure (the phase bound of a vanishing QFI, the hz flag of
+a NaN correlation) exits 0.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import FockCutoff
 from .measurement import CouplingParams, EcsParams, WeakValueParams
-from .sweep import SweepResult, cmd_hz, cmd_probability, cmd_qcrb, cmd_squeezing, cmd_wigner
+from .sweep import _COMMANDS
 
 _HALF_PI = 0.5 * math.pi
 
@@ -70,48 +73,6 @@ def parse_sweep(text: str) -> tuple[str, RangeSpec]:
         raise argparse.ArgumentTypeError(
             f"cannot parse sweep {text!r} (expected name=min:max:points): {exc}"
         ) from None
-
-
-# Per-command canonical axis order (also the CSV leading columns) and the
-# built-in default ranges used when an axis is not overridden.
-_COMMANDS = {
-    "probability": {
-        "axes": ("s", "theta"),
-        "defaults": {
-            "s": RangeSpec(0.0, 3.0, 31),
-            "theta": RangeSpec(0.2 * math.pi, 0.8 * math.pi, 4),
-        },
-        "runner": cmd_probability,
-        "help": "post-selection success probability over (s, theta)",
-    },
-    "squeezing": {
-        "axes": ("s1", "s2"),
-        "defaults": {"s1": RangeSpec(0.0, 3.0, 16), "s2": RangeSpec(0.0, 3.0, 16)},
-        "runner": cmd_squeezing,
-        "help": "sum squeezing of the post-selected state over (s1, s2)",
-    },
-    "wigner": {
-        "axes": ("re_gamma", "re_beta"),
-        "defaults": {
-            "re_gamma": RangeSpec(-2.0, 2.0, 51),
-            "re_beta": RangeSpec(-2.0, 2.0, 51),
-        },
-        "runner": cmd_wigner,
-        "help": "joint-parity Wigner cross-section at the configured coupling",
-    },
-    "hz": {
-        "axes": ("s1", "s2"),
-        "defaults": {"s1": RangeSpec(0.0, 3.0, 16), "s2": RangeSpec(0.0, 3.0, 16)},
-        "runner": cmd_hz,
-        "help": "intensity-correlation entanglement witness over (s1, s2)",
-    },
-    "qcrb": {
-        "axes": ("r", "s"),
-        "defaults": {"r": RangeSpec(0.05, 0.5, 10), "s": RangeSpec(0.0, 2.0, 5)},
-        "runner": cmd_qcrb,
-        "help": "quantum Fisher information and phase bound over (r, s)",
-    },
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,23 +149,6 @@ def _resolve_axes(
     return ranges, order
 
 
-def _reorder_rows(
-    result: SweepResult, axes: tuple[str, ...], order: list[str], ranges: dict[str, RangeSpec]
-) -> SweepResult:
-    """Re-nest rows to the declared outer-to-inner order without touching columns."""
-    if order == list(axes):
-        return result
-    col_of = {name: i for i, name in enumerate(axes)}
-    index_of = {
-        name: {float(v): k for k, v in enumerate(ranges[name].values())} for name in axes
-    }
-    rows = sorted(
-        result.rows,
-        key=lambda row: tuple(index_of[name][row[col_of[name]]] for name in order),
-    )
-    return SweepResult(header=result.header, rows=tuple(rows), metadata=result.metadata)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -219,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
 
     axis_ranges = [ranges[name] for name in info["axes"]]
     try:
-        result = info["runner"](config, *axis_ranges)
+        result = info["runner"](config, *axis_ranges, order=order)
     except DegeneratePostSelectionError as exc:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 4
@@ -230,8 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 2
 
-    result = _reorder_rows(result, info["axes"], order, ranges)
-
     if args.out is None:
         sys.stdout.write(result.csv_text())
     else:
@@ -239,10 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.meta is not None:
         result.write_metadata(args.meta)
 
-    single_point = all(ranges[name].is_single for name in info["axes"])
-    if single_point and result.has_na():
-        return 4
-    return 0
+    single_point = all(spec.is_single for spec in axis_ranges)
+    return 4 if single_point and result.na_rows["degenerate"] else 0
 
 
 if __name__ == "__main__":

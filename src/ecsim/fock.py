@@ -72,10 +72,9 @@ class TwoModeState:
 
 @dataclass(frozen=True, eq=False)
 class ModeOperator:
-    """Dense single-mode operator on the truncated basis, tagged by kind."""
+    """Dense single-mode operator on the truncated basis."""
 
     matrix: np.ndarray
-    kind: str = "composite"
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -88,9 +87,6 @@ class ModeOperator:
     @property
     def n_max(self) -> int:
         return self.matrix.shape[0] - 1
-
-    def dagger(self) -> "ModeOperator":
-        return ModeOperator(self.matrix.conj().T, kind=f"{self.kind}-dagger")
 
 
 def vacuum(cutoff: FockCutoff) -> TwoModeState:
@@ -129,20 +125,20 @@ def annihilation_matrix(n_max: int) -> ModeOperator:
     mat = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
     for n in range(1, n_max + 1):
         mat[n - 1, n] = math.sqrt(n)
-    return ModeOperator(mat, kind="annihilation")
+    return ModeOperator(mat)
 
 
 def creation_matrix(n_max: int) -> ModeOperator:
-    return ModeOperator(annihilation_matrix(n_max).matrix.conj().T, kind="creation")
+    return ModeOperator(annihilation_matrix(n_max).matrix.conj().T)
 
 
 def number_matrix(n_max: int) -> ModeOperator:
-    return ModeOperator(np.diag(np.arange(n_max + 1, dtype=np.complex128)), kind="number")
+    return ModeOperator(np.diag(np.arange(n_max + 1, dtype=np.complex128)))
 
 
 def parity_matrix(n_max: int) -> ModeOperator:
     signs = np.array([(-1.0) ** n for n in range(n_max + 1)], dtype=np.complex128)
-    return ModeOperator(np.diag(signs), kind="parity")
+    return ModeOperator(np.diag(signs))
 
 
 @lru_cache(maxsize=32)
@@ -184,7 +180,7 @@ def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
     evaluated.  Matrices are cached on (gamma, n_max); repeated grid
     evaluations reuse them without rebuilding.
     """
-    return ModeOperator(_displacement_raw(complex(gamma), int(n_max)), kind="displacement")
+    return ModeOperator(_displacement_raw(complex(gamma), int(n_max)))
 
 
 def unitarity_defect(op: ModeOperator) -> float:

@@ -59,9 +59,9 @@ from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
     TwoModeState,
+    _displacement_raw,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     coherent_column,
-    displacement_matrix,
     top_level_mass,
     warn_if_truncated,
 )
@@ -235,7 +235,7 @@ def _displaced(u: float, factor: np.ndarray) -> np.ndarray:
     """D(u) @ factor on the factor's cutoff; D(0) is exactly the identity."""
     if u == 0.0:
         return factor
-    return displacement_matrix(u, factor.shape[0] - 1).matrix @ factor
+    return _displacement_raw(complex(u), factor.shape[0] - 1) @ factor
 
 
 def _branch_family(

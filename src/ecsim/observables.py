@@ -17,7 +17,14 @@ import numpy as np
 
 from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
-from .fock import TwoModeState, annihilate, apply_to_mode, create, displacement_matrix
+from .fock import (
+    TwoModeState,
+    _displacement_raw,
+    annihilate,
+    apply_to_mode,
+    create,
+    displacement_matrix,
+)
 from .measurement import DEFAULT_P_FLOOR, _branch_family, _post_select, ecs_factors
 
 # Phase-space density prefactor: W_J(gamma, beta) = (4 / pi^2) P_J(gamma, beta).
@@ -181,23 +188,22 @@ def joint_wigner_grid(
 ) -> WignerGrid:
     """P_J sampled over real gamma and beta, rows indexed by Re(gamma).
 
-    Per-axis displacement matrices are cached, so each grid point costs two
-    dense mode applications and a weighted sum.
+    Per-axis displacement matrices are cached and read in place, so each grid
+    point costs one dense mode-b product and a weighted sum; the products are
+    those of joint_wigner_point.
     """
     if re_gamma.points < 2 or re_beta.points < 2:
         raise ValueError("wigner grid needs at least 2 points per axis")
     gammas = re_gamma.values()
     betas = re_beta.values()
     values = np.empty((gammas.size, betas.size), dtype=np.float64)
-    n_max_b = state.cutoff.n_max_b
+    cutoff = state.cutoff
     for i, g in enumerate(gammas):
-        row_state = apply_to_mode(
-            displacement_matrix(-complex(g), state.cutoff.n_max_a), "a", state
-        )
+        row = _displacement_raw(-complex(g), cutoff.n_max_a) @ state.amplitudes
         for j, b in enumerate(betas):
-            displaced = apply_to_mode(displacement_matrix(-complex(b), n_max_b), "b", row_state)
-            _check_displaced_range(displaced.amplitudes, complex(g), complex(b), range_tol)
-            values[i, j] = _parity_expectation(displaced.amplitudes)
+            displaced = row @ _displacement_raw(-complex(b), cutoff.n_max_b).T
+            _check_displaced_range(displaced, complex(g), complex(b), range_tol)
+            values[i, j] = _parity_expectation(displaced)
     return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)
 
 
@@ -207,19 +213,6 @@ def hz_correlation(state: TwoModeState) -> float:
     n_a, n_b, _ = _mode_occupations(arr)
     m_ab = complex(np.vdot(arr, annihilate(annihilate(arr, 0), 1)))
     return n_a * n_b - abs(m_ab) ** 2
-
-
-@dataclass(frozen=True)
-class MetrologyReport:
-    """QFI together with the single-shot-count Cramer-Rao phase bound."""
-
-    qfi: float
-    qcrb: float
-    shots: int
-
-    @classmethod
-    def compute(cls, qfi: float, shots: int = 1) -> "MetrologyReport":
-        return cls(qfi=qfi, qcrb=qcrb(qfi, shots), shots=shots)
 
 
 def qcrb(qfi: float, shots: int = 1) -> float:

@@ -1,22 +1,26 @@
-"""Deterministic sweep drivers: parameter scans emitted as CSV rows.
+"""Deterministic sweep commands: parameter scans emitted as CSV rows.
 
-Every command evaluates its grid serially in row-major order of the
-declared axes and returns a SweepResult whose CSV rendering is
+Each command is one entry of _COMMANDS: its axes in canonical (CSV column)
+order, default ranges, output columns, help text and runner.  The runner
+supplies a point evaluator, and _sweep walks the grid serially, nesting the
+axes in the declared outer-to-inner order (canonical unless the caller
+declares another).  The result is a SweepResult whose CSV rendering is
 deterministic: shortest-round-trip float formatting, UNIX newlines,
-mandatory header, and the literal sentinel "NA" for degenerate points
-and, in multi-point qcrb sweeps, for tripped finite-difference checks.
-Reruns on one numpy/BLAS build are byte-identical; across builds the last
-digits of computed floats may differ, while the structure, axis values,
-flags and NA cells do not.
+mandatory header, and the literal sentinel "NA" for degenerate points, for
+tripped numerical guards in multi-point sweeps, and for phase bounds of a
+vanishing QFI.  Reruns on one numpy/BLAS build are byte-identical; across
+builds the last digits of computed floats may differ, while the structure,
+axis values, flags and NA cells do not.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
-from .measurement import CouplingParams, build_pointer_state
+from .measurement import CouplingParams, ecs_factors
 from .observables import (
     hz_correlation,
     joint_wigner_grid,
@@ -38,6 +42,9 @@ NA = "NA"
 
 # Q_fi below this emits an NA phase bound instead of a spuriously huge one.
 QFI_SENTINEL_FLOOR = 1e-12
+
+# Causes of NA rows, as counted in SweepResult.na_rows.
+NA_CAUSES = ("degenerate", "richardson", "zero_qfi")
 
 
 def format_cell(value) -> str:
@@ -53,11 +60,12 @@ def format_cell(value) -> str:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered header, row tuples, and the metadata echo for one command."""
+    """Ordered header, row tuples, the metadata echo, and NA rows by cause."""
 
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
     metadata: dict
+    na_rows: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
         lines = [",".join(self.header)]
@@ -76,144 +84,158 @@ class SweepResult:
         with open(path, "w", newline="\n") as fh:
             fh.write(self.metadata_text())
 
-    def has_na(self) -> bool:
-        return any(NA in row for row in self.rows)
+
+def _evaluate(point: Callable, values: tuple, single_point: bool, spec: dict) -> tuple:
+    """(NA cause or None, output cells) of one grid point."""
+    try:
+        cells = point(*values)
+    except DegeneratePostSelectionError:
+        return "degenerate", (NA,) * len(spec["columns"])
+    except NumericalRangeError:
+        if single_point:
+            raise
+        return "richardson", (NA,) * len(spec["columns"])
+    return (spec.get("na_cause") if NA in cells else None), cells
 
 
-def _collect(
+def _sweep(
     config: WeakMeasurementConfig,
-    header: tuple[str, ...],
-    produce: Callable[[], list[tuple]],
-    extra_metadata: dict | None = None,
+    command: str,
+    ranges: tuple[RangeSpec, ...],
+    order: list[str] | None,
+    prepare: Callable[[], tuple[Callable, dict]],
 ) -> SweepResult:
+    """Rows of one command over the product of its axis ranges.
+
+    ranges follow the command's canonical axes, and order names the axes
+    from the outermost loop to the innermost (default: canonical).
+    prepare() runs once, under the same warning capture as the points, and
+    returns the point evaluator (one value per canonical axis in, the output
+    cells out) and any extra metadata.  A degenerate post-selection gives an
+    NA row; so does a tripped numerical guard, except on a single point,
+    where the NumericalRangeError propagates.  A command with an "na_cause"
+    counts the NA cells its evaluator writes under that name and echoes its
+    NA counts in the metadata.
+    """
+    spec = _COMMANDS[command]
+    axes = spec["axes"]
+    order = list(axes) if order is None else list(order)
+    if sorted(order) != sorted(axes):
+        raise ValueError(f"order {order} is not a permutation of the axes {list(axes)}")
+    nest = [axes.index(name) for name in order]
+    single_point = all(r.is_single for r in ranges)
+    na_rows = dict.fromkeys(NA_CAUSES, 0)
+    rows: list[tuple] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = produce()
-    truncations = sum(1 for w in caught if issubclass(w.category, TruncationWarning))
+        point, extra = prepare()
+        for combo in itertools.product(*(ranges[k].values().tolist() for k in nest)):
+            values = tuple(value for _, value in sorted(zip(nest, combo)))
+            cause, cells = _evaluate(point, values, single_point, spec)
+            if cause is not None:
+                na_rows[cause] += 1
+            rows.append(values + tuple(cells))
     metadata = {
         "config": config.to_dict(),
         "version": __version__,
-        "truncation_warnings": truncations,
+        "truncation_warnings": sum(issubclass(w.category, TruncationWarning) for w in caught),
         "rows": len(rows),
+        **extra,
     }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    return SweepResult(header=header, rows=tuple(rows), metadata=metadata)
+    if "na_cause" in spec:
+        metadata["na_rows"] = na_rows
+    return SweepResult(axes + spec["columns"], tuple(rows), metadata, na_rows)
 
 
 def cmd_probability(
-    config: WeakMeasurementConfig, s_range: RangeSpec, theta_range: RangeSpec
+    config: WeakMeasurementConfig,
+    s_range: RangeSpec,
+    theta_range: RangeSpec,
+    order: list[str] | None = None,
 ) -> SweepResult:
     """Success probability over coupling and meter angle; s1 = s2 = s,
     theta1 = theta2 = theta."""
 
-    def produce() -> list[tuple]:
-        ecs = config.ecs_state()
-        rows: list[tuple] = []
-        for s in s_range.values():
-            for theta in theta_range.values():
-                wv = dataclasses.replace(config.wv, theta1=float(theta), theta2=float(theta))
-                try:
-                    outcome = build_pointer_state(
-                        ecs,
-                        wv,
-                        CouplingParams(float(s), float(s)),
-                        displacement_scale=config.displacement_scale,
-                        tail_tol=config.tail_tolerance,
-                    )
-                    p_s = outcome.success_probability
-                except DegeneratePostSelectionError:
-                    p_s = NA
-                rows.append((float(s), float(theta), p_s))
-        return rows
+    def prepare():
+        probe = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
 
-    return _collect(config, ("s", "theta", "P_s"), produce)
+        def point(s, theta):
+            wv = dataclasses.replace(config.wv, theta1=theta, theta2=theta)
+            return (config._post_selected(probe, wv, CouplingParams(s, s)).success_probability,)
+
+        return point, {}
+
+    return _sweep(config, "probability", (s_range, theta_range), order, prepare)
 
 
 def cmd_squeezing(
-    config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec
+    config: WeakMeasurementConfig,
+    s1_range: RangeSpec,
+    s2_range: RangeSpec,
+    order: list[str] | None = None,
 ) -> SweepResult:
     """Sum squeezing of the post-selected state over the coupling grid,
     reported through both evaluation routes."""
 
-    def produce() -> list[tuple]:
-        ecs = config.ecs_state()
-        rows: list[tuple] = []
-        for s1 in s1_range.values():
-            for s2 in s2_range.values():
-                try:
-                    outcome = build_pointer_state(
-                        ecs,
-                        config.wv,
-                        CouplingParams(float(s1), float(s2)),
-                        displacement_scale=config.displacement_scale,
-                        tail_tol=config.tail_tolerance,
-                    )
-                    report = squeezing_report(outcome.state, config.theta_big)
-                    direct, normal = report.s2s_direct, report.s2s_normal_ordered
-                except DegeneratePostSelectionError:
-                    direct, normal = NA, NA
-                rows.append((float(s1), float(s2), direct, normal))
-        return rows
+    def prepare():
+        probe = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
 
-    return _collect(config, ("s1", "s2", "S2s_direct", "S2s_normal"), produce)
+        def point(s1, s2):
+            outcome = config._post_selected(probe, config.wv, CouplingParams(s1, s2))
+            report = squeezing_report(outcome.state, config.theta_big)
+            return report.s2s_direct, report.s2s_normal_ordered
+
+        return point, {}
+
+    return _sweep(config, "squeezing", (s1_range, s2_range), order, prepare)
 
 
 def cmd_wigner(
-    config: WeakMeasurementConfig, re_gamma: RangeSpec, re_beta: RangeSpec
+    config: WeakMeasurementConfig,
+    re_gamma: RangeSpec,
+    re_beta: RangeSpec,
+    order: list[str] | None = None,
 ) -> SweepResult:
     """Joint-parity Wigner cross-section of the post-selected state at the
-    config's point coupling; metadata additionally carries the grid minimum."""
-    grid_min: list[float] = []
+    config's point coupling; metadata additionally carries the grid minimum.
+    The grid is computed whole, so any point out of range fails the sweep."""
 
-    def produce() -> list[tuple]:
-        outcome = config.pointer_outcome()
-        grid = joint_wigner_grid(outcome.state, re_gamma, re_beta)
-        grid_min.append(grid.minimum)
-        rows: list[tuple] = []
-        for i, g in enumerate(grid.re_gamma_axis):
-            for j, b in enumerate(grid.re_beta_axis):
-                rows.append((float(g), float(b), float(grid.values[i, j])))
-        return rows
+    def prepare():
+        grid = joint_wigner_grid(config.pointer_outcome().state, re_gamma, re_beta)
+        points = itertools.product(grid.re_gamma_axis.tolist(), grid.re_beta_axis.tolist())
+        cells = dict(zip(points, grid.values.ravel().tolist()))
+        return (lambda g, b: (cells[g, b],)), {"grid_min": grid.minimum}
 
-    result = _collect(config, ("re_gamma", "re_beta", "P_J"), produce)
-    metadata = dict(result.metadata)
-    metadata["grid_min"] = grid_min[0]
-    return SweepResult(header=result.header, rows=result.rows, metadata=metadata)
+    return _sweep(config, "wigner", (re_gamma, re_beta), order, prepare)
 
 
 def cmd_hz(
-    config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec
+    config: WeakMeasurementConfig,
+    s1_range: RangeSpec,
+    s2_range: RangeSpec,
+    order: list[str] | None = None,
 ) -> SweepResult:
     """Intensity-correlation witness over the coupling grid; the flag column
     is 1 exactly when E < 0 (entanglement witnessed) and NA when E is NaN."""
 
-    def produce() -> list[tuple]:
-        ecs = config.ecs_state()
-        rows: list[tuple] = []
-        for s1 in s1_range.values():
-            for s2 in s2_range.values():
-                try:
-                    outcome = build_pointer_state(
-                        ecs,
-                        config.wv,
-                        CouplingParams(float(s1), float(s2)),
-                        displacement_scale=config.displacement_scale,
-                        tail_tol=config.tail_tolerance,
-                    )
-                    e_val = hz_correlation(outcome.state)
-                    flag = NA if math.isnan(e_val) else int(e_val < 0.0)
-                    row = (float(s1), float(s2), e_val, flag)
-                except DegeneratePostSelectionError:
-                    row = (float(s1), float(s2), NA, NA)
-                rows.append(row)
-        return rows
+    def prepare():
+        probe = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
 
-    return _collect(config, ("s1", "s2", "E", "entangled_flag"), produce)
+        def point(s1, s2):
+            outcome = config._post_selected(probe, config.wv, CouplingParams(s1, s2))
+            e_val = hz_correlation(outcome.state)
+            return e_val, NA if math.isnan(e_val) else int(e_val < 0.0)
+
+        return point, {}
+
+    return _sweep(config, "hz", (s1_range, s2_range), order, prepare)
 
 
 def cmd_qcrb(
-    config: WeakMeasurementConfig, r_range: RangeSpec, s_range: RangeSpec
+    config: WeakMeasurementConfig,
+    r_range: RangeSpec,
+    s_range: RangeSpec,
+    order: list[str] | None = None,
 ) -> SweepResult:
     """QFI and single-shot phase bound over amplitude and coupling; s1 = s2 = s.
 
@@ -221,37 +243,66 @@ def cmd_qcrb(
     "renormalized" falls back to checked finite differences on normalized
     outcomes (both agree to finite-difference accuracy).  A point whose
     finite-difference check trips becomes an NA row; a single-point run
-    raises the NumericalRangeError instead.  The metadata counts the NA rows
-    by cause under "na_rows".
+    raises the NumericalRangeError instead.  A QFI below QFI_SENTINEL_FLOOR
+    gets an NA phase bound.  The metadata counts the NA rows by cause under
+    "na_rows".
     """
-    single_point = r_range.is_single and s_range.is_single
-    na_rows = {"degenerate": 0, "richardson": 0}
 
-    def produce() -> list[tuple]:
-        rows: list[tuple] = []
-        for r in r_range.values():
-            for s in s_range.values():
-                point = config.replace(
-                    ecs=dataclasses.replace(config.ecs, r=float(r)),
-                    coupling=CouplingParams(float(s), float(s)),
-                )
-                try:
-                    if config.qfi_gauge == "fixed-kappa":
-                        q = qfi_analytic(point)
-                    else:
-                        q = qfi_finite_difference(point)
-                    delta = qcrb(q, 1) if q >= QFI_SENTINEL_FLOOR else NA
-                    row = (float(r), float(s), q, delta)
-                except DegeneratePostSelectionError:
-                    row = (float(r), float(s), NA, NA)
-                    na_rows["degenerate"] += 1
-                except NumericalRangeError:
-                    if single_point:
-                        raise
-                    row = (float(r), float(s), NA, NA)
-                    na_rows["richardson"] += 1
-                rows.append(row)
-        return rows
+    def point(r, s):
+        at = config.replace(
+            ecs=dataclasses.replace(config.ecs, r=r), coupling=CouplingParams(s, s)
+        )
+        q = qfi_analytic(at) if config.qfi_gauge == "fixed-kappa" else qfi_finite_difference(at)
+        return q, qcrb(q, 1) if q >= QFI_SENTINEL_FLOOR else NA
 
-    # _collect reads na_rows after produce has filled it.
-    return _collect(config, ("r", "s", "Q_fi", "delta_phi"), produce, {"na_rows": na_rows})
+    return _sweep(config, "qcrb", (r_range, s_range), order, lambda: (point, {}))
+
+
+# Per command: canonical axis order (also the CSV leading columns), the
+# built-in default ranges used when an axis is not overridden, the output
+# columns, the CLI help text and the runner, called as
+# runner(config, *ranges in canonical order, order=declared order).
+_COMMANDS = {
+    "probability": {
+        "axes": ("s", "theta"),
+        "defaults": {
+            "s": RangeSpec(0.0, 3.0, 31),
+            "theta": RangeSpec(0.2 * math.pi, 0.8 * math.pi, 4),
+        },
+        "columns": ("P_s",),
+        "help": "post-selection success probability over (s, theta)",
+        "runner": cmd_probability,
+    },
+    "squeezing": {
+        "axes": ("s1", "s2"),
+        "defaults": {"s1": RangeSpec(0.0, 3.0, 16), "s2": RangeSpec(0.0, 3.0, 16)},
+        "columns": ("S2s_direct", "S2s_normal"),
+        "help": "sum squeezing of the post-selected state over (s1, s2)",
+        "runner": cmd_squeezing,
+    },
+    "wigner": {
+        "axes": ("re_gamma", "re_beta"),
+        "defaults": {
+            "re_gamma": RangeSpec(-2.0, 2.0, 51),
+            "re_beta": RangeSpec(-2.0, 2.0, 51),
+        },
+        "columns": ("P_J",),
+        "help": "joint-parity Wigner cross-section at the configured coupling",
+        "runner": cmd_wigner,
+    },
+    "hz": {
+        "axes": ("s1", "s2"),
+        "defaults": {"s1": RangeSpec(0.0, 3.0, 16), "s2": RangeSpec(0.0, 3.0, 16)},
+        "columns": ("E", "entangled_flag"),
+        "help": "intensity-correlation entanglement witness over (s1, s2)",
+        "runner": cmd_hz,
+    },
+    "qcrb": {
+        "axes": ("r", "s"),
+        "defaults": {"r": RangeSpec(0.05, 0.5, 10), "s": RangeSpec(0.0, 2.0, 5)},
+        "columns": ("Q_fi", "delta_phi"),
+        "help": "quantum Fisher information and phase bound over (r, s)",
+        "runner": cmd_qcrb,
+        "na_cause": "zero_qfi",
+    },
+}

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from golden_cases import GOLDEN_CASES, golden_mismatches
+from golden_cases import GOLDEN_CASES, cell_bound, golden_mismatches
 
 import ecsim
 from ecsim import __version__, sweep
@@ -151,7 +151,9 @@ def test_qcrb_range_trip_in_grid_gets_na_row(capsys, monkeypatch, tmp_path):
     meta = tmp_path / "meta.json"
     argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.05:0.1:2", "--sweep", "s=0:1:2"]
     assert main(argv + ["--meta", str(meta)]) == 0
-    assert json.loads(meta.read_text())["na_rows"] == {"degenerate": 0, "richardson": 1}
+    assert json.loads(meta.read_text())["na_rows"] == {
+        "degenerate": 0, "richardson": 1, "zero_qfi": 0
+    }
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [(row["r"], row["s"]) for row in rows] == [
         ("0.05", "0.0"), ("0.05", "1.0"), ("0.1", "0.0"), ("0.1", "1.0")
@@ -171,6 +173,31 @@ def test_qcrb_range_trip_at_single_point_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cancellation-dominated" in captured.err
+
+
+def test_zero_qfi_single_point_exits_zero_with_na_bound(capsys, tmp_path):
+    # At r = 0 the probe carries no phase: Q = 0 and delta_phi is undefined,
+    # which is neither a degenerate post-selection nor an error.
+    meta = tmp_path / "meta.json"
+    argv = ["qcrb", "--sweep", "r=0:0:1", "--sweep", "s=1:1:1", "--meta", str(meta)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "r,s,Q_fi,delta_phi\n0.0,1.0,0.0,NA\n"
+    assert captured.err == ""
+    assert json.loads(meta.read_text())["na_rows"] == {
+        "degenerate": 0, "richardson": 0, "zero_qfi": 1
+    }
+
+
+def test_zero_qfi_in_grid_is_counted(capsys, tmp_path):
+    meta = tmp_path / "meta.json"
+    assert main(["qcrb", "--sweep", "r=0:0.1:2", "--sweep", "s=1:1:1", "--meta", str(meta)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[0] == "0.0,1.0,0.0,NA"
+    assert not rows[1].endswith("NA")
+    assert json.loads(meta.read_text())["na_rows"] == {
+        "degenerate": 0, "richardson": 0, "zero_qfi": 1
+    }
 
 
 def test_renormalized_qcrb_builds_the_mode_a_column_once(tmp_path):
@@ -328,16 +355,88 @@ def _read_text(path) -> str:
         return fh.read()
 
 
+HALF_PI = 0.5 * math.pi
+DEFAULT_CONFIG_ECHO = {
+    "r": 0.1, "mu": HALF_PI, "varphi": HALF_PI,
+    "theta1": 0.8 * math.pi, "delta1": HALF_PI, "theta2": 0.8 * math.pi, "delta2": HALF_PI,
+    "s1": 0.0, "s2": 0.0, "theta_big": HALF_PI, "n_max_a": 40, "n_max_b": 40,
+    "tail_tolerance": 1e-10, "displacement_convention": "half", "qfi_gauge": "fixed-kappa",
+}
+# The --meta sidecar of each golden invocation.  grid_min is compared within
+# the golden float bound, every other field exactly.
+GOLDEN_METADATA = {
+    "probability_default.csv": {"rows": 124},
+    "squeezing_default.csv": {"rows": 256},
+    "wigner_coupled.csv": {
+        "rows": 2601,
+        "grid_min": -0.32515977428700416,
+        "config": dict(DEFAULT_CONFIG_ECHO, s1=1.0, s2=1.0),
+    },
+    "hz_default.csv": {"rows": 256},
+    "qcrb_default.csv": {
+        "rows": 50, "na_rows": {"degenerate": 0, "richardson": 0, "zero_qfi": 0}
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_files_reproduce(tmp_path, name):
     """Rerunning the pinned invocation must reproduce the stored reference:
-    exact structure, axis, integer and NA cells, floats within FLOAT_BOUND."""
+    exact structure, axis, integer and NA cells, floats within FLOAT_BOUND;
+    and the pinned metadata."""
     fresh = tmp_path / name
-    code = main(GOLDEN_CASES[name] + ["--out", str(fresh)])
+    meta_path = tmp_path / "meta.json"
+    code = main(GOLDEN_CASES[name] + ["--out", str(fresh), "--meta", str(meta_path)])
     assert code == 0
     golden = _read_text(os.path.join(GOLDEN_DIR, name))
     problems = golden_mismatches(name, golden, _read_text(fresh))
     assert not problems, "\n".join(problems)
+    want = {"config": DEFAULT_CONFIG_ECHO, "version": __version__, "truncation_warnings": 0}
+    want.update(GOLDEN_METADATA[name])
+    meta = json.loads(meta_path.read_text())
+    if "grid_min" in want:
+        grid_min = want.pop("grid_min")
+        assert abs(meta.pop("grid_min") - grid_min) <= cell_bound(grid_min)
+    assert meta == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["probability", "--sweep", "s=0:1:2", "--sweep", "theta=0.8pi:0.8pi:1"],
+    ["squeezing", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"],
+    ["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"],
+], ids=lambda argv: argv[0])
+def test_sweep_builds_the_probe_once(tmp_path, argv):
+    # At a truncating cutoff the probe warns for its two coherent columns and
+    # its tail, once per sweep, and each of the two pointer states for its
+    # tail: 3 + 2 warnings.  Rebuilding the probe per point would give 8.
+    meta = tmp_path / "meta.json"
+    argv = argv + ["--r", "2", "--cutoff", "10", "--out", str(tmp_path / "o.csv"), "--meta", str(meta)]
+    assert main(argv) == 0
+    assert json.loads(meta.read_text())["truncation_warnings"] == 5
+
+
+# Per command: its two axes, in canonical order, as small --sweep flags.
+SMALL_GRIDS = {
+    "probability": ([], "s=0:1:2", "theta=0.2pi:0.4pi:3"),
+    "squeezing": ([], "s1=0:1:2", "s2=0:2:3"),
+    "wigner": (["--s1", "1", "--s2", "1"], "re_gamma=-1:1:2", "re_beta=-1:1:3"),
+    "hz": ([], "s1=0:1:2", "s2=0:2:3"),
+    "qcrb": ([], "r=0.05:0.1:2", "s=0:1:3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_GRIDS))
+def test_reversed_declaration_transposes_the_canonical_rows(capsys, command):
+    flags, outer, inner = SMALL_GRIDS[command]
+    assert main([command, *flags, "--sweep", outer, "--sweep", inner]) == 0
+    canonical = capsys.readouterr().out.splitlines()
+    assert main([command, *flags, "--sweep", inner, "--sweep", outer]) == 0
+    reversed_ = capsys.readouterr().out.splitlines()
+    assert reversed_[0] == canonical[0]
+    rows = canonical[1:]
+    assert len(rows) == 6
+    # 2 outer x 3 inner values: the first declared axis is now the outer loop.
+    assert reversed_[1:] == [rows[3 * i + j] for j in range(3) for i in range(2)]
 
 
 HZ_GOLDEN = os.path.join(GOLDEN_DIR, "hz_default.csv")

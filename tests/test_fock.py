@@ -105,11 +105,7 @@ def test_ladder_algebra():
     assert abs(commutator[n_max, n_max] + n_max) < 1e-12
 
 
-def test_dagger_and_kind_tags():
-    op = fock.annihilation_matrix(4)
-    assert op.kind == "annihilation"
-    back = op.dagger().dagger()
-    assert np.array_equal(back.matrix, op.matrix)
+def test_mode_operator_rejects_non_square():
     with pytest.raises(ValueError):
         fock.ModeOperator(np.zeros((2, 3)))
 

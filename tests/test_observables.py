@@ -15,7 +15,6 @@ from ecsim.config import RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.errors import DegeneratePostSelectionError, NumericalRangeError
 from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams, build_ecs
 from ecsim.observables import (
-    MetrologyReport,
     WignerGrid,
     _checked_richardson,
     hz_correlation,
@@ -210,10 +209,6 @@ def test_qcrb_values_and_validation():
         qcrb(1.0, 0)
     with pytest.raises(ValueError):
         qcrb(1.0, 1.5)
-    report = MetrologyReport.compute(4.0)
-    assert report.qfi == 4.0
-    assert report.qcrb == 0.5
-    assert report.shots == 1
 
 
 def test_qfi_coherent_family_number_variance():

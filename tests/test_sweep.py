@@ -47,9 +47,6 @@ def test_sweep_result_csv_shape():
         header=("a", "b"), rows=((1.5, NA), (0.25, 2)), metadata={"rows": 2}
     )
     assert result.csv_text() == "a,b\n1.5,NA\n0.25,2\n"
-    assert result.has_na()
-    clean = SweepResult(header=("a",), rows=((1.0,),), metadata={})
-    assert not clean.has_na()
 
 
 def test_sweep_result_file_output(tmp_path):
@@ -91,11 +88,22 @@ def test_cmd_probability_full_grid_bounds_and_order():
     assert result.metadata["version"] == __version__
 
 
+def test_order_names_the_axes_outer_to_inner():
+    config = default_config()
+    s_range, theta_range = RangeSpec(0.0, 1.0, 2), RangeSpec(0.2, 0.4, 2)
+    canonical = cmd_probability(config, s_range, theta_range).rows
+    nested = cmd_probability(config, s_range, theta_range, order=["theta", "s"]).rows
+    assert nested == tuple(canonical[i] for i in (0, 2, 1, 3))
+    for bad in (["s"], ["s", "s"], ["theta", "r"]):
+        with pytest.raises(ValueError, match="permutation"):
+            cmd_probability(config, s_range, theta_range, order=bad)
+
+
 def test_cmd_probability_degenerate_rows_become_na():
     config = default_config()
     result = cmd_probability(config, single(0.0), single(math.pi - 1e-8))
     assert result.rows[0][2] == NA
-    assert result.has_na()
+    assert result.na_rows == {"degenerate": 1, "richardson": 0, "zero_qfi": 0}
 
 
 def test_cmd_squeezing_zero_coupling_row_and_column_agreement():
@@ -189,7 +197,8 @@ def test_cmd_qcrb_values_and_sentinel():
     _, _, q0, delta0 = zero.rows[0]
     assert abs(q0) < 1e-12
     assert delta0 == NA
-    assert zero.has_na()
+    assert zero.na_rows == {"degenerate": 0, "richardson": 0, "zero_qfi": 1}
+    assert zero.metadata["na_rows"] == zero.na_rows
 
 
 def test_cmd_qcrb_counts_na_rows_by_cause():
@@ -197,9 +206,9 @@ def test_cmd_qcrb_counts_na_rows_by_cause():
     config = default_config(wv=WeakValueParams(near_pi, HALF_PI, near_pi, HALF_PI))
     result = cmd_qcrb(config, RangeSpec(0.1, 0.3, 2), single(0.0))
     assert [row[2:] for row in result.rows] == [(NA, NA), (NA, NA)]
-    assert result.metadata["na_rows"] == {"degenerate": 2, "richardson": 0}
+    assert result.metadata["na_rows"] == {"degenerate": 2, "richardson": 0, "zero_qfi": 0}
     clean = cmd_qcrb(default_config(), single(0.3), single(1.0))
-    assert clean.metadata["na_rows"] == {"degenerate": 0, "richardson": 0}
+    assert clean.metadata["na_rows"] == {"degenerate": 0, "richardson": 0, "zero_qfi": 0}
 
 
 def test_cmd_qcrb_gauges_agree():
