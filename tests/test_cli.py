@@ -276,7 +276,10 @@ def test_degenerate_single_point_exits_four(capsys):
 def test_wigner_out_of_range_exits_three(capsys):
     code = main(["wigner", "--r", "1", "--cutoff", "12"])
     assert code == 3
-    assert "range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "range" in err
+    # The first point out of range in row-major (re_gamma, re_beta) order.
+    assert "gamma=(-2+0j), beta=(-2+0j)" in err
 
 
 def test_declaration_order_controls_nesting(capsys):
@@ -400,19 +403,24 @@ def test_golden_files_reproduce(tmp_path, name):
     assert meta == want
 
 
-@pytest.mark.parametrize("argv", [
-    ["probability", "--sweep", "s=0:1:2", "--sweep", "theta=0.8pi:0.8pi:1"],
-    ["squeezing", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"],
-    ["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"],
-], ids=lambda argv: argv[0])
-def test_sweep_builds_the_probe_once(tmp_path, argv):
+@pytest.mark.parametrize("argv, warnings", [
+    pytest.param(["probability", "--sweep", "s=0:1:2", "--sweep", "theta=0.8pi:0.8pi:1"], 5, id="probability"),
+    pytest.param(["squeezing", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"], 5, id="squeezing"),
+    pytest.param(["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"], 5, id="hz"),
+    pytest.param(["probability"], 127, id="probability-default"),
+    pytest.param(["squeezing"], 259, id="squeezing-default"),
+    pytest.param(["hz"], 259, id="hz-default"),
+])
+def test_sweep_builds_the_probe_once(tmp_path, argv, warnings):
     # At a truncating cutoff the probe warns for its two coherent columns and
-    # its tail, once per sweep, and each of the two pointer states for its
-    # tail: 3 + 2 warnings.  Rebuilding the probe per point would give 8.
+    # its tail, once per sweep, and each pointer state for its tail: 3 + 2
+    # warnings on two points, 3 + 124 on the default probability grid and
+    # 3 + 256 on the default coupling grids.  Rebuilding the probe per point
+    # would give 8 on two points.
     meta = tmp_path / "meta.json"
     argv = argv + ["--r", "2", "--cutoff", "10", "--out", str(tmp_path / "o.csv"), "--meta", str(meta)]
     assert main(argv) == 0
-    assert json.loads(meta.read_text())["truncation_warnings"] == 5
+    assert json.loads(meta.read_text())["truncation_warnings"] == warnings
 
 
 # Per command: its two axes, in canonical order, as small --sweep flags.
