@@ -106,17 +106,8 @@ class WeakMeasurementConfig:
         return TwoModeState(raw[0], self.cutoff)
 
     def pointer_outcome(self) -> PostSelectedOutcome:
-        probe = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance)
-        return self._post_selected(probe, self.wv, self.coupling)
-
-    def _post_selected(
-        self, probe: tuple[np.ndarray, np.ndarray], wv: WeakValueParams, coupling: CouplingParams
-    ) -> PostSelectedOutcome:
-        """Outcome of the probe factors ecs_factors returns under wv and coupling.
-
-        A sweep builds the probe once and post-selects it at every point.
-        """
-        raw = _branch_family(*probe, wv, coupling, self.displacement_scale)
+        left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance)
+        raw = _branch_family(left, right, self.wv, self.coupling, self.displacement_scale)
         states, p_s = _post_select(raw, self.tail_tolerance, DEFAULT_P_FLOOR)
         return PostSelectedOutcome(TwoModeState(states[0], self.cutoff), float(p_s[0]))
 

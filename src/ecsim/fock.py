@@ -290,26 +290,20 @@ def _mode_axis(mode: str) -> int:
 
 
 def annihilate(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Annihilation on one index of an amplitude grid; exact, same shape (top level zeroed)."""
+    """Annihilation on one Fock index of an array; exact, same shape (top level zeroed)."""
     out = np.zeros_like(arr)
     n = np.sqrt(np.arange(1, arr.shape[axis], dtype=np.float64))
-    if axis == 0:
-        out[:-1, :] = n[:, None] * arr[1:, :]
-    else:
-        out[:, :-1] = n[None, :] * arr[:, 1:]
+    out.swapaxes(axis, -1)[..., :-1] = n * arr.swapaxes(axis, -1)[..., 1:]
     return out
 
 
 def create(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Creation on one index of an amplitude grid, grown by one level so it is exact."""
+    """Creation on one Fock index of an array, grown by one level so it is exact."""
     shape = list(arr.shape)
     shape[axis] += 1
     out = np.zeros(shape, dtype=np.complex128)
     n = np.sqrt(np.arange(1, shape[axis], dtype=np.float64))
-    if axis == 0:
-        out[1:, :] = n[:, None] * arr
-    else:
-        out[:, 1:] = n[None, :] * arr
+    out.swapaxes(axis, -1)[..., 1:] = n * arr.swapaxes(axis, -1)
     return out
 
 

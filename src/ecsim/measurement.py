@@ -238,6 +238,23 @@ def _displaced(u: float, factor: np.ndarray) -> np.ndarray:
     return _displacement_raw(complex(u), factor.shape[0] - 1) @ factor
 
 
+def _arms(u: float, factor: np.ndarray) -> np.ndarray:
+    """A = [D(+u) F, D(-u) F], both displacement arms of a factor side by side."""
+    return np.concatenate([_displaced(u, factor), _displaced(-u, factor)], axis=-1)
+
+
+def _branch_weights(wv: WeakValueParams) -> tuple[complex, ...]:
+    """(omega/4) (A+, A-, B+, B-), the four branch weights of the module docstring."""
+    scale = 0.25 * meter_overlap(wv)
+    return tuple(scale * weight for weight, _, _ in branch_terms(wv))
+
+
+def _mixed(up: np.ndarray, down: np.ndarray, weights: tuple[complex, ...]) -> np.ndarray:
+    """X = [A+ up + B- down, A- down + B+ up] from up = D_b(+u2) R and down = D_b(-u2) R."""
+    a_plus, a_minus, b_plus, b_minus = weights
+    return np.concatenate([a_plus * up + b_minus * down, a_minus * down + b_plus * up], axis=-1)
+
+
 def _branch_family(
     left: np.ndarray,
     right: np.ndarray,
@@ -250,20 +267,16 @@ def _branch_family(
     left is L (dim_a x m) and right the stack R_k (K x dim_b x m); returns the
     K unnormalized amplitude grids, K x dim_a x dim_b.
     """
-    u1 = displacement_scale * coupling.s1
     u2 = displacement_scale * coupling.s2
-    scale = 0.25 * meter_overlap(wv)
-    a_plus, a_minus, b_plus, b_minus = (scale * weight for weight, _, _ in branch_terms(wv))
-    arms = np.concatenate([_displaced(u1, left), _displaced(-u1, left)], axis=1)
+    arms = _arms(displacement_scale * coupling.s1, left)
     count, dim_b, width = right.shape
     columns = right.transpose(1, 0, 2).reshape(dim_b, count * width)
 
     def shifted(u: float) -> np.ndarray:
         return _displaced(u, columns).reshape(dim_b, count, width).transpose(1, 0, 2)
 
-    b_up, b_down = shifted(u2), shifted(-u2)
-    mixed = [a_plus * b_up + b_minus * b_down, a_minus * b_down + b_plus * b_up]
-    return arms @ np.concatenate(mixed, axis=2).transpose(0, 2, 1)
+    mixed = _mixed(shifted(u2), shifted(-u2), _branch_weights(wv))
+    return arms @ mixed.transpose(0, 2, 1)
 
 
 def apply_displacement_branches(

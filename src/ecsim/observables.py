@@ -4,6 +4,22 @@ Covers the two-mode sum-squeezing parameter (direct variance form and
 normal-ordered moment form), the joint parity Wigner cross-section, the
 two-mode intensity correlation witness, and phase-estimation figures of
 merit (quantum Fisher information and the resulting Cramer-Rao bound).
+
+Every function taking a TwoModeState works on its dense amplitude grid.  The
+sweeps instead keep a pointer state as its factors, psi = A X^T with A
+(dim_a x m) and X (dim_b x m), m <= 4 (see the measurement module), and
+compute each product-operator moment from two m x m Gram matrices:
+
+    <psi| O_a (x) O_b |psi> = sum_kl (A^dag O_a A)_kl (X^dag O_b X)_kl.
+
+P_s, <N_a>, <N_b>, <N_a N_b>, <a b>, <a^2 b^2>, the direct route's <V> and
+<V^2> (creation on a one-level-enlarged factor, so it stays exact), the
+top-level mass and displaced parity all take this form.  A depends only on
+the mode-a coupling and X only on the mode-b coupling and the meter angles,
+so a whole grid of moments is one product of stacked Grams, and the
+Wigner cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the
+parity Grams of D_a(-gamma) A and D_b(-beta) X.  A dense grid is the
+factor pair (amplitudes, identity).
 """
 
 from __future__ import annotations
@@ -19,13 +35,14 @@ from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
     TwoModeState,
-    _displacement_raw,
     annihilate,
     apply_to_mode,
     create,
     displacement_matrix,
+    top_level_mass,
+    warn_if_truncated,
 )
-from .measurement import DEFAULT_P_FLOOR, _branch_family, _post_select, ecs_factors
+from .measurement import DEFAULT_P_FLOOR, _branch_family, _displaced, _post_select, ecs_factors
 
 # Phase-space density prefactor: W_J(gamma, beta) = (4 / pi^2) P_J(gamma, beta).
 WIGNER_PREFACTOR = 4.0 / math.pi**2
@@ -139,28 +156,34 @@ class WignerGrid:
         return float(self.values.min())
 
 
+def _parity_signs(dim: int) -> np.ndarray:
+    return np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+
+
 def _parity_expectation(arr: np.ndarray) -> float:
-    signs_a = np.where(np.arange(arr.shape[0]) % 2 == 0, 1.0, -1.0)
-    signs_b = np.where(np.arange(arr.shape[1]) % 2 == 0, 1.0, -1.0)
     prob = np.abs(arr) ** 2
     # Diagonal parity grid keeps the expectation exactly real.
-    return float(signs_a @ prob @ signs_b)
+    return float(_parity_signs(arr.shape[0]) @ prob @ _parity_signs(arr.shape[1]))
 
 
-def _displaced(state: TwoModeState, gamma: complex, beta: complex) -> TwoModeState:
+def _displaced_state(state: TwoModeState, gamma: complex, beta: complex) -> TwoModeState:
     shifted = apply_to_mode(
         displacement_matrix(-gamma, state.cutoff.n_max_a), "a", state
     )
     return apply_to_mode(displacement_matrix(-beta, state.cutoff.n_max_b), "b", shifted)
 
 
+def _range_error(gamma: complex, beta: complex, top: float, range_tol: float) -> NumericalRangeError:
+    return NumericalRangeError(
+        f"displacement (gamma={gamma}, beta={beta}) pushes tail mass "
+        f"{top:.3e} past the validated range tolerance {range_tol:.1e}"
+    )
+
+
 def _check_displaced_range(arr: np.ndarray, gamma: complex, beta: complex, range_tol: float) -> None:
-    top = float(np.sum(np.abs(arr[-1, :]) ** 2) + np.sum(np.abs(arr[:-1, -1]) ** 2))
+    top = float(top_level_mass(arr))
     if top > range_tol:
-        raise NumericalRangeError(
-            f"displacement (gamma={gamma}, beta={beta}) pushes tail mass "
-            f"{top:.3e} past the validated range tolerance {range_tol:.1e}"
-        )
+        raise _range_error(gamma, beta, top, range_tol)
 
 
 def joint_wigner_point(
@@ -175,9 +198,149 @@ def joint_wigner_point(
     unitary to machine precision.  Multiply by WIGNER_PREFACTOR for the
     phase-space density normalization.
     """
-    displaced = _displaced(state, gamma, beta)
+    displaced = _displaced_state(state, gamma, beta)
     _check_displaced_range(displaced.amplitudes, gamma, beta, range_tol)
     return _parity_expectation(displaced.amplitudes)
+
+
+def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^dag right over the Fock axis (-2) of two factor stacks: (..., m, m)."""
+    return np.conj(left).swapaxes(-1, -2) @ right
+
+
+def _contract(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
+    """sum_kl g_a[..., i, k, l] g_b[..., j, k, l]: the (..., i, j) moments of two Gram stacks.
+
+    Leading axes before i and j broadcast as in a matrix product.
+    """
+    flat_a = g_a.reshape(*g_a.shape[:-2], -1)
+    return flat_a @ g_b.reshape(*g_b.shape[:-2], -1).swapaxes(-1, -2)
+
+
+def _factor_grams(factor: np.ndarray) -> dict[str, np.ndarray]:
+    """Grams F^dag O F of a factor stack (..., dim, m) for every operator of the sweeps.
+
+    "up" raises F onto a one-level-enlarged copy, so V|psi> keeps every
+    creation term: "up.up" is |a^dag F|^2, "up.a" <a^dag F|a F> and "up"
+    <F|a^dag F>, each over the enlarged levels.  "top" and "below" split F
+    into its top level and the levels under it.
+    """
+    low = annihilate(factor, -2)
+    up = create(factor, -2)
+    levels = np.arange(factor.shape[-2], dtype=np.float64)[:, None]
+    return {
+        "1": _gram(factor, factor),
+        "n": _gram(factor, levels * factor),
+        "a": _gram(factor, low),
+        "aa": _gram(factor, annihilate(low, -2)),
+        "a.a": _gram(low, low),
+        "up.up": _gram(up, up),
+        "up.a": _gram(up[..., :-1, :], low),
+        "up": _gram(factor, up[..., :-1, :]),
+        "top": _gram(factor[..., -1:, :], factor[..., -1:, :]),
+        "below": _gram(factor[..., :-1, :], factor[..., :-1, :]),
+    }
+
+
+def _moments(arms: np.ndarray, mixed: np.ndarray) -> Callable[[str, str], np.ndarray]:
+    """moment(op_a, op_b): <O_a (x) O_b> of every raw pointer state arms @ mixed^T.
+
+    arms (..., Na, dim_a, m) and mixed (..., Nb, dim_b, m) are factor stacks;
+    the moments come out as (..., Na, Nb) grids, named by _factor_grams' keys.
+    """
+    g_a, g_b = _factor_grams(arms), _factor_grams(mixed)
+    return lambda op_a, op_b: _contract(g_a[op_a], g_b[op_b])
+
+
+def _post_selection(moment, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(P_s, degenerate) over a grid of raw pointer states.
+
+    degenerate marks the points with P_s below DEFAULT_P_FLOOR, where P_s is
+    returned as NaN, so no quantity normalized by it is defined there.  Every
+    other point warns when its normalized top-level mass exceeds tail_tol, as
+    _post_select does for dense grids.
+    """
+    p_s = moment("1", "1").real
+    degenerate = p_s < DEFAULT_P_FLOOR
+    p_s = np.where(degenerate, np.nan, p_s)
+    tail = (moment("top", "1").real + moment("below", "top").real) / p_s
+    for mass in tail.ravel():
+        warn_if_truncated(mass, tail_tol, "build_pointer_state")
+    return p_s, degenerate
+
+
+def _hz_grid(moment, p_s: np.ndarray) -> np.ndarray:
+    """hz_correlation over a grid of raw pointer states with success probabilities p_s."""
+    n_a = moment("n", "1").real / p_s
+    n_b = moment("1", "n").real / p_s
+    return n_a * n_b - np.abs(moment("a", "a") / p_s) ** 2
+
+
+def _squeezing_grid(moment, p_s: np.ndarray, theta_big: float) -> tuple[np.ndarray, np.ndarray]:
+    """(direct, normal-ordered) sum squeezing over a grid of raw pointer states.
+
+    The two routes of sum_squeezing_direct and sum_squeezing_normal_ordered:
+    the direct one expands |V psi|^2 with V|psi> = (e^{iT} up + e^{-iT} down) / 2,
+    up = a^dag b^dag psi on the enlarged grid and down = a b psi.
+    """
+    n_a = moment("n", "1").real / p_s
+    n_b = moment("1", "n").real / p_s
+    n_ab = moment("n", "n").real / p_s
+    m_ab = moment("a", "a") / p_s
+    m_a2b2 = moment("aa", "aa") / p_s
+    denominator = n_a + n_b + 1.0
+    phase = cmath.exp(-1j * theta_big)
+    numerator = (phase * phase * m_a2b2).real - 2.0 * ((phase * m_ab).real) ** 2 + n_ab
+    normal = 2.0 * numerator / denominator
+    exp_v = (0.5 * (np.conj(phase) * moment("up", "up") / p_s + phase * m_ab)).real
+    up_down = phase * phase * moment("up.a", "up.a")
+    exp_v2 = 0.25 * (moment("up.up", "up.up") + moment("a.a", "a.a") + 2.0 * up_down).real / p_s
+    direct = 4.0 * (exp_v2 - exp_v**2) / denominator - 1.0
+    return direct, normal
+
+
+def _factored_wigner(
+    left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_J and the displaced top-level mass over gammas x betas of the normalized state left @ right^T.
+
+    The displaced top row holds the mass top(D_a(-gamma) left) paired with
+    right^dag right, because the truncated D_b is unitary; the top column
+    under it holds below(D_a(-gamma) left) paired with top(D_b(-beta) right).
+    """
+    shifted_a = np.stack([_displaced(-g, left) for g in gammas.tolist()])
+    shifted_b = np.stack([_displaced(-b, right) for b in betas.tolist()])
+    top_a = _gram(shifted_a[:, -1:], shifted_a[:, -1:])
+    below_a = _gram(shifted_a[:, :-1], shifted_a[:, :-1])
+    top_b = _gram(shifted_b[:, -1:], shifted_b[:, -1:])
+    top = (_contract(top_a, _gram(right, right)[None]) + _contract(below_a, top_b)).real
+    parity_a = _gram(shifted_a, _parity_signs(left.shape[0])[:, None] * shifted_a)
+    parity_b = _gram(shifted_b, _parity_signs(right.shape[0])[:, None] * shifted_b)
+    return _contract(parity_a, parity_b).real, top
+
+
+def _wigner_grid(
+    left: np.ndarray,
+    right: np.ndarray,
+    re_gamma: RangeSpec,
+    re_beta: RangeSpec,
+    range_tol: float,
+) -> WignerGrid:
+    """P_J over real gamma and beta of the normalized state left @ right^T.
+
+    Applies joint_wigner_point's range check at every point: the first point
+    out of range in row-major order raises NumericalRangeError.
+    """
+    if re_gamma.points < 2 or re_beta.points < 2:
+        raise ValueError("wigner grid needs at least 2 points per axis")
+    gammas = re_gamma.values()
+    betas = re_beta.values()
+    values, top = _factored_wigner(left, right, gammas, betas)
+    failing = np.argwhere(top > range_tol)
+    if failing.size:
+        i, j = failing[0]
+        raise _range_error(complex(gammas[i]), complex(betas[j]), float(top[i, j]), range_tol)
+    return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)
 
 
 def joint_wigner_grid(
@@ -188,23 +351,13 @@ def joint_wigner_grid(
 ) -> WignerGrid:
     """P_J sampled over real gamma and beta, rows indexed by Re(gamma).
 
-    Per-axis displacement matrices are cached and read in place, so each grid
-    point costs one dense mode-b product and a weighted sum; the products are
-    those of joint_wigner_point.
+    The state enters as the factor pair (amplitudes, identity), so the grid
+    is one product of the parity Grams of D_a(-gamma) amplitudes and
+    D_b(-beta), as in the module docstring.  Each value, and the range check
+    at each point, equals joint_wigner_point's to rounding.
     """
-    if re_gamma.points < 2 or re_beta.points < 2:
-        raise ValueError("wigner grid needs at least 2 points per axis")
-    gammas = re_gamma.values()
-    betas = re_beta.values()
-    values = np.empty((gammas.size, betas.size), dtype=np.float64)
-    cutoff = state.cutoff
-    for i, g in enumerate(gammas):
-        row = _displacement_raw(-complex(g), cutoff.n_max_a) @ state.amplitudes
-        for j, b in enumerate(betas):
-            displaced = row @ _displacement_raw(-complex(b), cutoff.n_max_b).T
-            _check_displaced_range(displaced, complex(g), complex(b), range_tol)
-            values[i, j] = _parity_expectation(displaced)
-    return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)
+    identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
+    return _wigner_grid(state.amplitudes, identity, re_gamma, re_beta, range_tol)
 
 
 def hz_correlation(state: TwoModeState) -> float:

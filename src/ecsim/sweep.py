@@ -4,7 +4,10 @@ Each command is one entry of _COMMANDS: its axes in canonical (CSV column)
 order, default ranges, output columns, help text and runner.  The runner
 supplies a point evaluator, and _sweep walks the grid serially, nesting the
 axes in the declared outer-to-inner order (canonical unless the caller
-declares another).  The result is a SweepResult whose CSV rendering is
+declares another).  probability, squeezing, hz and wigner compute their
+whole column grids up front from the pointer states' factors (the Gram form
+of the observables module) and look each point up; qcrb evaluates each
+point.  The result is a SweepResult whose CSV rendering is
 deterministic: shortest-round-trip float formatting, UNIX newlines,
 mandatory header, and the literal sentinel "NA" for degenerate points, for
 tripped numerical guards in multi-point sweeps, and for phase bounds of a
@@ -28,14 +31,25 @@ import numpy as np
 from . import __version__
 from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
-from .measurement import CouplingParams, ecs_factors
+from .measurement import (
+    DEFAULT_P_FLOOR,
+    CouplingParams,
+    _arms,
+    _branch_weights,
+    _displaced,
+    _mixed,
+    ecs_factors,
+)
 from .observables import (
-    hz_correlation,
-    joint_wigner_grid,
+    DEFAULT_RANGE_TOL,
+    _hz_grid,
+    _moments,
+    _post_selection,
+    _squeezing_grid,
+    _wigner_grid,
     qcrb,
     qfi_analytic,
     qfi_finite_difference,
-    squeezing_report,
 )
 
 NA = "NA"
@@ -68,10 +82,12 @@ class SweepResult:
     na_rows: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(format_cell(cell) for cell in row))
-        return "\n".join(lines) + "\n"
+        # Formatted column by column; repr is format_cell's text for a Python float.
+        columns = [
+            [repr(cell) if type(cell) is float else format_cell(cell) for cell in column]
+            for column in zip(*self.rows)
+        ]
+        return "\n".join([",".join(self.header), *map(",".join, zip(*columns))]) + "\n"
 
     def metadata_text(self) -> str:
         return json.dumps(self.metadata, indent=2, sort_keys=True) + "\n"
@@ -147,6 +163,76 @@ def _sweep(
     return SweepResult(axes + spec["columns"], tuple(rows), metadata, na_rows)
 
 
+def _pointer_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of the raw pointer states over couplings and meter angles.
+
+    Returns arms (len(s1s) x dim_a x 4), a mode-a factor A at each coupling
+    s1, and mixed (len(s2s) x len(wvs) x dim_b x 4), a mode-b factor X at
+    each coupling s2 and WeakValueParams wv, so that the raw pointer grid at
+    (s1_i, s2_j, wv_k) is arms[i] @ mixed[j, k].T.  The probe is built once.
+
+    The kernel's factors [D_a(+u1) L, D_a(-u1) L] and [X_+, X_-] are stored
+    as their half sum and half difference, [(D_a(+u1) + D_a(-u1)) L,
+    (D_a(+u1) - D_a(-u1)) L] / 2 and [X_+ + X_-, X_+ - X_-], which give the
+    same product.  At small u1 the two arms are nearly parallel, and under a
+    strong post-selection X_+ and X_- nearly cancel; in this basis both
+    cancellations happen amplitude by amplitude, as in the dense grid,
+    instead of between large Gram entries.  So the Gram moments keep the
+    dense route's accuracy at small P_s.
+    """
+    left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
+    scale = config.displacement_scale
+    arms = np.stack([_arms(scale * s1, left) for s1 in s1s])
+    up = np.stack([_displaced(scale * s2, right[0]) for s2 in s2s])
+    down = np.stack([_displaced(-scale * s2, right[0]) for s2 in s2s])
+    mixed = np.stack([_mixed(up, down, _branch_weights(wv)) for wv in wvs], axis=1)
+    return 0.5 * _sum_and_difference(arms), _sum_and_difference(mixed)
+
+
+def _sum_and_difference(factor: np.ndarray) -> np.ndarray:
+    """[F_1 + F_2, F_1 - F_2] from the two column halves [F_1, F_2] of a factor stack."""
+    half = factor.shape[-1] // 2
+    first, second = factor[..., :half], factor[..., half:]
+    return np.concatenate([first + second, first - second], axis=-1)
+
+
+def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (left, right) of the post-selected pointer state at the config's coupling.
+
+    left @ right.T is the normalized state, up to its global phase.  Warns
+    like pointer_outcome, and raises DegeneratePostSelectionError when P_s is
+    below the floor.
+    """
+    coupling = config.coupling
+    arms, mixed = _pointer_factors(config, [coupling.s1], [coupling.s2], [config.wv])
+    moment = _moments(arms, mixed[:, 0])
+    p_s, degenerate = _post_selection(moment, config.tail_tolerance)
+    if degenerate[0, 0]:
+        raise DegeneratePostSelectionError(
+            f"post-selection probability {moment('1', '1')[0, 0].real:.3e} "
+            f"below floor {DEFAULT_P_FLOOR:.1e}"
+        )
+    return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0]
+
+
+def _lookup(axes: tuple[np.ndarray, np.ndarray], columns: list[np.ndarray], degenerate=None):
+    """Point evaluator that reads the column grids computed over the two axes.
+
+    A point marked in the degenerate grid raises DegeneratePostSelectionError,
+    which _sweep turns into an NA row.
+    """
+    keys = list(itertools.product(axes[0].tolist(), axes[1].tolist()))
+    cells = dict(zip(keys, zip(*(column.ravel().tolist() for column in columns))))
+    flagged = set() if degenerate is None else set(itertools.compress(keys, degenerate.ravel().tolist()))
+
+    def point(*key):
+        if key in flagged:
+            raise DegeneratePostSelectionError(f"post-selection probability below floor at {key}")
+        return cells[key]
+
+    return point
+
+
 def cmd_probability(
     config: WeakMeasurementConfig,
     s_range: RangeSpec,
@@ -157,15 +243,22 @@ def cmd_probability(
     theta1 = theta2 = theta."""
 
     def prepare():
-        probe = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
-
-        def point(s, theta):
-            wv = dataclasses.replace(config.wv, theta1=theta, theta2=theta)
-            return (config._post_selected(probe, wv, CouplingParams(s, s)).success_probability,)
-
-        return point, {}
+        s, thetas = s_range.values(), theta_range.values()
+        wvs = [dataclasses.replace(config.wv, theta1=t, theta2=t) for t in thetas.tolist()]
+        arms, mixed = _pointer_factors(config, s, s, wvs)
+        p_s, degenerate = _post_selection(_moments(arms[:, None], mixed), config.tail_tolerance)
+        return _lookup((s, thetas), [p_s[:, 0]], degenerate[:, 0]), {}
 
     return _sweep(config, "probability", (s_range, theta_range), order, prepare)
+
+
+def _coupling_lookup(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec, columns):
+    """Point evaluator over the (s1, s2) grid for the column grids columns(moment, P_s)."""
+    axes = (s1_range.values(), s2_range.values())
+    arms, mixed = _pointer_factors(config, *axes, [config.wv])
+    moment = _moments(arms, mixed[:, 0])
+    p_s, degenerate = _post_selection(moment, config.tail_tolerance)
+    return _lookup(axes, columns(moment, p_s), degenerate)
 
 
 def cmd_squeezing(
@@ -177,15 +270,11 @@ def cmd_squeezing(
     """Sum squeezing of the post-selected state over the coupling grid,
     reported through both evaluation routes."""
 
+    def columns(moment, p_s):
+        return _squeezing_grid(moment, p_s, config.theta_big)
+
     def prepare():
-        probe = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
-
-        def point(s1, s2):
-            outcome = config._post_selected(probe, config.wv, CouplingParams(s1, s2))
-            report = squeezing_report(outcome.state, config.theta_big)
-            return report.s2s_direct, report.s2s_normal_ordered
-
-        return point, {}
+        return _coupling_lookup(config, s1_range, s2_range, columns), {}
 
     return _sweep(config, "squeezing", (s1_range, s2_range), order, prepare)
 
@@ -201,10 +290,9 @@ def cmd_wigner(
     The grid is computed whole, so any point out of range fails the sweep."""
 
     def prepare():
-        grid = joint_wigner_grid(config.pointer_outcome().state, re_gamma, re_beta)
-        points = itertools.product(grid.re_gamma_axis.tolist(), grid.re_beta_axis.tolist())
-        cells = dict(zip(points, grid.values.ravel().tolist()))
-        return (lambda g, b: (cells[g, b],)), {"grid_min": grid.minimum}
+        grid = _wigner_grid(*_pointer_at(config), re_gamma, re_beta, DEFAULT_RANGE_TOL)
+        axes = (grid.re_gamma_axis, grid.re_beta_axis)
+        return _lookup(axes, [grid.values]), {"grid_min": grid.minimum}
 
     return _sweep(config, "wigner", (re_gamma, re_beta), order, prepare)
 
@@ -219,11 +307,10 @@ def cmd_hz(
     is 1 exactly when E < 0 (entanglement witnessed) and NA when E is NaN."""
 
     def prepare():
-        probe = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
+        cells = _coupling_lookup(config, s1_range, s2_range, lambda moment, p_s: [_hz_grid(moment, p_s)])
 
         def point(s1, s2):
-            outcome = config._post_selected(probe, config.wv, CouplingParams(s1, s2))
-            e_val = hz_correlation(outcome.state)
+            (e_val,) = cells(s1, s2)
             return e_val, NA if math.isnan(e_val) else int(e_val < 0.0)
 
         return point, {}

@@ -55,10 +55,8 @@ def test_cli_calls_each_runner_through_its_table(monkeypatch):
 
 def test_sweeps_look_up_the_patched_observables_when_called(monkeypatch):
     calls = []
-    monkeypatch.setattr(sweep, "hz_correlation", lambda state: calls.append("hz") or 0.5)
     monkeypatch.setattr(sweep, "qfi_finite_difference", lambda point: calls.append("qfi") or 4.0)
     point = RangeSpec(0.3, 0.3, 1)
-    assert sweep.cmd_hz(default_config(), point, point).rows == ((0.3, 0.3, 0.5, 0),)
     config = default_config(qfi_gauge="renormalized")
     assert sweep.cmd_qcrb(config, point, point).rows == ((0.3, 0.3, 4.0, 0.5),)
-    assert calls == ["hz", "qfi"]
+    assert calls == ["qfi"]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from golden_cases import GOLDEN_CASES, cell_bound, golden_mismatches
@@ -126,7 +127,7 @@ def test_non_finite_phase_exits_two(capsys, flag, value):
 
 
 def test_nan_correlation_gets_na_flag(capsys, monkeypatch):
-    monkeypatch.setattr(sweep, "hz_correlation", lambda state: math.nan)
+    monkeypatch.setattr(sweep, "_hz_grid", lambda moment, p_s: np.full(p_s.shape, math.nan))
     code = main(["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"])
     assert code == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))

@@ -6,16 +6,29 @@ moments, number variance) serve as independent oracles throughout.
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecsim import fock, observables
+import oracles
+from ecsim import fock, observables, sweep
 from ecsim.config import RangeSpec, WeakMeasurementConfig, default_config
-from ecsim.errors import DegeneratePostSelectionError, NumericalRangeError
-from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams, build_ecs
+from ecsim.errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
+from ecsim.measurement import (
+    CouplingParams,
+    EcsParams,
+    WeakValueParams,
+    build_ecs,
+    build_pointer_state,
+)
 from ecsim.observables import (
+    DEFAULT_RANGE_TOL,
     WignerGrid,
+    _check_displaced_range,
     _checked_richardson,
     hz_correlation,
     joint_wigner_grid,
@@ -316,3 +329,157 @@ def test_checked_richardson_contracts_and_rejects():
 
     with pytest.raises(NumericalRangeError):
         _checked_richardson(noisy, 1e-5)
+
+
+# Property tests of the Gram route the sweeps take: every column of a sweep
+# is compared with two references, the dense route (build_pointer_state and
+# the TwoModeState observables) and the explicit qubit x qubit x Fock tensor
+# construction of oracles.py.
+
+PHASES = st.floats(0.0, 2.0 * math.pi)
+THETAS = st.floats(0.0, 0.9 * math.pi)
+COUPLINGS = st.floats(0.0, 3.0)
+GRAM_TOL = 1e-13
+
+
+def axis_range(lo, hi):
+    """One or two points in [lo, hi]."""
+
+    def build(drawn):
+        a, b, two = drawn
+        a, b = min(a, b), max(a, b)
+        return RangeSpec(a, b, 2) if two and b - a > 1e-3 else RangeSpec(a, a, 1)
+
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi), st.booleans()).map(build)
+
+
+WIGNER_AXIS = st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 3.0), st.integers(2, 3)).map(
+    lambda drawn: RangeSpec(drawn[0], drawn[0] + drawn[1], drawn[2])
+)
+
+
+def reference_states(config, s1, s2):
+    """(state, P_s) at coupling (s1, s2) by the dense route and by the tensor oracle."""
+    ecs, wv, cutoff = config.ecs, config.wv, config.cutoff
+    dense = build_pointer_state(config.ecs_state(), wv, CouplingParams(s1, s2))
+    amp, p_s = oracles.brute_force_pointer(
+        ecs.r, ecs.mu, ecs.varphi, wv.theta1, wv.delta1, wv.theta2, wv.delta2, s1, s2,
+        cutoff.n_max_a,
+    )
+    return [(dense.state, dense.success_probability), (fock.TwoModeState(amp, cutoff), p_s)]
+
+
+def gram_config(r, mu, varphi, angles, n_max, **changes):
+    return default_config(
+        ecs=EcsParams(r, mu, varphi),
+        wv=WeakValueParams(*angles),
+        cutoff=fock.FockCutoff(n_max, n_max),
+        **changes,
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    r=st.floats(0.0, 1.5),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    theta_big=PHASES,
+    s1=axis_range(0.0, 3.0),
+    s2=axis_range(0.0, 3.0),
+    theta=axis_range(0.0, 0.9 * math.pi),
+    n_max=st.sampled_from([12, 40]),
+)
+def test_gram_sweep_columns_match_dense_and_tensor_references(
+    r, mu, varphi, angles, theta_big, s1, s2, theta, n_max
+):
+    """P_s over (s, theta), both squeezing routes and E over (s1, s2)."""
+    config = gram_config(r, mu, varphi, angles, n_max, theta_big=theta_big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for s, th, p_s in sweep.cmd_probability(config, s1, theta).rows:
+            at = config.replace(wv=WeakValueParams(th, angles[1], th, angles[3]))
+            for _, expected in reference_states(at, s, s):
+                assert abs(p_s - expected) <= GRAM_TOL
+        squeezing = sweep.cmd_squeezing(config, s1, s2).rows
+        hz = sweep.cmd_hz(config, s1, s2).rows
+        assert [row[:2] for row in squeezing] == [row[:2] for row in hz]
+        for (a, b, direct, normal), (_, _, e_val, flag) in zip(squeezing, hz):
+            for state, _ in reference_states(config, a, b):
+                report = squeezing_report(state, theta_big)
+                assert abs(direct - report.s2s_direct) <= GRAM_TOL
+                assert abs(normal - report.s2s_normal_ordered) <= GRAM_TOL
+                assert abs(e_val - hz_correlation(state)) <= GRAM_TOL
+            assert flag == int(e_val < 0.0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    r=st.floats(0.0, 1.5),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=COUPLINGS,
+    s2=COUPLINGS,
+    re_gamma=WIGNER_AXIS,
+    re_beta=WIGNER_AXIS,
+    n_max=st.sampled_from([12, 40]),
+)
+def test_gram_wigner_matches_dense_and_tensor_references(
+    r, mu, varphi, angles, s1, s2, re_gamma, re_beta, n_max
+):
+    """Every P_J value, and the range check at every point, of the sweep's
+    factored grid and of joint_wigner_grid."""
+    config = gram_config(r, mu, varphi, angles, n_max, coupling=CouplingParams(s1, s2))
+    gammas, betas = re_gamma.values(), re_beta.values()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        values, top = observables._factored_wigner(*sweep._pointer_at(config), gammas, betas)
+        references = reference_states(config, s1, s2)
+    dense = references[0][0]
+    failing = []
+    for i, g in enumerate(gammas.tolist()):
+        for j, b in enumerate(betas.tolist()):
+            for state, _ in references:
+                assert abs(values[i, j] - joint_wigner_point(state, g, b, range_tol=2.0)) <= GRAM_TOL
+            displaced = observables._displaced_state(dense, g, b).amplitudes
+            try:
+                _check_displaced_range(displaced, g, b, DEFAULT_RANGE_TOL)
+                out_of_range = False
+            except NumericalRangeError:
+                out_of_range = True
+                failing.append((complex(g), complex(b)))
+            assert (top[i, j] > DEFAULT_RANGE_TOL) == out_of_range
+    if failing:
+        first = re.escape(f"gamma={failing[0][0]}, beta={failing[0][1]})")
+        with pytest.raises(NumericalRangeError, match=first):
+            sweep.cmd_wigner(config, re_gamma, re_beta)
+        with pytest.raises(NumericalRangeError, match=first):
+            joint_wigner_grid(dense, re_gamma, re_beta)
+    else:
+        rows = sweep.cmd_wigner(config, re_gamma, re_beta).rows
+        assert [row[2] for row in rows] == values.ravel().tolist()
+        grid = joint_wigner_grid(dense, re_gamma, re_beta)
+        assert np.max(np.abs(grid.values - values)) <= GRAM_TOL
+
+
+def test_gram_sweeps_keep_the_dense_accuracy_under_strong_post_selection():
+    """At theta = 0.999 pi, P_s falls to 6e-12 at zero coupling, and the
+    branches cancel almost completely.  Each column stays within rounding of
+    the dense route, relative to P_s for P_s itself."""
+    theta = 0.999 * math.pi
+    config = default_config(
+        ecs=EcsParams(0.5, 0.3, 1.1), wv=WeakValueParams(theta, 0.7, theta, 2.0)
+    )
+    grid = RangeSpec(0.0, 0.6, 4)
+    squeezing = sweep.cmd_squeezing(config, grid, grid).rows
+    hz = sweep.cmd_hz(config, grid, grid).rows
+    for (s1, s2, direct, normal), (_, _, e_val, _) in zip(squeezing, hz):
+        state = config.replace(coupling=CouplingParams(s1, s2)).pointer_outcome().state
+        report = squeezing_report(state, config.theta_big)
+        assert abs(direct - report.s2s_direct) <= GRAM_TOL
+        assert abs(normal - report.s2s_normal_ordered) <= GRAM_TOL
+        assert abs(e_val - hz_correlation(state)) <= GRAM_TOL
+    for s, _, p_s in sweep.cmd_probability(config, grid, RangeSpec(theta, theta, 1)).rows:
+        expected = config.replace(coupling=CouplingParams(s, s)).pointer_outcome().success_probability
+        assert abs(p_s - expected) <= GRAM_TOL * expected
