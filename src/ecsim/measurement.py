@@ -330,19 +330,24 @@ def fix_global_phase(state: TwoModeState) -> TwoModeState:
     return TwoModeState(_phase_fixed(amp.reshape(1, -1)).reshape(amp.shape), state.cutoff)
 
 
+def _check_p_floor(p_s: float, p_floor: float) -> None:
+    """Raise DegeneratePostSelectionError when P_s falls below p_floor, the
+    measure-zero regime where the conditional state is undefined."""
+    if p_s < p_floor:
+        raise DegeneratePostSelectionError(
+            f"post-selection probability {p_s:.3e} below floor {p_floor:.1e}"
+        )
+
+
 def _post_select(raw: np.ndarray, tail_tol: float, p_floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized, phase-fixed grids of a raw stack (K x dim_a x dim_b) and their P_s.
 
-    Raises DegeneratePostSelectionError when any P_s falls below p_floor, the
-    measure-zero regime where the conditional state is undefined.  Warns
+    Raises _check_p_floor's error when any P_s falls below p_floor.  Warns
     once per grid whose top-level mass exceeds tail_tol.
     """
     flat = raw.reshape(len(raw), -1)
     p_s = np.array([np.vdot(row, row).real for row in flat])
-    if p_s.min() < p_floor:
-        raise DegeneratePostSelectionError(
-            f"post-selection probability {p_s.min():.3e} below floor {p_floor:.1e}"
-        )
+    _check_p_floor(p_s.min(), p_floor)
     states = _phase_fixed(flat, 1.0 / np.sqrt(p_s)).reshape(raw.shape)
     for mass in top_level_mass(states):
         warn_if_truncated(mass, tail_tol, "build_pointer_state")

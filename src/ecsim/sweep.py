@@ -36,6 +36,7 @@ from .measurement import (
     CouplingParams,
     _arms,
     _branch_weights,
+    _check_p_floor,
     _displaced,
     _mixed,
     ecs_factors,
@@ -179,7 +180,11 @@ def _pointer_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.n
     cancellations happen amplitude by amplitude, as in the dense grid,
     instead of between large Gram entries.  So the Gram moments keep the
     dense route's accuracy at small P_s.
+
+    Raises CouplingParams' ValueError when either axis holds a negative
+    coupling.
     """
+    CouplingParams(float(min(s1s)), float(min(s2s)))
     left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
     scale = config.displacement_scale
     arms = np.stack([_arms(scale * s1, left) for s1 in s1s])
@@ -199,19 +204,15 @@ def _sum_and_difference(factor: np.ndarray) -> np.ndarray:
 def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray]:
     """Factors (left, right) of the post-selected pointer state at the config's coupling.
 
-    left @ right.T is the normalized state, up to its global phase.  Warns
-    like pointer_outcome, and raises DegeneratePostSelectionError when P_s is
-    below the floor.
+    left @ right.T is the normalized state, up to its global phase; it feeds
+    cmd_wigner's Gram grid with 4 columns per mode, where pointer_outcome's
+    dense state would give dim_b.  Warns and raises like pointer_outcome.
     """
     coupling = config.coupling
     arms, mixed = _pointer_factors(config, [coupling.s1], [coupling.s2], [config.wv])
     moment = _moments(arms, mixed[:, 0])
-    p_s, degenerate = _post_selection(moment, config.tail_tolerance)
-    if degenerate[0, 0]:
-        raise DegeneratePostSelectionError(
-            f"post-selection probability {moment('1', '1')[0, 0].real:.3e} "
-            f"below floor {DEFAULT_P_FLOOR:.1e}"
-        )
+    _check_p_floor(moment("1", "1")[0, 0].real, DEFAULT_P_FLOOR)
+    p_s, _ = _post_selection(moment, config.tail_tolerance)
     return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0]
 
 

@@ -252,6 +252,24 @@ def test_unknown_sweep_axis_exits_two(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["probability", "--sweep", "s=-1:0:2"], "s1 must be finite and >= 0, got -1.0"),
+        (["squeezing", "--sweep", "s1=-1:0:2"], "s1 must be finite and >= 0, got -1.0"),
+        (["hz", "--sweep", "s1=-1:0:2"], "s1 must be finite and >= 0, got -1.0"),
+        (["hz", "--sweep", "s2=-0.5:1:3"], "s2 must be finite and >= 0, got -0.5"),
+        (["squeezing", "--sweep", "s2=-1:0:2", "--sweep", "s1=-2:1:2"], "s1 must be finite and >= 0, got -2.0"),
+    ],
+)
+def test_negative_coupling_axis_exits_two(capsys, argv, message):
+    code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_duplicate_sweep_axis_exits_two(capsys):
     code = main(["probability", "--sweep", "s=0:1:2", "--sweep", "s=0:2:3"])
     assert code == 2
