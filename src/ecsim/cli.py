@@ -6,13 +6,13 @@ notation ("0.8pi").  Repeatable --sweep flags override the per-command
 default axes; declaration order sets the outer-to-inner nesting of emitted
 rows.
 
-Exit codes: 0 success; 2 configuration or argument validation error;
-3 numerical failure (a wigner displacement out of validated range, an
-unstable finite-difference step on a single-point qcrb run); 4 degenerate
-post-selection on a single-point invocation.  Multi-point sweeps other than
-wigner write NA cells for these points instead.  An NA cell that is a value
-rather than a failure (the phase bound of a vanishing QFI, the hz flag of
-a NaN correlation) exits 0.
+Exit codes: 0 success; 2 configuration or argument validation error, or an
+--out/--meta path that cannot be written; 3 numerical failure (a wigner
+displacement out of validated range, an unstable finite-difference step on
+a single-point qcrb run); 4 degenerate post-selection on a single-point
+invocation.  Multi-point sweeps other than wigner write NA cells for these
+points instead.  An NA cell that is a value rather than a failure (the
+phase bound of a vanishing QFI, the hz flag of a NaN correlation) exits 0.
 """
 
 from __future__ import annotations
@@ -174,12 +174,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 2
 
-    if args.out is None:
-        sys.stdout.write(result.csv_text())
-    else:
-        result.write_csv(args.out)
-    if args.meta is not None:
-        result.write_metadata(args.meta)
+    try:
+        if args.out is None:
+            sys.stdout.write(result.csv_text())
+        else:
+            result.write_csv(args.out)
+        if args.meta is not None:
+            result.write_metadata(args.meta)
+    except OSError as exc:
+        print(f"ecsim: {exc}", file=sys.stderr)
+        return 2
 
     single_point = all(spec.is_single for spec in axis_ranges)
     return 4 if single_point and result.na_rows["degenerate"] else 0

@@ -21,11 +21,6 @@ from .errors import TruncationWarning
 
 DEFAULT_TAIL_TOL = 1e-10
 
-# Norm below which a vector is treated as identically zero and cannot be
-# normalized.  Far below any physically reachable amplitude.
-_ZERO_NORM_FLOOR = 1e-150
-
-
 @dataclass(frozen=True)
 class FockCutoff:
     """Per-mode truncation levels; mode a keeps n_max_a + 1 basis states."""
@@ -183,13 +178,6 @@ def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
     return ModeOperator(_displacement_raw(complex(gamma), int(n_max)))
 
 
-def unitarity_defect(op: ModeOperator) -> float:
-    """max |(U^dag U - I)| over the full truncated block."""
-    mat = op.matrix
-    gram = mat.conj().T @ mat
-    return float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
-
-
 def apply_to_mode(op: ModeOperator, mode: str, state: TwoModeState) -> TwoModeState:
     """Apply a single-mode operator to tensor factor 'a' or 'b'.
 
@@ -241,13 +229,6 @@ def norm(u: TwoModeState) -> float:
     return float(np.linalg.norm(u.amplitudes))
 
 
-def normalize(u: TwoModeState) -> TwoModeState:
-    n = norm(u)
-    if n < _ZERO_NORM_FLOOR:
-        raise ValueError("cannot normalize a zero-norm state")
-    return TwoModeState(u.amplitudes / n, u.cutoff)
-
-
 def tail_mass(state: TwoModeState) -> float:
     """Probability mass on the top retained level of either mode."""
     return float(top_level_mass(state.amplitudes))
@@ -269,15 +250,6 @@ def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
             ),
             stacklevel=3,
         )
-
-
-def embed(state: TwoModeState, cutoff: FockCutoff) -> TwoModeState:
-    """Zero-pad a state into a larger cutoff (exact isometry)."""
-    if cutoff.n_max_a < state.cutoff.n_max_a or cutoff.n_max_b < state.cutoff.n_max_b:
-        raise ValueError("target cutoff must dominate the source cutoff")
-    amp = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=np.complex128)
-    amp[: state.cutoff.dim_a, : state.cutoff.dim_b] = state.amplitudes
-    return TwoModeState(amp, cutoff)
 
 
 _MODE_AXIS = {"a": 0, "b": 1}

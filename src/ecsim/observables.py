@@ -319,22 +319,25 @@ def _factored_wigner(
     return _contract(parity_a, parity_b).real, top
 
 
+def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real gamma and beta values of a Wigner grid; ValueError below 2 points per axis."""
+    if re_gamma.points < 2 or re_beta.points < 2:
+        raise ValueError("wigner grid needs at least 2 points per axis")
+    return re_gamma.values(), re_beta.values()
+
+
 def _wigner_grid(
     left: np.ndarray,
     right: np.ndarray,
-    re_gamma: RangeSpec,
-    re_beta: RangeSpec,
+    gammas: np.ndarray,
+    betas: np.ndarray,
     range_tol: float,
 ) -> WignerGrid:
-    """P_J over real gamma and beta of the normalized state left @ right^T.
+    """P_J over real gammas and betas of the normalized state left @ right^T.
 
     Applies joint_wigner_point's range check at every point: the first point
     out of range in row-major order raises NumericalRangeError.
     """
-    if re_gamma.points < 2 or re_beta.points < 2:
-        raise ValueError("wigner grid needs at least 2 points per axis")
-    gammas = re_gamma.values()
-    betas = re_beta.values()
     values, top = _factored_wigner(left, right, gammas, betas)
     failing = np.argwhere(top > range_tol)
     if failing.size:
@@ -357,7 +360,7 @@ def joint_wigner_grid(
     at each point, equals joint_wigner_point's to rounding.
     """
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    return _wigner_grid(state.amplitudes, identity, re_gamma, re_beta, range_tol)
+    return _wigner_grid(state.amplitudes, identity, *_wigner_axes(re_gamma, re_beta), range_tol)
 
 
 def hz_correlation(state: TwoModeState) -> float:

@@ -2,18 +2,20 @@
 
 Each command is one entry of _COMMANDS: its axes in canonical (CSV column)
 order, default ranges, output columns, help text and runner.  The runner
-supplies a point evaluator, and _sweep walks the grid serially, nesting the
-axes in the declared outer-to-inner order (canonical unless the caller
-declares another).  probability, squeezing, hz and wigner compute their
-whole column grids up front from the pointer states' factors (the Gram form
-of the observables module) and look each point up; qcrb evaluates each
-point.  The result is a SweepResult whose CSV rendering is
-deterministic: shortest-round-trip float formatting, UNIX newlines,
-mandatory header, and the literal sentinel "NA" for degenerate points, for
-tripped numerical guards in multi-point sweeps, and for phase bounds of a
-vanishing QFI.  Reruns on one numpy/BLAS build are byte-identical; across
-builds the last digits of computed floats may differ, while the structure,
-axis values, flags and NA cells do not.
+supplies a batch function that returns whole column grids, indexed by
+canonical axis position, with NA already written in.  _sweep reads the
+axis and column grids out in the declared outer-to-inner nesting
+(canonical unless the caller declares another).  probability, squeezing,
+hz and wigner compute their grids from the pointer states' factors (the
+Gram form of the observables module); qcrb evaluates its points one by
+one, since each amplitude needs its own probe.  The result is a
+SweepResult whose CSV rendering is deterministic: shortest-round-trip
+float formatting, UNIX newlines, mandatory header, and the literal sentinel
+"NA" for degenerate points, for tripped numerical guards in multi-point
+sweeps, and for phase bounds of a vanishing QFI.  Reruns on one
+numpy/BLAS build are byte-identical; across builds the last digits of
+computed floats may differ, while the structure, axis values, flags and NA
+cells do not.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .observables import (
     _moments,
     _post_selection,
     _squeezing_grid,
+    _wigner_axes,
     _wigner_grid,
     qcrb,
     qfi_analytic,
@@ -102,37 +105,22 @@ class SweepResult:
             fh.write(self.metadata_text())
 
 
-def _evaluate(point: Callable, values: tuple, single_point: bool, spec: dict) -> tuple:
-    """(NA cause or None, output cells) of one grid point."""
-    try:
-        cells = point(*values)
-    except DegeneratePostSelectionError:
-        return "degenerate", (NA,) * len(spec["columns"])
-    except NumericalRangeError:
-        if single_point:
-            raise
-        return "richardson", (NA,) * len(spec["columns"])
-    return (spec.get("na_cause") if NA in cells else None), cells
-
-
 def _sweep(
     config: WeakMeasurementConfig,
     command: str,
     ranges: tuple[RangeSpec, ...],
     order: list[str] | None,
-    prepare: Callable[[], tuple[Callable, dict]],
+    batch: Callable[[], tuple[list[np.ndarray], dict, dict]],
 ) -> SweepResult:
     """Rows of one command over the product of its axis ranges.
 
     ranges follow the command's canonical axes, and order names the axes
     from the outermost loop to the innermost (default: canonical).
-    prepare() runs once, under the same warning capture as the points, and
-    returns the point evaluator (one value per canonical axis in, the output
-    cells out) and any extra metadata.  A degenerate post-selection gives an
-    NA row; so does a tripped numerical guard, except on a single point,
-    where the NumericalRangeError propagates.  A command with an "na_cause"
-    counts the NA cells its evaluator writes under that name and echoes its
-    NA counts in the metadata.
+    batch() runs once, under the sweep's warning capture, and returns the
+    output column grids (one axis per canonical axis, NA cells written in),
+    the NA rows it wrote counted by cause, and any extra metadata.  Each
+    axis and column grid is transposed into the declared order and read
+    out flat, so the last declared axis varies fastest.
     """
     spec = _COMMANDS[command]
     axes = spec["axes"]
@@ -140,18 +128,11 @@ def _sweep(
     if sorted(order) != sorted(axes):
         raise ValueError(f"order {order} is not a permutation of the axes {list(axes)}")
     nest = [axes.index(name) for name in order]
-    single_point = all(r.is_single for r in ranges)
-    na_rows = dict.fromkeys(NA_CAUSES, 0)
-    rows: list[tuple] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        point, extra = prepare()
-        for combo in itertools.product(*(ranges[k].values().tolist() for k in nest)):
-            values = tuple(value for _, value in sorted(zip(nest, combo)))
-            cause, cells = _evaluate(point, values, single_point, spec)
-            if cause is not None:
-                na_rows[cause] += 1
-            rows.append(values + tuple(cells))
+        columns, na_rows, extra = batch()
+    grids = [*np.meshgrid(*(r.values() for r in ranges), indexing="ij"), *columns]
+    rows = tuple(zip(*(np.transpose(grid, nest).ravel().tolist() for grid in grids)))
     metadata = {
         "config": config.to_dict(),
         "version": __version__,
@@ -159,9 +140,19 @@ def _sweep(
         "rows": len(rows),
         **extra,
     }
-    if "na_cause" in spec:
-        metadata["na_rows"] = na_rows
-    return SweepResult(axes + spec["columns"], tuple(rows), metadata, na_rows)
+    return SweepResult(axes + spec["columns"], rows, metadata, {**dict.fromkeys(NA_CAUSES, 0), **na_rows})
+
+
+def _with_na(grid: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """grid as an array of Python objects, with NA wherever mask is set."""
+    cells = grid.astype(object)
+    cells[mask] = NA
+    return cells
+
+
+def _degenerate_na(columns: list[np.ndarray], degenerate: np.ndarray) -> tuple[list[np.ndarray], dict, dict]:
+    """Batch result of column grids whose degenerate points become NA rows."""
+    return [_with_na(column, degenerate) for column in columns], {"degenerate": int(degenerate.sum())}, {}
 
 
 def _pointer_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.ndarray, np.ndarray]:
@@ -216,24 +207,6 @@ def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray]:
     return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0]
 
 
-def _lookup(axes: tuple[np.ndarray, np.ndarray], columns: list[np.ndarray], degenerate=None):
-    """Point evaluator that reads the column grids computed over the two axes.
-
-    A point marked in the degenerate grid raises DegeneratePostSelectionError,
-    which _sweep turns into an NA row.
-    """
-    keys = list(itertools.product(axes[0].tolist(), axes[1].tolist()))
-    cells = dict(zip(keys, zip(*(column.ravel().tolist() for column in columns))))
-    flagged = set() if degenerate is None else set(itertools.compress(keys, degenerate.ravel().tolist()))
-
-    def point(*key):
-        if key in flagged:
-            raise DegeneratePostSelectionError(f"post-selection probability below floor at {key}")
-        return cells[key]
-
-    return point
-
-
 def cmd_probability(
     config: WeakMeasurementConfig,
     s_range: RangeSpec,
@@ -243,23 +216,22 @@ def cmd_probability(
     """Success probability over coupling and meter angle; s1 = s2 = s,
     theta1 = theta2 = theta."""
 
-    def prepare():
+    def batch():
         s, thetas = s_range.values(), theta_range.values()
         wvs = [dataclasses.replace(config.wv, theta1=t, theta2=t) for t in thetas.tolist()]
         arms, mixed = _pointer_factors(config, s, s, wvs)
         p_s, degenerate = _post_selection(_moments(arms[:, None], mixed), config.tail_tolerance)
-        return _lookup((s, thetas), [p_s[:, 0]], degenerate[:, 0]), {}
+        return _degenerate_na([p_s[:, 0]], degenerate[:, 0])
 
-    return _sweep(config, "probability", (s_range, theta_range), order, prepare)
+    return _sweep(config, "probability", (s_range, theta_range), order, batch)
 
 
-def _coupling_lookup(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec, columns):
-    """Point evaluator over the (s1, s2) grid for the column grids columns(moment, P_s)."""
-    axes = (s1_range.values(), s2_range.values())
-    arms, mixed = _pointer_factors(config, *axes, [config.wv])
+def _coupling_batch(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec, columns):
+    """Batch over the (s1, s2) grid of the column grids columns(moment, P_s)."""
+    arms, mixed = _pointer_factors(config, s1_range.values(), s2_range.values(), [config.wv])
     moment = _moments(arms, mixed[:, 0])
     p_s, degenerate = _post_selection(moment, config.tail_tolerance)
-    return _lookup(axes, columns(moment, p_s), degenerate)
+    return _degenerate_na(columns(moment, p_s), degenerate)
 
 
 def cmd_squeezing(
@@ -274,10 +246,8 @@ def cmd_squeezing(
     def columns(moment, p_s):
         return _squeezing_grid(moment, p_s, config.theta_big)
 
-    def prepare():
-        return _coupling_lookup(config, s1_range, s2_range, columns), {}
-
-    return _sweep(config, "squeezing", (s1_range, s2_range), order, prepare)
+    return _sweep(config, "squeezing", (s1_range, s2_range), order,
+                  lambda: _coupling_batch(config, s1_range, s2_range, columns))
 
 
 def cmd_wigner(
@@ -290,12 +260,13 @@ def cmd_wigner(
     config's point coupling; metadata additionally carries the grid minimum.
     The grid is computed whole, so any point out of range fails the sweep."""
 
-    def prepare():
-        grid = _wigner_grid(*_pointer_at(config), re_gamma, re_beta, DEFAULT_RANGE_TOL)
-        axes = (grid.re_gamma_axis, grid.re_beta_axis)
-        return _lookup(axes, [grid.values]), {"grid_min": grid.minimum}
+    def batch():
+        # Checked before the state is built, so a bad axis fails alike at any coupling.
+        axes = _wigner_axes(re_gamma, re_beta)
+        grid = _wigner_grid(*_pointer_at(config), *axes, DEFAULT_RANGE_TOL)
+        return [grid.values], {}, {"grid_min": grid.minimum}
 
-    return _sweep(config, "wigner", (re_gamma, re_beta), order, prepare)
+    return _sweep(config, "wigner", (re_gamma, re_beta), order, batch)
 
 
 def cmd_hz(
@@ -307,16 +278,12 @@ def cmd_hz(
     """Intensity-correlation witness over the coupling grid; the flag column
     is 1 exactly when E < 0 (entanglement witnessed) and NA when E is NaN."""
 
-    def prepare():
-        cells = _coupling_lookup(config, s1_range, s2_range, lambda moment, p_s: [_hz_grid(moment, p_s)])
+    def columns(moment, p_s):
+        e_val = _hz_grid(moment, p_s)
+        return [e_val, _with_na((e_val < 0.0).astype(int), np.isnan(e_val))]
 
-        def point(s1, s2):
-            (e_val,) = cells(s1, s2)
-            return e_val, NA if math.isnan(e_val) else int(e_val < 0.0)
-
-        return point, {}
-
-    return _sweep(config, "hz", (s1_range, s2_range), order, prepare)
+    return _sweep(config, "hz", (s1_range, s2_range), order,
+                  lambda: _coupling_batch(config, s1_range, s2_range, columns))
 
 
 def cmd_qcrb(
@@ -329,21 +296,39 @@ def cmd_qcrb(
 
     The "fixed-kappa" gauge uses the closed-form derivative construction,
     "renormalized" falls back to checked finite differences on normalized
-    outcomes (both agree to finite-difference accuracy).  A point whose
-    finite-difference check trips becomes an NA row; a single-point run
-    raises the NumericalRangeError instead.  A QFI below QFI_SENTINEL_FLOOR
-    gets an NA phase bound.  The metadata counts the NA rows by cause under
-    "na_rows".
+    outcomes (both agree to finite-difference accuracy).  A degenerate
+    point, and a point whose finite-difference check trips, becomes an NA
+    row; a single-point run raises the NumericalRangeError instead.  A QFI
+    below QFI_SENTINEL_FLOOR gets an NA phase bound.  The metadata counts
+    the NA rows by cause under "na_rows".
     """
 
-    def point(r, s):
-        at = config.replace(
-            ecs=dataclasses.replace(config.ecs, r=r), coupling=CouplingParams(s, s)
-        )
-        q = qfi_analytic(at) if config.qfi_gauge == "fixed-kappa" else qfi_finite_difference(at)
-        return q, qcrb(q, 1) if q >= QFI_SENTINEL_FLOOR else NA
+    def batch():
+        single_point = r_range.is_single and s_range.is_single
+        rs, ss = r_range.values().tolist(), s_range.values().tolist()
+        q_fi = np.full((len(rs), len(ss)), NA, dtype=object)
+        delta_phi = q_fi.copy()
+        na_rows = dict.fromkeys(NA_CAUSES, 0)
+        for (i, r), (j, s) in itertools.product(enumerate(rs), enumerate(ss)):
+            at = config.replace(ecs=dataclasses.replace(config.ecs, r=r), coupling=CouplingParams(s, s))
+            try:
+                q = qfi_analytic(at) if config.qfi_gauge == "fixed-kappa" else qfi_finite_difference(at)
+            except DegeneratePostSelectionError:
+                na_rows["degenerate"] += 1
+                continue
+            except NumericalRangeError:
+                if single_point:
+                    raise
+                na_rows["richardson"] += 1
+                continue
+            q_fi[i, j] = q
+            if q >= QFI_SENTINEL_FLOOR:
+                delta_phi[i, j] = qcrb(q, 1)
+            else:
+                na_rows["zero_qfi"] += 1
+        return [q_fi, delta_phi], na_rows, {"na_rows": na_rows}
 
-    return _sweep(config, "qcrb", (r_range, s_range), order, lambda: (point, {}))
+    return _sweep(config, "qcrb", (r_range, s_range), order, batch)
 
 
 # Per command: canonical axis order (also the CSV leading columns), the
@@ -391,6 +376,5 @@ _COMMANDS = {
         "columns": ("Q_fi", "delta_phi"),
         "help": "quantum Fisher information and phase bound over (r, s)",
         "runner": cmd_qcrb,
-        "na_cause": "zero_qfi",
     },
 }

@@ -21,6 +21,9 @@ from ecsim.fock import FockCutoff
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
+# A meter angle whose post-selection falls below the P_s floor.
+NEAR_PI = "0.99999999pi"
+
 
 def test_parse_angle():
     assert parse_angle("0.8pi") == pytest.approx(0.8 * math.pi, abs=0)
@@ -108,6 +111,16 @@ def test_out_and_meta_files(tmp_path):
     assert meta["rows"] == 2
     assert meta["version"] == __version__
     assert meta["config"]["r"] == 0.1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--meta"])
+def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
+    path = tmp_path / "missing" / "x"
+    code = main(["probability", "--sweep", "s=0:0:1", "--sweep", "theta=0:0:1", flag, str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ecsim: ")
+    assert str(path) in err
 
 
 def test_invalid_theta_exits_two(capsys):
@@ -301,6 +314,18 @@ def test_wigner_out_of_range_exits_three(capsys):
     assert "gamma=(-2+0j), beta=(-2+0j)" in err
 
 
+@pytest.mark.parametrize(
+    "coupling", [[], ["--theta1", NEAR_PI, "--theta2", NEAR_PI]], ids=["default", "degenerate"]
+)
+def test_one_point_wigner_axis_exits_two(capsys, coupling):
+    # The axes are checked before the state is built, so a degenerate
+    # coupling does not turn the bad axis into exit 4.
+    assert main(["wigner", *coupling, "--sweep", "re_gamma=0:0:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 2 points" in captured.err
+
+
 def test_declaration_order_controls_nesting(capsys):
     code = main(
         [
@@ -464,6 +489,32 @@ def test_reversed_declaration_transposes_the_canonical_rows(capsys, command):
     assert len(rows) == 6
     # 2 outer x 3 inner values: the first declared axis is now the outer loop.
     assert reversed_[1:] == [rows[3 * i + j] for j in range(3) for i in range(2)]
+
+
+# Grids holding NA rows: flags, canonical outer and inner axes, the number of
+# NA rows, and the --meta "na_rows" entry (only qcrb writes one).
+MIXED_GRIDS = {
+    "probability": ([], "s=0:2:2", f"theta=0.5pi:{NEAR_PI}:2", 1, None),
+    "hz": (["--theta1", NEAR_PI, "--theta2", NEAR_PI], "s1=0:2:2", "s2=0:2:3", 4, None),
+    "qcrb": ([], "r=0:0.1:2", "s=0:1:3", 3, {"degenerate": 0, "richardson": 0, "zero_qfi": 3}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MIXED_GRIDS))
+def test_reversed_declaration_moves_na_rows_with_their_rows(capsys, tmp_path, command):
+    flags, outer, inner, na_count, na_rows = MIXED_GRIDS[command]
+    runs = []
+    for first, second in ((outer, inner), (inner, outer)):
+        meta = tmp_path / f"{len(runs)}.json"
+        assert main([command, *flags, "--sweep", first, "--sweep", second, "--meta", str(meta)]) == 0
+        runs.append((capsys.readouterr().out.splitlines(), json.loads(meta.read_text())))
+    (canonical, canonical_meta), (reversed_, reversed_meta) = runs
+    rows = canonical[1:]
+    n_outer, n_inner = (int(spec.rsplit(":", 1)[1]) for spec in (outer, inner))
+    assert sum("NA" in row.split(",") for row in rows) == na_count
+    assert reversed_[1:] == [rows[n_inner * i + j] for j in range(n_inner) for i in range(n_outer)]
+    assert canonical_meta.get("na_rows") == na_rows
+    assert reversed_meta == canonical_meta
 
 
 HZ_GOLDEN = os.path.join(GOLDEN_DIR, "hz_default.csv")
