@@ -22,6 +22,7 @@ TESTS_DIR = os.path.join(REPO_ROOT, "tests")
 GOLDEN_DIR = os.path.join(TESTS_DIR, "golden")
 
 sys.path.insert(0, TESTS_DIR)
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from golden_cases import GOLDEN_CASES  # noqa: E402
 

@@ -14,20 +14,9 @@ from .fock import (
     FockCutoff,
     ModeOperator,
     TwoModeState,
-    annihilation_matrix,
-    apply_annihilation,
-    apply_creation,
     apply_to_mode,
     coherent_column,
-    creation_matrix,
     displacement_matrix,
-    expectation,
-    inner,
-    norm,
-    number_matrix,
-    parity_matrix,
-    tail_mass,
-    vacuum,
 )
 from .measurement import (
     CouplingParams,
@@ -72,26 +61,17 @@ __all__ = [
     "WeakMeasurementConfig",
     "WeakValueParams",
     "WignerGrid",
-    "annihilation_matrix",
-    "apply_annihilation",
-    "apply_creation",
     "apply_to_mode",
     "build_ecs",
     "build_pointer_state",
     "coherent_column",
-    "creation_matrix",
     "default_config",
     "displacement_matrix",
-    "expectation",
     "fix_global_phase",
     "hz_correlation",
-    "inner",
     "joint_wigner_grid",
     "joint_wigner_point",
     "meter_overlap",
-    "norm",
-    "number_matrix",
-    "parity_matrix",
     "qcrb",
     "qfi_analytic",
     "qfi_finite_difference",
@@ -99,8 +79,6 @@ __all__ = [
     "squeezing_report",
     "sum_squeezing_direct",
     "sum_squeezing_normal_ordered",
-    "tail_mass",
-    "vacuum",
     "weak_value_x",
     "weak_value_y",
 ]

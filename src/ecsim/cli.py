@@ -6,8 +6,9 @@ notation ("0.8pi").  Repeatable --sweep flags override the per-command
 default axes; declaration order sets the outer-to-inner nesting of emitted
 rows.
 
-Exit codes: 0 success; 2 configuration or argument validation error, or an
---out/--meta path that cannot be written; 3 numerical failure (a wigner
+Exit codes: 0 success; 2 configuration or argument validation error (an
+overflowing coupling or axis included), or an --out/--meta path that cannot
+be written, with no CSV on stdout; 3 numerical failure (a wigner
 displacement out of validated range, an unstable finite-difference step on
 a single-point qcrb run); 4 degenerate post-selection on a single-point
 invocation.  Multi-point sweeps other than wigner write NA cells for these
@@ -174,13 +175,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 2
 
+    # Files first, so a run that fails on an unwritable path prints no CSV.
     try:
-        if args.out is None:
-            sys.stdout.write(result.csv_text())
-        else:
+        if args.out is not None:
             result.write_csv(args.out)
         if args.meta is not None:
             result.write_metadata(args.meta)
+        if args.out is None:
+            sys.stdout.write(result.csv_text())
     except OSError as exc:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 2

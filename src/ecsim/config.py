@@ -42,6 +42,8 @@ class RangeSpec:
             raise ValueError(f"points must be an integer >= 1, got {self.points!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("range endpoints must be finite")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"range width stop - start overflows for [{self.start}, {self.stop}]")
         if self.points == 1:
             if self.stop != self.start:
                 raise ValueError("single-point range requires stop == start")

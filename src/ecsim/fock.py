@@ -1,10 +1,12 @@
-"""Dense truncated Fock-space arithmetic for two bosonic modes.
+"""Truncated Fock-space arithmetic for two bosonic modes.
 
 States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 0 <= n_b <= n_max_b, stored as a complex (n_max_a+1, n_max_b+1) amplitude
-grid.  Single-mode operators are dense matrices applied to one tensor
-factor at a time.  Everything is plain numpy; nothing here knows about
-measurements or observables.
+grid.  The ladder operators act on one Fock index of any array (a grid, a
+stack of grids or a stack of single-mode factors); displacements are cached
+dense matrices, applied to a state's tensor factor by apply_to_mode.  The
+top-level mass of a grid measures truncation.  Everything is plain numpy;
+nothing here knows about measurements or observables.
 """
 
 from __future__ import annotations
@@ -84,13 +86,6 @@ class ModeOperator:
         return self.matrix.shape[0] - 1
 
 
-def vacuum(cutoff: FockCutoff) -> TwoModeState:
-    """|0, 0> on the given truncated basis."""
-    amp = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=np.complex128)
-    amp[0, 0] = 1.0
-    return TwoModeState(amp, cutoff)
-
-
 def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Truncated coherent-state column: entry n is e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
@@ -116,26 +111,6 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     return col
 
 
-def annihilation_matrix(n_max: int) -> ModeOperator:
-    mat = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-    for n in range(1, n_max + 1):
-        mat[n - 1, n] = math.sqrt(n)
-    return ModeOperator(mat)
-
-
-def creation_matrix(n_max: int) -> ModeOperator:
-    return ModeOperator(annihilation_matrix(n_max).matrix.conj().T)
-
-
-def number_matrix(n_max: int) -> ModeOperator:
-    return ModeOperator(np.diag(np.arange(n_max + 1, dtype=np.complex128)))
-
-
-def parity_matrix(n_max: int) -> ModeOperator:
-    signs = np.array([(-1.0) ** n for n in range(n_max + 1)], dtype=np.complex128)
-    return ModeOperator(np.diag(signs))
-
-
 @lru_cache(maxsize=32)
 def _quadrature_eigh(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (lam, V) of the truncated Q = a + a^dag, so Q = V diag(lam) V^T.
@@ -159,6 +134,8 @@ def _displacement_raw(gamma: complex, n_max: int) -> np.ndarray:
     # so downstream norms are preserved, and truncation shows up only in how
     # well column 0 matches the analytic coherent column.
     lam, vecs = _quadrature_eigh(n_max)
+    if not math.isfinite(abs(gamma) * float(lam[-1])):
+        raise ValueError(f"displacement amplitude {gamma!r} overflows at n_max={n_max}")
     angle = abs(gamma) * lam
     rotated = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
     phase = np.exp(1j * (cmath.phase(gamma) + 0.5 * math.pi) * np.arange(n_max + 1))
@@ -173,7 +150,8 @@ def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
     Built from the cached eigendecomposition of the quadrature a + a^dag at
     this cutoff plus a diagonal phase rotation; no matrix exponential is
     evaluated.  Matrices are cached on (gamma, n_max); repeated grid
-    evaluations reuse them without rebuilding.
+    evaluations reuse them without rebuilding.  Raises ValueError when the
+    rotation angle |gamma| * max(lam) overflows a double.
     """
     return ModeOperator(_displacement_raw(complex(gamma), int(n_max)))
 
@@ -204,38 +182,9 @@ def apply_to_mode(op: ModeOperator, mode: str, state: TwoModeState) -> TwoModeSt
     return TwoModeState(out, state.cutoff)
 
 
-def expectation(
-    state: TwoModeState,
-    op_a: ModeOperator | None = None,
-    op_b: ModeOperator | None = None,
-) -> complex:
-    """<psi| (A tensor B) |psi> with identity filled in for omitted factors."""
-    transformed = state
-    if op_a is not None:
-        transformed = apply_to_mode(op_a, "a", transformed)
-    if op_b is not None:
-        transformed = apply_to_mode(op_b, "b", transformed)
-    return inner(state, transformed)
-
-
-def inner(u: TwoModeState, v: TwoModeState) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    if u.cutoff != v.cutoff:
-        raise ValueError("inner product requires matching cutoffs")
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
-
-
-def norm(u: TwoModeState) -> float:
-    return float(np.linalg.norm(u.amplitudes))
-
-
-def tail_mass(state: TwoModeState) -> float:
-    """Probability mass on the top retained level of either mode."""
-    return float(top_level_mass(state.amplitudes))
-
-
 def top_level_mass(amps: np.ndarray) -> np.ndarray:
-    """tail_mass over the last two axes of an amplitude grid or a stack of them."""
+    """Probability mass on the top retained level of either mode, over the
+    last two axes of an amplitude grid or a stack of them."""
     # The corner cell sits in both edges; count it once.
     top_a = np.sum(np.abs(amps[..., -1, :]) ** 2, axis=-1)
     return top_a + np.sum(np.abs(amps[..., :-1, -1]) ** 2, axis=-1)
@@ -250,15 +199,6 @@ def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
             ),
             stacklevel=3,
         )
-
-
-_MODE_AXIS = {"a": 0, "b": 1}
-
-
-def _mode_axis(mode: str) -> int:
-    if mode not in _MODE_AXIS:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return _MODE_AXIS[mode]
 
 
 def annihilate(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -277,19 +217,3 @@ def create(arr: np.ndarray, axis: int) -> np.ndarray:
     n = np.sqrt(np.arange(1, shape[axis], dtype=np.float64))
     out.swapaxes(axis, -1)[..., 1:] = n * arr.swapaxes(axis, -1)
     return out
-
-
-def apply_annihilation(state: TwoModeState, mode: str) -> TwoModeState:
-    """a|psi> (or b|psi>).  Exact on the truncated support; same cutoff."""
-    return TwoModeState(annihilate(state.amplitudes, _mode_axis(mode)), state.cutoff)
-
-
-def apply_creation(state: TwoModeState, mode: str) -> TwoModeState:
-    """a^dag|psi> with the cutoff grown by one level on the raised mode.
-
-    Growing the target space keeps the result exact for every input, so
-    quadratic moments built from these applications carry no boundary
-    defect from the truncated commutator.
-    """
-    out = create(state.amplitudes, _mode_axis(mode))
-    return TwoModeState(out, FockCutoff(out.shape[0] - 1, out.shape[1] - 1))

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RangeSpec, WeakMeasurementConfig
-from .errors import DegeneratePostSelectionError, NumericalRangeError
+from .errors import NumericalRangeError
 from .fock import (
     TwoModeState,
     annihilate,
@@ -42,7 +42,14 @@ from .fock import (
     top_level_mass,
     warn_if_truncated,
 )
-from .measurement import DEFAULT_P_FLOOR, _branch_family, _displaced, _post_select, ecs_factors
+from .measurement import (
+    DEFAULT_P_FLOOR,
+    _branch_family,
+    _check_p_floor,
+    _displaced,
+    _post_select,
+    ecs_factors,
+)
 
 # Phase-space density prefactor: W_J(gamma, beta) = (4 / pi^2) P_J(gamma, beta).
 WIGNER_PREFACTOR = 4.0 / math.pi**2
@@ -433,10 +440,7 @@ def _checked_richardson(q_of_step: Callable[[float], float], h: float) -> float:
 def _frozen_kappa(raw0: np.ndarray) -> float:
     """1 / sqrt(P_s) of the raw pointer grid at the working point."""
     p0 = float(np.real(np.vdot(raw0, raw0)))
-    if p0 < DEFAULT_P_FLOOR:
-        raise DegeneratePostSelectionError(
-            f"post-selection probability {p0:.3e} too small for QFI"
-        )
+    _check_p_floor(p0, DEFAULT_P_FLOOR)
     return 1.0 / math.sqrt(p0)
 
 

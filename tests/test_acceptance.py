@@ -17,7 +17,7 @@ from golden_cases import GOLDEN_CASES
 from ecsim.cli import main
 from ecsim.config import RangeSpec, default_config
 from ecsim.errors import TruncationWarning
-from ecsim.fock import FockCutoff, TwoModeState, coherent_column, inner, vacuum
+from ecsim.fock import FockCutoff, TwoModeState, coherent_column
 from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams, build_ecs
 from ecsim.observables import (
     hz_correlation,
@@ -133,7 +133,7 @@ def test_c05_zero_coupling_identity():
         )
         config = default_config(wv=wv, coupling=CouplingParams(0.0, 0.0))
         outcome = config.pointer_outcome()
-        overlap = abs(inner(outcome.state, config.ecs_state()))
+        overlap = abs(np.vdot(outcome.state.amplitudes, config.ecs_state().amplitudes))
         expected_p = math.cos(wv.theta1 / 2.0) ** 2 * math.cos(wv.theta2 / 2.0) ** 2
         worst_overlap = max(worst_overlap, abs(overlap - 1.0))
         worst_prob = max(worst_prob, abs(outcome.success_probability - expected_p))

@@ -118,9 +118,29 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
     path = tmp_path / "missing" / "x"
     code = main(["probability", "--sweep", "s=0:0:1", "--sweep", "theta=0:0:1", flag, str(path)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("ecsim: ")
-    assert str(path) in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ecsim: ")
+    assert str(path) in captured.err
+
+
+# Finite inputs whose displacement angle or axis width overflows a double.
+OVERFLOWING_INPUTS = [
+    ["probability", "--sweep", "s=1e308:1.7e308:2"],
+    ["squeezing", "--sweep", "s1=0:1e308:2"],
+    ["hz", "--sweep", "s1=0:1e308:2"],
+    ["qcrb", "--sweep", "s=0:1e308:2"],
+    ["wigner", "--s1", "1e308"],
+    ["wigner", "--sweep", "re_gamma=-1e308:1e308:2"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_INPUTS, ids=" ".join)
+def test_overflowing_input_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ecsim: ")
 
 
 def test_invalid_theta_exits_two(capsys):
