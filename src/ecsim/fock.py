@@ -92,9 +92,12 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     Entries are built by the cumulative recurrence c_n = c_{n-1} alpha / sqrt(n),
     which stays finite for any amplitude the truncated basis can represent.
     Warns with the measured norm deficit when 1 - sum |c_n|^2 exceeds tail_tol.
+    Raises ValueError when |alpha|^2 overflows a double.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not math.isfinite(abs(alpha) * abs(alpha)):
+        raise ValueError(f"coherent amplitude {alpha!r} has no finite |alpha|^2")
     col = np.empty(n_max + 1, dtype=np.complex128)
     col[0] = math.exp(-0.5 * abs(alpha) ** 2)
     col[1:] = alpha / np.sqrt(np.arange(1.0, n_max + 1))

@@ -85,8 +85,9 @@ class EcsParams:
     varphi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.r >= 0.0 and math.isfinite(self.r)):
-            raise ValueError(f"r must be finite and >= 0, got {self.r!r}")
+        # normalization squares r, and so does each coherent column.
+        if not (self.r >= 0.0 and math.isfinite(self.r * self.r)):
+            raise ValueError(f"r must be >= 0 with a finite square, got {self.r!r}")
         for label, phase in (("mu", self.mu), ("varphi", self.varphi)):
             if not math.isfinite(phase):
                 raise ValueError(f"{label} must be finite, got {phase!r}")
@@ -169,11 +170,12 @@ def ecs_factors(
 
     L R_k^T is the probe's amplitude grid at varphi_k (default: params.varphi
     alone), with L = [N c_a, e0] and R_k = [e0, N c_b(varphi_k)] except that
-    the shared cell (0, 0), N (c_a[0] + c_b[0]), is stored in R_k.  So L does
-    not depend on varphi, L R_0^T is the grid build_ecs returns, bit for bit,
-    and apply_displacement_branches splits that grid back into these factors.
-    Warns once per coherent column built and once per probe whose top-level
-    mass exceeds tail_tol.
+    the shared cell (0, 0), N (c_a[0] + c_b[0]), is stored in R_k.  L then
+    does not depend on varphi.  The cell is summed once, before any
+    displacement: split over both columns, its two halves meet again only in
+    the Gram contraction, and P_s at zero coupling and theta = 0 rounds to
+    1 - 1.1e-16 instead of 1.  Warns once per coherent column built and once
+    per probe whose top-level mass exceeds tail_tol.
     """
     phases = [params.varphi] if varphis is None else [float(v) % TWO_PI for v in varphis]
     alpha = params.alpha
@@ -231,7 +233,7 @@ def meter_overlap(wv: WeakValueParams) -> float:
     return math.cos(0.5 * wv.theta1) * math.cos(0.5 * wv.theta2)
 
 
-def _displaced(u: float, factor: np.ndarray) -> np.ndarray:
+def _displaced(u: complex, factor: np.ndarray) -> np.ndarray:
     """D(u) @ factor on the factor's cutoff; D(0) is exactly the identity."""
     if u == 0.0:
         return factor
@@ -287,25 +289,12 @@ def apply_displacement_branches(
 ) -> TwoModeState:
     """(omega/4) sum of the four weighted displacement branches applied to state.
 
-    The amplitudes are factored as L R^T and passed to the kernel of the
-    module docstring.  A state supported on row 0 and column 0 (the ECS, or
-    the varphi derivative of its mode-b branch) splits exactly into two
-    columns, L = [amp[:, 0] with entry 0 zeroed, e0] and R = [e0, amp[0, :]],
-    the factors ecs_factors builds.  Any other state keeps L = amp and R = 1.
+    The amplitudes enter the kernel of the module docstring as the factor
+    pair L = amp, R = identity.
     """
-    cutoff = state.cutoff
-    amp = state.amplitudes
-    if amp[1:, 1:].any():
-        left, right = amp, np.eye(cutoff.dim_b, dtype=np.complex128)
-    else:
-        left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)
-        left[1:, 0] = amp[1:, 0]
-        left[0, 1] = 1.0
-        right = np.zeros((cutoff.dim_b, 2), dtype=np.complex128)
-        right[0, 0] = 1.0
-        right[:, 1] = amp[0, :]
-    raw = _branch_family(left, right[None], wv, coupling, displacement_scale)
-    return TwoModeState(raw[0], cutoff)
+    identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
+    raw = _branch_family(state.amplitudes, identity[None], wv, coupling, displacement_scale)
+    return TwoModeState(raw[0], state.cutoff)
 
 
 def _phase_fixed(flat: np.ndarray, scale: np.ndarray | float = 1.0) -> np.ndarray:

@@ -14,17 +14,21 @@ compute each product-operator moment from two m x m Gram matrices:
 
 P_s, <N_a>, <N_b>, <N_a N_b>, <a b>, <a^2 b^2>, the direct route's <V> and
 <V^2> (creation on a one-level-enlarged factor, so it stays exact), the
-top-level mass and displaced parity all take this form.  A depends only on
-the mode-a coupling and X only on the mode-b coupling and the meter angles,
-so a whole grid of moments is one product of stacked Grams, and the
-Wigner cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the
-parity Grams of D_a(-gamma) A and D_b(-beta) X.  A dense grid is the
-factor pair (amplitudes, identity).
+top-level mass and displaced parity all take this form.  One table names
+the operands of every Gram, and each side's Gram of an operator is built
+only when a moment first asks for it.  A depends only on the mode-a
+coupling and X only on the mode-b coupling and the meter angles, so a whole
+grid of moments is one product of stacked Grams, and the Wigner
+cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the parity
+Grams of D_a(-gamma) A and D_b(-beta) X.  A dense grid is the factor pair
+(amplitudes, identity), so the Wigner functions of a TwoModeState take the
+same route.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,10 +40,8 @@ from .errors import NumericalRangeError
 from .fock import (
     TwoModeState,
     annihilate,
-    apply_to_mode,
+    apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     create,
-    displacement_matrix,
-    top_level_mass,
     warn_if_truncated,
 )
 from .measurement import (
@@ -163,53 +165,6 @@ class WignerGrid:
         return float(self.values.min())
 
 
-def _parity_signs(dim: int) -> np.ndarray:
-    return np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-
-
-def _parity_expectation(arr: np.ndarray) -> float:
-    prob = np.abs(arr) ** 2
-    # Diagonal parity grid keeps the expectation exactly real.
-    return float(_parity_signs(arr.shape[0]) @ prob @ _parity_signs(arr.shape[1]))
-
-
-def _displaced_state(state: TwoModeState, gamma: complex, beta: complex) -> TwoModeState:
-    shifted = apply_to_mode(
-        displacement_matrix(-gamma, state.cutoff.n_max_a), "a", state
-    )
-    return apply_to_mode(displacement_matrix(-beta, state.cutoff.n_max_b), "b", shifted)
-
-
-def _range_error(gamma: complex, beta: complex, top: float, range_tol: float) -> NumericalRangeError:
-    return NumericalRangeError(
-        f"displacement (gamma={gamma}, beta={beta}) pushes tail mass "
-        f"{top:.3e} past the validated range tolerance {range_tol:.1e}"
-    )
-
-
-def _check_displaced_range(arr: np.ndarray, gamma: complex, beta: complex, range_tol: float) -> None:
-    top = float(top_level_mass(arr))
-    if top > range_tol:
-        raise _range_error(gamma, beta, top, range_tol)
-
-
-def joint_wigner_point(
-    state: TwoModeState,
-    gamma: complex,
-    beta: complex,
-    range_tol: float = DEFAULT_RANGE_TOL,
-) -> float:
-    """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>.
-
-    Bounded by construction in [-1, 1] because the displacement matrices are
-    unitary to machine precision.  Multiply by WIGNER_PREFACTOR for the
-    phase-space density normalization.
-    """
-    displaced = _displaced_state(state, gamma, beta)
-    _check_displaced_range(displaced.amplitudes, gamma, beta, range_tol)
-    return _parity_expectation(displaced.amplitudes)
-
-
 def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left^dag right over the Fock axis (-2) of two factor stacks: (..., m, m)."""
     return np.conj(left).swapaxes(-1, -2) @ right
@@ -224,39 +179,45 @@ def _contract(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
     return flat_a @ g_b.reshape(*g_b.shape[:-2], -1).swapaxes(-1, -2)
 
 
-def _factor_grams(factor: np.ndarray) -> dict[str, np.ndarray]:
-    """Grams F^dag O F of a factor stack (..., dim, m) for every operator of the sweeps.
-
-    "up" raises F onto a one-level-enlarged copy, so V|psi> keeps every
-    creation term: "up.up" is |a^dag F|^2, "up.a" <a^dag F|a F> and "up"
-    <F|a^dag F>, each over the enlarged levels.  "top" and "below" split F
-    into its top level and the levels under it.
-    """
-    low = annihilate(factor, -2)
-    up = create(factor, -2)
-    levels = np.arange(factor.shape[-2], dtype=np.float64)[:, None]
-    return {
-        "1": _gram(factor, factor),
-        "n": _gram(factor, levels * factor),
-        "a": _gram(factor, low),
-        "aa": _gram(factor, annihilate(low, -2)),
-        "a.a": _gram(low, low),
-        "up.up": _gram(up, up),
-        "up.a": _gram(up[..., :-1, :], low),
-        "up": _gram(factor, up[..., :-1, :]),
-        "top": _gram(factor[..., -1:, :], factor[..., -1:, :]),
-        "below": _gram(factor[..., :-1, :], factor[..., :-1, :]),
-    }
+# The operands (G, H) of the Gram G^dag H that each operator key stands for,
+# from a factor stack F (..., dim, m).  "up" raises F onto a one-level-enlarged
+# copy, so V|psi> keeps every creation term: "up.up" is |a^dag F|^2, "up.a"
+# <a^dag F|a F> and "up" <F|a^dag F>, each over the enlarged levels.  "top"
+# and "below" split F into its top level and the levels under it.
+_GRAM_OPERANDS: dict[str, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = {
+    "1": lambda f: (f, f),
+    "n": lambda f: (f, np.arange(f.shape[-2], dtype=np.float64)[:, None] * f),
+    "a": lambda f: (f, annihilate(f, -2)),
+    "aa": lambda f: (f, annihilate(annihilate(f, -2), -2)),
+    "a.a": lambda f: (annihilate(f, -2),) * 2,
+    "up.up": lambda f: (create(f, -2),) * 2,
+    "up.a": lambda f: (create(f, -2)[..., :-1, :], annihilate(f, -2)),
+    "up": lambda f: (f, create(f, -2)[..., :-1, :]),
+    "top": lambda f: (f[..., -1:, :],) * 2,
+    "below": lambda f: (f[..., :-1, :],) * 2,
+    "parity": lambda f: (f, np.where(np.arange(f.shape[-2]) % 2 == 0, 1.0, -1.0)[:, None] * f),
+}
 
 
 def _moments(arms: np.ndarray, mixed: np.ndarray) -> Callable[[str, str], np.ndarray]:
     """moment(op_a, op_b): <O_a (x) O_b> of every raw pointer state arms @ mixed^T.
 
     arms (..., Na, dim_a, m) and mixed (..., Nb, dim_b, m) are factor stacks;
-    the moments come out as (..., Na, Nb) grids, named by _factor_grams' keys.
+    the moments come out as (..., Na, Nb) grids, named by _GRAM_OPERANDS' keys.
+    Each side's Gram of a key is built the first time a moment asks for it.
     """
-    g_a, g_b = _factor_grams(arms), _factor_grams(mixed)
-    return lambda op_a, op_b: _contract(g_a[op_a], g_b[op_b])
+
+    @functools.cache
+    def gram(side: int, key: str) -> np.ndarray:
+        return _gram(*_GRAM_OPERANDS[key]((arms, mixed)[side]))
+
+    return lambda op_a, op_b: _contract(gram(0, op_a), gram(1, op_b))
+
+
+def _tail_mass(moment) -> np.ndarray:
+    """Top-level mass of every raw pointer state: its top row plus the top
+    column below it, so the corner cell counts once."""
+    return moment("top", "1").real + moment("below", "top").real
 
 
 def _post_selection(moment, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +231,7 @@ def _post_selection(moment, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     p_s = moment("1", "1").real
     degenerate = p_s < DEFAULT_P_FLOOR
     p_s = np.where(degenerate, np.nan, p_s)
-    tail = (moment("top", "1").real + moment("below", "top").real) / p_s
-    for mass in tail.ravel():
+    for mass in (_tail_mass(moment) / p_s).ravel():
         warn_if_truncated(mass, tail_tol, "build_pointer_state")
     return p_s, degenerate
 
@@ -311,19 +271,14 @@ def _factored_wigner(
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_J and the displaced top-level mass over gammas x betas of the normalized state left @ right^T.
 
-    The displaced top row holds the mass top(D_a(-gamma) left) paired with
-    right^dag right, because the truncated D_b is unitary; the top column
-    under it holds below(D_a(-gamma) left) paired with top(D_b(-beta) right).
+    Both are moments of the displaced factor stacks D_a(-gamma) left and
+    D_b(-beta) right; gammas and betas may be complex.
     """
-    shifted_a = np.stack([_displaced(-g, left) for g in gammas.tolist()])
-    shifted_b = np.stack([_displaced(-b, right) for b in betas.tolist()])
-    top_a = _gram(shifted_a[:, -1:], shifted_a[:, -1:])
-    below_a = _gram(shifted_a[:, :-1], shifted_a[:, :-1])
-    top_b = _gram(shifted_b[:, -1:], shifted_b[:, -1:])
-    top = (_contract(top_a, _gram(right, right)[None]) + _contract(below_a, top_b)).real
-    parity_a = _gram(shifted_a, _parity_signs(left.shape[0])[:, None] * shifted_a)
-    parity_b = _gram(shifted_b, _parity_signs(right.shape[0])[:, None] * shifted_b)
-    return _contract(parity_a, parity_b).real, top
+    moment = _moments(
+        np.stack([_displaced(-g, left) for g in gammas.tolist()]),
+        np.stack([_displaced(-b, right) for b in betas.tolist()]),
+    )
+    return moment("parity", "parity").real, _tail_mass(moment)
 
 
 def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -333,24 +288,25 @@ def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[np.ndarray, n
     return re_gamma.values(), re_beta.values()
 
 
-def _wigner_grid(
+def _checked_wigner(
     left: np.ndarray,
     right: np.ndarray,
     gammas: np.ndarray,
     betas: np.ndarray,
     range_tol: float,
-) -> WignerGrid:
-    """P_J over real gammas and betas of the normalized state left @ right^T.
-
-    Applies joint_wigner_point's range check at every point: the first point
-    out of range in row-major order raises NumericalRangeError.
-    """
+) -> np.ndarray:
+    """_factored_wigner's P_J, with the range check at every point: the first
+    point whose displaced top-level mass exceeds range_tol, in row-major
+    order, raises NumericalRangeError."""
     values, top = _factored_wigner(left, right, gammas, betas)
     failing = np.argwhere(top > range_tol)
     if failing.size:
         i, j = failing[0]
-        raise _range_error(complex(gammas[i]), complex(betas[j]), float(top[i, j]), range_tol)
-    return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)
+        raise NumericalRangeError(
+            f"displacement (gamma={complex(gammas[i])}, beta={complex(betas[j])}) pushes tail "
+            f"mass {float(top[i, j]):.3e} past the validated range tolerance {range_tol:.1e}"
+        )
+    return values
 
 
 def joint_wigner_grid(
@@ -363,11 +319,32 @@ def joint_wigner_grid(
 
     The state enters as the factor pair (amplitudes, identity), so the grid
     is one product of the parity Grams of D_a(-gamma) amplitudes and
-    D_b(-beta), as in the module docstring.  Each value, and the range check
-    at each point, equals joint_wigner_point's to rounding.
+    D_b(-beta), as in the module docstring.  Raises NumericalRangeError at
+    the first point, in row-major order, whose displaced top-level mass
+    exceeds range_tol.
+    """
+    gammas, betas = _wigner_axes(re_gamma, re_beta)
+    identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
+    values = _checked_wigner(state.amplitudes, identity, gammas, betas, range_tol)
+    return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)
+
+
+def joint_wigner_point(
+    state: TwoModeState,
+    gamma: complex,
+    beta: complex,
+    range_tol: float = DEFAULT_RANGE_TOL,
+) -> float:
+    """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>.
+
+    Bounded by construction in [-1, 1] because the displacement matrices are
+    unitary to machine precision.  Multiply by WIGNER_PREFACTOR for the
+    phase-space density normalization.  Computed as a one-point
+    joint_wigner_grid, at any complex gamma and beta.
     """
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    return _wigner_grid(state.amplitudes, identity, *_wigner_axes(re_gamma, re_beta), range_tol)
+    values = _checked_wigner(state.amplitudes, identity, np.array([gamma]), np.array([beta]), range_tol)
+    return float(values[0, 0])
 
 
 def hz_correlation(state: TwoModeState) -> float:

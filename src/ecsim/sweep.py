@@ -45,12 +45,12 @@ from .measurement import (
 )
 from .observables import (
     DEFAULT_RANGE_TOL,
+    _checked_wigner,
     _hz_grid,
     _moments,
     _post_selection,
     _squeezing_grid,
     _wigner_axes,
-    _wigner_grid,
     qcrb,
     qfi_analytic,
     qfi_finite_difference,
@@ -263,8 +263,8 @@ def cmd_wigner(
     def batch():
         # Checked before the state is built, so a bad axis fails alike at any coupling.
         axes = _wigner_axes(re_gamma, re_beta)
-        grid = _wigner_grid(*_pointer_at(config), *axes, DEFAULT_RANGE_TOL)
-        return [grid.values], {}, {"grid_min": grid.minimum}
+        values = _checked_wigner(*_pointer_at(config), *axes, DEFAULT_RANGE_TOL)
+        return [values], {}, {"grid_min": float(values.min())}
 
     return _sweep(config, "wigner", (re_gamma, re_beta), order, batch)
 

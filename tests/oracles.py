@@ -37,6 +37,20 @@ def displacement(gamma, n_max):
     return expm(gamma * a.conj().T - np.conj(gamma) * a)
 
 
+def displaced_parity(amp, d_a, d_b):
+    """(P_J, top-level mass) of the displaced grid d_a @ amp @ d_b^T.
+
+    d_a and d_b are displacement(-gamma, .) and displacement(-beta, .), so
+    P_J is the joint-parity Wigner value at (gamma, beta) of a normalized
+    amp.  The top-level mass is the weight on the top row plus the top
+    column, counting the corner cell once.
+    """
+    prob = np.abs(d_a @ amp @ d_b.T) ** 2
+    sign_a = (-1.0) ** np.arange(prob.shape[0])
+    sign_b = (-1.0) ** np.arange(prob.shape[1])
+    return float(sign_a @ prob @ sign_b), float(prob[-1, :].sum() + prob[:-1, -1].sum())
+
+
 def ecs_amplitudes(r, mu, varphi, n_max):
     """Normalized two-mode probe amplitudes on an (n_max+1)^2 grid."""
     alpha = r * np.exp(1j * mu)

@@ -124,7 +124,8 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
     assert str(path) in captured.err
 
 
-# Finite inputs whose displacement angle or axis width overflows a double.
+# Finite inputs whose displacement angle, axis width or squared amplitude
+# overflows a double.
 OVERFLOWING_INPUTS = [
     ["probability", "--sweep", "s=1e308:1.7e308:2"],
     ["squeezing", "--sweep", "s1=0:1e308:2"],
@@ -132,6 +133,11 @@ OVERFLOWING_INPUTS = [
     ["qcrb", "--sweep", "s=0:1e308:2"],
     ["wigner", "--s1", "1e308"],
     ["wigner", "--sweep", "re_gamma=-1e308:1e308:2"],
+    ["probability", "--r", "1e200"],
+    ["hz", "--r", "1e200"],
+    ["wigner", "--r", "1e200"],
+    ["qcrb", "--sweep", "r=1e200:1e201:2"],
+    ["qcrb", "--sweep", "r=0:1e300:2"],
 ]
 
 

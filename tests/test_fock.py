@@ -89,6 +89,12 @@ def test_coherent_column_rejects_tiny_basis():
         fock.coherent_column(0.5, 0)
 
 
+def test_coherent_column_rejects_overflowing_amplitude():
+    for alpha in (1e200, 1e155j):
+        with pytest.raises(ValueError, match="finite"):
+            fock.coherent_column(alpha, 10)
+
+
 def test_ladder_algebra():
     n_max = 12
     u = random_state(np.random.default_rng(4), fock.FockCutoff(n_max, 3)).amplitudes

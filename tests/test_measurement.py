@@ -48,6 +48,8 @@ def test_ecs_params_validation_and_reduction():
         EcsParams(-0.1)
     with pytest.raises(ValueError):
         EcsParams(float("nan"))
+    with pytest.raises(ValueError, match="finite square"):
+        EcsParams(1e200)
     with pytest.raises(ValueError):
         EcsParams(0.1, mu=float("nan"))
     with pytest.raises(ValueError):
@@ -305,9 +307,9 @@ def eight_product_reference(amp, wv, coupling, scale=0.5):
     s2=COUPLINGS,
 )
 def test_branches_match_eight_product_reference(seed, support, dims, angles, s1, s2):
-    """Dense states take the general route; row/column-supported ones (such
-    as e0 (x) v) take the two-column factoring.  Both equal the branch sum,
-    also for row 0 and column 0 plus the single interior cell (1, 1)."""
+    """Every state enters the kernel as the factor pair (amplitudes, identity)
+    and equals the branch sum, whatever its support: dense, row 0 or column 0
+    alone (such as e0 (x) v), both, or both plus the interior cell (1, 1)."""
     rng = np.random.default_rng(seed)
     shape = (dims[0] + 1, dims[1] + 1)
     amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -28,7 +28,6 @@ from ecsim.measurement import (
 from ecsim.observables import (
     DEFAULT_RANGE_TOL,
     WignerGrid,
-    _check_displaced_range,
     _checked_richardson,
     hz_correlation,
     joint_wigner_grid,
@@ -433,7 +432,8 @@ def test_gram_wigner_matches_dense_and_tensor_references(
     r, mu, varphi, angles, s1, s2, re_gamma, re_beta, n_max
 ):
     """Every P_J value, and the range check at every point, of the sweep's
-    factored grid and of joint_wigner_grid."""
+    factored grid and of joint_wigner_grid, against the displaced parity of
+    both reference states with the oracle's own displacements."""
     config = gram_config(r, mu, varphi, angles, n_max, coupling=CouplingParams(s1, s2))
     gammas, betas = re_gamma.values(), re_beta.values()
     with warnings.catch_warnings():
@@ -441,19 +441,18 @@ def test_gram_wigner_matches_dense_and_tensor_references(
         values, top = observables._factored_wigner(*sweep._pointer_at(config), gammas, betas)
         references = reference_states(config, s1, s2)
     dense = references[0][0]
+    d_a = [oracles.displacement(-g, n_max) for g in gammas.tolist()]
+    d_b = [oracles.displacement(-b, n_max) for b in betas.tolist()]
     failing = []
     for i, g in enumerate(gammas.tolist()):
         for j, b in enumerate(betas.tolist()):
+            out_of_range = top[i, j] > DEFAULT_RANGE_TOL
             for state, _ in references:
-                assert abs(values[i, j] - joint_wigner_point(state, g, b, range_tol=2.0)) <= GRAM_TOL
-            displaced = observables._displaced_state(dense, g, b).amplitudes
-            try:
-                _check_displaced_range(displaced, g, b, DEFAULT_RANGE_TOL)
-                out_of_range = False
-            except NumericalRangeError:
-                out_of_range = True
+                parity, mass = oracles.displaced_parity(state.amplitudes, d_a[i], d_b[j])
+                assert abs(values[i, j] - parity) <= GRAM_TOL
+                assert (mass > DEFAULT_RANGE_TOL) == out_of_range
+            if out_of_range:
                 failing.append((complex(g), complex(b)))
-            assert (top[i, j] > DEFAULT_RANGE_TOL) == out_of_range
     if failing:
         first = re.escape(f"gamma={failing[0][0]}, beta={failing[0][1]})")
         with pytest.raises(NumericalRangeError, match=first):
@@ -465,6 +464,37 @@ def test_gram_wigner_matches_dense_and_tensor_references(
         assert [row[2] for row in rows] == values.ravel().tolist()
         grid = joint_wigner_grid(dense, re_gamma, re_beta)
         assert np.max(np.abs(grid.values - values)) <= GRAM_TOL
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    r=st.floats(0.0, 1.5),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=COUPLINGS,
+    s2=COUPLINGS,
+    gamma=st.complex_numbers(max_magnitude=2.0),
+    beta=st.complex_numbers(max_magnitude=2.0),
+    n_max=st.sampled_from([12, 40]),
+)
+def test_wigner_point_matches_oracle_at_complex_displacements(
+    r, mu, varphi, angles, s1, s2, gamma, beta, n_max
+):
+    """joint_wigner_point at a complex (gamma, beta), the only way a complex
+    displacement reaches the factored route: its value, and its range check,
+    against the displaced parity of the tensor oracle's pointer state."""
+    amp, _ = oracles.brute_force_pointer(r, mu, varphi, *angles, s1, s2, n_max)
+    state = fock.TwoModeState(amp, fock.FockCutoff(n_max, n_max))
+    parity, mass = oracles.displaced_parity(
+        amp, oracles.displacement(-gamma, n_max), oracles.displacement(-beta, n_max)
+    )
+    assert abs(joint_wigner_point(state, gamma, beta, range_tol=2.0) - parity) <= GRAM_TOL
+    if mass > DEFAULT_RANGE_TOL:
+        with pytest.raises(NumericalRangeError):
+            joint_wigner_point(state, gamma, beta)
+    else:
+        joint_wigner_point(state, gamma, beta)
 
 
 def test_gram_sweeps_keep_the_dense_accuracy_under_strong_post_selection():
