@@ -39,7 +39,6 @@ from .observables import (
     qcrb,
     qfi_analytic,
     qfi_finite_difference,
-    qfi_from_family,
     squeezing_report,
     sum_squeezing_direct,
     sum_squeezing_normal_ordered,
@@ -75,7 +74,6 @@ __all__ = [
     "qcrb",
     "qfi_analytic",
     "qfi_finite_difference",
-    "qfi_from_family",
     "squeezing_report",
     "sum_squeezing_direct",
     "sum_squeezing_normal_ordered",

@@ -6,14 +6,15 @@ notation ("0.8pi").  Repeatable --sweep flags override the per-command
 default axes; declaration order sets the outer-to-inner nesting of emitted
 rows.
 
-Exit codes: 0 success; 2 configuration or argument validation error (an
-overflowing coupling or axis included), or an --out/--meta path that cannot
-be written, with no CSV on stdout; 3 numerical failure (a wigner
-displacement out of validated range, an unstable finite-difference step on
-a single-point qcrb run); 4 degenerate post-selection on a single-point
-invocation.  Multi-point sweeps other than wigner write NA cells for these
-points instead.  An NA cell that is a value rather than a failure (the
-phase bound of a vanishing QFI, the hz flag of a NaN correlation) exits 0.
+Exit codes: 0 success; 2 configuration or argument validation error, or an
+--out/--meta path that cannot be written; 3 numerical failure (a wigner
+displacement out of validated range, a probe or pointer state whose
+top-level mass exceeds --tail-tol at a single point or at the wigner
+coupling, an unstable finite-difference step at a single qcrb point); 4
+degenerate post-selection at a single point, whose NA row is written.  Exits
+2 and 3 write no CSV.  Multi-point sweeps other than wigner write NA rows
+instead, and exit 0, as does an NA cell that is a value (the phase bound of
+a vanishing QFI, the hz flag of a NaN correlation).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import FockCutoff
 from .measurement import CouplingParams, EcsParams, WeakValueParams
-from .sweep import _COMMANDS
+from .sweep import _COMMANDS, FAILURES
 
 _HALF_PI = 0.5 * math.pi
 
@@ -175,6 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 2
 
+    single_point = all(spec.is_single for spec in axis_ranges)
+    for cause, message in FAILURES.items():
+        if single_point and result.na_rows[cause]:
+            print(f"ecsim: {message}", file=sys.stderr)
+            return 3
+
     # Files first, so a run that fails on an unwritable path prints no CSV.
     try:
         if args.out is not None:
@@ -187,7 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 2
 
-    single_point = all(spec.is_single for spec in axis_ranges)
     return 4 if single_point and result.na_rows["degenerate"] else 0
 
 

@@ -15,7 +15,7 @@ from .measurement import (
     EcsParams,
     PostSelectedOutcome,
     WeakValueParams,
-    _branch_family,
+    _pointer_grid,
     _post_select,
     build_ecs,
     ecs_factors,
@@ -104,14 +104,13 @@ class WeakMeasurementConfig:
     def raw_pointer_state(self, varphi: float | None = None) -> TwoModeState:
         phases = None if varphi is None else [varphi]
         left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance, phases)
-        raw = _branch_family(left, right, self.wv, self.coupling, self.displacement_scale)
-        return TwoModeState(raw[0], self.cutoff)
+        raw = _pointer_grid(left, right[0], self.wv, self.coupling, self.displacement_scale)
+        return TwoModeState(raw, self.cutoff)
 
     def pointer_outcome(self) -> PostSelectedOutcome:
         left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance)
-        raw = _branch_family(left, right, self.wv, self.coupling, self.displacement_scale)
-        states, p_s = _post_select(raw, self.tail_tolerance, DEFAULT_P_FLOOR)
-        return PostSelectedOutcome(TwoModeState(states[0], self.cutoff), float(p_s[0]))
+        raw = _pointer_grid(left, right[0], self.wv, self.coupling, self.displacement_scale)
+        return _post_select(raw, self.cutoff, self.tail_tolerance, DEFAULT_P_FLOOR)
 
     def to_dict(self) -> dict:
         return {

@@ -37,12 +37,7 @@ the mode-a arm gives
 
 a pointer state of rank at most 4, with A = [D_a(+u1) L, D_a(-u1) L] and
 X = [A+ D_b(+u2) R + B- D_b(-u2) R, A- D_b(-u2) R + B+ D_b(+u2) R].
-
-Only c_b depends on varphi, so a family of probes at phases varphi_k (the
-finite-difference QFI, or the probe together with its varphi derivative)
-shares L and stacks R_k.  Every member is then (omega / 4) A X_k^T with one
-A: the mode-a displacements are applied once, and the mode-b ones once per
-sign to all 2K columns of the stack.
+Only c_b depends on varphi, so probes at several phases share L and A.
 """
 
 from __future__ import annotations
@@ -189,10 +184,14 @@ def ecs_factors(
         col_b = coherent_column(alpha * cmath.exp(1j * varphi), cutoff.n_max_b, tail_tol)
         col_b[0] += col_a[0]
         right[k, :, 1] = params.normalization * col_b
-    # The top levels of L R_k^T hold N c_a[-1] (column 0) and N c_b[-1] (row 0).
-    for mass in abs(left[-1, 0]) ** 2 + np.abs(right[:, -1, 1]) ** 2:
+    for mass in _probe_tail(left, right):
         warn_if_truncated(mass, tail_tol, "build_ecs")
     return left, right
+
+
+def _probe_tail(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Top-level mass N^2 (|c_a[-1]|^2 + |c_b[-1]|^2) of each probe L R_k^T."""
+    return abs(left[-1, 0]) ** 2 + np.abs(right[..., -1, 1]) ** 2
 
 
 def build_ecs(
@@ -257,28 +256,57 @@ def _mixed(up: np.ndarray, down: np.ndarray, weights: tuple[complex, ...]) -> np
     return np.concatenate([a_plus * up + b_minus * down, a_minus * down + b_plus * up], axis=-1)
 
 
-def _branch_family(
+def _pointer_grid(
     left: np.ndarray,
     right: np.ndarray,
     wv: WeakValueParams,
     coupling: CouplingParams,
     displacement_scale: float,
 ) -> np.ndarray:
-    """The raw pointer grids (omega/4) A X_k^T of the module docstring.
-
-    left is L (dim_a x m) and right the stack R_k (K x dim_b x m); returns the
-    K unnormalized amplitude grids, K x dim_a x dim_b.
-    """
+    """The raw pointer grid (omega/4) A X^T of the module docstring, dim_a x dim_b,
+    from the factors L (dim_a x m) and R (dim_b x m)."""
     u2 = displacement_scale * coupling.s2
     arms = _arms(displacement_scale * coupling.s1, left)
-    count, dim_b, width = right.shape
-    columns = right.transpose(1, 0, 2).reshape(dim_b, count * width)
+    mixed = _mixed(_displaced(u2, right), _displaced(-u2, right), _branch_weights(wv))
+    return arms @ mixed.T
+
+
+def _pointer_factors(
+    left: np.ndarray, right: np.ndarray, s1s, s2s, wvs, displacement_scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of the raw pointer states over couplings and meter angles.
+
+    right is the probe's R (dim_b x m) or a stack of members R_k sharing L.
+    Returns arms (len(s1s) x dim_a x 4), A at each s1, and mixed (len(s2s) x
+    len(wvs) x [K x] dim_b x 4), X at each s2, WeakValueParams [and member],
+    so that the raw pointer grid is arms[i] @ mixed[j, k].T; each mode-b
+    displacement is one product over all members' columns.  A and X are
+    stored as their half sum and difference, [(D_a(+u1) + D_a(-u1)) L,
+    (D_a(+u1) - D_a(-u1)) L] / 2 and [X_+ + X_-, X_+ - X_-]: nearly parallel
+    arms at small u1, and nearly cancelling X_+ and X_- under strong
+    post-selection, then cancel amplitude by amplitude, as in the dense
+    grid, so Gram moments keep the dense accuracy at small P_s.  Raises
+    CouplingParams' ValueError for a negative coupling.
+    """
+    CouplingParams(float(min(s1s)), float(min(s2s)))
+    arms = np.array([_arms(displacement_scale * s1, left) for s1 in s1s])
+    dim_b, width = right.shape[-2:]
+    columns = right.reshape(-1, dim_b, width).transpose(1, 0, 2).reshape(dim_b, -1)
 
     def shifted(u: float) -> np.ndarray:
-        return _displaced(u, columns).reshape(dim_b, count, width).transpose(1, 0, 2)
+        return _displaced(u, columns).reshape(dim_b, -1, width).transpose(1, 0, 2).reshape(right.shape)
 
-    mixed = _mixed(shifted(u2), shifted(-u2), _branch_weights(wv))
-    return arms @ mixed.transpose(0, 2, 1)
+    up = np.array([shifted(displacement_scale * s2) for s2 in s2s])
+    down = np.array([shifted(-displacement_scale * s2) for s2 in s2s])
+    mixed = np.array([_mixed(up, down, _branch_weights(wv)) for wv in wvs]).swapaxes(0, 1)
+    return 0.5 * _sum_and_difference(arms), _sum_and_difference(mixed)
+
+
+def _sum_and_difference(factor: np.ndarray) -> np.ndarray:
+    """[F_1 + F_2, F_1 - F_2] from the two column halves [F_1, F_2] of a factor stack."""
+    half = factor.shape[-1] // 2
+    first, second = factor[..., :half], factor[..., half:]
+    return np.concatenate([first + second, first - second], axis=-1)
 
 
 def apply_displacement_branches(
@@ -293,19 +321,17 @@ def apply_displacement_branches(
     pair L = amp, R = identity.
     """
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    raw = _branch_family(state.amplitudes, identity[None], wv, coupling, displacement_scale)
-    return TwoModeState(raw[0], state.cutoff)
+    raw = _pointer_grid(state.amplitudes, identity, wv, coupling, displacement_scale)
+    return TwoModeState(raw, state.cutoff)
 
 
-def _phase_fixed(flat: np.ndarray, scale: np.ndarray | float = 1.0) -> np.ndarray:
-    """Scale each row of flat, rotated so its first largest entry is real positive."""
-    rows, cols = np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)
-    pivot = flat[rows, cols]
-    mag = np.abs(pivot)
-    rotation = np.divide(mag, pivot, out=np.ones_like(pivot), where=mag != 0.0)
-    fixed = flat * (scale * rotation)[:, None]
+def _phase_fixed(amp: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """amp times scale, rotated so its first largest-magnitude entry is real positive."""
+    pivot = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
+    mag = abs(amp[pivot])
+    fixed = amp * (scale * (mag / amp[pivot] if mag else 1.0))
     # pivot * (mag / pivot) can keep an imaginary part of order eps^2 * mag.
-    fixed[rows, cols] = scale * mag
+    fixed[pivot] = scale * mag
     return fixed
 
 
@@ -315,8 +341,7 @@ def fix_global_phase(state: TwoModeState) -> TwoModeState:
     Ties resolve to the first flat index, which makes repeated builds
     byte-reproducible.  A zero state is returned unchanged.
     """
-    amp = state.amplitudes
-    return TwoModeState(_phase_fixed(amp.reshape(1, -1)).reshape(amp.shape), state.cutoff)
+    return TwoModeState(_phase_fixed(state.amplitudes), state.cutoff)
 
 
 def _check_p_floor(p_s: float, p_floor: float) -> None:
@@ -328,19 +353,14 @@ def _check_p_floor(p_s: float, p_floor: float) -> None:
         )
 
 
-def _post_select(raw: np.ndarray, tail_tol: float, p_floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized, phase-fixed grids of a raw stack (K x dim_a x dim_b) and their P_s.
-
-    Raises _check_p_floor's error when any P_s falls below p_floor.  Warns
-    once per grid whose top-level mass exceeds tail_tol.
-    """
-    flat = raw.reshape(len(raw), -1)
-    p_s = np.array([np.vdot(row, row).real for row in flat])
-    _check_p_floor(p_s.min(), p_floor)
-    states = _phase_fixed(flat, 1.0 / np.sqrt(p_s)).reshape(raw.shape)
-    for mass in top_level_mass(states):
-        warn_if_truncated(mass, tail_tol, "build_pointer_state")
-    return states, p_s
+def _post_select(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float, p_floor: float) -> PostSelectedOutcome:
+    """The normalized, phase-fixed outcome of a raw pointer grid; raises
+    _check_p_floor's error below p_floor and warns above tail_tol."""
+    p_s = float(np.vdot(raw, raw).real)
+    _check_p_floor(p_s, p_floor)
+    state = _phase_fixed(raw, 1.0 / math.sqrt(p_s))
+    warn_if_truncated(top_level_mass(state), tail_tol, "build_pointer_state")
+    return PostSelectedOutcome(TwoModeState(state, cutoff), p_s)
 
 
 def build_pointer_state(
@@ -357,5 +377,4 @@ def build_pointer_state(
     measure-zero regime where the conditional state is undefined.
     """
     raw = apply_displacement_branches(ecs, wv, coupling, displacement_scale)
-    states, p_s = _post_select(raw.amplitudes[None], tail_tol, p_floor)
-    return PostSelectedOutcome(TwoModeState(states[0], ecs.cutoff), float(p_s[0]))
+    return _post_select(raw.amplitudes, ecs.cutoff, tail_tol, p_floor)

@@ -5,10 +5,10 @@ normal-ordered moment form), the joint parity Wigner cross-section, the
 two-mode intensity correlation witness, and phase-estimation figures of
 merit (quantum Fisher information and the resulting Cramer-Rao bound).
 
-Every function taking a TwoModeState works on its dense amplitude grid.  The
-sweeps instead keep a pointer state as its factors, psi = A X^T with A
+squeezing_report and hz_correlation work on a TwoModeState's dense grid.
+Everything else keeps a pointer state as its factors, psi = A X^T with A
 (dim_a x m) and X (dim_b x m), m <= 4 (see the measurement module), and
-compute each product-operator moment from two m x m Gram matrices:
+computes each product-operator moment from two m x m Gram matrices:
 
     <psi| O_a (x) O_b |psi> = sum_kl (A^dag O_a A)_kl (X^dag O_b X)_kl.
 
@@ -20,9 +20,9 @@ only when a moment first asks for it.  A depends only on the mode-a
 coupling and X only on the mode-b coupling and the meter angles, so a whole
 grid of moments is one product of stacked Grams, and the Wigner
 cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the parity
-Grams of D_a(-gamma) A and D_b(-beta) X.  A dense grid is the factor pair
-(amplitudes, identity), so the Wigner functions of a TwoModeState take the
-same route.
+Grams of D_a(-gamma) A and D_b(-beta) X; a TwoModeState enters it as the
+factor pair (amplitudes, identity).  The QFI is a cross-Gram moment of the
+probe family's factors (_qfi_grid).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RangeSpec, WeakMeasurementConfig
-from .errors import NumericalRangeError
+from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
     TwoModeState,
     annihilate,
@@ -46,10 +46,10 @@ from .fock import (
 )
 from .measurement import (
     DEFAULT_P_FLOOR,
-    _branch_family,
-    _check_p_floor,
+    EcsParams,
     _displaced,
-    _post_select,
+    _pointer_factors,
+    _probe_tail,
     ecs_factors,
 )
 
@@ -62,12 +62,13 @@ DEFAULT_RANGE_TOL = 1e-6
 
 _FD_STEP_MIN = 1e-7
 _FD_STEP_MAX = 1e-3
+DEFAULT_FD_STEP = 1e-5
 
 # Rounding level of one central-difference QFI, in units of
-# eps * max(1, sqrt(|Q|)) / step.  The worst residual |Q(h/2) - Q(h/4)| seen
-# over 15,600 evaluations (random points with r <= 1 and s <= 3 plus the
-# default qcrb grid, under several OpenBLAS kernels) was 4.5 of these units;
-# 32 leaves a margin of 7.
+# eps * max(1, sqrt(|Q|)) / step.  On _qfi_grid's factors the worst residual
+# |Q(h/2) - Q(h/4)| over 30,500 evaluations (random points with r <= 1 and
+# s <= 3 in both gauges plus the default qcrb grid, under five OpenBLAS
+# kernels) was 5.5 of these units; 32 leaves a margin of 5.8.
 _FD_ROUNDING_UNITS = 32.0
 
 
@@ -220,20 +221,20 @@ def _tail_mass(moment) -> np.ndarray:
     return moment("top", "1").real + moment("below", "top").real
 
 
-def _post_selection(moment, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P_s, degenerate) over a grid of raw pointer states.
+def _post_selection(moment, tail_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_s, degenerate, truncated) over a grid of raw pointer states.
 
-    degenerate marks the points with P_s below DEFAULT_P_FLOOR, where P_s is
-    returned as NaN, so no quantity normalized by it is defined there.  Every
-    other point warns when its normalized top-level mass exceeds tail_tol, as
-    _post_select does for dense grids.
+    degenerate marks P_s below DEFAULT_P_FLOOR, where P_s is NaN; truncated
+    and warns, as _post_select does, where the normalized top-level mass
+    exceeds tail_tol.
     """
     p_s = moment("1", "1").real
     degenerate = p_s < DEFAULT_P_FLOOR
     p_s = np.where(degenerate, np.nan, p_s)
-    for mass in (_tail_mass(moment) / p_s).ravel():
+    tail = _tail_mass(moment) / p_s
+    for mass in tail.ravel():
         warn_if_truncated(mass, tail_tol, "build_pointer_state")
-    return p_s, degenerate
+    return p_s, degenerate, tail > tail_tol
 
 
 def _hz_grid(moment, p_s: np.ndarray) -> np.ndarray:
@@ -289,11 +290,7 @@ def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[np.ndarray, n
 
 
 def _checked_wigner(
-    left: np.ndarray,
-    right: np.ndarray,
-    gammas: np.ndarray,
-    betas: np.ndarray,
-    range_tol: float,
+    left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray, range_tol: float
 ) -> np.ndarray:
     """_factored_wigner's P_J, with the range check at every point: the first
     point whose displaced top-level mass exceeds range_tol, in row-major
@@ -335,13 +332,10 @@ def joint_wigner_point(
     beta: complex,
     range_tol: float = DEFAULT_RANGE_TOL,
 ) -> float:
-    """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>.
-
-    Bounded by construction in [-1, 1] because the displacement matrices are
-    unitary to machine precision.  Multiply by WIGNER_PREFACTOR for the
-    phase-space density normalization.  Computed as a one-point
-    joint_wigner_grid, at any complex gamma and beta.
-    """
+    """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>,
+    in [-1, 1] since the displacements are unitary to rounding; times
+    WIGNER_PREFACTOR it is the phase-space density.  A one-point
+    joint_wigner_grid, at any complex gamma and beta."""
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
     values = _checked_wigner(state.amplitudes, identity, np.array([gamma]), np.array([beta]), range_tol)
     return float(values[0, 0])
@@ -364,108 +358,108 @@ def qcrb(qfi: float, shots: int = 1) -> float:
     return 1.0 / math.sqrt(shots * qfi)
 
 
-def _pure_state_qfi(dpsi: np.ndarray, psi: np.ndarray) -> float:
-    overlap = complex(np.vdot(psi, dpsi))
-    return 4.0 * (float(np.real(np.vdot(dpsi, dpsi))) - abs(overlap) ** 2)
+def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, tripped) from central-difference estimates q[..., i] at steps h, h/2, h/4.
 
-
-def qfi_from_family(
-    family: Callable[[float], TwoModeState],
-    phi0: float,
-    h: float = 1e-5,
-) -> float:
-    """Central-difference QFI of a normalized pure-state family at phi0.
-
-    Q = 4 [ <d psi|d psi> - |<psi|d psi>|^2 ]; the projection term makes the
-    value invariant under any phi-dependent global phase of the family.
+    Q is the middle estimate.  Rounding perturbs each estimate by about
+    eps * |d psi| / step, with |d psi| ~ sqrt(Q) / 2; tripped marks the
+    points whose successive differences neither contract by half nor stay
+    within that level at h/4.
     """
-    if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
-        raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    psi0 = family(phi0).amplitudes
-    plus = family(phi0 + h).amplitudes
-    minus = family(phi0 - h).amplitudes
-    dpsi = (plus - minus) / (2.0 * h)
-    return _pure_state_qfi(dpsi, psi0)
+    r1 = np.abs(q[..., 0] - q[..., 1])
+    r2 = np.abs(q[..., 1] - q[..., 2])
+    scale = np.maximum(1.0, np.sqrt(np.abs(q).max(axis=-1)))
+    noise_floor = _FD_ROUNDING_UNITS * np.finfo(np.float64).eps * scale / (0.25 * h)
+    return q[..., 1], r2 > np.maximum(0.5 * r1, noise_floor)
 
 
-def _checked_richardson(q_of_step: Callable[[float], float], h: float) -> float:
-    """Evaluate at h, h/2, h/4 and require the O(h^2) error to contract.
+def _qfi_grid(
+    config: WeakMeasurementConfig, rs, s1s, s2s, h: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, degenerate, truncated, tripped) over amplitudes rs x coupling pairs (s1s[j], s2s[j]).
 
-    Q is built from a difference quotient of unit-norm states, so rounding
-    perturbs each estimate by about eps * |d psi| / step, with
-    |d psi| ~ sqrt(Q) / 2.  Differences that neither contract nor stay within
-    that rounding level at the smallest step h/4 are reported as a
-    numerical fault.
+    One probe per amplitude; its pointer states are the factors A X_k^T of
+    _pointer_factors.  With x_0 = X_0 / sqrt(P_0) and d psi = A dX^T,
+
+        Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
+
+    With h None, dX comes from R_d = [0, i n N c_b], the varphi derivative of
+    the probe, scaled by 1/sqrt(P_0).  Otherwise the members at varphi +-
+    step (h, h/2, h/4) are scaled by 1/sqrt(P_0) ("fixed-kappa") or their own
+    1/sqrt(P_k) ("renormalized"; not phase-fixed, as the raw family is
+    analytic in varphi and the projection term removes a global phase) and
+    differenced on the factors, since differencing Grams would cancel about
+    ten digits.  The masks mark P_s below DEFAULT_P_FLOOR (Q is NaN), a probe
+    or pointer tail above the tail tolerance (the renormalized gauge warns
+    for each member's) and a Q that fails _richardson.
     """
-    q1 = q_of_step(h)
-    q2 = q_of_step(0.5 * h)
-    q3 = q_of_step(0.25 * h)
-    r1 = abs(q1 - q2)
-    r2 = abs(q2 - q3)
-    scale = max(abs(q1), abs(q2), abs(q3))
-    noise_floor = (
-        _FD_ROUNDING_UNITS * np.finfo(np.float64).eps * max(1.0, math.sqrt(scale)) / (0.25 * h)
-    )
-    if r2 > max(0.5 * r1, noise_floor):
+    phi0, tail_tol = config.ecs.varphi, config.tail_tolerance
+    steps = [] if h is None else [h, 0.5 * h, 0.25 * h]
+    varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
+    renormalized = h is not None and config.qfi_gauge == "renormalized"
+    grids = []
+    for r in rs:
+        left, right = ecs_factors(EcsParams(float(r), config.ecs.mu, phi0), config.cutoff, tail_tol, varphis)
+        probe_truncated = _probe_tail(left, right).max() > tail_tol
+        if h is None:
+            derivative = np.zeros_like(right)
+            # Entry 0 of R's second column also holds N c_a[0]; n = 0 drops it.
+            derivative[0, :, 1] = 1j * np.arange(config.cutoff.dim_b) * right[0, :, 1]
+            right = np.concatenate([right, derivative])
+        arms, mixed = _pointer_factors(left, right, s1s, s2s, [config.wv], config.displacement_scale)
+        members = mixed[:, 0]
+        # The states among the members: all of them, or X_0 beside X_d.
+        moment = _moments(arms[:, None], members if h is not None else members[:, :1])
+        p = moment("1", "1").real[:, 0]
+        degenerate = (p if renormalized else p[:, :1]).min(axis=-1) < DEFAULT_P_FLOOR
+        p = np.where(degenerate[:, None], np.nan, p)
+        tail = _tail_mass(moment)[:, 0] / p
+        if renormalized:
+            for mass in tail.ravel():
+                warn_if_truncated(mass, tail_tol, "build_pointer_state")
+        scaled = members * (1.0 / np.sqrt(p if renormalized else p[:, :1]))[..., None, None]
+        if h is None:
+            d_x = scaled[:, 1:]
+        else:
+            d_x = (scaled[:, 1::2] - scaled[:, 2::2]) * (0.5 / np.array(steps))[:, None, None]
+        g_a = _gram(arms, arms)[:, None]
+        dd = _contract(g_a, _gram(d_x, d_x))[:, 0].real
+        cross = _contract(g_a, _gram(scaled[:, :1], d_x))[:, 0]
+        q = 4.0 * (dd - np.abs(cross) ** 2)
+        q, tripped = (q[:, 0], np.zeros_like(degenerate)) if h is None else _richardson(q, h)
+        grids.append((q, degenerate, probe_truncated | (tail[:, 0] > tail_tol), tripped))
+    return tuple(np.array(grid) for grid in zip(*grids))
+
+
+def _qfi_point(config: WeakMeasurementConfig, h: float | None) -> float:
+    """_qfi_grid at the config's own amplitude and coupling; raises where it marks the point."""
+    coupling = config.coupling
+    q, degenerate, _, tripped = _qfi_grid(config, [config.ecs.r], [coupling.s1], [coupling.s2], h)
+    if degenerate[0, 0]:
+        raise DegeneratePostSelectionError(f"post-selection probability below floor {DEFAULT_P_FLOOR:.1e}")
+    if tripped[0, 0]:
         raise NumericalRangeError(
             f"finite-difference step h={h:g} is cancellation-dominated: "
-            f"successive halvings changed the estimate by {r1:.3e} then {r2:.3e}"
+            "successive halvings of the step do not contract the estimate"
         )
-    return q2
+    return float(q[0, 0])
 
 
-def _frozen_kappa(raw0: np.ndarray) -> float:
-    """1 / sqrt(P_s) of the raw pointer grid at the working point."""
-    p0 = float(np.real(np.vdot(raw0, raw0)))
-    _check_p_floor(p0, DEFAULT_P_FLOOR)
-    return 1.0 / math.sqrt(p0)
-
-
-def qfi_finite_difference(config: WeakMeasurementConfig, h: float = 1e-5) -> float:
+def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP) -> float:
     """Finite-difference QFI of the post-selected pointer family in varphi.
 
-    Under the "fixed-kappa" gauge the unnormalized four-branch state is
-    differentiated with the success-probability rescaling frozen at the
-    working point; under "renormalized" the normalized outcome family is
-    differentiated directly.  The projection term in the QFI formula makes
-    both gauges agree to finite-difference accuracy.  The seven pointer
-    states, at varphi and varphi +- step for the three Richardson steps, come
-    from one kernel call.
+    Under "fixed-kappa" the success-probability rescaling is frozen at the
+    working point, under "renormalized" each member is normalized; the
+    projection term makes both gauges agree to finite-difference accuracy.
+    _qfi_grid at one point; a tripped Richardson check raises
+    NumericalRangeError.
     """
     if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
         raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    phi0 = config.ecs.varphi
-    steps = (h, 0.5 * h, 0.25 * h)
-    varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
-    left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance, varphis)
-    family = _branch_family(left, right, config.wv, config.coupling, config.displacement_scale)
-    if config.qfi_gauge == "fixed-kappa":
-        scale = _frozen_kappa(family[0])
-    else:
-        family, _ = _post_select(family, config.tail_tolerance, DEFAULT_P_FLOOR)
-        scale = 1.0
-    psi0 = scale * family[0]
-    q_at = {
-        step: _pure_state_qfi(scale * (family[2 * i + 1] - family[2 * i + 2]) / (2.0 * step), psi0)
-        for i, step in enumerate(steps)
-    }
-    return _checked_richardson(q_at.__getitem__, h)
+    return _qfi_point(config, h)
 
 
 def qfi_analytic(config: WeakMeasurementConfig) -> float:
-    """Closed-form QFI of the pointer family in varphi.
-
-    Only the mode-b coherent branch of the probe depends on varphi, so the
-    family derivative is i n applied to that branch (i beta b^dag on the
-    coherent column), pushed through the same four displacement branches
-    with the success-probability rescaling frozen at the working point: one
-    kernel call on the probe's R and the derivative's R_d = [0, i n N c_b].
-    """
-    left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
-    derivative = np.zeros_like(right)
-    # Entry 0 of R's second column also holds N c_a[0]; n = 0 drops it.
-    derivative[0, :, 1] = 1j * np.arange(config.cutoff.dim_b) * right[0, :, 1]
-    stack = np.concatenate([right, derivative])
-    raw0, draw = _branch_family(left, stack, config.wv, config.coupling, config.displacement_scale)
-    kappa = _frozen_kappa(raw0)
-    return _pure_state_qfi(kappa * draw, kappa * raw0)
+    """Closed-form QFI of the pointer family in varphi: _qfi_grid at one point
+    with the derivative i n N c_b of the probe's mode-b coherent column."""
+    return _qfi_point(config, None)

@@ -3,25 +3,19 @@
 Each command is one entry of _COMMANDS: its axes in canonical (CSV column)
 order, default ranges, output columns, help text and runner.  The runner
 supplies a batch function that returns whole column grids, indexed by
-canonical axis position, with NA already written in.  _sweep reads the
-axis and column grids out in the declared outer-to-inner nesting
-(canonical unless the caller declares another).  probability, squeezing,
-hz and wigner compute their grids from the pointer states' factors (the
-Gram form of the observables module); qcrb evaluates its points one by
-one, since each amplitude needs its own probe.  The result is a
-SweepResult whose CSV rendering is deterministic: shortest-round-trip
-float formatting, UNIX newlines, mandatory header, and the literal sentinel
-"NA" for degenerate points, for tripped numerical guards in multi-point
-sweeps, and for phase bounds of a vanishing QFI.  Reruns on one
-numpy/BLAS build are byte-identical; across builds the last digits of
-computed floats may differ, while the structure, axis values, flags and NA
-cells do not.
+canonical axis position, with NA already written in, computed from the
+pointer states' factors (the Gram form of the observables module).  _sweep
+reads them out in the declared outer-to-inner nesting.  The CSV rendering
+of the resulting SweepResult is deterministic: shortest-round-trip floats,
+UNIX newlines, mandatory header, and "NA" for the rows of NA_CAUSES and the
+phase bound of a vanishing QFI.  Reruns on one numpy/BLAS build are
+byte-identical; across builds only the last digits of computed floats may
+differ.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import warnings
@@ -32,28 +26,18 @@ import numpy as np
 
 from . import __version__
 from .config import RangeSpec, WeakMeasurementConfig
-from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
-from .measurement import (
-    DEFAULT_P_FLOOR,
-    CouplingParams,
-    _arms,
-    _branch_weights,
-    _check_p_floor,
-    _displaced,
-    _mixed,
-    ecs_factors,
-)
+from .errors import NumericalRangeError, TruncationWarning
+from .measurement import DEFAULT_P_FLOOR, _check_p_floor, _pointer_factors, _probe_tail, ecs_factors
 from .observables import (
+    DEFAULT_FD_STEP,
     DEFAULT_RANGE_TOL,
     _checked_wigner,
     _hz_grid,
     _moments,
     _post_selection,
+    _qfi_grid,
     _squeezing_grid,
     _wigner_axes,
-    qcrb,
-    qfi_analytic,
-    qfi_finite_difference,
 )
 
 NA = "NA"
@@ -61,8 +45,15 @@ NA = "NA"
 # Q_fi below this emits an NA phase bound instead of a spuriously huge one.
 QFI_SENTINEL_FLOOR = 1e-12
 
-# Causes of NA rows, as counted in SweepResult.na_rows.
-NA_CAUSES = ("degenerate", "richardson", "zero_qfi")
+# Causes of NA rows, as counted in SweepResult.na_rows.  A row is counted
+# under the first cause that holds for it, in this order.
+NA_CAUSES = ("degenerate", "truncated", "richardson", "zero_qfi")
+
+# What a single point, or wigner's state, fails with for these causes.
+FAILURES = {
+    "truncated": "the probe or pointer state puts more than the tail tolerance (--tail-tol) on its top Fock level",
+    "richardson": "the finite-difference QFI step is cancellation-dominated",
+}
 
 
 def format_cell(value) -> str:
@@ -110,17 +101,15 @@ def _sweep(
     command: str,
     ranges: tuple[RangeSpec, ...],
     order: list[str] | None,
-    batch: Callable[[], tuple[list[np.ndarray], dict, dict]],
+    batch: Callable[[], tuple[list[np.ndarray], dict]],
 ) -> SweepResult:
     """Rows of one command over the product of its axis ranges.
 
-    ranges follow the command's canonical axes, and order names the axes
-    from the outermost loop to the innermost (default: canonical).
-    batch() runs once, under the sweep's warning capture, and returns the
-    output column grids (one axis per canonical axis, NA cells written in),
-    the NA rows it wrote counted by cause, and any extra metadata.  Each
-    axis and column grid is transposed into the declared order and read
-    out flat, so the last declared axis varies fastest.
+    ranges follow the command's canonical axes; order names them outermost
+    first (default: canonical).  batch() runs once, under the sweep's warning
+    capture, and returns the column grids (one axis per canonical axis, NA
+    written in) and extra metadata, whose "na_rows" counts NA rows by cause.
+    Each grid is transposed into the declared order and read out flat.
     """
     spec = _COMMANDS[command]
     axes = spec["axes"]
@@ -130,7 +119,7 @@ def _sweep(
     nest = [axes.index(name) for name in order]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        columns, na_rows, extra = batch()
+        columns, extra = batch()
     grids = [*np.meshgrid(*(r.values() for r in ranges), indexing="ij"), *columns]
     rows = tuple(zip(*(np.transpose(grid, nest).ravel().tolist() for grid in grids)))
     metadata = {
@@ -140,7 +129,7 @@ def _sweep(
         "rows": len(rows),
         **extra,
     }
-    return SweepResult(axes + spec["columns"], rows, metadata, {**dict.fromkeys(NA_CAUSES, 0), **na_rows})
+    return SweepResult(axes + spec["columns"], rows, metadata, extra.get("na_rows", dict.fromkeys(NA_CAUSES, 0)))
 
 
 def _with_na(grid: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -150,61 +139,36 @@ def _with_na(grid: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _degenerate_na(columns: list[np.ndarray], degenerate: np.ndarray) -> tuple[list[np.ndarray], dict, dict]:
-    """Batch result of column grids whose degenerate points become NA rows."""
-    return [_with_na(column, degenerate) for column in columns], {"degenerate": int(degenerate.sum())}, {}
+def _failed_na(columns: list[np.ndarray], **failed: np.ndarray) -> tuple[list[np.ndarray], dict, np.ndarray]:
+    """(columns, NA rows by cause, NA mask) with NA rows where a failure mask
+    is set, each counted under its first cause in NA_CAUSES order."""
+    na = np.zeros(np.shape(columns[0]), dtype=bool)
+    counts = dict.fromkeys(NA_CAUSES, 0)
+    for cause in NA_CAUSES:
+        first = failed.get(cause, False) & ~na
+        counts[cause] = int(first.sum())
+        na |= first
+    return [_with_na(column, na) for column in columns], counts, na
 
 
-def _pointer_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of the raw pointer states over couplings and meter angles.
-
-    Returns arms (len(s1s) x dim_a x 4), a mode-a factor A at each coupling
-    s1, and mixed (len(s2s) x len(wvs) x dim_b x 4), a mode-b factor X at
-    each coupling s2 and WeakValueParams wv, so that the raw pointer grid at
-    (s1_i, s2_j, wv_k) is arms[i] @ mixed[j, k].T.  The probe is built once.
-
-    The kernel's factors [D_a(+u1) L, D_a(-u1) L] and [X_+, X_-] are stored
-    as their half sum and half difference, [(D_a(+u1) + D_a(-u1)) L,
-    (D_a(+u1) - D_a(-u1)) L] / 2 and [X_+ + X_-, X_+ - X_-], which give the
-    same product.  At small u1 the two arms are nearly parallel, and under a
-    strong post-selection X_+ and X_- nearly cancel; in this basis both
-    cancellations happen amplitude by amplitude, as in the dense grid,
-    instead of between large Gram entries.  So the Gram moments keep the
-    dense route's accuracy at small P_s.
-
-    Raises CouplingParams' ValueError when either axis holds a negative
-    coupling.
-    """
-    CouplingParams(float(min(s1s)), float(min(s2s)))
+def _sweep_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.ndarray, np.ndarray, bool]:
+    """_pointer_factors of the config's probe, built once, and whether the
+    probe's top-level mass exceeds the tail tolerance."""
     left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
-    scale = config.displacement_scale
-    arms = np.stack([_arms(scale * s1, left) for s1 in s1s])
-    up = np.stack([_displaced(scale * s2, right[0]) for s2 in s2s])
-    down = np.stack([_displaced(-scale * s2, right[0]) for s2 in s2s])
-    mixed = np.stack([_mixed(up, down, _branch_weights(wv)) for wv in wvs], axis=1)
-    return 0.5 * _sum_and_difference(arms), _sum_and_difference(mixed)
+    arms, mixed = _pointer_factors(left, right[0], s1s, s2s, wvs, config.displacement_scale)
+    return arms, mixed, bool(_probe_tail(left, right)[0] > config.tail_tolerance)
 
 
-def _sum_and_difference(factor: np.ndarray) -> np.ndarray:
-    """[F_1 + F_2, F_1 - F_2] from the two column halves [F_1, F_2] of a factor stack."""
-    half = factor.shape[-1] // 2
-    first, second = factor[..., :half], factor[..., half:]
-    return np.concatenate([first + second, first - second], axis=-1)
-
-
-def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (left, right) of the post-selected pointer state at the config's coupling.
-
-    left @ right.T is the normalized state, up to its global phase; it feeds
-    cmd_wigner's Gram grid with 4 columns per mode, where pointer_outcome's
-    dense state would give dim_b.  Warns and raises like pointer_outcome.
-    """
+def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Factors (left, right) of the post-selected pointer state at the config's
+    coupling, normalized up to a global phase, and whether the probe or the
+    state is truncated.  Warns and raises like pointer_outcome."""
     coupling = config.coupling
-    arms, mixed = _pointer_factors(config, [coupling.s1], [coupling.s2], [config.wv])
+    arms, mixed, probe_truncated = _sweep_factors(config, [coupling.s1], [coupling.s2], [config.wv])
     moment = _moments(arms, mixed[:, 0])
     _check_p_floor(moment("1", "1")[0, 0].real, DEFAULT_P_FLOOR)
-    p_s, _ = _post_selection(moment, config.tail_tolerance)
-    return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0]
+    p_s, _, truncated = _post_selection(moment, config.tail_tolerance)
+    return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0], probe_truncated or bool(truncated[0, 0])
 
 
 def cmd_probability(
@@ -219,19 +183,23 @@ def cmd_probability(
     def batch():
         s, thetas = s_range.values(), theta_range.values()
         wvs = [dataclasses.replace(config.wv, theta1=t, theta2=t) for t in thetas.tolist()]
-        arms, mixed = _pointer_factors(config, s, s, wvs)
-        p_s, degenerate = _post_selection(_moments(arms[:, None], mixed), config.tail_tolerance)
-        return _degenerate_na([p_s[:, 0]], degenerate[:, 0])
+        arms, mixed, probe_truncated = _sweep_factors(config, s, s, wvs)
+        p_s, degenerate, truncated = _post_selection(_moments(arms[:, None], mixed), config.tail_tolerance)
+        columns, counts, _ = _failed_na([p_s[:, 0]], degenerate=degenerate[:, 0],
+                                        truncated=truncated[:, 0] | probe_truncated)
+        return columns, {"na_rows": counts}
 
     return _sweep(config, "probability", (s_range, theta_range), order, batch)
 
 
 def _coupling_batch(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec, columns):
     """Batch over the (s1, s2) grid of the column grids columns(moment, P_s)."""
-    arms, mixed = _pointer_factors(config, s1_range.values(), s2_range.values(), [config.wv])
+    arms, mixed, probe_truncated = _sweep_factors(config, s1_range.values(), s2_range.values(), [config.wv])
     moment = _moments(arms, mixed[:, 0])
-    p_s, degenerate = _post_selection(moment, config.tail_tolerance)
-    return _degenerate_na(columns(moment, p_s), degenerate)
+    p_s, degenerate, truncated = _post_selection(moment, config.tail_tolerance)
+    grids, counts, _ = _failed_na(columns(moment, p_s), degenerate=degenerate,
+                                  truncated=truncated | probe_truncated)
+    return grids, {"na_rows": counts}
 
 
 def cmd_squeezing(
@@ -257,14 +225,17 @@ def cmd_wigner(
     order: list[str] | None = None,
 ) -> SweepResult:
     """Joint-parity Wigner cross-section of the post-selected state at the
-    config's point coupling; metadata additionally carries the grid minimum.
-    The grid is computed whole, so any point out of range fails the sweep."""
+    config's point coupling, with the grid minimum in the metadata.  Any
+    point out of range, and then a truncated state, fails the whole grid."""
 
     def batch():
         # Checked before the state is built, so a bad axis fails alike at any coupling.
         axes = _wigner_axes(re_gamma, re_beta)
-        values = _checked_wigner(*_pointer_at(config), *axes, DEFAULT_RANGE_TOL)
-        return [values], {}, {"grid_min": float(values.min())}
+        left, right, truncated = _pointer_at(config)
+        values = _checked_wigner(left, right, *axes, DEFAULT_RANGE_TOL)
+        if truncated:
+            raise NumericalRangeError(FAILURES["truncated"])
+        return [values], {"grid_min": float(values.min())}
 
     return _sweep(config, "wigner", (re_gamma, re_beta), order, batch)
 
@@ -294,39 +265,21 @@ def cmd_qcrb(
 ) -> SweepResult:
     """QFI and single-shot phase bound over amplitude and coupling; s1 = s2 = s.
 
-    The "fixed-kappa" gauge uses the closed-form derivative construction,
-    "renormalized" falls back to checked finite differences on normalized
-    outcomes (both agree to finite-difference accuracy).  A degenerate
-    point, and a point whose finite-difference check trips, becomes an NA
-    row; a single-point run raises the NumericalRangeError instead.  A QFI
-    below QFI_SENTINEL_FLOOR gets an NA phase bound.  The metadata counts
-    the NA rows by cause under "na_rows".
+    One _qfi_grid call: the closed-form derivative under "fixed-kappa",
+    checked finite differences under "renormalized".  Degenerate, truncated
+    and Richardson-tripped points become NA rows, and a QFI below
+    QFI_SENTINEL_FLOOR gets an NA phase bound.
     """
 
     def batch():
-        single_point = r_range.is_single and s_range.is_single
-        rs, ss = r_range.values().tolist(), s_range.values().tolist()
-        q_fi = np.full((len(rs), len(ss)), NA, dtype=object)
-        delta_phi = q_fi.copy()
-        na_rows = dict.fromkeys(NA_CAUSES, 0)
-        for (i, r), (j, s) in itertools.product(enumerate(rs), enumerate(ss)):
-            at = config.replace(ecs=dataclasses.replace(config.ecs, r=r), coupling=CouplingParams(s, s))
-            try:
-                q = qfi_analytic(at) if config.qfi_gauge == "fixed-kappa" else qfi_finite_difference(at)
-            except DegeneratePostSelectionError:
-                na_rows["degenerate"] += 1
-                continue
-            except NumericalRangeError:
-                if single_point:
-                    raise
-                na_rows["richardson"] += 1
-                continue
-            q_fi[i, j] = q
-            if q >= QFI_SENTINEL_FLOOR:
-                delta_phi[i, j] = qcrb(q, 1)
-            else:
-                na_rows["zero_qfi"] += 1
-        return [q_fi, delta_phi], na_rows, {"na_rows": na_rows}
+        rs, ss = r_range.values(), s_range.values()
+        h = None if config.qfi_gauge == "fixed-kappa" else DEFAULT_FD_STEP
+        q, degenerate, truncated, tripped = _qfi_grid(config, rs, ss, ss, h)
+        (q_fi,), counts, na = _failed_na([q], degenerate=degenerate, truncated=truncated, richardson=tripped)
+        zero = ~na & ~(q >= QFI_SENTINEL_FLOOR)
+        counts["zero_qfi"] = int(zero.sum())
+        delta_phi = _with_na(1.0 / np.sqrt(np.where(na | zero, 1.0, q)), na | zero)
+        return [q_fi, delta_phi], {"na_rows": counts}
 
     return _sweep(config, "qcrb", (r_range, s_range), order, batch)
 

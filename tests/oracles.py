@@ -129,3 +129,15 @@ def brute_force_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
     )
     p_s = float(np.sum(np.abs(amp) ** 2))
     return pivot_phase(amp / math.sqrt(p_s)), p_s
+
+
+def qfi_from_family(family, phi0, h=1e-5):
+    """Central-difference QFI of a normalized pure-state family at phi0.
+
+    family(phi) returns an amplitude array.  Q = 4 [ <d psi|d psi> -
+    |<psi|d psi>|^2 ], whose projection term makes the value invariant
+    under any phi-dependent global phase of the family.
+    """
+    psi = np.asarray(family(phi0))
+    dpsi = (np.asarray(family(phi0 + h)) - np.asarray(family(phi0 - h))) / (2.0 * h)
+    return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 import ecsim.cli
@@ -55,8 +56,14 @@ def test_cli_calls_each_runner_through_its_table(monkeypatch):
 
 def test_sweeps_look_up_the_patched_observables_when_called(monkeypatch):
     calls = []
-    monkeypatch.setattr(sweep, "qfi_finite_difference", lambda point: calls.append("qfi") or 4.0)
+
+    def qfi_grid(config, rs, s1s, s2s, h):
+        calls.append(("qfi", h))
+        clear = np.zeros((len(rs), len(s1s)), dtype=bool)
+        return np.full(clear.shape, 4.0), clear, clear, clear
+
+    monkeypatch.setattr(sweep, "_qfi_grid", qfi_grid)
     point = RangeSpec(0.3, 0.3, 1)
     config = default_config(qfi_gauge="renormalized")
     assert sweep.cmd_qcrb(config, point, point).rows == ((0.3, 0.3, 4.0, 0.5),)
-    assert calls == ["qfi"]
+    assert calls == [("qfi", 1e-5)]

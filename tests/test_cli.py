@@ -15,14 +15,17 @@ from golden_cases import GOLDEN_CASES, cell_bound, golden_mismatches
 import ecsim
 from ecsim import __version__, sweep
 from ecsim.cli import main, parse_angle, parse_cutoff, parse_sweep
-from ecsim.config import RangeSpec
-from ecsim.errors import NumericalRangeError
+from ecsim.config import RangeSpec, default_config
 from ecsim.fock import FockCutoff
+from ecsim.measurement import EcsParams
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 # A meter angle whose post-selection falls below the P_s floor.
 NEAR_PI = "0.99999999pi"
+
+# The --meta "na_rows" of a sweep without NA rows.
+CLEAN_NA_ROWS = {"degenerate": 0, "truncated": 0, "richardson": 0, "zero_qfi": 0}
 
 
 def test_parse_angle():
@@ -175,15 +178,15 @@ def test_nan_correlation_gets_na_flag(capsys, monkeypatch):
 
 
 def _trip_richardson_at(monkeypatch, r, s):
-    """Make the finite-difference QFI refuse the point (r, s) and nothing else."""
-    real = sweep.qfi_finite_difference
+    """Make the QFI batch refuse the point (r, s) as a tripped Richardson check, and nothing else."""
+    real = sweep._qfi_grid
 
-    def tripping(point, *args, **kwargs):
-        if (point.ecs.r, point.coupling.s1) == (r, s):
-            raise NumericalRangeError("finite-difference step is cancellation-dominated")
-        return real(point, *args, **kwargs)
+    def tripping(config, rs, s1s, s2s, *args):
+        q, degenerate, truncated, tripped = real(config, rs, s1s, s2s, *args)
+        tripped = tripped | (np.asarray(rs)[:, None] == r) & (np.asarray(s1s)[None, :] == s)
+        return q, degenerate, truncated, tripped
 
-    monkeypatch.setattr(sweep, "qfi_finite_difference", tripping)
+    monkeypatch.setattr(sweep, "_qfi_grid", tripping)
 
 
 def test_qcrb_range_trip_in_grid_gets_na_row(capsys, monkeypatch, tmp_path):
@@ -191,9 +194,7 @@ def test_qcrb_range_trip_in_grid_gets_na_row(capsys, monkeypatch, tmp_path):
     meta = tmp_path / "meta.json"
     argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.05:0.1:2", "--sweep", "s=0:1:2"]
     assert main(argv + ["--meta", str(meta)]) == 0
-    assert json.loads(meta.read_text())["na_rows"] == {
-        "degenerate": 0, "richardson": 1, "zero_qfi": 0
-    }
+    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, richardson=1)
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [(row["r"], row["s"]) for row in rows] == [
         ("0.05", "0.0"), ("0.05", "1.0"), ("0.1", "0.0"), ("0.1", "1.0")
@@ -215,6 +216,36 @@ def test_qcrb_range_trip_at_single_point_exits_three(capsys, monkeypatch):
     assert "cancellation-dominated" in captured.err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["hz", "--r", "6", "--sweep", "s1=3:3:1", "--sweep", "s2=3:3:1"], "295.000"),
+    (["qcrb", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1"], "1434.44"),
+])
+def test_truncated_single_point_exits_three(capsys, argv, value):
+    # At cutoff 40 the r = 6 probe is truncated, and the point used to print
+    # E = 204.185... and Q_fi = 1024.38... with exit 0.
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tail-tol" in captured.err
+    assert main(argv + ["--cutoff", "120"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2].startswith(value)
+
+
+@pytest.mark.parametrize("argv, truncated_row", [
+    # The pointer state displaced by s1 = 20 is truncated, its probe is not.
+    (["hz", "--r", "3", "--sweep", "s1=0:20:2", "--sweep", "s2=0:0:1"], "20.0,0.0,NA,NA"),
+    # The r = 6 probe is truncated.
+    (["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.1:6:2", "--sweep", "s=1:1:1"], "6.0,1.0,NA,NA"),
+])
+def test_truncated_row_in_grid_is_na(capsys, tmp_path, argv, truncated_row):
+    meta = tmp_path / "meta.json"
+    assert main(argv + ["--meta", str(meta)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[1] == truncated_row
+    assert "NA" not in rows[0].split(",")
+    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, truncated=1)
+
+
 def test_zero_qfi_single_point_exits_zero_with_na_bound(capsys, tmp_path):
     # At r = 0 the probe carries no phase: Q = 0 and delta_phi is undefined,
     # which is neither a degenerate post-selection nor an error.
@@ -224,9 +255,7 @@ def test_zero_qfi_single_point_exits_zero_with_na_bound(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "r,s,Q_fi,delta_phi\n0.0,1.0,0.0,NA\n"
     assert captured.err == ""
-    assert json.loads(meta.read_text())["na_rows"] == {
-        "degenerate": 0, "richardson": 0, "zero_qfi": 1
-    }
+    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, zero_qfi=1)
 
 
 def test_zero_qfi_in_grid_is_counted(capsys, tmp_path):
@@ -235,20 +264,20 @@ def test_zero_qfi_in_grid_is_counted(capsys, tmp_path):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert rows[0] == "0.0,1.0,0.0,NA"
     assert not rows[1].endswith("NA")
-    assert json.loads(meta.read_text())["na_rows"] == {
-        "degenerate": 0, "richardson": 0, "zero_qfi": 1
-    }
+    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, zero_qfi=1)
 
 
-def test_renormalized_qcrb_builds_the_mode_a_column_once(tmp_path):
+def test_renormalized_qcrb_builds_the_mode_a_column_once():
     # At a truncating cutoff each of the seven finite-difference probes warns
     # for its mode-b column, its ECS tail and its pointer tail; the mode-a
-    # column they share is built, and warns, once: 1 + 3 * 7 warnings.
-    meta = tmp_path / "meta.json"
-    argv = ["qcrb", "--qfi-gauge", "renormalized", "--cutoff", "10",
-            "--sweep", "r=2:2:1", "--sweep", "s=0:0:1"]
-    assert main(argv + ["--out", str(tmp_path / "q.csv"), "--meta", str(meta)]) == 0
-    assert json.loads(meta.read_text())["truncation_warnings"] == 22
+    # column they share is built, and warns, once: 1 + 3 * 7 warnings.  The
+    # row is NA as truncated, which the CLI refuses at a single point, so
+    # the sweep is called directly.
+    config = default_config(qfi_gauge="renormalized", ecs=EcsParams(2.0), cutoff=FockCutoff(10, 10))
+    result = sweep.cmd_qcrb(config, RangeSpec(2.0, 2.0, 1), RangeSpec(0.0, 0.0, 1))
+    assert result.metadata["truncation_warnings"] == 22
+    assert result.rows == ((2.0, 0.0, "NA", "NA"),)
+    assert result.na_rows["truncated"] == 1
 
 
 def _read_rows(path):
@@ -329,6 +358,17 @@ def test_degenerate_single_point_exits_four(capsys):
     assert code == 4
     out = capsys.readouterr().out
     assert out.splitlines()[1].endswith("NA")
+
+
+def test_truncated_wigner_state_exits_three(capsys):
+    # Every displacement is in range at |gamma|, |beta| <= 0.01, but the r = 1
+    # probe puts more than --tail-tol on level 12; cutoff 14 holds it.
+    argv = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]
+    assert main(argv + ["--cutoff", "12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tail-tol" in captured.err
+    assert main(argv + ["--cutoff", "14"]) == 0
 
 
 def test_wigner_out_of_range_exits_three(capsys):
@@ -438,17 +478,15 @@ DEFAULT_CONFIG_ECHO = {
 # The --meta sidecar of each golden invocation.  grid_min is compared within
 # the golden float bound, every other field exactly.
 GOLDEN_METADATA = {
-    "probability_default.csv": {"rows": 124},
-    "squeezing_default.csv": {"rows": 256},
+    "probability_default.csv": {"rows": 124, "na_rows": CLEAN_NA_ROWS},
+    "squeezing_default.csv": {"rows": 256, "na_rows": CLEAN_NA_ROWS},
     "wigner_coupled.csv": {
         "rows": 2601,
         "grid_min": -0.32515977428700416,
         "config": dict(DEFAULT_CONFIG_ECHO, s1=1.0, s2=1.0),
     },
-    "hz_default.csv": {"rows": 256},
-    "qcrb_default.csv": {
-        "rows": 50, "na_rows": {"degenerate": 0, "richardson": 0, "zero_qfi": 0}
-    },
+    "hz_default.csv": {"rows": 256, "na_rows": CLEAN_NA_ROWS},
+    "qcrb_default.csv": {"rows": 50, "na_rows": CLEAN_NA_ROWS},
 }
 
 
@@ -486,11 +524,15 @@ def test_sweep_builds_the_probe_once(tmp_path, argv, warnings):
     # its tail, once per sweep, and each pointer state for its tail: 3 + 2
     # warnings on two points, 3 + 124 on the default probability grid and
     # 3 + 256 on the default coupling grids.  Rebuilding the probe per point
-    # would give 8 on two points.
-    meta = tmp_path / "meta.json"
-    argv = argv + ["--r", "2", "--cutoff", "10", "--out", str(tmp_path / "o.csv"), "--meta", str(meta)]
+    # would give 8 on two points.  The truncated probe makes every row NA.
+    meta, out = tmp_path / "meta.json", tmp_path / "o.csv"
+    argv = argv + ["--r", "2", "--cutoff", "10", "--out", str(out), "--meta", str(meta)]
     assert main(argv) == 0
-    assert json.loads(meta.read_text())["truncation_warnings"] == warnings
+    written = json.loads(meta.read_text())
+    assert written["truncation_warnings"] == warnings
+    rows = out.read_text().splitlines()[1:]
+    assert written["na_rows"] == dict(CLEAN_NA_ROWS, truncated=len(rows))
+    assert all(row.endswith(",NA") for row in rows)
 
 
 # Per command: its two axes, in canonical order, as small --sweep flags.
@@ -518,11 +560,12 @@ def test_reversed_declaration_transposes_the_canonical_rows(capsys, command):
 
 
 # Grids holding NA rows: flags, canonical outer and inner axes, the number of
-# NA rows, and the --meta "na_rows" entry (only qcrb writes one).
+# NA rows, and the --meta "na_rows" entry.
 MIXED_GRIDS = {
-    "probability": ([], "s=0:2:2", f"theta=0.5pi:{NEAR_PI}:2", 1, None),
-    "hz": (["--theta1", NEAR_PI, "--theta2", NEAR_PI], "s1=0:2:2", "s2=0:2:3", 4, None),
-    "qcrb": ([], "r=0:0.1:2", "s=0:1:3", 3, {"degenerate": 0, "richardson": 0, "zero_qfi": 3}),
+    "probability": ([], "s=0:2:2", f"theta=0.5pi:{NEAR_PI}:2", 1, dict(CLEAN_NA_ROWS, degenerate=1)),
+    "hz": (["--theta1", NEAR_PI, "--theta2", NEAR_PI], "s1=0:2:2", "s2=0:2:3", 4,
+           dict(CLEAN_NA_ROWS, degenerate=4)),
+    "qcrb": ([], "r=0:0.1:2", "s=0:1:3", 3, dict(CLEAN_NA_ROWS, zero_qfi=3)),
 }
 
 

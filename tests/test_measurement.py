@@ -338,17 +338,18 @@ def test_branches_match_eight_product_reference(seed, support, dims, angles, s1,
     n_max=st.sampled_from([12, 40]),
 )
 def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
-    """Each slice of one family call, raw and post-selected, equals the
-    per-phase route build_ecs -> apply_displacement_branches -> build_pointer_state,
-    and each raw slice equals the explicit two-meter evolution at its phase."""
+    """Each member of one _pointer_factors call on a stack of probes, raw and
+    post-selected, equals the per-phase route build_ecs ->
+    apply_displacement_branches -> build_pointer_state, and each raw member
+    equals the explicit two-meter evolution at its phase."""
     cutoff = fock.FockCutoff(n_max, n_max)
     wv, coupling = WeakValueParams(*angles), CouplingParams(s1, s2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
-        raw = measurement._branch_family(left, right, wv, coupling, 0.5)
-        states, p_s = measurement._post_select(raw, fock.DEFAULT_TAIL_TOL, DEFAULT_P_FLOOR)
-        assert raw.shape == states.shape == (len(varphis), n_max + 1, n_max + 1)
+        arms, mixed = measurement._pointer_factors(left, right, [s1], [s2], [wv], 0.5)
+        assert mixed.shape == (1, 1, len(varphis), n_max + 1, 4)
+        raw = arms[0] @ mixed[0, 0].swapaxes(-1, -2)
         for k, varphi in enumerate(varphis):
             ecs = build_ecs(EcsParams(r, mu, varphi), cutoff)
             dense_raw = apply_displacement_branches(ecs, wv, coupling).amplitudes
@@ -356,8 +357,9 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
             assert np.max(np.abs(raw[k] - dense_raw)) <= 1e-13
             expected = oracles.brute_force_raw_pointer(r, mu, varphi, *angles, s1, s2, n_max)
             assert np.max(np.abs(raw[k] - expected)) <= 1e-13
-            assert np.max(np.abs(states[k] - outcome.state.amplitudes)) <= 1e-13
-            assert abs(p_s[k] - outcome.success_probability) <= 1e-13
+            selected = measurement._post_select(raw[k], cutoff, fock.DEFAULT_TAIL_TOL, DEFAULT_P_FLOOR)
+            assert np.max(np.abs(selected.state.amplitudes - outcome.state.amplitudes)) <= 1e-13
+            assert abs(selected.success_probability - outcome.success_probability) <= 1e-13
 
 
 def dense_derivative_qfi(config):

@@ -28,14 +28,13 @@ from ecsim.measurement import (
 from ecsim.observables import (
     DEFAULT_RANGE_TOL,
     WignerGrid,
-    _checked_richardson,
+    _richardson,
     hz_correlation,
     joint_wigner_grid,
     joint_wigner_point,
     qcrb,
     qfi_analytic,
     qfi_finite_difference,
-    qfi_from_family,
     squeezing_report,
     sum_squeezing_direct,
     sum_squeezing_normal_ordered,
@@ -173,13 +172,17 @@ def test_wigner_range_guard():
 
 
 def test_wigner_grid_matches_point_evaluation():
+    """Each grid value and each point evaluation is the displaced parity of
+    the oracle's own displacements."""
     state = build_ecs(EcsParams(0.1, HALF_PI, HALF_PI), CUT40)
     grid = joint_wigner_grid(state, RangeSpec(-0.5, 0.5, 3), RangeSpec(-0.5, 0.5, 3))
     assert grid.minimum == float(grid.values.min())
     for i, g in enumerate(grid.re_gamma_axis):
+        d_a = oracles.displacement(-g, 40)
         for j, b in enumerate(grid.re_beta_axis):
-            point = joint_wigner_point(state, complex(g), complex(b))
-            assert abs(grid.values[i, j] - point) < 1e-13
+            parity, _ = oracles.displaced_parity(state.amplitudes, d_a, oracles.displacement(-b, 40))
+            assert abs(grid.values[i, j] - parity) < 1e-13
+            assert abs(joint_wigner_point(state, complex(g), complex(b)) - parity) < 1e-13
 
 
 def test_wigner_grid_validation():
@@ -232,9 +235,9 @@ def test_qfi_coherent_family_number_variance():
     def family(phi):
         amp = np.zeros((41, 41), dtype=complex)
         amp[0, :] = fock.coherent_column(0.5 * cmath.exp(1j * phi), 40)
-        return fock.TwoModeState(amp, CUT40)
+        return amp
 
-    q = qfi_from_family(family, 0.7)
+    q = oracles.qfi_from_family(family, 0.7)
     assert abs(q - 1.0) < 1e-6
 
 
@@ -242,19 +245,9 @@ def test_qfi_fock_family_is_zero():
     def family(phi):
         amp = np.zeros((11, 11), dtype=complex)
         amp[0, 3] = cmath.exp(3j * phi)
-        return fock.TwoModeState(amp, fock.FockCutoff(10, 10))
+        return amp
 
-    assert abs(qfi_from_family(family, 0.4)) < 1e-9
-
-
-def test_qfi_family_step_validation():
-    def family(phi):
-        return vacuum_state(fock.FockCutoff(4, 4))
-
-    with pytest.raises(ValueError):
-        qfi_from_family(family, 0.0, h=1e-8)
-    with pytest.raises(ValueError):
-        qfi_from_family(family, 0.0, h=1e-2)
+    assert abs(oracles.qfi_from_family(family, 0.4)) < 1e-9
 
 
 def baseline_config(r=0.1, s=0.0, **overrides):
@@ -296,9 +289,9 @@ def test_qfi_zero_coupling_closed_meter_reduces_to_bare_probe():
     )
 
     def family(phi):
-        return build_ecs(EcsParams(0.3, HALF_PI, phi), CUT40)
+        return build_ecs(EcsParams(0.3, HALF_PI, phi), CUT40).amplitudes
 
-    q_bare = qfi_from_family(family, HALF_PI)
+    q_bare = oracles.qfi_from_family(family, HALF_PI)
     q_an = qfi_analytic(config)
     assert abs(q_an - q_bare) < 1e-6 * max(q_bare, 1e-12)
 
@@ -320,18 +313,13 @@ def test_qfi_step_validation_and_degenerate_guard():
 
 
 def test_checked_richardson_contracts_and_rejects():
-    def clean(h):
-        return 1.0 + 1e6 * h * h
-
-    assert abs(_checked_richardson(clean, 1e-5) - (1.0 + 1e6 * 2.5e-11)) < 1e-15
-
-    noisy_values = {1e-5: 1.001, 5e-6: 0.999, 2.5e-6: 1.001}
-
-    def noisy(h):
-        return noisy_values[h]
-
-    with pytest.raises(NumericalRangeError):
-        _checked_richardson(noisy, 1e-5)
+    steps = 1e-5 * np.array([1.0, 0.5, 0.25])
+    q, tripped = _richardson(1.0 + 1e6 * steps**2, 1e-5)
+    assert abs(q - (1.0 + 1e6 * 2.5e-11)) < 1e-15
+    assert not tripped
+    q, tripped = _richardson(np.array([[1.001, 0.999, 1.001], [np.nan] * 3]), 1e-5)
+    assert q[0] == 0.999
+    assert tripped.tolist() == [True, False]
 
 
 # Property tests of the Gram route the sweeps take: every column of a sweep
@@ -372,6 +360,15 @@ def reference_states(config, s1, s2):
     return [(dense.state, dense.success_probability), (fock.TwoModeState(amp, cutoff), p_s)]
 
 
+def truncated_reference(config, s1, s2):
+    """Whether the dense probe, or its pointer state at (s1, s2), puts more
+    than the tail tolerance on its top Fock level."""
+    probe = config.ecs_state()
+    outcome = build_pointer_state(probe, config.wv, CouplingParams(s1, s2))
+    masses = fock.top_level_mass(probe.amplitudes), fock.top_level_mass(outcome.state.amplitudes)
+    return max(masses) > config.tail_tolerance
+
+
 def gram_config(r, mu, varphi, angles, n_max, **changes):
     return default_config(
         ecs=EcsParams(r, mu, varphi),
@@ -396,18 +393,26 @@ def gram_config(r, mu, varphi, angles, n_max, **changes):
 def test_gram_sweep_columns_match_dense_and_tensor_references(
     r, mu, varphi, angles, theta_big, s1, s2, theta, n_max
 ):
-    """P_s over (s, theta), both squeezing routes and E over (s1, s2)."""
+    """P_s over (s, theta), both squeezing routes and E over (s1, s2); a row
+    is NA exactly where the dense probe or pointer state is truncated."""
     config = gram_config(r, mu, varphi, angles, n_max, theta_big=theta_big)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for s, th, p_s in sweep.cmd_probability(config, s1, theta).rows:
             at = config.replace(wv=WeakValueParams(th, angles[1], th, angles[3]))
+            assert (p_s == sweep.NA) == truncated_reference(at, s, s)
+            if p_s == sweep.NA:
+                continue
             for _, expected in reference_states(at, s, s):
                 assert abs(p_s - expected) <= GRAM_TOL
         squeezing = sweep.cmd_squeezing(config, s1, s2).rows
         hz = sweep.cmd_hz(config, s1, s2).rows
         assert [row[:2] for row in squeezing] == [row[:2] for row in hz]
         for (a, b, direct, normal), (_, _, e_val, flag) in zip(squeezing, hz):
+            truncated = truncated_reference(config, a, b)
+            assert [cell == sweep.NA for cell in (direct, normal, e_val, flag)] == [truncated] * 4
+            if truncated:
+                continue
             for state, _ in reference_states(config, a, b):
                 report = squeezing_report(state, theta_big)
                 assert abs(direct - report.s2s_direct) <= GRAM_TOL
@@ -433,13 +438,16 @@ def test_gram_wigner_matches_dense_and_tensor_references(
 ):
     """Every P_J value, and the range check at every point, of the sweep's
     factored grid and of joint_wigner_grid, against the displaced parity of
-    both reference states with the oracle's own displacements."""
+    both reference states with the oracle's own displacements.  The sweep
+    also refuses a truncated state, after the range check."""
     config = gram_config(r, mu, varphi, angles, n_max, coupling=CouplingParams(s1, s2))
     gammas, betas = re_gamma.values(), re_beta.values()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        values, top = observables._factored_wigner(*sweep._pointer_at(config), gammas, betas)
+        left, right, truncated = sweep._pointer_at(config)
+        values, top = observables._factored_wigner(left, right, gammas, betas)
         references = reference_states(config, s1, s2)
+        assert truncated == truncated_reference(config, s1, s2)
     dense = references[0][0]
     d_a = [oracles.displacement(-g, n_max) for g in gammas.tolist()]
     d_b = [oracles.displacement(-b, n_max) for b in betas.tolist()]
@@ -453,17 +461,21 @@ def test_gram_wigner_matches_dense_and_tensor_references(
                 assert (mass > DEFAULT_RANGE_TOL) == out_of_range
             if out_of_range:
                 failing.append((complex(g), complex(b)))
+    first = failing and re.escape(f"gamma={failing[0][0]}, beta={failing[0][1]})")
     if failing:
-        first = re.escape(f"gamma={failing[0][0]}, beta={failing[0][1]})")
-        with pytest.raises(NumericalRangeError, match=first):
-            sweep.cmd_wigner(config, re_gamma, re_beta)
         with pytest.raises(NumericalRangeError, match=first):
             joint_wigner_grid(dense, re_gamma, re_beta)
     else:
-        rows = sweep.cmd_wigner(config, re_gamma, re_beta).rows
-        assert [row[2] for row in rows] == values.ravel().tolist()
         grid = joint_wigner_grid(dense, re_gamma, re_beta)
         assert np.max(np.abs(grid.values - values)) <= GRAM_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        if truncated or failing:
+            with pytest.raises(NumericalRangeError, match=first or "top Fock level"):
+                sweep.cmd_wigner(config, re_gamma, re_beta)
+        else:
+            rows = sweep.cmd_wigner(config, re_gamma, re_beta).rows
+            assert [row[2] for row in rows] == values.ravel().tolist()
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -517,3 +529,52 @@ def test_gram_sweeps_keep_the_dense_accuracy_under_strong_post_selection():
     for s, _, p_s in sweep.cmd_probability(config, grid, RangeSpec(theta, theta, 1)).rows:
         expected = config.replace(coupling=CouplingParams(s, s)).pointer_outcome().success_probability
         assert abs(p_s - expected) <= GRAM_TOL * expected
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(
+    r=st.floats(0.0, 1.0),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=st.floats(0.0, 1.5),
+    s2=st.floats(0.0, 1.5),
+)
+def test_qfi_matches_the_tensor_oracle_family(r, mu, varphi, angles, s1, s2):
+    """qfi_analytic and both finite-difference gauges against the central
+    difference of the tensor oracle's normalized pointer family, which is
+    not phase-fixed."""
+    config = gram_config(r, mu, varphi, angles, 12, coupling=CouplingParams(s1, s2))
+
+    def family(phi):
+        amp = oracles.brute_force_raw_pointer(r, mu, phi, *angles, s1, s2, 12)
+        return amp / np.linalg.norm(amp)
+
+    expected = oracles.qfi_from_family(family, config.ecs.varphi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        values = [
+            qfi_analytic(config),
+            qfi_finite_difference(config),
+            qfi_finite_difference(config.replace(qfi_gauge="renormalized")),
+        ]
+    for q in values:
+        assert abs(q - expected) <= 1e-7 * abs(expected) + 1e-12
+
+
+@settings(deadline=None, derandomize=True, max_examples=10)
+@given(
+    r=axis_range(0.0, 1.0),
+    s=axis_range(0.0, 1.5),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    gauge=st.sampled_from(["fixed-kappa", "renormalized"]),
+)
+def test_cmd_qcrb_rows_equal_the_one_point_library_calls(r, s, mu, varphi, angles, gauge):
+    config = gram_config(0.5, mu, varphi, angles, 40, qfi_gauge=gauge)
+    qfi = qfi_analytic if gauge == "fixed-kappa" else qfi_finite_difference
+    for r_value, s_value, q, _ in sweep.cmd_qcrb(config, r, s).rows:
+        at = config.replace(ecs=EcsParams(r_value, mu, varphi), coupling=CouplingParams(s_value, s_value))
+        expected = qfi(at)
+        assert abs(q - expected) <= 1e-13 * abs(expected)

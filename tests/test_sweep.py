@@ -103,7 +103,7 @@ def test_cmd_probability_degenerate_rows_become_na():
     config = default_config()
     result = cmd_probability(config, single(0.0), single(math.pi - 1e-8))
     assert result.rows[0][2] == NA
-    assert result.na_rows == {"degenerate": 1, "richardson": 0, "zero_qfi": 0}
+    assert result.na_rows == {"degenerate": 1, "truncated": 0, "richardson": 0, "zero_qfi": 0}
 
 
 def test_cmd_squeezing_zero_coupling_row_and_column_agreement():
@@ -198,7 +198,7 @@ def test_cmd_qcrb_values_and_sentinel():
     _, _, q0, delta0 = zero.rows[0]
     assert abs(q0) < 1e-12
     assert delta0 == NA
-    assert zero.na_rows == {"degenerate": 0, "richardson": 0, "zero_qfi": 1}
+    assert zero.na_rows == {"degenerate": 0, "truncated": 0, "richardson": 0, "zero_qfi": 1}
     assert zero.metadata["na_rows"] == zero.na_rows
 
 
@@ -207,9 +207,9 @@ def test_cmd_qcrb_counts_na_rows_by_cause():
     config = default_config(wv=WeakValueParams(near_pi, HALF_PI, near_pi, HALF_PI))
     result = cmd_qcrb(config, RangeSpec(0.1, 0.3, 2), single(0.0))
     assert [row[2:] for row in result.rows] == [(NA, NA), (NA, NA)]
-    assert result.metadata["na_rows"] == {"degenerate": 2, "richardson": 0, "zero_qfi": 0}
+    assert result.metadata["na_rows"] == {"degenerate": 2, "truncated": 0, "richardson": 0, "zero_qfi": 0}
     clean = cmd_qcrb(default_config(), single(0.3), single(1.0))
-    assert clean.metadata["na_rows"] == {"degenerate": 0, "richardson": 0, "zero_qfi": 0}
+    assert clean.metadata["na_rows"] == {"degenerate": 0, "truncated": 0, "richardson": 0, "zero_qfi": 0}
 
 
 def test_cmd_qcrb_gauges_agree():
@@ -225,7 +225,7 @@ def test_metadata_config_round_trip():
     config = default_config(coupling=CouplingParams(0.4, 0.9))
     result = cmd_probability(config, single(0.5), single(0.6))
     meta = result.metadata
-    assert set(meta) == {"config", "version", "truncation_warnings", "rows"}
+    assert set(meta) == {"config", "version", "truncation_warnings", "rows", "na_rows"}
     assert WeakMeasurementConfig.from_dict(meta["config"]) == config
     assert meta["truncation_warnings"] == 0
 
@@ -236,6 +236,8 @@ def test_metadata_counts_truncation_warnings():
     )
     result = cmd_probability(config, single(0.0), single(0.2 * math.pi))
     assert result.metadata["truncation_warnings"] >= 1
+    assert result.rows[0][2] == NA
+    assert result.na_rows["truncated"] == 1
 
 
 def test_metadata_json_is_sorted_and_newline_terminated():
