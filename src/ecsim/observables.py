@@ -402,10 +402,8 @@ def _qfi_grid(
         left, right = ecs_factors(EcsParams(float(r), config.ecs.mu, phi0), config.cutoff, tail_tol, varphis)
         probe_truncated = _probe_tail(left, right).max() > tail_tol
         if h is None:
-            derivative = np.zeros_like(right)
-            # Entry 0 of R's second column also holds N c_a[0]; n = 0 drops it.
-            derivative[0, :, 1] = 1j * np.arange(config.cutoff.dim_b) * right[0, :, 1]
-            right = np.concatenate([right, derivative])
+            # i n R: n = 0 drops R's first column e0 and the N c_a[0] in entry 0 of its second.
+            right = np.concatenate([right, 1j * np.arange(config.cutoff.dim_b)[:, None] * right])
         arms, mixed = _pointer_factors(left, right, s1s, s2s, [config.wv], config.displacement_scale)
         members = mixed[:, 0]
         # The states among the members: all of them, or X_0 beside X_d.
