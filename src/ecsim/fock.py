@@ -3,8 +3,11 @@
 States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 0 <= n_b <= n_max_b, stored as a complex (n_max_a+1, n_max_b+1) amplitude
 grid.  The ladder operators act on one Fock index of any array (a grid, a
-stack of grids or a stack of single-mode factors); displacements are cached
-dense matrices, applied to a state's tensor factor by apply_to_mode.  The
+stack of grids or a stack of single-mode factors).  displace applies a whole
+batch of displacements to a single-mode factor in the eigenbasis of the
+quadrature a + a^dag, without forming or caching any matrix;
+displacement_matrix is that kernel applied to the identity, and
+apply_to_mode applies a dense operator to a state's tensor factor.  The
 top-level mass of a grid measures truncation.  Everything is plain numpy;
 nothing here knows about measurements or observables.
 """
@@ -115,48 +118,76 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
 
 
 @lru_cache(maxsize=32)
-def _quadrature_eigh(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (lam, V) of the truncated Q = a + a^dag, so Q = V diag(lam) V^T.
+def _quadrature_eigh(n_max: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(max(lam), V, rates) of the truncated Q = a + a^dag = V diag(lam) V^T.
 
     Q is real symmetric tridiagonal; one decomposition per cutoff serves
-    every displacement amplitude.
+    every displacement amplitude.  rates (3 x dim x 1 x 1) stacks n, -n and
+    -lam, the per-level rates of displace's three phase factors.
     """
     off = np.sqrt(np.arange(1.0, n_max + 1))
     lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    lam.setflags(write=False)
+    levels = np.arange(n_max + 1.0)
+    rates = np.stack([levels, -levels, -lam])[:, :, None, None]
     vecs.setflags(write=False)
-    return lam, vecs
+    rates.setflags(write=False)
+    return float(lam[-1]), vecs, rates
 
 
-@lru_cache(maxsize=4096)
-def _displacement_raw(gamma: complex, n_max: int) -> np.ndarray:
-    # With R = e^{i (arg gamma + pi/2) n}, the truncated generator satisfies
-    # gamma a^dag - conj(gamma) a = -i |gamma| R Q R^dag exactly, because R
-    # only rephases the off-diagonal ladder entries.  Its exponential is then
-    # R V e^{-i |gamma| lam} V^T R^dag: unitary to rounding at every cutoff,
-    # so downstream norms are preserved, and truncation shows up only in how
-    # well column 0 matches the analytic coherent column.
-    lam, vecs = _quadrature_eigh(n_max)
-    if not math.isfinite(abs(gamma) * float(lam[-1])):
-        raise ValueError(f"displacement amplitude {gamma!r} overflows at n_max={n_max}")
-    angle = abs(gamma) * lam
-    rotated = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
-    phase = np.exp(1j * (cmath.phase(gamma) + 0.5 * math.pi) * np.arange(n_max + 1))
-    mat = phase[:, None] * rotated * phase.conj()
-    mat.setflags(write=False)
-    return mat
+def displace(amplitudes, factor: np.ndarray) -> np.ndarray:
+    """The stack D(u_k) F (K x dim x m) over a 1-D array of K amplitudes u_k,
+    for a factor F (dim x m) on the truncated basis.
+
+    With P_k = diag(p_k), p_k = e^{i (arg u_k + pi/2) n}, the truncated
+    generator satisfies u a^dag - conj(u) a = -i |u| P_k Q P_k^dag exactly,
+    because P_k only rephases the off-diagonal ladder entries.  So
+
+        D(u_k) F = p_k o V (e^{-i |u_k| lam} o V^T (conj(p_k) o F)),
+
+    unitary to rounding at every cutoff, and truncation shows up only in how
+    well D(u) e0 matches the analytic coherent column.  No matrix is formed:
+    the real V multiplies all K m complex columns at once through float64
+    views.  Slots with u_k = 0 hold F exactly.  Raises ValueError when a
+    rotation angle |u_k| max(lam) overflows a double.
+    """
+    us = np.asarray(amplitudes, dtype=np.complex128).tolist()
+    dim, m = factor.shape
+    k = len(us)
+    lam_max, vecs, rates = _quadrature_eigh(dim - 1)
+    mags = [abs(u) for u in us]
+    overflowing = [u for u, mag in zip(us, mags) if not math.isfinite(mag * lam_max)]
+    if overflowing:
+        raise ValueError(f"displacement amplitude {overflowing[0]!r} overflows at n_max={dim - 1}")
+    thetas = [cmath.phase(u) + 0.5 * math.pi for u in us]
+    # phases[0] = p, phases[1] = conj(p), phases[2] = e^{-i |u| lam}, each dim x K x 1.
+    angles = rates * np.array(thetas + thetas + mags).reshape(3, 1, k, 1)
+    phases = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+
+    def real_product(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (mat @ cols.view(np.float64).reshape(dim, -1)).view(np.complex128).reshape(dim, k, m)
+
+    spectral = real_product(vecs.T, phases[1] * factor[:, None, :])
+    spectral *= phases[2]
+    back = real_product(vecs, spectral)
+    out = np.empty((k, dim, m), dtype=np.complex128)
+    np.multiply(back.transpose(1, 0, 2), phases[0].transpose(1, 0, 2), out=out)
+    if 0.0 in mags:
+        out[[mag == 0.0 for mag in mags]] = factor
+    return out
 
 
 def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
     """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a).
 
-    Built from the cached eigendecomposition of the quadrature a + a^dag at
-    this cutoff plus a diagonal phase rotation; no matrix exponential is
-    evaluated.  Matrices are cached on (gamma, n_max); repeated grid
-    evaluations reuse them without rebuilding.  Raises ValueError when the
-    rotation angle |gamma| * max(lam) overflows a double.
+    displace applied to the identity: the eigendecomposition of the
+    quadrature a + a^dag at this cutoff plus a diagonal phase rotation, with
+    no matrix exponential and no cache.  Raises ValueError when the rotation
+    angle |gamma| * max(lam) overflows a double.
     """
-    return ModeOperator(_displacement_raw(complex(gamma), int(n_max)))
+    identity = np.eye(int(n_max) + 1, dtype=np.complex128)
+    return ModeOperator(displace([gamma], identity)[0])
 
 
 def apply_to_mode(op: ModeOperator, mode: str, state: TwoModeState) -> TwoModeState:

@@ -54,9 +54,9 @@ from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
     TwoModeState,
-    _displacement_raw,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     coherent_column,
+    displace,
     top_level_mass,
     warn_if_truncated,
 )
@@ -169,8 +169,11 @@ def ecs_factors(
     does not depend on varphi.  The cell is summed once, before any
     displacement: split over both columns, its two halves meet again only in
     the Gram contraction, and P_s at zero coupling and theta = 0 rounds to
-    1 - 1.1e-16 instead of 1.  Warns once per coherent column built and once
-    per probe whose top-level mass exceeds tail_tol.
+    1 - 1.1e-16 instead of 1.  The mode-b column is built once, at the first
+    phase, and rotated by e^{i n (varphi_k - varphi_0)} for the others, which
+    leaves its norm deficit unchanged.  Warns once for each of the two
+    coherent columns and once per probe whose top-level mass exceeds
+    tail_tol.
     """
     phases = [params.varphi] if varphis is None else [float(v) % TWO_PI for v in varphis]
     alpha = params.alpha
@@ -178,12 +181,14 @@ def ecs_factors(
     left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)
     left[1:, 0] = params.normalization * col_a[1:]
     left[0, 1] = 1.0
+    # c_b(varphi_k) = e^{i n (varphi_k - varphi_0)} c_b(varphi_0): one column, rotated per phase.
+    col_b = coherent_column(alpha * cmath.exp(1j * phases[0]), cutoff.n_max_b, tail_tol)
+    turns = np.multiply.outer(np.array(phases) - phases[0], np.arange(cutoff.dim_b))
+    cols_b = col_b * (np.cos(turns) + 1j * np.sin(turns))
+    cols_b[:, 0] += col_a[0]
     right = np.zeros((len(phases), cutoff.dim_b, 2), dtype=np.complex128)
     right[:, 0, 0] = 1.0
-    for k, varphi in enumerate(phases):
-        col_b = coherent_column(alpha * cmath.exp(1j * varphi), cutoff.n_max_b, tail_tol)
-        col_b[0] += col_a[0]
-        right[k, :, 1] = params.normalization * col_b
+    right[:, :, 1] = params.normalization * cols_b
     for mass in _probe_tail(left, right):
         warn_if_truncated(mass, tail_tol, "build_ecs")
     return left, right
@@ -232,18 +237,6 @@ def meter_overlap(wv: WeakValueParams) -> float:
     return math.cos(0.5 * wv.theta1) * math.cos(0.5 * wv.theta2)
 
 
-def _displaced(u: complex, factor: np.ndarray) -> np.ndarray:
-    """D(u) @ factor on the factor's cutoff; D(0) is exactly the identity."""
-    if u == 0.0:
-        return factor
-    return _displacement_raw(complex(u), factor.shape[0] - 1) @ factor
-
-
-def _arms(u: float, factor: np.ndarray) -> np.ndarray:
-    """A = [D(+u) F, D(-u) F], both displacement arms of a factor side by side."""
-    return np.concatenate([_displaced(u, factor), _displaced(-u, factor)], axis=-1)
-
-
 def _branch_weights(wv: WeakValueParams) -> tuple[complex, ...]:
     """(omega/4) (A+, A-, B+, B-), the four branch weights of the module docstring."""
     scale = 0.25 * meter_overlap(wv)
@@ -265,9 +258,9 @@ def _pointer_grid(
 ) -> np.ndarray:
     """The raw pointer grid (omega/4) A X^T of the module docstring, dim_a x dim_b,
     from the factors L (dim_a x m) and R (dim_b x m)."""
-    u2 = displacement_scale * coupling.s2
-    arms = _arms(displacement_scale * coupling.s1, left)
-    mixed = _mixed(_displaced(u2, right), _displaced(-u2, right), _branch_weights(wv))
+    u1, u2 = displacement_scale * coupling.s1, displacement_scale * coupling.s2
+    arms = np.concatenate(displace([u1, -u1], left), axis=-1)
+    mixed = _mixed(*displace([u2, -u2], right), _branch_weights(wv))
     return arms @ mixed.T
 
 
@@ -289,23 +282,20 @@ def _pointer_factors(
     CouplingParams' ValueError for a negative coupling.
     """
     CouplingParams(float(min(s1s)), float(min(s2s)))
-    arms = np.array([_arms(displacement_scale * s1, left) for s1 in s1s])
+    u1 = displacement_scale * np.asarray(s1s, dtype=np.float64)
+    arms = 0.5 * _sum_and_difference(*np.split(displace(np.concatenate([u1, -u1]), left), 2))
+    # Every member's columns side by side, so each mode-b displacement is one pass.
     dim_b, width = right.shape[-2:]
     columns = right.reshape(-1, dim_b, width).transpose(1, 0, 2).reshape(dim_b, -1)
-
-    def shifted(u: float) -> np.ndarray:
-        return _displaced(u, columns).reshape(dim_b, -1, width).transpose(1, 0, 2).reshape(right.shape)
-
-    up = np.array([shifted(displacement_scale * s2) for s2 in s2s])
-    down = np.array([shifted(-displacement_scale * s2) for s2 in s2s])
+    u2 = displacement_scale * np.asarray(s2s, dtype=np.float64)
+    shifted = displace(np.concatenate([u2, -u2]), columns).reshape(2 * len(u2), dim_b, -1, width)
+    up, down = shifted.transpose(0, 2, 1, 3).reshape(2, len(u2), *right.shape)
     mixed = np.array([_mixed(up, down, _branch_weights(wv)) for wv in wvs]).swapaxes(0, 1)
-    return 0.5 * _sum_and_difference(arms), _sum_and_difference(mixed)
+    return arms, _sum_and_difference(*np.split(mixed, 2, axis=-1))
 
 
-def _sum_and_difference(factor: np.ndarray) -> np.ndarray:
-    """[F_1 + F_2, F_1 - F_2] from the two column halves [F_1, F_2] of a factor stack."""
-    half = factor.shape[-1] // 2
-    first, second = factor[..., :half], factor[..., half:]
+def _sum_and_difference(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """[F_1 + F_2, F_1 - F_2], the two factor stacks' sum and difference side by side."""
     return np.concatenate([first + second, first - second], axis=-1)
 
 

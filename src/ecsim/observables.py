@@ -42,12 +42,12 @@ from .fock import (
     annihilate,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     create,
+    displace,
     warn_if_truncated,
 )
 from .measurement import (
     DEFAULT_P_FLOOR,
     EcsParams,
-    _displaced,
     _pointer_factors,
     _probe_tail,
     ecs_factors,
@@ -275,10 +275,7 @@ def _factored_wigner(
     Both are moments of the displaced factor stacks D_a(-gamma) left and
     D_b(-beta) right; gammas and betas may be complex.
     """
-    moment = _moments(
-        np.stack([_displaced(-g, left) for g in gammas.tolist()]),
-        np.stack([_displaced(-b, right) for b in betas.tolist()]),
-    )
+    moment = _moments(displace(-gammas, left), displace(-betas, right))
     return moment("parity", "parity").real, _tail_mass(moment)
 
 

@@ -269,13 +269,13 @@ def test_zero_qfi_in_grid_is_counted(capsys, tmp_path):
 
 def test_renormalized_qcrb_builds_the_mode_a_column_once():
     # At a truncating cutoff each of the seven finite-difference probes warns
-    # for its mode-b column, its ECS tail and its pointer tail; the mode-a
-    # column they share is built, and warns, once: 1 + 3 * 7 warnings.  The
-    # row is NA as truncated, which the CLI refuses at a single point, so
-    # the sweep is called directly.
+    # for its ECS tail and its pointer tail; the mode-a column they share and
+    # the mode-b column, rotated to each phase, are built, and warn, once
+    # each: 1 + 1 + 2 * 7 warnings.  The row is NA as truncated, which the
+    # CLI refuses at a single point, so the sweep is called directly.
     config = default_config(qfi_gauge="renormalized", ecs=EcsParams(2.0), cutoff=FockCutoff(10, 10))
     result = sweep.cmd_qcrb(config, RangeSpec(2.0, 2.0, 1), RangeSpec(0.0, 0.0, 1))
-    assert result.metadata["truncation_warnings"] == 22
+    assert result.metadata["truncation_warnings"] == 16
     assert result.rows == ((2.0, 0.0, "NA", "NA"),)
     assert result.na_rows["truncated"] == 1
 

@@ -5,8 +5,10 @@ moments, number variance) serve as independent oracles throughout.
 """
 
 import cmath
+import gc
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -578,3 +580,38 @@ def test_cmd_qcrb_rows_equal_the_one_point_library_calls(r, s, mu, varphi, angle
         at = config.replace(ecs=EcsParams(r_value, mu, varphi), coupling=CouplingParams(s_value, s_value))
         expected = qfi(at)
         assert abs(q - expected) <= 1e-13 * abs(expected)
+
+
+def test_distinct_points_leave_no_displacement_memory_behind():
+    # No per-amplitude data may outlive a call: a cache of the dense 41 x 41
+    # displacements these 100 points use would keep about 10 MB.
+    rng = np.random.default_rng(29)
+    configs = [
+        default_config(
+            ecs=EcsParams(rng.uniform(0.05, 1.0), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)),
+            wv=WeakValueParams(
+                rng.uniform(0.0, 0.9 * math.pi), rng.uniform(0.0, 2 * math.pi),
+                rng.uniform(0.0, 0.9 * math.pi), rng.uniform(0.0, 2 * math.pi),
+            ),
+            coupling=CouplingParams(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)),
+        )
+        for _ in range(100)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for config in configs:
+                try:
+                    config.pointer_outcome()
+                    qfi_analytic(config)
+                    qfi_finite_difference(config.replace(qfi_gauge="renormalized"))
+                except (DegeneratePostSelectionError, NumericalRangeError):
+                    pass
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2_000_000
