@@ -10,14 +10,7 @@ from .errors import (
     NumericalRangeError,
     TruncationWarning,
 )
-from .fock import (
-    FockCutoff,
-    ModeOperator,
-    TwoModeState,
-    apply_to_mode,
-    coherent_column,
-    displacement_matrix,
-)
+from .fock import FockCutoff, TwoModeState, coherent_column
 from .measurement import (
     CouplingParams,
     EcsParams,
@@ -50,7 +43,6 @@ __all__ = [
     "DegeneratePostSelectionError",
     "EcsParams",
     "FockCutoff",
-    "ModeOperator",
     "NumericalRangeError",
     "PostSelectedOutcome",
     "RangeSpec",
@@ -60,12 +52,10 @@ __all__ = [
     "WeakMeasurementConfig",
     "WeakValueParams",
     "WignerGrid",
-    "apply_to_mode",
     "build_ecs",
     "build_pointer_state",
     "coherent_column",
     "default_config",
-    "displacement_matrix",
     "fix_global_phase",
     "hz_correlation",
     "joint_wigner_grid",

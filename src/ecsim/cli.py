@@ -24,13 +24,11 @@ import math
 import sys
 
 from . import __version__
-from .config import RangeSpec, WeakMeasurementConfig
+from .config import DISPLACEMENT_CONVENTIONS, QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import FockCutoff
 from .measurement import CouplingParams, EcsParams, WeakValueParams
 from .sweep import _COMMANDS, FAILURES
-
-_HALF_PI = 0.5 * math.pi
 
 
 def parse_angle(text: str) -> float:
@@ -85,24 +83,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    base = default_config()
+    ecs, wv, coupling = base.ecs, base.wv, base.coupling
     for name, info in _COMMANDS.items():
         p = sub.add_parser(name, help=info["help"])
-        p.add_argument("--r", type=float, default=0.1, help="coherent amplitude r >= 0")
-        p.add_argument("--mu", type=parse_angle, default=_HALF_PI, help="phase of alpha (radians or e.g. 0.5pi)")
-        p.add_argument("--varphi", type=parse_angle, default=_HALF_PI, help="mode-b phase shift")
-        p.add_argument("--theta1", type=parse_angle, default=0.8 * math.pi, help="meter-1 polar angle in [0, pi)")
-        p.add_argument("--delta1", type=parse_angle, default=_HALF_PI, help="meter-1 azimuth in [0, 2pi]")
-        p.add_argument("--theta2", type=parse_angle, default=0.8 * math.pi, help="meter-2 polar angle in [0, pi)")
-        p.add_argument("--delta2", type=parse_angle, default=_HALF_PI, help="meter-2 azimuth in [0, 2pi]")
-        p.add_argument("--s1", type=float, default=0.0, help="mode-a coupling strength")
-        p.add_argument("--s2", type=float, default=0.0, help="mode-b coupling strength")
-        p.add_argument("--theta-big", type=parse_angle, default=_HALF_PI, help="squeezing phase angle")
-        p.add_argument("--cutoff", type=parse_cutoff, default=FockCutoff(40, 40), help="Fock cutoff: N or N_a,N_b")
-        p.add_argument("--tail-tol", type=float, default=1e-10, help="truncation tail warning tolerance")
-        p.add_argument("--displacement-convention", choices=("half", "full"), default="half",
+        p.add_argument("--r", type=float, default=ecs.r, help="coherent amplitude r >= 0")
+        p.add_argument("--mu", type=parse_angle, default=ecs.mu, help="phase of alpha (radians or e.g. 0.5pi)")
+        p.add_argument("--varphi", type=parse_angle, default=ecs.varphi, help="mode-b phase shift")
+        p.add_argument("--theta1", type=parse_angle, default=wv.theta1, help="meter-1 polar angle in [0, pi)")
+        p.add_argument("--delta1", type=parse_angle, default=wv.delta1, help="meter-1 azimuth in [0, 2pi]")
+        p.add_argument("--theta2", type=parse_angle, default=wv.theta2, help="meter-2 polar angle in [0, pi)")
+        p.add_argument("--delta2", type=parse_angle, default=wv.delta2, help="meter-2 azimuth in [0, 2pi]")
+        p.add_argument("--s1", type=float, default=coupling.s1, help="mode-a coupling strength")
+        p.add_argument("--s2", type=float, default=coupling.s2, help="mode-b coupling strength")
+        p.add_argument("--theta-big", type=parse_angle, default=base.theta_big, help="squeezing phase angle")
+        p.add_argument("--cutoff", type=parse_cutoff, default=base.cutoff, help="Fock cutoff: N or N_a,N_b")
+        p.add_argument("--tail-tol", type=float, default=base.tail_tolerance, help="truncation tail warning tolerance")
+        p.add_argument("--displacement-convention", choices=DISPLACEMENT_CONVENTIONS,
+                       default=base.displacement_convention,
                        help="branch displacement arms: +-s/2 (half) or +-s (full)")
-        p.add_argument("--qfi-gauge", choices=("fixed-kappa", "renormalized"), default="fixed-kappa",
-                       help="QFI evaluation gauge")
+        p.add_argument("--qfi-gauge", choices=QFI_GAUGES, default=base.qfi_gauge, help="QFI evaluation gauge")
         p.add_argument("--sweep", action="append", default=[], metavar="NAME=MIN:MAX:POINTS",
                        help=f"override a sweep axis (allowed: {', '.join(info['axes'])}); repeatable")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")

@@ -221,12 +221,13 @@ def _tail_mass(moment) -> np.ndarray:
     return moment("top", "1").real + moment("below", "top").real
 
 
-def _post_selection(moment, tail_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _post_selection(moment, tail_tol: float, probe_tail) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P_s, degenerate, truncated) over a grid of raw pointer states.
 
-    degenerate marks P_s below DEFAULT_P_FLOOR, where P_s is NaN; truncated
-    and warns, as _post_select does, where the normalized top-level mass
-    exceeds tail_tol.
+    degenerate marks P_s below DEFAULT_P_FLOOR, where P_s is NaN.  Warns, as
+    _post_select does, for each state whose normalized top-level mass
+    exceeds tail_tol; truncated marks those states and every state whose
+    probe's top-level mass, probe_tail (broadcast against the grid), does.
     """
     p_s = moment("1", "1").real
     degenerate = p_s < DEFAULT_P_FLOOR
@@ -234,7 +235,7 @@ def _post_selection(moment, tail_tol: float) -> tuple[np.ndarray, np.ndarray, np
     tail = _tail_mass(moment) / p_s
     for mass in tail.ravel():
         warn_if_truncated(mass, tail_tol, "build_pointer_state")
-    return p_s, degenerate, tail > tail_tol
+    return p_s, degenerate, (tail > tail_tol) | (probe_tail > tail_tol)
 
 
 def _hz_grid(moment, p_s: np.ndarray) -> np.ndarray:
@@ -386,9 +387,10 @@ def _qfi_grid(
     1/sqrt(P_k) ("renormalized"; not phase-fixed, as the raw family is
     analytic in varphi and the projection term removes a global phase) and
     differenced on the factors, since differencing Grams would cancel about
-    ten digits.  The masks mark P_s below DEFAULT_P_FLOOR (Q is NaN), a probe
-    or pointer tail above the tail tolerance (the renormalized gauge warns
-    for each member's) and a Q that fails _richardson.
+    ten digits.  The states are all members, or X_0 beside X_d, and
+    _post_selection warns for each truncated one.  The masks mark a point
+    where any state's P_s is below DEFAULT_P_FLOOR (Q is then not defined),
+    any state or its probe is truncated, or Q fails _richardson.
     """
     phi0, tail_tol = config.ecs.varphi, config.tail_tolerance
     steps = [] if h is None else [h, 0.5 * h, 0.25 * h]
@@ -397,21 +399,14 @@ def _qfi_grid(
     grids = []
     for r in rs:
         left, right = ecs_factors(EcsParams(float(r), config.ecs.mu, phi0), config.cutoff, tail_tol, varphis)
-        probe_truncated = _probe_tail(left, right).max() > tail_tol
+        probe_tail = _probe_tail(left, right)
         if h is None:
             # i n R: n = 0 drops R's first column e0 and the N c_a[0] in entry 0 of its second.
             right = np.concatenate([right, 1j * np.arange(config.cutoff.dim_b)[:, None] * right])
         arms, mixed = _pointer_factors(left, right, s1s, s2s, [config.wv], config.displacement_scale)
         members = mixed[:, 0]
-        # The states among the members: all of them, or X_0 beside X_d.
         moment = _moments(arms[:, None], members if h is not None else members[:, :1])
-        p = moment("1", "1").real[:, 0]
-        degenerate = (p if renormalized else p[:, :1]).min(axis=-1) < DEFAULT_P_FLOOR
-        p = np.where(degenerate[:, None], np.nan, p)
-        tail = _tail_mass(moment)[:, 0] / p
-        if renormalized:
-            for mass in tail.ravel():
-                warn_if_truncated(mass, tail_tol, "build_pointer_state")
+        p, degenerate, truncated = (grid[:, 0] for grid in _post_selection(moment, tail_tol, probe_tail))
         scaled = members * (1.0 / np.sqrt(p if renormalized else p[:, :1]))[..., None, None]
         if h is None:
             d_x = scaled[:, 1:]
@@ -421,8 +416,8 @@ def _qfi_grid(
         dd = _contract(g_a, _gram(d_x, d_x))[:, 0].real
         cross = _contract(g_a, _gram(scaled[:, :1], d_x))[:, 0]
         q = 4.0 * (dd - np.abs(cross) ** 2)
-        q, tripped = (q[:, 0], np.zeros_like(degenerate)) if h is None else _richardson(q, h)
-        grids.append((q, degenerate, probe_truncated | (tail[:, 0] > tail_tol), tripped))
+        q, tripped = (q[:, 0], np.zeros(len(q), dtype=bool)) if h is None else _richardson(q, h)
+        grids.append((q, degenerate.any(axis=-1), truncated.any(axis=-1), tripped))
     return tuple(np.array(grid) for grid in zip(*grids))
 
 

@@ -151,12 +151,12 @@ def _failed_na(columns: list[np.ndarray], **failed: np.ndarray) -> tuple[list[np
     return [_with_na(column, na) for column in columns], counts, na
 
 
-def _sweep_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.ndarray, np.ndarray, bool]:
-    """_pointer_factors of the config's probe, built once, and whether the
-    probe's top-level mass exceeds the tail tolerance."""
+def _sweep_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.ndarray, np.ndarray, float]:
+    """_pointer_factors of the config's probe, built once, and the probe's
+    top-level mass."""
     left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
     arms, mixed = _pointer_factors(left, right[0], s1s, s2s, wvs, config.displacement_scale)
-    return arms, mixed, bool(_probe_tail(left, right)[0] > config.tail_tolerance)
+    return arms, mixed, float(_probe_tail(left, right)[0])
 
 
 def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -164,11 +164,11 @@ def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray, 
     coupling, normalized up to a global phase, and whether the probe or the
     state is truncated.  Warns and raises like pointer_outcome."""
     coupling = config.coupling
-    arms, mixed, probe_truncated = _sweep_factors(config, [coupling.s1], [coupling.s2], [config.wv])
+    arms, mixed, probe_tail = _sweep_factors(config, [coupling.s1], [coupling.s2], [config.wv])
     moment = _moments(arms, mixed[:, 0])
     _check_p_floor(moment("1", "1")[0, 0].real, DEFAULT_P_FLOOR)
-    p_s, _, truncated = _post_selection(moment, config.tail_tolerance)
-    return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0], probe_truncated or bool(truncated[0, 0])
+    p_s, _, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
+    return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0], bool(truncated[0, 0])
 
 
 def cmd_probability(
@@ -183,10 +183,10 @@ def cmd_probability(
     def batch():
         s, thetas = s_range.values(), theta_range.values()
         wvs = [dataclasses.replace(config.wv, theta1=t, theta2=t) for t in thetas.tolist()]
-        arms, mixed, probe_truncated = _sweep_factors(config, s, s, wvs)
-        p_s, degenerate, truncated = _post_selection(_moments(arms[:, None], mixed), config.tail_tolerance)
-        columns, counts, _ = _failed_na([p_s[:, 0]], degenerate=degenerate[:, 0],
-                                        truncated=truncated[:, 0] | probe_truncated)
+        arms, mixed, probe_tail = _sweep_factors(config, s, s, wvs)
+        moment = _moments(arms[:, None], mixed)
+        p_s, degenerate, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
+        columns, counts, _ = _failed_na([p_s[:, 0]], degenerate=degenerate[:, 0], truncated=truncated[:, 0])
         return columns, {"na_rows": counts}
 
     return _sweep(config, "probability", (s_range, theta_range), order, batch)
@@ -194,11 +194,10 @@ def cmd_probability(
 
 def _coupling_batch(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec, columns):
     """Batch over the (s1, s2) grid of the column grids columns(moment, P_s)."""
-    arms, mixed, probe_truncated = _sweep_factors(config, s1_range.values(), s2_range.values(), [config.wv])
+    arms, mixed, probe_tail = _sweep_factors(config, s1_range.values(), s2_range.values(), [config.wv])
     moment = _moments(arms, mixed[:, 0])
-    p_s, degenerate, truncated = _post_selection(moment, config.tail_tolerance)
-    grids, counts, _ = _failed_na(columns(moment, p_s), degenerate=degenerate,
-                                  truncated=truncated | probe_truncated)
+    p_s, degenerate, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
+    grids, counts, _ = _failed_na(columns(moment, p_s), degenerate=degenerate, truncated=truncated)
     return grids, {"na_rows": counts}
 
 

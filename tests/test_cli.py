@@ -280,6 +280,20 @@ def test_renormalized_qcrb_builds_the_mode_a_column_once():
     assert result.na_rows["truncated"] == 1
 
 
+@pytest.mark.parametrize("gauge, warnings", [("fixed-kappa", 24), ("renormalized", 168)])
+def test_qcrb_counts_each_truncated_pointer_state_once(tmp_path, gauge, warnings):
+    # At cutoff 10 the pointer states of 24 default-grid points (all at
+    # s >= 1) reach the top level while every probe fits.  Each truncated
+    # state warns once: one per row on the closed-form route, seven (the
+    # finite-difference members) per row under the renormalized gauge.
+    meta = tmp_path / "meta.json"
+    argv = ["qcrb", "--cutoff", "10", "--qfi-gauge", gauge, "--out", str(tmp_path / "o.csv"), "--meta", str(meta)]
+    assert main(argv) == 0
+    written = json.loads(meta.read_text())
+    assert written["na_rows"] == dict(CLEAN_NA_ROWS, truncated=24)
+    assert written["truncation_warnings"] == warnings
+
+
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -312,6 +326,21 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_exports_its_31_public_names():
+    # fock's dense operator layer (ModeOperator, displacement_matrix,
+    # apply_to_mode) stays in ecsim.fock, outside the package namespace.
+    assert sorted(ecsim.__all__) == sorted([
+        "__version__", "CouplingParams", "DegeneratePostSelectionError", "EcsParams", "FockCutoff",
+        "NumericalRangeError", "PostSelectedOutcome", "RangeSpec", "SqueezingReport", "TruncationWarning",
+        "TwoModeState", "WeakMeasurementConfig", "WeakValueParams", "WignerGrid", "build_ecs",
+        "build_pointer_state", "coherent_column", "default_config", "fix_global_phase", "hz_correlation",
+        "joint_wigner_grid", "joint_wigner_point", "meter_overlap", "qcrb", "qfi_analytic",
+        "qfi_finite_difference", "squeezing_report", "sum_squeezing_direct", "sum_squeezing_normal_ordered",
+        "weak_value_x", "weak_value_y",
+    ])
+    assert all(hasattr(ecsim, name) for name in ecsim.__all__)
 
 
 def test_unknown_sweep_axis_exits_two(capsys):

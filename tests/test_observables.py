@@ -314,6 +314,25 @@ def test_qfi_step_validation_and_degenerate_guard():
         qfi_finite_difference(degenerate)
 
 
+@pytest.mark.parametrize("qfi, gauge, warned", [
+    pytest.param(qfi_analytic, "fixed-kappa", 1, id="analytic"),
+    pytest.param(qfi_finite_difference, "fixed-kappa", 7, id="fd-fixed-kappa"),
+    pytest.param(qfi_finite_difference, "renormalized", 7, id="fd-renormalized"),
+])
+def test_qfi_warns_once_per_truncated_pointer_state(qfi, gauge, warned):
+    # At s = 6 and cutoff 10 the pointer state puts 0.31 of its mass on the
+    # top level while the probe fits.  Each post-selected state warns once,
+    # as pointer_outcome does: X_0 beside the closed-form derivative, and all
+    # seven finite-difference members in either gauge.
+    config = baseline_config(0.1, 6.0, cutoff=fock.FockCutoff(10, 10), qfi_gauge=gauge)
+    with pytest.warns(TruncationWarning):
+        config.pointer_outcome()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qfi(config)
+    assert [w.category for w in caught] == [TruncationWarning] * warned
+
+
 def test_checked_richardson_contracts_and_rejects():
     steps = 1e-5 * np.array([1.0, 0.5, 0.25])
     q, tripped = _richardson(1.0 + 1e6 * steps**2, 1e-5)
