@@ -105,7 +105,7 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     col[0] = math.exp(-0.5 * abs(alpha) ** 2)
     col[1:] = alpha / np.sqrt(np.arange(1.0, n_max + 1))
     np.cumprod(col, out=col)
-    deficit = max(0.0, 1.0 - float(np.sum(np.abs(col) ** 2)))
+    deficit = max(0.0, 1.0 - np.vdot(col, col).real)
     if deficit > tail_tol:
         warnings.warn(
             TruncationWarning(
@@ -147,8 +147,11 @@ def displace(amplitudes, factor: np.ndarray) -> np.ndarray:
     unitary to rounding at every cutoff, and truncation shows up only in how
     well D(u) e0 matches the analytic coherent column.  No matrix is formed:
     the real V multiplies all K m complex columns at once through float64
-    views.  Slots with u_k = 0 hold F exactly.  Raises ValueError when a
-    rotation angle |u_k| max(lam) overflows a double.
+    views.  Slots with u_k = 0 hold F exactly.  A slot's bits depend on the
+    width of those real products, 2 K m columns, so callers whose batched
+    and one-point results must agree bit for bit pass +-u pairs of
+    even-width factors, which keeps every width a multiple of 8.  Raises
+    ValueError when a rotation angle |u_k| max(lam) overflows a double.
     """
     us = np.asarray(amplitudes, dtype=np.complex128).tolist()
     dim, m = factor.shape

@@ -11,33 +11,33 @@ and post-selected on |H>, imprint the weak values
     w_x = e^{i delta_1} tan(theta_1 / 2),
     w_y = -i e^{i delta_2} tan(theta_2 / 2)
 
-onto the modes through conditional displacements.  Expanding each coupling
-unitary over the meter-observable eigenprojectors leaves a four-branch
-conditional pointer state
+onto the modes through conditional displacements.  Meter i couples to one
+mode only, with displacement arm u_i = s_i * scale (scale 1/2 under the
+default convention), so post-selecting it on |H> applies the single-meter
+weak-value operator
 
-    |Phi~> = (omega / 4) [ A+ D_a(+u1) D_b(+u2)
-                         + A- D_a(-u1) D_b(-u2)
-                         + B+ D_a(-u1) D_b(+u2)
-                         + B- D_a(+u1) D_b(-u2) ] |phi>,
+    K_i = <H| exp(sigma_i (x) (u_i a^dag - u_i a)) |psi_i>
+        = k_i+ D(+u_i) + k_i- D(-u_i),   k_i+- = cos(theta_i / 2) (1 +- w_i) / 2,
 
-with omega = cos(theta_1/2) cos(theta_2/2), branch weights
-A+- = (1 +- w_x)(1 +- w_y), B+- = (1 -+ w_x)(1 +- w_y), and displacement
-arms u_i = s_i * scale (scale 1/2 under the default convention).  The
+to its mode (w_1 = w_x on mode a, w_2 = w_y on mode b).  The conditional
+pointer state is the product
+
+    |Phi~> = (K_a (x) K_b) |phi>,
+
+whose four weights k_a+- k_b+- are the branch weights (omega / 4)
+(1 +- w_x)(1 +- w_y), omega = cos(theta_1/2) cos(theta_2/2).  The
 post-selection succeeds with P_s = <Phi~|Phi~> and leaves
 |Phi> = |Phi~> / sqrt(P_s).
 
 On the Fock grid the probe is the rank-2 amplitude matrix
 N (c_a e0^T + e0 c_b^T) = L R^T, with c_a, c_b its coherent columns,
-L = N [c_a, e0] and R = [e0, c_b].  Grouping the branches by the sign of
-the mode-a arm gives
+L = N [c_a, e0] and R = [e0, c_b].  So
 
-    |Phi~> = (omega / 4) [ D_a(+u1) L (A+ D_b(+u2) R + B- D_b(-u2) R)^T
-                         + D_a(-u1) L (A- D_b(-u2) R + B+ D_b(+u2) R)^T ]
-           = (omega / 4) A X^T,
+    |Phi~> = (K_a L) (K_b R)^T = A X^T,
 
-a pointer state of rank at most 4, with A = [D_a(+u1) L, D_a(-u1) L] and
-X = [A+ D_b(+u2) R + B- D_b(-u2) R, A- D_b(-u2) R + B+ D_b(+u2) R].
-Only c_b depends on varphi, so probes at several phases share L and A.
+a pointer state of rank at most 2, and each factor is one displacement pass
+over +-u_i followed by the weighted sum.  Only c_b depends on varphi, so
+probes at several phases share L and A.
 """
 
 from __future__ import annotations
@@ -176,20 +176,21 @@ def ecs_factors(
     tail_tol.
     """
     phases = [params.varphi] if varphis is None else [float(v) % TWO_PI for v in varphis]
-    alpha = params.alpha
+    alpha, norm = params.alpha, params.normalization
     col_a = coherent_column(alpha, cutoff.n_max_a, tail_tol)
     left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)
-    left[1:, 0] = params.normalization * col_a[1:]
+    left[1:, 0] = norm * col_a[1:]
     left[0, 1] = 1.0
-    # c_b(varphi_k) = e^{i n (varphi_k - varphi_0)} c_b(varphi_0): one column, rotated per phase.
-    col_b = coherent_column(alpha * cmath.exp(1j * phases[0]), cutoff.n_max_b, tail_tol)
-    turns = np.multiply.outer(np.array(phases) - phases[0], np.arange(cutoff.dim_b))
-    cols_b = col_b * (np.cos(turns) + 1j * np.sin(turns))
-    cols_b[:, 0] += col_a[0]
+    cols_b = coherent_column(alpha * cmath.exp(1j * phases[0]), cutoff.n_max_b, tail_tol)
+    cols_b[0] += col_a[0]
+    if len(phases) > 1:
+        # c_b(varphi_k) = e^{i n (varphi_k - varphi_0)} c_b(varphi_0); level 0 does not turn.
+        turns = np.multiply.outer(np.array(phases) - phases[0], np.arange(cutoff.dim_b))
+        cols_b = cols_b * (np.cos(turns) + 1j * np.sin(turns))
     right = np.zeros((len(phases), cutoff.dim_b, 2), dtype=np.complex128)
     right[:, 0, 0] = 1.0
-    right[:, :, 1] = params.normalization * cols_b
-    for mass in _probe_tail(left, right):
+    right[:, :, 1] = norm * cols_b
+    for mass in _probe_tail(left, right).tolist():
         warn_if_truncated(mass, tail_tol, "build_ecs")
     return left, right
 
@@ -213,40 +214,30 @@ def build_ecs(
     return TwoModeState(left @ right[0].T, cutoff)
 
 
-def branch_terms(
-    wv: WeakValueParams,
-) -> list[tuple[complex, float, float]]:
-    """Four (weight, sign_a, sign_b) branches of the conditional expansion.
-
-    Ordering is fixed: A+ (+,+), A- (-,-), B+ (-,+), B- (+,-).  The weights
-    sum to 4 for every parameter choice, which is what collapses the state
-    back to |phi> at zero coupling.
-    """
-    w_x = weak_value_x(wv.theta1, wv.delta1)
-    w_y = weak_value_y(wv.theta2, wv.delta2)
-    return [
-        ((1.0 + w_x) * (1.0 + w_y), +1.0, +1.0),
-        ((1.0 - w_x) * (1.0 - w_y), -1.0, -1.0),
-        ((1.0 - w_x) * (1.0 + w_y), -1.0, +1.0),
-        ((1.0 + w_x) * (1.0 - w_y), +1.0, -1.0),
-    ]
-
-
 def meter_overlap(wv: WeakValueParams) -> float:
     """omega = cos(theta_1/2) cos(theta_2/2), the double |H> overlap."""
     return math.cos(0.5 * wv.theta1) * math.cos(0.5 * wv.theta2)
 
 
-def _branch_weights(wv: WeakValueParams) -> tuple[complex, ...]:
-    """(omega/4) (A+, A-, B+, B-), the four branch weights of the module docstring."""
-    scale = 0.25 * meter_overlap(wv)
-    return tuple(scale * weight for weight, _, _ in branch_terms(wv))
+def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
+    """W x 2 x 2 weights [(k_a+, k_a-), (k_b+, k_b-)] of the module docstring's
+    meter operators, one row per WeakValueParams."""
+    rows = []
+    for wv in wvs:
+        half_a, half_b = 0.5 * math.cos(0.5 * wv.theta1), 0.5 * math.cos(0.5 * wv.theta2)
+        w_x, w_y = weak_value_x(wv.theta1, wv.delta1), weak_value_y(wv.theta2, wv.delta2)
+        rows.append(((half_a * (1.0 + w_x), half_a * (1.0 - w_x)), (half_b * (1.0 + w_y), half_b * (1.0 - w_y))))
+    return np.array(rows)
 
 
-def _mixed(up: np.ndarray, down: np.ndarray, weights: tuple[complex, ...]) -> np.ndarray:
-    """X = [A+ up + B- down, A- down + B+ up] from up = D_b(+u2) R and down = D_b(-u2) R."""
-    a_plus, a_minus, b_plus, b_minus = weights
-    return np.concatenate([a_plus * up + b_minus * down, a_minus * down + b_plus * up], axis=-1)
+def _meter(us: list[float], factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """K F = k+ D(+u) F + k- D(-u) F, len(us) x W x dim x m, at each arm u in us
+    and each weight pair (k+, k-) of weights (W x 2), for a factor F (dim x m)
+    from one displace pass over +-u."""
+    n = len(us)
+    shifted = displace([*us, *(-u for u in us)], factor)[:, None]
+    k = weights[:, :, None, None]
+    return k[:, 0] * shifted[:n] + k[:, 1] * shifted[n:]
 
 
 def _pointer_grid(
@@ -256,47 +247,40 @@ def _pointer_grid(
     coupling: CouplingParams,
     displacement_scale: float,
 ) -> np.ndarray:
-    """The raw pointer grid (omega/4) A X^T of the module docstring, dim_a x dim_b,
-    from the factors L (dim_a x m) and R (dim_b x m)."""
-    u1, u2 = displacement_scale * coupling.s1, displacement_scale * coupling.s2
-    arms = np.concatenate(displace([u1, -u1], left), axis=-1)
-    mixed = _mixed(*displace([u2, -u2], right), _branch_weights(wv))
-    return arms @ mixed.T
+    """The raw pointer grid (K_a L)(K_b R)^T of the module docstring, dim_a x dim_b,
+    from the factors L (dim_a x m) and R (dim_b x m); bit for bit the product
+    of _pointer_factors' A and X at this point."""
+    weights = _meter_weights([wv])
+    fac_a = _meter([displacement_scale * coupling.s1], left, weights[:, 0])
+    fac_b = _meter([displacement_scale * coupling.s2], right, weights[:, 1])
+    return fac_a[0, 0] @ fac_b[0, 0].T
 
 
 def _pointer_factors(
     left: np.ndarray, right: np.ndarray, s1s, s2s, wvs, displacement_scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of the raw pointer states over couplings and meter angles.
+    """Factors A = K_a L and X = K_b R of the raw pointer states over couplings and meter angles.
 
     right is the probe's R (dim_b x m) or a stack of members R_k sharing L.
-    Returns arms (len(s1s) x dim_a x 4), A at each s1, and mixed (len(s2s) x
-    len(wvs) x [K x] dim_b x 4), X at each s2, WeakValueParams [and member],
-    so that the raw pointer grid is arms[i] @ mixed[j, k].T; each mode-b
-    displacement is one product over all members' columns.  A and X are
-    stored as their half sum and difference, [(D_a(+u1) + D_a(-u1)) L,
-    (D_a(+u1) - D_a(-u1)) L] / 2 and [X_+ + X_-, X_+ - X_-]: nearly parallel
-    arms at small u1, and nearly cancelling X_+ and X_- under strong
-    post-selection, then cancel amplitude by amplitude, as in the dense
-    grid, so Gram moments keep the dense accuracy at small P_s.  Raises
-    CouplingParams' ValueError for a negative coupling.
+    Returns A (len(s1s) x len(wvs) x dim_a x m), at each s1 and
+    WeakValueParams, and X (len(s2s) x len(wvs) x [K x] dim_b x m), at each
+    s2, WeakValueParams [and member], so that the raw pointer grid is
+    A[i, w] @ X[j, w].T; each mode-b displacement is one pass over all
+    members' columns.  Each factor is summed amplitude by amplitude, as in
+    the dense grid, so nearly cancelling terms under strong post-selection
+    cancel before any Gram is formed.  Raises CouplingParams' ValueError for
+    a negative coupling.
     """
     CouplingParams(float(min(s1s)), float(min(s2s)))
-    u1 = displacement_scale * np.asarray(s1s, dtype=np.float64)
-    arms = 0.5 * _sum_and_difference(*np.split(displace(np.concatenate([u1, -u1]), left), 2))
+    weights = _meter_weights(wvs)
+    u1, u2 = (displacement_scale * np.asarray(s, dtype=np.float64) for s in (s1s, s2s))
+    fac_a = _meter(u1.tolist(), left, weights[:, 0])
     # Every member's columns side by side, so each mode-b displacement is one pass.
     dim_b, width = right.shape[-2:]
     columns = right.reshape(-1, dim_b, width).transpose(1, 0, 2).reshape(dim_b, -1)
-    u2 = displacement_scale * np.asarray(s2s, dtype=np.float64)
-    shifted = displace(np.concatenate([u2, -u2]), columns).reshape(2 * len(u2), dim_b, -1, width)
-    up, down = shifted.transpose(0, 2, 1, 3).reshape(2, len(u2), *right.shape)
-    mixed = np.array([_mixed(up, down, _branch_weights(wv)) for wv in wvs]).swapaxes(0, 1)
-    return arms, _sum_and_difference(*np.split(mixed, 2, axis=-1))
-
-
-def _sum_and_difference(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """[F_1 + F_2, F_1 - F_2], the two factor stacks' sum and difference side by side."""
-    return np.concatenate([first + second, first - second], axis=-1)
+    fac_b = _meter(u2.tolist(), columns, weights[:, 1])
+    fac_b = fac_b.reshape(*fac_b.shape[:3], -1, width).swapaxes(2, 3)
+    return fac_a, fac_b.reshape(*fac_b.shape[:2], *right.shape)
 
 
 def apply_displacement_branches(
@@ -305,11 +289,8 @@ def apply_displacement_branches(
     coupling: CouplingParams,
     displacement_scale: float = 0.5,
 ) -> TwoModeState:
-    """(omega/4) sum of the four weighted displacement branches applied to state.
-
-    The amplitudes enter the kernel of the module docstring as the factor
-    pair L = amp, R = identity.
-    """
+    """(K_a (x) K_b) state, the two meter operators of the module docstring
+    applied to state as the factor pair L = amp, R = identity."""
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
     raw = _pointer_grid(state.amplitudes, identity, wv, coupling, displacement_scale)
     return TwoModeState(raw, state.cutoff)

@@ -7,7 +7,7 @@ merit (quantum Fisher information and the resulting Cramer-Rao bound).
 
 squeezing_report and hz_correlation work on a TwoModeState's dense grid.
 Everything else keeps a pointer state as its factors, psi = A X^T with A
-(dim_a x m) and X (dim_b x m), m <= 4 (see the measurement module), and
+(dim_a x m) and X (dim_b x m), m <= 2 (see the measurement module), and
 computes each product-operator moment from two m x m Gram matrices:
 
     <psi| O_a (x) O_b |psi> = sum_kl (A^dag O_a A)_kl (X^dag O_b X)_kl.
@@ -17,7 +17,7 @@ P_s, <N_a>, <N_b>, <N_a N_b>, <a b>, <a^2 b^2>, the direct route's <V> and
 top-level mass and displaced parity all take this form.  One table names
 the operands of every Gram, and each side's Gram of an operator is built
 only when a moment first asks for it.  A depends only on the mode-a
-coupling and X only on the mode-b coupling and the meter angles, so a whole
+coupling and meter, and X only on the mode-b coupling and meter, so a whole
 grid of moments is one product of stacked Grams, and the Wigner
 cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the parity
 Grams of D_a(-gamma) A and D_b(-beta) X; a TwoModeState enters it as the
@@ -72,15 +72,21 @@ DEFAULT_FD_STEP = 1e-5
 _FD_ROUNDING_UNITS = 32.0
 
 
-def _mode_occupations(arr: np.ndarray) -> tuple[float, float, float]:
-    """(<N_a>, <N_b>, <N_a N_b>) from the diagonal probability grid."""
+def _lowered(arr: np.ndarray) -> np.ndarray:
+    """a b psi of an amplitude grid psi, on psi's grid (top row and column
+    zero): one product of psi's interior with the outer grid sqrt(n_a) sqrt(n_b)."""
+    dim_a, dim_b = arr.shape
+    ab = np.zeros_like(arr)
+    ab[:-1, :-1] = np.multiply.outer(np.sqrt(np.arange(1.0, dim_a)), np.sqrt(np.arange(1.0, dim_b))) * arr[1:, 1:]
+    return ab
+
+
+def _mode_occupations(arr: np.ndarray) -> tuple[float, float]:
+    """(<N_a>, <N_b>) from the diagonal probability grid."""
     prob = np.abs(arr) ** 2
-    n_a_vals = np.arange(arr.shape[0], dtype=np.float64)
-    n_b_vals = np.arange(arr.shape[1], dtype=np.float64)
-    n_a = float(n_a_vals @ prob.sum(axis=1))
-    n_b = float(prob.sum(axis=0) @ n_b_vals)
-    n_ab = float(n_a_vals @ prob @ n_b_vals)
-    return n_a, n_b, n_ab
+    n_a = float(np.arange(arr.shape[0], dtype=np.float64) @ prob.sum(axis=1))
+    n_b = float(prob.sum(axis=0) @ np.arange(arr.shape[1], dtype=np.float64))
+    return n_a, n_b
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,31 @@ class SqueezingReport:
     s2s_direct: float
     s2s_normal_ordered: float
     theta_big: float
+
+
+def _squeezing_routes(arr: np.ndarray, theta_big: float) -> tuple[float, float]:
+    """(direct, normal-ordered) sum squeezing of an amplitude grid; both
+    routes share one a b psi grid and the occupations."""
+    ab = _lowered(arr)
+    denominator = sum(_mode_occupations(arr)) + 1.0
+    phase = cmath.exp(-1j * theta_big)
+
+    # Direct: V|psi> = (e^{iT} a^dag b^dag psi + e^{-iT} a b psi) / 2 on the enlarged grid.
+    up = create(create(arr, 0), 1)
+    v_psi = np.zeros_like(up)
+    v_psi[: arr.shape[0], : arr.shape[1]] = phase * ab
+    v_psi += np.conj(phase) * up
+    v_psi *= 0.5
+    exp_v = float(np.real(np.vdot(arr, v_psi[: arr.shape[0], : arr.shape[1]])))
+    exp_v2 = float(np.real(np.vdot(v_psi, v_psi)))
+    direct = 4.0 * (exp_v2 - exp_v**2) / denominator - 1.0
+
+    # Normal-ordered: <a b>, <a^2 b^2> and <N_a N_b> = |a b psi|^2.
+    m_ab = complex(np.vdot(arr, ab))
+    m_a2b2 = complex(np.vdot(arr, _lowered(ab)))
+    n_ab = float(np.vdot(ab, ab).real)
+    numerator = (phase * phase * m_a2b2).real - 2.0 * ((phase * m_ab).real) ** 2 + n_ab
+    return direct, 2.0 * numerator / denominator
 
 
 def sum_squeezing_direct(state: TwoModeState, theta_big: float) -> float:
@@ -102,20 +133,7 @@ def sum_squeezing_direct(state: TwoModeState, theta_big: float) -> float:
     are exact; the quadratic moment then carries no cutoff-boundary defect
     and agrees with the normal-ordered route to rounding error.
     """
-    arr = state.amplitudes
-    up = create(create(arr, 0), 1)
-    down = np.zeros_like(up)
-    down[: arr.shape[0], : arr.shape[1]] = annihilate(annihilate(arr, 0), 1)
-    phase = cmath.exp(1j * theta_big)
-    v_psi = 0.5 * (phase * up + np.conj(phase) * down)
-
-    psi_big = np.zeros_like(up)
-    psi_big[: arr.shape[0], : arr.shape[1]] = arr
-    exp_v = float(np.real(np.vdot(psi_big, v_psi)))
-    exp_v2 = float(np.real(np.vdot(v_psi, v_psi)))
-
-    n_a, n_b, _ = _mode_occupations(arr)
-    return 4.0 * (exp_v2 - exp_v**2) / (n_a + n_b + 1.0) - 1.0
+    return _squeezing_routes(state.amplitudes, theta_big)[0]
 
 
 def sum_squeezing_normal_ordered(state: TwoModeState, theta_big: float) -> float:
@@ -127,22 +145,12 @@ def sum_squeezing_normal_ordered(state: TwoModeState, theta_big: float) -> float
     Annihilation-only moments are exact on the truncated support, so this
     form needs no enlarged grid.
     """
-    arr = state.amplitudes
-    ab = annihilate(annihilate(arr, 0), 1)
-    m_ab = complex(np.vdot(arr, ab))
-    m_a2b2 = complex(np.vdot(arr, annihilate(annihilate(ab, 0), 1)))
-    n_a, n_b, n_ab = _mode_occupations(arr)
-    phase = cmath.exp(-1j * theta_big)
-    numerator = (phase * phase * m_a2b2).real - 2.0 * ((phase * m_ab).real) ** 2 + n_ab
-    return 2.0 * numerator / (n_a + n_b + 1.0)
+    return _squeezing_routes(state.amplitudes, theta_big)[1]
 
 
 def squeezing_report(state: TwoModeState, theta_big: float) -> SqueezingReport:
-    return SqueezingReport(
-        s2s_direct=sum_squeezing_direct(state, theta_big),
-        s2s_normal_ordered=sum_squeezing_normal_ordered(state, theta_big),
-        theta_big=theta_big,
-    )
+    direct, normal = _squeezing_routes(state.amplitudes, theta_big)
+    return SqueezingReport(s2s_direct=direct, s2s_normal_ordered=normal, theta_big=theta_big)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,17 +208,17 @@ _GRAM_OPERANDS: dict[str, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
 }
 
 
-def _moments(arms: np.ndarray, mixed: np.ndarray) -> Callable[[str, str], np.ndarray]:
-    """moment(op_a, op_b): <O_a (x) O_b> of every raw pointer state arms @ mixed^T.
+def _moments(fac_a: np.ndarray, fac_b: np.ndarray) -> Callable[[str, str], np.ndarray]:
+    """moment(op_a, op_b): <O_a (x) O_b> of every raw pointer state fac_a @ fac_b^T.
 
-    arms (..., Na, dim_a, m) and mixed (..., Nb, dim_b, m) are factor stacks;
+    fac_a (..., Na, dim_a, m) and fac_b (..., Nb, dim_b, m) are factor stacks;
     the moments come out as (..., Na, Nb) grids, named by _GRAM_OPERANDS' keys.
     Each side's Gram of a key is built the first time a moment asks for it.
     """
 
     @functools.cache
     def gram(side: int, key: str) -> np.ndarray:
-        return _gram(*_GRAM_OPERANDS[key]((arms, mixed)[side]))
+        return _gram(*_GRAM_OPERANDS[key]((fac_a, fac_b)[side]))
 
     return lambda op_a, op_b: _contract(gram(0, op_a), gram(1, op_b))
 
@@ -342,9 +350,8 @@ def joint_wigner_point(
 def hz_correlation(state: TwoModeState) -> float:
     """E = <N_a><N_b> - |<a b>|^2; negative values witness entanglement."""
     arr = state.amplitudes
-    n_a, n_b, _ = _mode_occupations(arr)
-    m_ab = complex(np.vdot(arr, annihilate(annihilate(arr, 0), 1)))
-    return n_a * n_b - abs(m_ab) ** 2
+    n_a, n_b = _mode_occupations(arr)
+    return n_a * n_b - abs(complex(np.vdot(arr, _lowered(arr)))) ** 2
 
 
 def qcrb(qfi: float, shots: int = 1) -> float:
@@ -403,16 +410,16 @@ def _qfi_grid(
         if h is None:
             # i n R: n = 0 drops R's first column e0 and the N c_a[0] in entry 0 of its second.
             right = np.concatenate([right, 1j * np.arange(config.cutoff.dim_b)[:, None] * right])
-        arms, mixed = _pointer_factors(left, right, s1s, s2s, [config.wv], config.displacement_scale)
-        members = mixed[:, 0]
-        moment = _moments(arms[:, None], members if h is not None else members[:, :1])
+        fac_a, fac_b = _pointer_factors(left, right, s1s, s2s, [config.wv], config.displacement_scale)
+        members = fac_b[:, 0]
+        moment = _moments(fac_a, members if h is not None else members[:, :1])
         p, degenerate, truncated = (grid[:, 0] for grid in _post_selection(moment, tail_tol, probe_tail))
         scaled = members * (1.0 / np.sqrt(p if renormalized else p[:, :1]))[..., None, None]
         if h is None:
             d_x = scaled[:, 1:]
         else:
             d_x = (scaled[:, 1::2] - scaled[:, 2::2]) * (0.5 / np.array(steps))[:, None, None]
-        g_a = _gram(arms, arms)[:, None]
+        g_a = _gram(fac_a, fac_a)
         dd = _contract(g_a, _gram(d_x, d_x))[:, 0].real
         cross = _contract(g_a, _gram(scaled[:, :1], d_x))[:, 0]
         q = 4.0 * (dd - np.abs(cross) ** 2)

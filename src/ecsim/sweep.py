@@ -155,8 +155,8 @@ def _sweep_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.nda
     """_pointer_factors of the config's probe, built once, and the probe's
     top-level mass."""
     left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
-    arms, mixed = _pointer_factors(left, right[0], s1s, s2s, wvs, config.displacement_scale)
-    return arms, mixed, float(_probe_tail(left, right)[0])
+    fac_a, fac_b = _pointer_factors(left, right[0], s1s, s2s, wvs, config.displacement_scale)
+    return fac_a, fac_b, float(_probe_tail(left, right)[0])
 
 
 def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -164,11 +164,11 @@ def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray, 
     coupling, normalized up to a global phase, and whether the probe or the
     state is truncated.  Warns and raises like pointer_outcome."""
     coupling = config.coupling
-    arms, mixed, probe_tail = _sweep_factors(config, [coupling.s1], [coupling.s2], [config.wv])
-    moment = _moments(arms, mixed[:, 0])
+    fac_a, fac_b, probe_tail = _sweep_factors(config, [coupling.s1], [coupling.s2], [config.wv])
+    moment = _moments(fac_a[:, 0], fac_b[:, 0])
     _check_p_floor(moment("1", "1")[0, 0].real, DEFAULT_P_FLOOR)
     p_s, _, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
-    return arms[0] / math.sqrt(p_s[0, 0]), mixed[0, 0], bool(truncated[0, 0])
+    return fac_a[0, 0] / math.sqrt(p_s[0, 0]), fac_b[0, 0], bool(truncated[0, 0])
 
 
 def cmd_probability(
@@ -183,10 +183,11 @@ def cmd_probability(
     def batch():
         s, thetas = s_range.values(), theta_range.values()
         wvs = [dataclasses.replace(config.wv, theta1=t, theta2=t) for t in thetas.tolist()]
-        arms, mixed, probe_tail = _sweep_factors(config, s, s, wvs)
-        moment = _moments(arms[:, None], mixed)
-        p_s, degenerate, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
-        columns, counts, _ = _failed_na([p_s[:, 0]], degenerate=degenerate[:, 0], truncated=truncated[:, 0])
+        fac_a, fac_b, probe_tail = _sweep_factors(config, s, s, wvs)
+        # Each (s, theta) pairs A and X slot by slot: one 1 x 1 moment per slot.
+        moment = _moments(fac_a[:, :, None], fac_b[:, :, None])
+        p_s, degenerate, truncated = (g[..., 0, 0] for g in _post_selection(moment, config.tail_tolerance, probe_tail))
+        columns, counts, _ = _failed_na([p_s], degenerate=degenerate, truncated=truncated)
         return columns, {"na_rows": counts}
 
     return _sweep(config, "probability", (s_range, theta_range), order, batch)
@@ -194,8 +195,8 @@ def cmd_probability(
 
 def _coupling_batch(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec, columns):
     """Batch over the (s1, s2) grid of the column grids columns(moment, P_s)."""
-    arms, mixed, probe_tail = _sweep_factors(config, s1_range.values(), s2_range.values(), [config.wv])
-    moment = _moments(arms, mixed[:, 0])
+    fac_a, fac_b, probe_tail = _sweep_factors(config, s1_range.values(), s2_range.values(), [config.wv])
+    moment = _moments(fac_a[:, 0], fac_b[:, 0])
     p_s, degenerate, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
     grids, counts, _ = _failed_na(columns(moment, p_s), degenerate=degenerate, truncated=truncated)
     return grids, {"na_rows": counts}

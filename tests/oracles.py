@@ -3,8 +3,9 @@
 Everything here is built from first principles with plain numpy/scipy so
 that agreement with the package is meaningful: coherent amplitudes come
 from explicit factorials, displacement operators from their own matrix
-exponential, and the post-selected pointer state from the full
-qubit x qubit x Fock tensor with eigenprojector-expanded couplings.
+exponential, the post-selected pointer state from the full
+qubit x qubit x Fock tensor with eigenprojector-expanded couplings, and
+the four-branch weights of that expansion from the explicit weak values.
 No computation is shared with the code under test.
 """
 
@@ -67,6 +68,26 @@ def qubit_state(theta, delta):
         [math.cos(theta / 2.0), np.exp(1j * delta) * math.sin(theta / 2.0)],
         dtype=complex,
     )
+
+
+def branch_terms(theta1, delta1, theta2, delta2):
+    """Four (weight, sign_a, sign_b) branches of the two-meter expansion.
+
+    Expanding both couplings over their eigenprojectors P_+- gives four
+    branches D_a(sign_a u1) D_b(sign_b u2), weighted by (omega / 4) times
+    these weights, with w_x = e^{i delta1} tan(theta1 / 2) and
+    w_y = -i e^{i delta2} tan(theta2 / 2).  Ordering is fixed: A+ (+,+),
+    A- (-,-), B+ (-,+), B- (+,-).  The weights sum to 4, which is what
+    collapses the state back to the probe at zero coupling.
+    """
+    w_x = np.exp(1j * delta1) * math.tan(theta1 / 2.0)
+    w_y = -1j * np.exp(1j * delta2) * math.tan(theta2 / 2.0)
+    return [
+        ((1.0 + w_x) * (1.0 + w_y), +1.0, +1.0),
+        ((1.0 - w_x) * (1.0 - w_y), -1.0, -1.0),
+        ((1.0 - w_x) * (1.0 + w_y), -1.0, +1.0),
+        ((1.0 + w_x) * (1.0 - w_y), +1.0, -1.0),
+    ]
 
 
 def controlled_displacement(sigma, u, n_max):

@@ -1,8 +1,8 @@
 """Tests for probe-state construction, weak values, and post-selection.
 
 The heavy check is equivalence against the explicit qubit x qubit x Fock
-tensor construction in oracles.py, which never touches the four-branch
-shortcut used by the library.
+tensor construction in oracles.py, which never touches the per-meter
+operator product used by the library.
 """
 
 import cmath
@@ -24,7 +24,6 @@ from ecsim.measurement import (
     EcsParams,
     WeakValueParams,
     apply_displacement_branches,
-    branch_terms,
     build_ecs,
     build_pointer_state,
     ecs_factors,
@@ -101,6 +100,8 @@ def test_weak_values_frozen():
 
 
 def test_branch_weights_sum_to_four():
+    """The reference branch weights sum to 4, and the products k_a+- k_b+- of
+    the library's per-meter weights are (omega/4) times them."""
     rng = np.random.default_rng(41)
     for _ in range(25):
         wv = WeakValueParams(
@@ -109,10 +110,17 @@ def test_branch_weights_sum_to_four():
             rng.uniform(0.0, 0.95 * math.pi),
             rng.uniform(0.0, 2.0 * math.pi),
         )
-        total = sum(weight for weight, _, _ in branch_terms(wv))
+        branches = oracles.branch_terms(wv.theta1, wv.delta1, wv.theta2, wv.delta2)
+        total = sum(weight for weight, _, _ in branches)
         assert abs(total - 4.0) < 1e-12
-        signs = [(sa, sb) for _, sa, sb in branch_terms(wv)]
+        signs = [(sa, sb) for _, sa, sb in branches]
         assert signs == [(1, 1), (-1, -1), (-1, 1), (1, -1)]
+        k_a, k_b = measurement._meter_weights([wv])[0]
+        sign_index = {1.0: 0, -1.0: 1}
+        for weight, sign_a, sign_b in branches:
+            product = k_a[sign_index[sign_a]] * k_b[sign_index[sign_b]]
+            expected = 0.25 * meter_overlap(wv) * weight
+            assert abs(product - expected) <= 1e-14 * max(1.0, abs(expected))
 
 
 def test_meter_overlap():
@@ -234,7 +242,7 @@ def test_displacement_convention_full_equals_doubled_half():
 
 
 def test_brute_force_tensor_oracle_agreement():
-    """Four-branch shortcut vs the explicit two-meter tensor evolution."""
+    """Per-meter operator product vs the explicit two-meter tensor evolution."""
     rng = np.random.default_rng(314)
     n_max = 10
     cutoff = fock.FockCutoff(n_max, n_max)
@@ -290,7 +298,7 @@ def eight_product_reference(amp, wv, coupling, scale=0.5):
     """(omega/4) sum_k w_k D_a(+-u1) amp D_b(+-u2)^T, one branch at a time."""
     n_a, n_b = amp.shape[0] - 1, amp.shape[1] - 1
     total = np.zeros_like(amp)
-    for weight, sign_a, sign_b in branch_terms(wv):
+    for weight, sign_a, sign_b in oracles.branch_terms(wv.theta1, wv.delta1, wv.theta2, wv.delta2):
         d_a = fock.displacement_matrix(sign_a * scale * coupling.s1, n_a).matrix
         d_b = fock.displacement_matrix(sign_b * scale * coupling.s2, n_b).matrix
         total += weight * (d_a @ amp @ d_b.T)
@@ -348,7 +356,7 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
         warnings.simplefilter("ignore", TruncationWarning)
         left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
         arms, mixed = measurement._pointer_factors(left, right, [s1], [s2], [wv], 0.5)
-        assert mixed.shape == (1, 1, len(varphis), n_max + 1, 4)
+        assert mixed.shape == (1, 1, len(varphis), n_max + 1, 2)
         raw = arms[0] @ mixed[0, 0].swapaxes(-1, -2)
         for k, varphi in enumerate(varphis):
             ecs = build_ecs(EcsParams(r, mu, varphi), cutoff)
@@ -362,9 +370,50 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
             assert abs(selected.success_probability - outcome.success_probability) <= 1e-13
 
 
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    r=st.floats(0.0, 1.5),
+    mu=PHASES,
+    varphis=st.lists(PHASES, min_size=2, max_size=7),
+    wv_angles=st.lists(st.tuples(THETAS, PHASES, THETAS, PHASES), min_size=2, max_size=4),
+    s1s=st.lists(COUPLINGS, min_size=2, max_size=5),
+    s2s=st.lists(COUPLINGS, min_size=2, max_size=5),
+    n_max=st.sampled_from([12, 40]),
+)
+def test_one_point_factors_equal_their_slot_in_a_batch(r, mu, varphis, wv_angles, s1s, s2s, n_max):
+    """A sweep row and a one-point library call build bit-identical factors:
+    each slot of one _pointer_factors call over several couplings, meter
+    angles and members equals, with np.array_equal, the call at that slot
+    alone, with all members or with its own member only; and the one-point
+    pointer grid behind pointer_outcome is exactly the product of the
+    one-point factors of its probe."""
+    cutoff = fock.FockCutoff(n_max, n_max)
+    wvs = [WeakValueParams(*angles) for angles in wv_angles]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
+        fac_a, fac_b = measurement._pointer_factors(left, right, s1s, s2s, wvs, 0.5)
+        for w, wv in enumerate(wvs):
+            for i, s1 in enumerate(s1s):
+                j, k = i % len(s2s), (i + w) % len(varphis)
+                one_a, one_b = measurement._pointer_factors(left, right, [s1], [s2s[j]], [wv], 0.5)
+                assert np.array_equal(one_a[0, 0], fac_a[i, w])
+                assert np.array_equal(one_b[0, 0], fac_b[j, w])
+                _, member_b = measurement._pointer_factors(left, right[k], [s1], [s2s[j]], [wv], 0.5)
+                assert np.array_equal(member_b[0, 0], fac_b[j, w, k])
+        config = default_config(
+            ecs=EcsParams(r, mu, varphis[0]), wv=wvs[0], coupling=CouplingParams(s1s[0], s2s[0]), cutoff=cutoff
+        )
+        probe_l, probe_r = ecs_factors(config.ecs, cutoff)
+        one_a, one_b = measurement._pointer_factors(probe_l, probe_r[0], s1s[:1], s2s[:1], wvs[:1], 0.5)
+        raw = config.raw_pointer_state().amplitudes
+        assert np.array_equal(raw, one_a[0, 0] @ one_b[0, 0].T)
+        assert config.pointer_outcome().success_probability == float(np.vdot(raw, raw).real)
+
+
 def dense_derivative_qfi(config):
     """QFI with the varphi derivative built as a dense grid, i beta N e0 (x) b^dag c_b
-    with b^dag truncated, and pushed through the four branches on its own."""
+    with b^dag truncated, and pushed through the meter operators on its own."""
     ecs, cutoff = config.ecs, config.cutoff
     wv, coupling, scale = config.wv, config.coupling, config.displacement_scale
     raw0 = apply_displacement_branches(config.ecs_state(), wv, coupling, scale).amplitudes
