@@ -383,8 +383,9 @@ def _qfi_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(Q, degenerate, truncated, tripped) over amplitudes rs x coupling pairs (s1s[j], s2s[j]).
 
-    One probe per amplitude; its pointer states are the factors A X_k^T of
-    _pointer_factors.  With x_0 = X_0 / sqrt(P_0) and d psi = A dX^T,
+    One probe per amplitude; its pointer states are the rank-2 factors
+    A X_k^T of _pointer_factors, A = K_a L and X_k = K_b R_k, so every Gram
+    below is 2 x 2.  With x_0 = X_0 / sqrt(P_0) and d psi = A dX^T,
 
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
