@@ -18,8 +18,6 @@ from .measurement import (
     WeakValueParams,
     build_ecs,
     build_pointer_state,
-    fix_global_phase,
-    meter_overlap,
     weak_value_x,
     weak_value_y,
 )
@@ -56,11 +54,9 @@ __all__ = [
     "build_pointer_state",
     "coherent_column",
     "default_config",
-    "fix_global_phase",
     "hz_correlation",
     "joint_wigner_grid",
     "joint_wigner_point",
-    "meter_overlap",
     "qcrb",
     "qfi_analytic",
     "qfi_finite_difference",

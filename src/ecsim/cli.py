@@ -20,6 +20,7 @@ a vanishing QFI, the hz flag of a NaN correlation).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -27,7 +28,6 @@ from . import __version__
 from .config import DISPLACEMENT_CONVENTIONS, QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import FockCutoff
-from .measurement import CouplingParams, EcsParams, WeakValueParams
 from .sweep import _COMMANDS, FAILURES
 
 
@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s2", type=float, default=coupling.s2, help="mode-b coupling strength")
         p.add_argument("--theta-big", type=parse_angle, default=base.theta_big, help="squeezing phase angle")
         p.add_argument("--cutoff", type=parse_cutoff, default=base.cutoff, help="Fock cutoff: N or N_a,N_b")
-        p.add_argument("--tail-tol", type=float, default=base.tail_tolerance, help="truncation tail warning tolerance")
+        p.add_argument("--tail-tol", dest="tail_tolerance", metavar="TAIL_TOL", type=float,
+                       default=base.tail_tolerance, help="truncation tail warning tolerance")
         p.add_argument("--displacement-convention", choices=DISPLACEMENT_CONVENTIONS,
                        default=base.displacement_convention,
                        help="branch displacement arms: +-s/2 (half) or +-s (full)")
@@ -108,21 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
         p.add_argument("--meta", default=None, help="JSON metadata output path")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> WeakMeasurementConfig:
-    return WeakMeasurementConfig(
-        ecs=EcsParams(r=args.r, mu=args.mu, varphi=args.varphi),
-        wv=WeakValueParams(
-            theta1=args.theta1, delta1=args.delta1, theta2=args.theta2, delta2=args.delta2
-        ),
-        coupling=CouplingParams(s1=args.s1, s2=args.s2),
-        theta_big=args.theta_big,
-        cutoff=args.cutoff,
-        tail_tolerance=args.tail_tol,
-        displacement_convention=args.displacement_convention,
-        qfi_gauge=args.qfi_gauge,
-    )
 
 
 def _resolve_axes(
@@ -157,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     info = _COMMANDS[args.command]
 
     try:
-        config = _config_from_args(args)
+        config = WeakMeasurementConfig.from_dict({**vars(args), **dataclasses.asdict(args.cutoff)})
         ranges, order = _resolve_axes(args.command, args.sweep)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"ecsim: {exc}", file=sys.stderr)

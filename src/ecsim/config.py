@@ -15,7 +15,7 @@ from .measurement import (
     EcsParams,
     PostSelectedOutcome,
     WeakValueParams,
-    _pointer_grid,
+    _pointer_factors,
     _post_select,
     build_ecs,
     ecs_factors,
@@ -23,6 +23,8 @@ from .measurement import (
 
 DISPLACEMENT_CONVENTIONS = {"half": 0.5, "full": 1.0}
 QFI_GAUGES = ("fixed-kappa", "renormalized")
+# The config fields that hold a record; to_dict spells out their fields.
+_RECORDS = {"ecs": EcsParams, "wv": WeakValueParams, "coupling": CouplingParams, "cutoff": FockCutoff}
 
 
 @dataclass(frozen=True)
@@ -102,52 +104,36 @@ class WeakMeasurementConfig:
         return build_ecs(params, self.cutoff, self.tail_tolerance)
 
     def raw_pointer_state(self, varphi: float | None = None) -> TwoModeState:
-        phases = None if varphi is None else [varphi]
-        left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance, phases)
-        raw = _pointer_grid(left, right[0], self.wv, self.coupling, self.displacement_scale)
-        return TwoModeState(raw, self.cutoff)
+        return TwoModeState(self._raw_pointer_grid(varphi), self.cutoff)
 
     def pointer_outcome(self) -> PostSelectedOutcome:
-        left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance)
-        raw = _pointer_grid(left, right[0], self.wv, self.coupling, self.displacement_scale)
-        return _post_select(raw, self.cutoff, self.tail_tolerance, DEFAULT_P_FLOOR)
+        return _post_select(self._raw_pointer_grid(), self.cutoff, self.tail_tolerance, DEFAULT_P_FLOOR)
+
+    def _raw_pointer_grid(self, varphi: float | None = None) -> np.ndarray:
+        """A[0, 0] @ X[0, 0].T of one-point _pointer_factors at this config."""
+        phases = None if varphi is None else [varphi]
+        left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance, phases)
+        s1, s2 = [self.coupling.s1], [self.coupling.s2]
+        fac_a, fac_b = _pointer_factors(left, right[0], s1, s2, [self.wv], self.displacement_scale)
+        return fac_a[0, 0] @ fac_b[0, 0].T
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.ecs.r,
-            "mu": self.ecs.mu,
-            "varphi": self.ecs.varphi,
-            "theta1": self.wv.theta1,
-            "delta1": self.wv.delta1,
-            "theta2": self.wv.theta2,
-            "delta2": self.wv.delta2,
-            "s1": self.coupling.s1,
-            "s2": self.coupling.s2,
-            "theta_big": self.theta_big,
-            "n_max_a": self.cutoff.n_max_a,
-            "n_max_b": self.cutoff.n_max_b,
-            "tail_tolerance": self.tail_tolerance,
-            "displacement_convention": self.displacement_convention,
-            "qfi_gauge": self.qfi_gauge,
-        }
+        """The flat record: each sub-record of _RECORDS spelled out as its own
+        fields (r, mu, ..., n_max_b), each other field under its own name."""
+        flat = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            flat.update(dataclasses.asdict(value) if f.name in _RECORDS else {f.name: value})
+        return flat
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeakMeasurementConfig":
-        return cls(
-            ecs=EcsParams(r=data["r"], mu=data["mu"], varphi=data["varphi"]),
-            wv=WeakValueParams(
-                theta1=data["theta1"],
-                delta1=data["delta1"],
-                theta2=data["theta2"],
-                delta2=data["delta2"],
-            ),
-            coupling=CouplingParams(s1=data["s1"], s2=data["s2"]),
-            theta_big=data["theta_big"],
-            cutoff=FockCutoff(data["n_max_a"], data["n_max_b"]),
-            tail_tolerance=data["tail_tolerance"],
-            displacement_convention=data["displacement_convention"],
-            qfi_gauge=data["qfi_gauge"],
-        )
+        """Inverse of to_dict: the flat keys are the sub-records' field names
+        and the other fields' names.  Any other key is ignored."""
+        kwargs = {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name not in _RECORDS}
+        for name, record in _RECORDS.items():
+            kwargs[name] = record(**{f.name: data[f.name] for f in dataclasses.fields(record)})
+        return cls(**kwargs)
 
 
 def default_config(**overrides) -> WeakMeasurementConfig:

@@ -37,7 +37,8 @@ L = N [c_a, e0] and R = [e0, c_b].  So
 
 a pointer state of rank at most 2, and each factor is one displacement pass
 over +-u_i followed by the weighted sum.  Only c_b depends on varphi, so
-probes at several phases share L and A.
+probes at several phases share L and A.  A single pointer state is the
+product A X^T of a one-point factor pair, bit for bit its slot in a batch.
 """
 
 from __future__ import annotations
@@ -214,11 +215,6 @@ def build_ecs(
     return TwoModeState(left @ right[0].T, cutoff)
 
 
-def meter_overlap(wv: WeakValueParams) -> float:
-    """omega = cos(theta_1/2) cos(theta_2/2), the double |H> overlap."""
-    return math.cos(0.5 * wv.theta1) * math.cos(0.5 * wv.theta2)
-
-
 def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
     """W x 2 x 2 weights [(k_a+, k_a-), (k_b+, k_b-)] of the module docstring's
     meter operators, one row per WeakValueParams."""
@@ -231,29 +227,17 @@ def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
 
 
 def _meter(us: list[float], factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """K F = k+ D(+u) F + k- D(-u) F, len(us) x W x dim x m, at each arm u in us
-    and each weight pair (k+, k-) of weights (W x 2), for a factor F (dim x m)
-    from one displace pass over +-u."""
-    n = len(us)
-    shifted = displace([*us, *(-u for u in us)], factor)[:, None]
+    """K F = k+ D(+u) F + k- D(-u) F, len(us) x W x ... x dim x m, at each arm u
+    in us and each weight pair (k+, k-) of weights (W x 2), for a factor F
+    (dim x m) or a stack of them (... x dim x m).  All columns of the stack
+    sit side by side in one displace pass over +-u."""
+    n, w = len(us), len(weights)
+    dim, width = factor.shape[-2:]
+    columns = factor.reshape(-1, dim, width).transpose(1, 0, 2).reshape(dim, -1)
+    shifted = displace([*us, *(-u for u in us)], columns)[:, None]
     k = weights[:, :, None, None]
-    return k[:, 0] * shifted[:n] + k[:, 1] * shifted[n:]
-
-
-def _pointer_grid(
-    left: np.ndarray,
-    right: np.ndarray,
-    wv: WeakValueParams,
-    coupling: CouplingParams,
-    displacement_scale: float,
-) -> np.ndarray:
-    """The raw pointer grid (K_a L)(K_b R)^T of the module docstring, dim_a x dim_b,
-    from the factors L (dim_a x m) and R (dim_b x m); bit for bit the product
-    of _pointer_factors' A and X at this point."""
-    weights = _meter_weights([wv])
-    fac_a = _meter([displacement_scale * coupling.s1], left, weights[:, 0])
-    fac_b = _meter([displacement_scale * coupling.s2], right, weights[:, 1])
-    return fac_a[0, 0] @ fac_b[0, 0].T
+    out = k[:, 0] * shifted[:n] + k[:, 1] * shifted[n:]
+    return out.reshape(n, w, dim, -1, width).swapaxes(2, 3).reshape(n, w, *factor.shape)
 
 
 def _pointer_factors(
@@ -261,26 +245,20 @@ def _pointer_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factors A = K_a L and X = K_b R of the raw pointer states over couplings and meter angles.
 
-    right is the probe's R (dim_b x m) or a stack of members R_k sharing L.
-    Returns A (len(s1s) x len(wvs) x dim_a x m), at each s1 and
-    WeakValueParams, and X (len(s2s) x len(wvs) x [K x] dim_b x m), at each
-    s2, WeakValueParams [and member], so that the raw pointer grid is
-    A[i, w] @ X[j, w].T; each mode-b displacement is one pass over all
-    members' columns.  Each factor is summed amplitude by amplitude, as in
-    the dense grid, so nearly cancelling terms under strong post-selection
-    cancel before any Gram is formed.  Raises CouplingParams' ValueError for
-    a negative coupling.
+    left is the probe's L (dim_a x m) and right its R (dim_b x m); either may
+    be a stack (K x dim x m), such as the members R_k of a family that share
+    L.  Returns A (len(s1s) x len(wvs) x [K x] dim_a x m), at each s1 and
+    WeakValueParams [and member], and X (len(s2s) x len(wvs) x [K x] dim_b x
+    m) likewise over s2, so that the raw pointer grid is A[i, w] @ X[j, w].T
+    (member by member), and a one-point grid is A[0, 0] @ X[0, 0].T.  Each
+    factor is summed amplitude by amplitude, as in the dense grid, so nearly
+    cancelling terms under strong post-selection cancel before any Gram is
+    formed.  Raises CouplingParams' ValueError for a negative coupling.
     """
     CouplingParams(float(min(s1s)), float(min(s2s)))
     weights = _meter_weights(wvs)
-    u1, u2 = (displacement_scale * np.asarray(s, dtype=np.float64) for s in (s1s, s2s))
-    fac_a = _meter(u1.tolist(), left, weights[:, 0])
-    # Every member's columns side by side, so each mode-b displacement is one pass.
-    dim_b, width = right.shape[-2:]
-    columns = right.reshape(-1, dim_b, width).transpose(1, 0, 2).reshape(dim_b, -1)
-    fac_b = _meter(u2.tolist(), columns, weights[:, 1])
-    fac_b = fac_b.reshape(*fac_b.shape[:3], -1, width).swapaxes(2, 3)
-    return fac_a, fac_b.reshape(*fac_b.shape[:2], *right.shape)
+    u1, u2 = ([displacement_scale * float(s) for s in ss] for ss in (s1s, s2s))
+    return _meter(u1, left, weights[:, 0]), _meter(u2, right, weights[:, 1])
 
 
 def apply_displacement_branches(
@@ -292,27 +270,21 @@ def apply_displacement_branches(
     """(K_a (x) K_b) state, the two meter operators of the module docstring
     applied to state as the factor pair L = amp, R = identity."""
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    raw = _pointer_grid(state.amplitudes, identity, wv, coupling, displacement_scale)
-    return TwoModeState(raw, state.cutoff)
+    s1, s2 = [coupling.s1], [coupling.s2]
+    fac_a, fac_b = _pointer_factors(state.amplitudes, identity, s1, s2, [wv], displacement_scale)
+    return TwoModeState(fac_a[0, 0] @ fac_b[0, 0].T, state.cutoff)
 
 
-def _phase_fixed(amp: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """amp times scale, rotated so its first largest-magnitude entry is real positive."""
+def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
+    """amp times scale, rotated so its first largest-magnitude entry is real
+    positive; ties resolve to the first flat index, so repeated builds are
+    byte-reproducible.  amp must not be zero."""
     pivot = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
     mag = abs(amp[pivot])
-    fixed = amp * (scale * (mag / amp[pivot] if mag else 1.0))
+    fixed = amp * (scale * (mag / amp[pivot]))
     # pivot * (mag / pivot) can keep an imaginary part of order eps^2 * mag.
     fixed[pivot] = scale * mag
     return fixed
-
-
-def fix_global_phase(state: TwoModeState) -> TwoModeState:
-    """Rotate the global phase so the largest-magnitude amplitude is real positive.
-
-    Ties resolve to the first flat index, which makes repeated builds
-    byte-reproducible.  A zero state is returned unchanged.
-    """
-    return TwoModeState(_phase_fixed(state.amplitudes), state.cutoff)
 
 
 def _check_p_floor(p_s: float, p_floor: float) -> None:

@@ -109,7 +109,9 @@ def _sweep(
     first (default: canonical).  batch() runs once, under the sweep's warning
     capture, and returns the column grids (one axis per canonical axis, NA
     written in) and extra metadata, whose "na_rows" counts NA rows by cause.
-    Each grid is transposed into the declared order and read out flat.
+    Each grid is transposed into the declared order and read out flat.  The
+    metadata's "axes" lists [name, start, stop, points] outermost first, so
+    that with "config" it describes the run.
     """
     spec = _COMMANDS[command]
     axes = spec["axes"]
@@ -124,6 +126,7 @@ def _sweep(
     rows = tuple(zip(*(np.transpose(grid, nest).ravel().tolist() for grid in grids)))
     metadata = {
         "config": config.to_dict(),
+        "axes": [[axes[i], *dataclasses.astuple(ranges[i])] for i in nest],
         "version": __version__,
         "truncation_warnings": sum(issubclass(w.category, TruncationWarning) for w in caught),
         "rows": len(rows),

@@ -70,6 +70,11 @@ def qubit_state(theta, delta):
     )
 
 
+def meter_overlap(theta1, theta2):
+    """omega = cos(theta1 / 2) cos(theta2 / 2), the double |H> overlap."""
+    return math.cos(theta1 / 2.0) * math.cos(theta2 / 2.0)
+
+
 def branch_terms(theta1, delta1, theta2, delta2):
     """Four (weight, sign_a, sign_b) branches of the two-meter expansion.
 

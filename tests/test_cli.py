@@ -328,15 +328,15 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
-def test_package_exports_its_31_public_names():
+def test_package_exports_its_29_public_names():
     # fock's dense operator layer (ModeOperator, displacement_matrix,
     # apply_to_mode) stays in ecsim.fock, outside the package namespace.
     assert sorted(ecsim.__all__) == sorted([
         "__version__", "CouplingParams", "DegeneratePostSelectionError", "EcsParams", "FockCutoff",
         "NumericalRangeError", "PostSelectedOutcome", "RangeSpec", "SqueezingReport", "TruncationWarning",
         "TwoModeState", "WeakMeasurementConfig", "WeakValueParams", "WignerGrid", "build_ecs",
-        "build_pointer_state", "coherent_column", "default_config", "fix_global_phase", "hz_correlation",
-        "joint_wigner_grid", "joint_wigner_point", "meter_overlap", "qcrb", "qfi_analytic",
+        "build_pointer_state", "coherent_column", "default_config", "hz_correlation",
+        "joint_wigner_grid", "joint_wigner_point", "qcrb", "qfi_analytic",
         "qfi_finite_difference", "squeezing_report", "sum_squeezing_direct", "sum_squeezing_normal_ordered",
         "weak_value_x", "weak_value_y",
     ])
@@ -504,18 +504,28 @@ DEFAULT_CONFIG_ECHO = {
     "s1": 0.0, "s2": 0.0, "theta_big": HALF_PI, "n_max_a": 40, "n_max_b": 40,
     "tail_tolerance": 1e-10, "displacement_convention": "half", "qfi_gauge": "fixed-kappa",
 }
+COUPLING_AXES = [["s1", 0.0, 3.0, 16], ["s2", 0.0, 3.0, 16]]
 # The --meta sidecar of each golden invocation.  grid_min is compared within
 # the golden float bound, every other field exactly.
 GOLDEN_METADATA = {
-    "probability_default.csv": {"rows": 124, "na_rows": CLEAN_NA_ROWS},
-    "squeezing_default.csv": {"rows": 256, "na_rows": CLEAN_NA_ROWS},
+    "probability_default.csv": {
+        "rows": 124,
+        "na_rows": CLEAN_NA_ROWS,
+        "axes": [["s", 0.0, 3.0, 31], ["theta", 0.2 * math.pi, 0.8 * math.pi, 4]],
+    },
+    "squeezing_default.csv": {"rows": 256, "na_rows": CLEAN_NA_ROWS, "axes": COUPLING_AXES},
     "wigner_coupled.csv": {
         "rows": 2601,
         "grid_min": -0.32515977428700416,
         "config": dict(DEFAULT_CONFIG_ECHO, s1=1.0, s2=1.0),
+        "axes": [["re_gamma", -2.0, 2.0, 51], ["re_beta", -2.0, 2.0, 51]],
     },
-    "hz_default.csv": {"rows": 256, "na_rows": CLEAN_NA_ROWS},
-    "qcrb_default.csv": {"rows": 50, "na_rows": CLEAN_NA_ROWS},
+    "hz_default.csv": {"rows": 256, "na_rows": CLEAN_NA_ROWS, "axes": COUPLING_AXES},
+    "qcrb_default.csv": {
+        "rows": 50,
+        "na_rows": CLEAN_NA_ROWS,
+        "axes": [["r", 0.05, 0.5, 10], ["s", 0.0, 2.0, 5]],
+    },
 }
 
 
@@ -612,6 +622,8 @@ def test_reversed_declaration_moves_na_rows_with_their_rows(capsys, tmp_path, co
     assert sum("NA" in row.split(",") for row in rows) == na_count
     assert reversed_[1:] == [rows[n_inner * i + j] for j in range(n_inner) for i in range(n_outer)]
     assert canonical_meta.get("na_rows") == na_rows
+    # The sidecars differ only in the axes' order.
+    assert reversed_meta.pop("axes") == canonical_meta.pop("axes")[::-1]
     assert reversed_meta == canonical_meta
 
 
@@ -676,3 +688,50 @@ def test_golden_mismatches_accepts_rounding_drift():
     new = _with_cell(lines, 1, "E", repr(small_e + 9.8e-15))
     assert new != golden
     assert golden_mismatches("hz_default.csv", golden, new) == []
+
+
+# Every config flag at a value other than its default.
+REPLAY_FLAGS = [
+    "--r", "0.4", "--mu", "0.3pi", "--varphi", "0.7pi", "--theta1", "0.6pi", "--delta1", "0.2pi",
+    "--theta2", "0.5pi", "--delta2", "1.1pi", "--s1", "0.7", "--s2", "0.4", "--theta-big", "0.3pi",
+    "--cutoff", "20,24", "--tail-tol", "1e-9", "--displacement-convention", "full",
+    "--qfi-gauge", "renormalized",
+]
+
+
+def replay_argv(meta: dict) -> list[str]:
+    """The argv tail of the run a --meta sidecar describes, from the sidecar alone."""
+    config = dict(meta["config"])
+    argv = [f"--cutoff={config.pop('n_max_a')},{config.pop('n_max_b')}", f"--tail-tol={config.pop('tail_tolerance')}"]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
+    for name, start, stop, points in meta["axes"]:
+        argv += ["--sweep", f"{name}={start}:{stop}:{points}"]
+    return argv
+
+
+# Each command's axes, declared in reverse canonical order.
+REPLAY_SWEEPS = {
+    "probability": ["theta=0.1pi:0.3pi:2", "s=0.5:1:2"],
+    "squeezing": ["s2=0:1:2", "s1=0.5:1.5:2"],
+    "wigner": ["re_beta=-1:1:2", "re_gamma=-0.5:0.5:2"],
+    "hz": ["s2=0:1:2", "s1=0.5:1.5:2"],
+    "qcrb": ["s=0.5:1:2", "r=0.2:0.4:2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_SWEEPS))
+def test_sidecar_replays_its_run(tmp_path, command):
+    """A run rebuilt from its --meta sidecar alone writes the same CSV and
+    sidecar bytes: each config key maps back to its flag, and the axes keep
+    their declared order."""
+    argv = [command, *REPLAY_FLAGS]
+    for flag in REPLAY_SWEEPS[command]:
+        argv += ["--sweep", flag]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(argv + ["--out", f"{first}.csv", "--meta", f"{first}.json"]) == 0
+    meta = json.loads(_read_text(f"{first}.json"))
+    defaults = default_config().to_dict()
+    assert all(meta["config"][key] != value for key, value in defaults.items())
+    assert main([command, *replay_argv(meta), "--out", f"{again}.csv", "--meta", f"{again}.json"]) == 0
+    for suffix in (".csv", ".json"):
+        assert _read_text(f"{again}{suffix}") == _read_text(f"{first}{suffix}")

@@ -27,8 +27,6 @@ from ecsim.measurement import (
     build_ecs,
     build_pointer_state,
     ecs_factors,
-    fix_global_phase,
-    meter_overlap,
     weak_value_x,
     weak_value_y,
 )
@@ -119,13 +117,8 @@ def test_branch_weights_sum_to_four():
         sign_index = {1.0: 0, -1.0: 1}
         for weight, sign_a, sign_b in branches:
             product = k_a[sign_index[sign_a]] * k_b[sign_index[sign_b]]
-            expected = 0.25 * meter_overlap(wv) * weight
+            expected = 0.25 * oracles.meter_overlap(wv.theta1, wv.theta2) * weight
             assert abs(product - expected) <= 1e-14 * max(1.0, abs(expected))
-
-
-def test_meter_overlap():
-    wv = baseline_wv()
-    assert abs(meter_overlap(wv) - math.cos(0.4 * math.pi) ** 2) < 1e-15
 
 
 def test_build_ecs_zero_amplitude_is_vacuum():
@@ -207,11 +200,6 @@ def test_phase_convention_pivot_real_positive():
     assert pivot.real > 0.0
     again = build_pointer_state(ecs, baseline_wv(), CouplingParams(0.8, 0.8))
     assert np.array_equal(outcome.state.amplitudes, again.state.amplitudes)
-
-
-def test_fix_global_phase_zero_state_passthrough():
-    state = fock.TwoModeState(np.zeros((3, 3)), fock.FockCutoff(2, 2))
-    assert np.array_equal(fix_global_phase(state).amplitudes, state.amplitudes)
 
 
 def test_degenerate_post_selection_raises():
@@ -302,7 +290,7 @@ def eight_product_reference(amp, wv, coupling, scale=0.5):
         d_a = fock.displacement_matrix(sign_a * scale * coupling.s1, n_a).matrix
         d_b = fock.displacement_matrix(sign_b * scale * coupling.s2, n_b).matrix
         total += weight * (d_a @ amp @ d_b.T)
-    return 0.25 * meter_overlap(wv) * total
+    return 0.25 * oracles.meter_overlap(wv.theta1, wv.theta2) * total
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)

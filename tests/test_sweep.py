@@ -225,7 +225,8 @@ def test_metadata_config_round_trip():
     config = default_config(coupling=CouplingParams(0.4, 0.9))
     result = cmd_probability(config, single(0.5), single(0.6))
     meta = result.metadata
-    assert set(meta) == {"config", "version", "truncation_warnings", "rows", "na_rows"}
+    assert set(meta) == {"config", "axes", "version", "truncation_warnings", "rows", "na_rows"}
+    assert meta["axes"] == [["s", 0.5, 0.5, 1], ["theta", 0.6, 0.6, 1]]
     assert WeakMeasurementConfig.from_dict(meta["config"]) == config
     assert meta["truncation_warnings"] == 0
 
