@@ -51,10 +51,8 @@ def parse_cutoff(text: str) -> FockCutoff:
     """FockCutoff from 'N' (both modes) or 'N_a,N_b'."""
     try:
         parts = [int(p) for p in str(text).split(",")]
-        if len(parts) == 1:
-            return FockCutoff(parts[0], parts[0])
-        if len(parts) == 2:
-            return FockCutoff(parts[0], parts[1])
+        if len(parts) in (1, 2):
+            return FockCutoff(parts[0], parts[-1])
         raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse cutoff {text!r}") from None
@@ -152,15 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     axis_ranges = [ranges[name] for name in info["axes"]]
     try:
         result = info["runner"](config, *axis_ranges, order=order)
-    except DegeneratePostSelectionError as exc:
+    except (DegeneratePostSelectionError, NumericalRangeError, ValueError) as exc:
         print(f"ecsim: {exc}", file=sys.stderr)
-        return 4
-    except NumericalRangeError as exc:
-        print(f"ecsim: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"ecsim: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, DegeneratePostSelectionError) else 3 if isinstance(exc, NumericalRangeError) else 2
 
     single_point = all(spec.is_single for spec in axis_ranges)
     for cause, message in FAILURES.items():

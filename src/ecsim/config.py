@@ -25,6 +25,12 @@ DISPLACEMENT_CONVENTIONS = {"half": 0.5, "full": 1.0}
 QFI_GAUGES = ("fixed-kappa", "renormalized")
 # The config fields that hold a record; to_dict spells out their fields.
 _RECORDS = {"ecs": EcsParams, "wv": WeakValueParams, "coupling": CouplingParams, "cutoff": FockCutoff}
+# default_config's records; they are frozen, so every config shares them.
+_BASELINE = {
+    "ecs": EcsParams(r=0.1, mu=0.5 * math.pi, varphi=0.5 * math.pi),
+    "wv": WeakValueParams(theta1=0.8 * math.pi, delta1=0.5 * math.pi, theta2=0.8 * math.pi, delta2=0.5 * math.pi),
+    "coupling": CouplingParams(s1=0.0, s2=0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -139,14 +145,4 @@ class WeakMeasurementConfig:
 def default_config(**overrides) -> WeakMeasurementConfig:
     """Baseline scenario: r = 0.1, mu = varphi = delta_i = pi/2,
     theta_i = 4 pi / 5, zero coupling, cutoff 40 per mode."""
-    half_pi = 0.5 * math.pi
-    base = WeakMeasurementConfig(
-        ecs=EcsParams(r=0.1, mu=half_pi, varphi=half_pi),
-        wv=WeakValueParams(
-            theta1=0.8 * math.pi, delta1=half_pi, theta2=0.8 * math.pi, delta2=half_pi
-        ),
-        coupling=CouplingParams(s1=0.0, s2=0.0),
-    )
-    if overrides:
-        base = dataclasses.replace(base, **overrides)
-    return base
+    return WeakMeasurementConfig(**{**_BASELINE, **overrides})

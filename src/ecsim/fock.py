@@ -3,11 +3,13 @@
 States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 0 <= n_b <= n_max_b, stored as a complex (n_max_a+1, n_max_b+1) amplitude
 grid.  The ladder operators act on one Fock index of any array (a grid, a
-stack of grids or a stack of single-mode factors).  displace applies a whole
-batch of displacements to a single-mode factor in the eigenbasis of the
-quadrature a + a^dag, without forming or caching any matrix;
-displacement_matrix is that kernel applied to the identity, and
-apply_to_mode applies a dense operator to a state's tensor factor.  The
+stack of grids or a stack of single-mode factors).  One eigenbasis per
+cutoff, of the quadratures a + a^dag and p = i (a^dag - a), is cached with
+the level constants.  In it, with no matrix formed, displace applies a
+batch of displacements to a single-mode factor and meter a batch of meter
+operators c cos(u p) - i d sin(u p), each slot bit for bit the call at that
+slot alone; displacement_matrix is displace applied to the identity.
+apply_to_mode applies a dense operator to a state's tensor factor, and the
 top-level mass of a grid measures truncation.  Everything is plain numpy;
 nothing here knows about measurements or observables.
 """
@@ -103,7 +105,7 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
         raise ValueError(f"coherent amplitude {alpha!r} has no finite |alpha|^2")
     col = np.empty(n_max + 1, dtype=np.complex128)
     col[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    col[1:] = alpha / np.sqrt(np.arange(1.0, n_max + 1))
+    col[1:] = alpha / levels(n_max + 1)[1][1:]
     np.cumprod(col, out=col)
     deficit = max(0.0, 1.0 - np.vdot(col, col).real)
     if deficit > tail_tol:
@@ -117,21 +119,65 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     return col
 
 
-@lru_cache(maxsize=32)
-def _quadrature_eigh(n_max: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(max(lam), V, rates) of the truncated Q = a + a^dag = V diag(lam) V^T.
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
-    Q is real symmetric tridiagonal; one decomposition per cutoff serves
-    every displacement amplitude.  rates (3 x dim x 1 x 1) stacks n, -n and
-    -lam, the per-level rates of displace's three phase factors.
+
+@lru_cache(maxsize=64)
+def levels(dim: int) -> tuple[np.ndarray, ...]:
+    """Read-only (n, sqrt(n)) over the levels 0 .. dim - 1."""
+    n = np.arange(float(dim))
+    return _frozen(n, np.sqrt(n))
+
+
+@lru_cache(maxsize=32)
+def lowering_grid(dim_a: int, dim_b: int) -> np.ndarray:
+    """Read-only sqrt(n_a) sqrt(n_b) over n_a, n_b >= 1, the factor a b puts on a grid's interior."""
+    return _frozen(np.multiply.outer(levels(dim_a)[1][1:], levels(dim_b)[1][1:]))[0]
+
+
+@lru_cache(maxsize=32)
+def _quadrature_eigh(n_max: int) -> tuple[np.ndarray, ...]:
+    """Read-only (lam, V, W^dag, i^n, rates) per cutoff: Q = a + a^dag = V diag(lam) V^T,
+    p = i (a^dag - a) = W diag(lam) W^dag with W = diag(i^n) V exactly, and the
+    rates n, -n, -lam (3 x dim x 1 x 1) of displace's three phase factors."""
+    n, root = levels(n_max + 1)
+    lam, vecs = np.linalg.eigh(np.diag(root[1:], 1) + np.diag(root[1:], -1))
+    turns = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_max + 1) % 4, None]
+    return _frozen(lam, vecs, (turns * vecs).conj().T.copy(), turns, np.stack([n, -n, -lam])[:, :, None, None])
+
+
+def _check_angles(mags: list[float], lam: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first of mags whose angle |u| max(lam) overflows a double."""
+    overflowing = [mag for mag in mags if not math.isfinite(mag * float(lam[-1]))]
+    if overflowing:
+        raise ValueError(f"{what} {overflowing[0]!r} overflows at n_max={len(lam) - 1}")
+
+
+def meter(arms, amplitudes, factors: np.ndarray) -> np.ndarray:
+    """K F = W [c cos(u lam) - i d sin(u lam)] W^dag F = (c cos(u p) - i d sin(u p)) F,
+    len(arms) x R x F.shape, for each real arm u >= 0 and each row (c, d) of
+    amplitudes (R x 2), on a factor F (dim x m) or a stack (... x dim x m).
+
+    W^dag F is shared by all slots; W = diag(i^n) V then acts on each slot
+    as one real dim x 2m slice of a stacked product, so a slot's bits do not
+    depend on how many arms, rows or factors share the call.  Slots with
+    u = 0 hold c F exactly.  Raises ValueError when u max(lam) overflows.
     """
-    off = np.sqrt(np.arange(1.0, n_max + 1))
-    lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    levels = np.arange(n_max + 1.0)
-    rates = np.stack([levels, -levels, -lam])[:, :, None, None]
-    vecs.setflags(write=False)
-    rates.setflags(write=False)
-    return float(lam[-1]), vecs, rates
+    us = [float(u) for u in arms]
+    rows = np.asarray(amplitudes, dtype=np.complex128)
+    lam, vecs, wh, turns, _ = _quadrature_eigh(factors.shape[-2] - 1)
+    _check_angles(us, lam, "meter arm")
+    angles = np.multiply.outer(us, lam)[:, None]
+    diag = rows[:, :1] * np.cos(angles) - 1j * rows[:, 1:] * np.sin(angles)
+    lead = (1,) * (factors.ndim - 2)
+    out = diag.reshape(*diag.shape[:2], *lead, -1, 1) * (wh @ factors)
+    out = turns * (vecs @ out.view(np.float64)).view(np.complex128)
+    if 0.0 in us:
+        out[[u == 0.0 for u in us]] = rows[:, 0].reshape(-1, *lead, 1, 1) * factors
+    return out
 
 
 def displace(amplitudes, factor: np.ndarray) -> np.ndarray:
@@ -147,20 +193,15 @@ def displace(amplitudes, factor: np.ndarray) -> np.ndarray:
     unitary to rounding at every cutoff, and truncation shows up only in how
     well D(u) e0 matches the analytic coherent column.  No matrix is formed:
     the real V multiplies all K m complex columns at once through float64
-    views.  Slots with u_k = 0 hold F exactly.  A slot's bits depend on the
-    width of those real products, 2 K m columns, so callers whose batched
-    and one-point results must agree bit for bit pass +-u pairs of
-    even-width factors, which keeps every width a multiple of 8.  Raises
-    ValueError when a rotation angle |u_k| max(lam) overflows a double.
+    views, so a slot's bits may depend on K m.  Slots with u_k = 0 hold F
+    exactly; an angle |u_k| max(lam) that overflows raises ValueError.
     """
     us = np.asarray(amplitudes, dtype=np.complex128).tolist()
     dim, m = factor.shape
     k = len(us)
-    lam_max, vecs, rates = _quadrature_eigh(dim - 1)
+    lam, vecs, _, _, rates = _quadrature_eigh(dim - 1)
     mags = [abs(u) for u in us]
-    overflowing = [u for u, mag in zip(us, mags) if not math.isfinite(mag * lam_max)]
-    if overflowing:
-        raise ValueError(f"displacement amplitude {overflowing[0]!r} overflows at n_max={dim - 1}")
+    _check_angles(mags, lam, "displacement amplitude")
     thetas = [cmath.phase(u) + 0.5 * math.pi for u in us]
     # phases[0] = p, phases[1] = conj(p), phases[2] = e^{-i |u| lam}, each dim x K x 1.
     angles = rates * np.array(thetas + thetas + mags).reshape(3, 1, k, 1)
@@ -182,13 +223,8 @@ def displace(amplitudes, factor: np.ndarray) -> np.ndarray:
 
 
 def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
-    """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a).
-
-    displace applied to the identity: the eigendecomposition of the
-    quadrature a + a^dag at this cutoff plus a diagonal phase rotation, with
-    no matrix exponential and no cache.  Raises ValueError when the rotation
-    angle |gamma| * max(lam) overflows a double.
-    """
+    """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a),
+    displace applied to the identity; raises its ValueError on overflow."""
     identity = np.eye(int(n_max) + 1, dtype=np.complex128)
     return ModeOperator(displace([gamma], identity)[0])
 
@@ -241,8 +277,7 @@ def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
 def annihilate(arr: np.ndarray, axis: int) -> np.ndarray:
     """Annihilation on one Fock index of an array; exact, same shape (top level zeroed)."""
     out = np.zeros_like(arr)
-    n = np.sqrt(np.arange(1, arr.shape[axis], dtype=np.float64))
-    out.swapaxes(axis, -1)[..., :-1] = n * arr.swapaxes(axis, -1)[..., 1:]
+    out.swapaxes(axis, -1)[..., :-1] = levels(arr.shape[axis])[1][1:] * arr.swapaxes(axis, -1)[..., 1:]
     return out
 
 
@@ -251,6 +286,5 @@ def create(arr: np.ndarray, axis: int) -> np.ndarray:
     shape = list(arr.shape)
     shape[axis] += 1
     out = np.zeros(shape, dtype=np.complex128)
-    n = np.sqrt(np.arange(1, shape[axis], dtype=np.float64))
-    out.swapaxes(axis, -1)[..., 1:] = n * arr.swapaxes(axis, -1)
+    out.swapaxes(axis, -1)[..., 1:] = levels(shape[axis])[1][1:] * arr.swapaxes(axis, -1)
     return out

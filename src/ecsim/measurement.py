@@ -13,20 +13,18 @@ and post-selected on |H>, imprint the weak values
 
 onto the modes through conditional displacements.  Meter i couples to one
 mode only, with displacement arm u_i = s_i * scale (scale 1/2 under the
-default convention), so post-selecting it on |H> applies the single-meter
-weak-value operator
+default convention), so with p = i (a^dag - a) post-selecting it on |H>
+applies the single-meter weak-value operator
 
-    K_i = <H| exp(sigma_i (x) (u_i a^dag - u_i a)) |psi_i>
-        = k_i+ D(+u_i) + k_i- D(-u_i),   k_i+- = cos(theta_i / 2) (1 +- w_i) / 2,
+    K_i = <H| exp(-i u_i sigma_i (x) p) |psi_i> = c_i cos(u_i p) - i d_i sin(u_i p),
+    c_i = <H|psi_i> = cos(theta_i / 2),  d_i = <H|sigma_i|psi_i> = c_i w_i,
 
-to its mode (w_1 = w_x on mode a, w_2 = w_y on mode b).  The conditional
-pointer state is the product
-
-    |Phi~> = (K_a (x) K_b) |phi>,
-
-whose four weights k_a+- k_b+- are the branch weights (omega / 4)
-(1 +- w_x)(1 +- w_y), omega = cos(theta_1/2) cos(theta_2/2).  The
-post-selection succeeds with P_s = <Phi~|Phi~> and leaves
+to its mode (w_1 = w_x on mode a, w_2 = w_y on mode b).  As D(+-u) =
+e^{-+i u p}, K_i = k_i+ D(+u_i) + k_i- D(-u_i) with k_i+- = (c_i +- d_i) / 2,
+whose products k_a+- k_b+- are the branch weights (omega / 4) (1 +- w_x)
+(1 +- w_y), omega = c_1 c_2; under strong post-selection k_i+ and k_i-
+nearly cancel, so the meters take c_i and d_i themselves.  The post-selection
+succeeds with P_s = <Phi~|Phi~> for |Phi~> = (K_a (x) K_b) |phi> and leaves
 |Phi> = |Phi~> / sqrt(P_s).
 
 On the Fock grid the probe is the rank-2 amplitude matrix
@@ -35,10 +33,10 @@ L = N [c_a, e0] and R = [e0, c_b].  So
 
     |Phi~> = (K_a L) (K_b R)^T = A X^T,
 
-a pointer state of rank at most 2, and each factor is one displacement pass
-over +-u_i followed by the weighted sum.  Only c_b depends on varphi, so
-probes at several phases share L and A.  A single pointer state is the
-product A X^T of a one-point factor pair, bit for bit its slot in a batch.
+a pointer state of rank at most 2, and each factor is one fock.meter pass,
+diagonal in the eigenbasis of p.  Only c_b depends on varphi, so probes at
+several phases share L and A.  A single pointer state is the product A X^T
+of a one-point factor pair, bit for bit its slot in a batch.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from .fock import (
     TwoModeState,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     coherent_column,
-    displace,
+    meter,
     top_level_mass,
     warn_if_truncated,
 )
@@ -191,7 +189,8 @@ def ecs_factors(
     right = np.zeros((len(phases), cutoff.dim_b, 2), dtype=np.complex128)
     right[:, 0, 0] = 1.0
     right[:, :, 1] = norm * cols_b
-    for mass in _probe_tail(left, right).tolist():
+    tail = _probe_tail(left, right)
+    for mass in tail[tail > tail_tol].tolist():
         warn_if_truncated(mass, tail_tol, "build_ecs")
     return left, right
 
@@ -216,28 +215,13 @@ def build_ecs(
 
 
 def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
-    """W x 2 x 2 weights [(k_a+, k_a-), (k_b+, k_b-)] of the module docstring's
+    """W x 2 x 2 amplitudes [(c_1, d_1), (c_2, d_2)] of the module docstring's
     meter operators, one row per WeakValueParams."""
-    rows = []
-    for wv in wvs:
-        half_a, half_b = 0.5 * math.cos(0.5 * wv.theta1), 0.5 * math.cos(0.5 * wv.theta2)
-        w_x, w_y = weak_value_x(wv.theta1, wv.delta1), weak_value_y(wv.theta2, wv.delta2)
-        rows.append(((half_a * (1.0 + w_x), half_a * (1.0 - w_x)), (half_b * (1.0 + w_y), half_b * (1.0 - w_y))))
-    return np.array(rows)
-
-
-def _meter(us: list[float], factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """K F = k+ D(+u) F + k- D(-u) F, len(us) x W x ... x dim x m, at each arm u
-    in us and each weight pair (k+, k-) of weights (W x 2), for a factor F
-    (dim x m) or a stack of them (... x dim x m).  All columns of the stack
-    sit side by side in one displace pass over +-u."""
-    n, w = len(us), len(weights)
-    dim, width = factor.shape[-2:]
-    columns = factor.reshape(-1, dim, width).transpose(1, 0, 2).reshape(dim, -1)
-    shifted = displace([*us, *(-u for u in us)], columns)[:, None]
-    k = weights[:, :, None, None]
-    out = k[:, 0] * shifted[:n] + k[:, 1] * shifted[n:]
-    return out.reshape(n, w, dim, -1, width).swapaxes(2, 3).reshape(n, w, *factor.shape)
+    return np.array([
+        ((math.cos(0.5 * wv.theta1), cmath.exp(1j * wv.delta1) * math.sin(0.5 * wv.theta1)),
+         (math.cos(0.5 * wv.theta2), -1j * cmath.exp(1j * wv.delta2) * math.sin(0.5 * wv.theta2)))
+        for wv in wvs
+    ])
 
 
 def _pointer_factors(
@@ -251,14 +235,14 @@ def _pointer_factors(
     WeakValueParams [and member], and X (len(s2s) x len(wvs) x [K x] dim_b x
     m) likewise over s2, so that the raw pointer grid is A[i, w] @ X[j, w].T
     (member by member), and a one-point grid is A[0, 0] @ X[0, 0].T.  Each
-    factor is summed amplitude by amplitude, as in the dense grid, so nearly
-    cancelling terms under strong post-selection cancel before any Gram is
-    formed.  Raises CouplingParams' ValueError for a negative coupling.
+    factor is one fock.meter pass.  Raises CouplingParams' ValueError for a
+    negative coupling.
     """
-    CouplingParams(float(min(s1s)), float(min(s2s)))
-    weights = _meter_weights(wvs)
+    if not all(0.0 <= s < math.inf for s in (min(s1s), min(s2s))):
+        CouplingParams(float(min(s1s)), float(min(s2s)))
+    amplitudes = _meter_weights(wvs)
     u1, u2 = ([displacement_scale * float(s) for s in ss] for ss in (s1s, s2s))
-    return _meter(u1, left, weights[:, 0]), _meter(u2, right, weights[:, 1])
+    return meter(u1, amplitudes[:, 0], left), meter(u2, amplitudes[:, 1], right)
 
 
 def apply_displacement_branches(

@@ -43,6 +43,8 @@ from .fock import (
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     create,
     displace,
+    levels,
+    lowering_grid,
     warn_if_truncated,
 )
 from .measurement import (
@@ -75,18 +77,15 @@ _FD_ROUNDING_UNITS = 32.0
 def _lowered(arr: np.ndarray) -> np.ndarray:
     """a b psi of an amplitude grid psi, on psi's grid (top row and column
     zero): one product of psi's interior with the outer grid sqrt(n_a) sqrt(n_b)."""
-    dim_a, dim_b = arr.shape
     ab = np.zeros_like(arr)
-    ab[:-1, :-1] = np.multiply.outer(np.sqrt(np.arange(1.0, dim_a)), np.sqrt(np.arange(1.0, dim_b))) * arr[1:, 1:]
+    ab[:-1, :-1] = lowering_grid(*arr.shape) * arr[1:, 1:]
     return ab
 
 
 def _mode_occupations(arr: np.ndarray) -> tuple[float, float]:
     """(<N_a>, <N_b>) from the diagonal probability grid."""
     prob = np.abs(arr) ** 2
-    n_a = float(np.arange(arr.shape[0], dtype=np.float64) @ prob.sum(axis=1))
-    n_b = float(prob.sum(axis=0) @ np.arange(arr.shape[1], dtype=np.float64))
-    return n_a, n_b
+    return float(levels(arr.shape[0])[0] @ prob.sum(axis=1)), float(prob.sum(axis=0) @ levels(arr.shape[1])[0])
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,7 @@ def _contract(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
 # and "below" split F into its top level and the levels under it.
 _GRAM_OPERANDS: dict[str, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = {
     "1": lambda f: (f, f),
-    "n": lambda f: (f, np.arange(f.shape[-2], dtype=np.float64)[:, None] * f),
+    "n": lambda f: (f, levels(f.shape[-2])[0][:, None] * f),
     "a": lambda f: (f, annihilate(f, -2)),
     "aa": lambda f: (f, annihilate(annihilate(f, -2), -2)),
     "a.a": lambda f: (annihilate(f, -2),) * 2,
@@ -213,14 +212,18 @@ def _moments(fac_a: np.ndarray, fac_b: np.ndarray) -> Callable[[str, str], np.nd
 
     fac_a (..., Na, dim_a, m) and fac_b (..., Nb, dim_b, m) are factor stacks;
     the moments come out as (..., Na, Nb) grids, named by _GRAM_OPERANDS' keys.
-    Each side's Gram of a key is built the first time a moment asks for it.
-    """
+    Each side's Gram of a key is built once, when first asked for by a moment
+    or by moment.gram(side, key)."""
 
     @functools.cache
     def gram(side: int, key: str) -> np.ndarray:
         return _gram(*_GRAM_OPERANDS[key]((fac_a, fac_b)[side]))
 
-    return lambda op_a, op_b: _contract(gram(0, op_a), gram(1, op_b))
+    def moment(op_a: str, op_b: str) -> np.ndarray:
+        return _contract(gram(0, op_a), gram(1, op_b))
+
+    moment.gram = gram
+    return moment
 
 
 def _tail_mass(moment) -> np.ndarray:
@@ -241,7 +244,7 @@ def _post_selection(moment, tail_tol: float, probe_tail) -> tuple[np.ndarray, np
     degenerate = p_s < DEFAULT_P_FLOOR
     p_s = np.where(degenerate, np.nan, p_s)
     tail = _tail_mass(moment) / p_s
-    for mass in tail.ravel():
+    for mass in tail[tail > tail_tol].tolist():
         warn_if_truncated(mass, tail_tol, "build_pointer_state")
     return p_s, degenerate, (tail > tail_tol) | (probe_tail > tail_tol)
 
@@ -420,7 +423,7 @@ def _qfi_grid(
             d_x = scaled[:, 1:]
         else:
             d_x = (scaled[:, 1::2] - scaled[:, 2::2]) * (0.5 / np.array(steps))[:, None, None]
-        g_a = _gram(fac_a, fac_a)
+        g_a = moment.gram(0, "1")
         dd = _contract(g_a, _gram(d_x, d_x))[:, 0].real
         cross = _contract(g_a, _gram(scaled[:, :1], d_x))[:, 0]
         q = 4.0 * (dd - np.abs(cross) ** 2)

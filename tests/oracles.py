@@ -6,11 +6,14 @@ from explicit factorials, displacement operators from their own matrix
 exponential, the post-selected pointer state from the full
 qubit x qubit x Fock tensor with eigenprojector-expanded couplings, and
 the four-branch weights of that expansion from the explicit weak values.
-No computation is shared with the code under test.
+exact_success_probability needs no cutoff at all: it sums closed-form
+coherent-state overlaps in 40-digit mpmath arithmetic.  No computation is
+shared with the code under test.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -36,6 +39,13 @@ def ladder_down(n_max):
 def displacement(gamma, n_max):
     a = ladder_down(n_max)
     return expm(gamma * a.conj().T - np.conj(gamma) * a)
+
+
+def meter_two_pass(u, c, d, factor):
+    """k+ D(u) F + k- D(-u) F with k+- = (c +- d) / 2: a meter operator on a
+    factor F (dim x m), built from two expm displacements."""
+    n_max = factor.shape[0] - 1
+    return 0.5 * ((c + d) * displacement(u, n_max) @ factor + (c - d) * displacement(-u, n_max) @ factor)
 
 
 def displaced_parity(amp, d_a, d_b):
@@ -167,3 +177,44 @@ def qfi_from_family(family, phi0, h=1e-5):
     psi = np.asarray(family(phi0))
     dpsi = (np.asarray(family(phi0 + h)) - np.asarray(family(phi0 - h))) / (2.0 * h)
     return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
+
+
+def exact_success_probability(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale=0.5):
+    """Untruncated P_s to 40 digits.
+
+    The raw pointer state is a sum of eight product coherent states: the two
+    probe terms N |alpha>|0> and N |0>|beta> times the branches
+    k_a+- D(+-u1) (x) k_b+- D(+-u2), with k_i+- = (c_i +- d_i) / 2, and
+    D(v)|x> = e^{(v x* - v* x) / 2} |x + v>.  P_s is the 64-term sum of
+    their closed-form overlaps <y|x> = exp(-|x|^2/2 - |y|^2/2 + y* x).
+    """
+    with mpmath.workdps(40):
+        mp = [mpmath.mpf(v) for v in (r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale)]
+        r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale = mp
+        alpha = r * mpmath.expj(mu)
+        beta = alpha * mpmath.expj(varphi)
+        norm = 1 / mpmath.sqrt(2 * (1 + mpmath.exp(-r * r)))
+        meters = [
+            (scale * s1, mpmath.cos(theta1 / 2), mpmath.expj(delta1) * mpmath.sin(theta1 / 2)),
+            (scale * s2, mpmath.cos(theta2 / 2), -1j * mpmath.expj(delta2) * mpmath.sin(theta2 / 2)),
+        ]
+
+        def branches(x, meter):
+            u, c, d = meter
+            return [((c + sign * d) / 2 * mpmath.exp((sign * u * mpmath.conj(x) - sign * u * x) / 2), x + sign * u)
+                    for sign in (1, -1)]
+
+        terms = []
+        for x_a, x_b in ((alpha, 0), (0, beta)):
+            for w_a, y_a in branches(x_a, meters[0]):
+                for w_b, y_b in branches(x_b, meters[1]):
+                    terms.append((norm * w_a * w_b, y_a, y_b))
+
+        def overlap(y, x):
+            return mpmath.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mpmath.conj(y) * x)
+
+        total = mpmath.mpf(0)
+        for w_i, a_i, b_i in terms:
+            for w_j, a_j, b_j in terms:
+                total += mpmath.conj(w_i) * w_j * overlap(a_i, a_j) * overlap(b_i, b_j)
+        return mpmath.re(total)

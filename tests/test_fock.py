@@ -193,6 +193,57 @@ def test_displace_batch_matches_expm_oracle(us, m, seed):
         assert np.max(np.abs(shifted - fock.displace([u], factor)[0])) <= 1e-14
 
 
+# Meter rows (c, d) = (cos(theta/2), e^{i delta} sin(theta/2)) with theta up
+# to 0.999 pi, and arms 0 <= u <= 2, any of them possibly exactly zero.
+METER_ROWS = st.lists(
+    st.builds(
+        lambda theta, delta: (math.cos(0.5 * theta), cmath.exp(1j * delta) * math.sin(0.5 * theta)),
+        st.floats(0.0, 0.999 * math.pi),
+        st.floats(0.0, 2.0 * math.pi),
+    ),
+    min_size=1,
+    max_size=3,
+)
+ARMS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=4)
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    arms=ARMS,
+    rows=METER_ROWS,
+    shape=st.sampled_from([(), (3,)]),
+    m=st.sampled_from([1, 2, 5]),
+    n_max=st.sampled_from([12, 40]),
+    seed=st.integers(0, 2**16),
+)
+def test_meter_matches_two_pass_expm_oracle(arms, rows, shape, m, n_max, seed):
+    """Each slot of one meter call over arms, rows and a stack of factors is
+    the two-pass k+ D(u) F + k- D(-u) F of expm displacements, holds c F bit
+    for bit where u = 0, and equals the call at that slot alone bit for bit."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(*shape, n_max + 1, m)) + 1j * rng.normal(size=(*shape, n_max + 1, m))
+    factors /= np.linalg.norm(factors, axis=-2, keepdims=True)
+    out = fock.meter(arms, rows, factors)
+    assert out.shape == (len(arms), len(rows), *factors.shape)
+    for i, u in enumerate(arms):
+        for j, (c, d) in enumerate(rows):
+            for k in np.ndindex(*shape):
+                slot, factor = out[(i, j, *k)], factors[k]
+                if u == 0.0:
+                    assert np.array_equal(slot, complex(c) * factor)
+                else:
+                    assert np.max(np.abs(slot - oracles.meter_two_pass(u, c, d, factor))) <= 1e-13
+                assert np.array_equal(slot, fock.meter([u], [(c, d)], factor)[0, 0])
+
+
+def test_meter_rejects_overflowing_arm():
+    # One arm of a batch whose angle u max(lam) overflows fails the whole call.
+    factor = np.eye(41, 2, dtype=np.complex128)
+    for arms in ([0.5, 5e307], [math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="overflows at n_max=40"):
+            fock.meter(arms, [(1.0, 0.0)], factor)
+
+
 @settings(deadline=None, derandomize=True)
 @given(gamma_a=GAMMAS, gamma_b=GAMMAS)
 def test_displacement_on_asymmetric_state_matches_expm_oracle(gamma_a, gamma_b):

@@ -99,7 +99,8 @@ def test_weak_values_frozen():
 
 def test_branch_weights_sum_to_four():
     """The reference branch weights sum to 4, and the products k_a+- k_b+- of
-    the library's per-meter weights are (omega/4) times them."""
+    the branch weights k+- = (c +- d) / 2 of the library's meter amplitudes
+    (c, d) are (omega/4) times them."""
     rng = np.random.default_rng(41)
     for _ in range(25):
         wv = WeakValueParams(
@@ -113,12 +114,34 @@ def test_branch_weights_sum_to_four():
         assert abs(total - 4.0) < 1e-12
         signs = [(sa, sb) for _, sa, sb in branches]
         assert signs == [(1, 1), (-1, -1), (-1, 1), (1, -1)]
-        k_a, k_b = measurement._meter_weights([wv])[0]
-        sign_index = {1.0: 0, -1.0: 1}
+        (c_a, d_a), (c_b, d_b) = measurement._meter_weights([wv])[0]
         for weight, sign_a, sign_b in branches:
-            product = k_a[sign_index[sign_a]] * k_b[sign_index[sign_b]]
+            product = 0.5 * (c_a + sign_a * d_a) * 0.5 * (c_b + sign_b * d_b)
             expected = 0.25 * oracles.meter_overlap(wv.theta1, wv.theta2) * weight
             assert abs(product - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+# (r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2): two strong
+# post-selections, P_s 8.2e-12 and 2.4e-8, where the branch weights k+ and
+# k- nearly cancel, then the baseline meters at s = 1 and a generic point.
+EXACT_POINTS = [
+    (0.5, 0.3, 1.1, 0.999 * math.pi, HALF_PI, 0.999 * math.pi, HALF_PI, 1e-3, 1e-3),
+    (0.8, 1.0, 2.0, 0.9999 * math.pi, 0.2, 0.3 * math.pi, 1.0, 1e-4, 0.5),
+    (0.1, HALF_PI, HALF_PI, 0.8 * math.pi, HALF_PI, 0.8 * math.pi, HALF_PI, 1.0, 1.0),
+    (1.2, 0.4, 0.7, 0.6 * math.pi, 1.3, 0.45 * math.pi, 2.5, 2.0, 0.7),
+]
+
+
+@pytest.mark.parametrize("point", EXACT_POINTS)
+def test_success_probability_matches_untruncated_sum(point):
+    """P_s of pointer_outcome keeps 14 digits of the 40-digit sum over the
+    eight product coherent states, down to P_s 8.2e-12."""
+    config = default_config(
+        ecs=EcsParams(*point[:3]), wv=WeakValueParams(*point[3:7]), coupling=CouplingParams(*point[7:])
+    )
+    p_s = config.pointer_outcome().success_probability
+    exact = oracles.exact_success_probability(*point)
+    assert abs(p_s - exact) <= 1e-14 * exact
 
 
 def test_build_ecs_zero_amplitude_is_vacuum():
