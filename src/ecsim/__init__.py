@@ -31,8 +31,6 @@ from .observables import (
     qfi_analytic,
     qfi_finite_difference,
     squeezing_report,
-    sum_squeezing_direct,
-    sum_squeezing_normal_ordered,
 )
 
 __all__ = [
@@ -61,8 +59,6 @@ __all__ = [
     "qfi_analytic",
     "qfi_finite_difference",
     "squeezing_report",
-    "sum_squeezing_direct",
-    "sum_squeezing_normal_ordered",
     "weak_value_x",
     "weak_value_y",
 ]

@@ -5,10 +5,12 @@ States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 grid.  The ladder operators act on one Fock index of any array (a grid, a
 stack of grids or a stack of single-mode factors).  One eigenbasis per
 cutoff, of the quadratures a + a^dag and p = i (a^dag - a), is cached with
-the level constants.  In it, with no matrix formed, displace applies a
-batch of displacements to a single-mode factor and meter a batch of meter
-operators c cos(u p) - i d sin(u p), each slot bit for bit the call at that
-slot alone; displacement_matrix is displace applied to the identity.
+the level constants.  In it, with no matrix formed, meter applies a batch
+of meter operators c cos(u p) - i d sin(u p) over signed real arms u, each
+slot bit for bit the call at that slot alone; it is the one kernel for both
+the meters and the displacements D(u) = e^{-i u p}.  A complex amplitude
+gamma = e^{i phi} t is the rotation diag(e^{i phi n}) of the real D(t), and
+displacement_matrix is that rotation around meter on the identity.
 apply_to_mode applies a dense operator to a state's tensor factor, and the
 top-level mass of a grid measures truncation.  Everything is plain numpy;
 nothing here knows about measurements or observables.
@@ -140,36 +142,32 @@ def lowering_grid(dim_a: int, dim_b: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _quadrature_eigh(n_max: int) -> tuple[np.ndarray, ...]:
-    """Read-only (lam, V, W^dag, i^n, rates) per cutoff: Q = a + a^dag = V diag(lam) V^T,
-    p = i (a^dag - a) = W diag(lam) W^dag with W = diag(i^n) V exactly, and the
-    rates n, -n, -lam (3 x dim x 1 x 1) of displace's three phase factors."""
-    n, root = levels(n_max + 1)
+    """Read-only (lam, V, W^dag, i^n) per cutoff: Q = a + a^dag = V diag(lam) V^T
+    and p = i (a^dag - a) = W diag(lam) W^dag with W = diag(i^n) V exactly."""
+    root = levels(n_max + 1)[1]
     lam, vecs = np.linalg.eigh(np.diag(root[1:], 1) + np.diag(root[1:], -1))
     turns = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_max + 1) % 4, None]
-    return _frozen(lam, vecs, (turns * vecs).conj().T.copy(), turns, np.stack([n, -n, -lam])[:, :, None, None])
-
-
-def _check_angles(mags: list[float], lam: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first of mags whose angle |u| max(lam) overflows a double."""
-    overflowing = [mag for mag in mags if not math.isfinite(mag * float(lam[-1]))]
-    if overflowing:
-        raise ValueError(f"{what} {overflowing[0]!r} overflows at n_max={len(lam) - 1}")
+    return _frozen(lam, vecs, (turns * vecs).conj().T.copy(), turns)
 
 
 def meter(arms, amplitudes, factors: np.ndarray) -> np.ndarray:
     """K F = W [c cos(u lam) - i d sin(u lam)] W^dag F = (c cos(u p) - i d sin(u p)) F,
-    len(arms) x R x F.shape, for each real arm u >= 0 and each row (c, d) of
+    len(arms) x R x F.shape, for each signed real arm u and each row (c, d) of
     amplitudes (R x 2), on a factor F (dim x m) or a stack (... x dim x m).
+    The row (1, 1) is the displacement D(u) = e^{-i u p}.
 
     W^dag F is shared by all slots; W = diag(i^n) V then acts on each slot
     as one real dim x 2m slice of a stacked product, so a slot's bits do not
     depend on how many arms, rows or factors share the call.  Slots with
-    u = 0 hold c F exactly.  Raises ValueError when u max(lam) overflows.
+    u = 0 hold c F exactly.  Raises ValueError naming |u| of the first arm
+    whose angle |u| max(lam) overflows a double.
     """
     us = [float(u) for u in arms]
     rows = np.asarray(amplitudes, dtype=np.complex128)
-    lam, vecs, wh, turns, _ = _quadrature_eigh(factors.shape[-2] - 1)
-    _check_angles(us, lam, "meter arm")
+    lam, vecs, wh, turns = _quadrature_eigh(factors.shape[-2] - 1)
+    overflowing = [u for u in us if not math.isfinite(u * float(lam[-1]))]
+    if overflowing:
+        raise ValueError(f"meter arm |u| = {abs(overflowing[0])!r} overflows at n_max={len(lam) - 1}")
     angles = np.multiply.outer(us, lam)[:, None]
     diag = rows[:, :1] * np.cos(angles) - 1j * rows[:, 1:] * np.sin(angles)
     lead = (1,) * (factors.ndim - 2)
@@ -180,53 +178,27 @@ def meter(arms, amplitudes, factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def displace(amplitudes, factor: np.ndarray) -> np.ndarray:
-    """The stack D(u_k) F (K x dim x m) over a 1-D array of K amplitudes u_k,
-    for a factor F (dim x m) on the truncated basis.
+def _phase_split(gamma: complex, dim: int) -> tuple[np.ndarray, float]:
+    """(r, t) with gamma = e^{i phi} t, phi = arg gamma mod pi, t real and
+    r = e^{i phi n} over the levels 0 .. dim - 1.
 
-    With P_k = diag(p_k), p_k = e^{i (arg u_k + pi/2) n}, the truncated
-    generator satisfies u a^dag - conj(u) a = -i |u| P_k Q P_k^dag exactly,
-    because P_k only rephases the off-diagonal ladder entries.  So
-
-        D(u_k) F = p_k o V (e^{-i |u_k| lam} o V^T (conj(p_k) o F)),
-
-    unitary to rounding at every cutoff, and truncation shows up only in how
-    well D(u) e0 matches the analytic coherent column.  No matrix is formed:
-    the real V multiplies all K m complex columns at once through float64
-    views, so a slot's bits may depend on K m.  Slots with u_k = 0 hold F
-    exactly; an angle |u_k| max(lam) that overflows raises ValueError.
+    R = diag(r) rephases a to e^{-i phi} a exactly on the truncated basis, so
+    D(gamma) = R D(t) R^dag; a real gamma has phi = 0 and r all ones.
     """
-    us = np.asarray(amplitudes, dtype=np.complex128).tolist()
-    dim, m = factor.shape
-    k = len(us)
-    lam, vecs, _, _, rates = _quadrature_eigh(dim - 1)
-    mags = [abs(u) for u in us]
-    _check_angles(mags, lam, "displacement amplitude")
-    thetas = [cmath.phase(u) + 0.5 * math.pi for u in us]
-    # phases[0] = p, phases[1] = conj(p), phases[2] = e^{-i |u| lam}, each dim x K x 1.
-    angles = rates * np.array(thetas + thetas + mags).reshape(3, 1, k, 1)
-    phases = np.empty(angles.shape, dtype=np.complex128)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=phases.imag)
-
-    def real_product(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return (mat @ cols.view(np.float64).reshape(dim, -1)).view(np.complex128).reshape(dim, k, m)
-
-    spectral = real_product(vecs.T, phases[1] * factor[:, None, :])
-    spectral *= phases[2]
-    back = real_product(vecs, spectral)
-    out = np.empty((k, dim, m), dtype=np.complex128)
-    np.multiply(back.transpose(1, 0, 2), phases[0].transpose(1, 0, 2), out=out)
-    if 0.0 in mags:
-        out[[mag == 0.0 for mag in mags]] = factor
-    return out
+    angle = cmath.phase(gamma)
+    phi = angle % math.pi
+    t = abs(gamma) if angle == phi else -abs(gamma)
+    return np.exp(1j * phi * levels(dim)[0]), t
 
 
 def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
-    """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a),
-    displace applied to the identity; raises its ValueError on overflow."""
-    identity = np.eye(int(n_max) + 1, dtype=np.complex128)
-    return ModeOperator(displace([gamma], identity)[0])
+    """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a):
+    R D(t) R^dag of _phase_split, with D(t) the meter of arm t and row (1, 1)
+    applied to the identity; raises meter's ValueError on overflow."""
+    dim = int(n_max) + 1
+    r, t = _phase_split(gamma, dim)
+    shifted = meter([t], [(1.0, 1.0)], np.eye(dim, dtype=np.complex128))[0, 0]
+    return ModeOperator(r[:, None] * shifted * np.conj(r))
 
 
 def apply_to_mode(op: ModeOperator, mode: str, state: TwoModeState) -> TwoModeState:

@@ -39,12 +39,13 @@ from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
     TwoModeState,
+    _phase_split,
     annihilate,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     create,
-    displace,
     levels,
     lowering_grid,
+    meter,
     warn_if_truncated,
 )
 from .measurement import (
@@ -122,32 +123,21 @@ def _squeezing_routes(arr: np.ndarray, theta_big: float) -> tuple[float, float]:
     return direct, 2.0 * numerator / denominator
 
 
-def sum_squeezing_direct(state: TwoModeState, theta_big: float) -> float:
-    """Sum squeezing from the variance of V = (e^{i T} a^dag b^dag + h.c.) / 2.
+def squeezing_report(state: TwoModeState, theta_big: float) -> SqueezingReport:
+    """Sum squeezing of a state at angle T by two routes that agree to rounding.
 
-    S = 4 Var(V) / <N_a + N_b + 1> - 1; values below 0 witness two-mode
-    non-classicality and the variance floor pins S >= -1.
+    Direct, from the variance of V = (e^{i T} a^dag b^dag + h.c.) / 2:
+    S = 4 Var(V) / <N_a + N_b + 1> - 1.  Values below 0 witness two-mode
+    non-classicality, and the variance floor pins S >= -1.  V|psi> is
+    evaluated on a one-level-enlarged grid, so its creation parts are exact
+    and the quadratic moment carries no cutoff-boundary defect.
 
-    V|psi> is evaluated on a one-level-enlarged grid so the creation parts
-    are exact; the quadratic moment then carries no cutoff-boundary defect
-    and agrees with the normal-ordered route to rounding error.
-    """
-    return _squeezing_routes(state.amplitudes, theta_big)[0]
-
-
-def sum_squeezing_normal_ordered(state: TwoModeState, theta_big: float) -> float:
-    """Sum squeezing from normal-ordered moments:
+    Normal-ordered, from annihilation-only moments, which are exact on the
+    truncated support, so this form needs no enlarged grid:
 
     S = 2 [ Re(e^{-2iT} <a^2 b^2>) - 2 (Re e^{-iT} <a b>)^2 + <N_a N_b> ]
         / (<N_a> + <N_b> + 1).
-
-    Annihilation-only moments are exact on the truncated support, so this
-    form needs no enlarged grid.
     """
-    return _squeezing_routes(state.amplitudes, theta_big)[1]
-
-
-def squeezing_report(state: TwoModeState, theta_big: float) -> SqueezingReport:
     direct, normal = _squeezing_routes(state.amplitudes, theta_big)
     return SqueezingReport(s2s_direct=direct, s2s_normal_ordered=normal, theta_big=theta_big)
 
@@ -259,7 +249,7 @@ def _hz_grid(moment, p_s: np.ndarray) -> np.ndarray:
 def _squeezing_grid(moment, p_s: np.ndarray, theta_big: float) -> tuple[np.ndarray, np.ndarray]:
     """(direct, normal-ordered) sum squeezing over a grid of raw pointer states.
 
-    The two routes of sum_squeezing_direct and sum_squeezing_normal_ordered:
+    The two routes of squeezing_report:
     the direct one expands |V psi|^2 with V|psi> = (e^{iT} up + e^{-iT} down) / 2,
     up = a^dag b^dag psi on the enlarged grid and down = a b psi.
     """
@@ -282,12 +272,12 @@ def _squeezing_grid(moment, p_s: np.ndarray, theta_big: float) -> tuple[np.ndarr
 def _factored_wigner(
     left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """P_J and the displaced top-level mass over gammas x betas of the normalized state left @ right^T.
+    """P_J and the displaced top-level mass over real gammas x betas of the normalized state left @ right^T.
 
     Both are moments of the displaced factor stacks D_a(-gamma) left and
-    D_b(-beta) right; gammas and betas may be complex.
+    D_b(-beta) right, each one fock.meter pass with the row (1, 1).
     """
-    moment = _moments(displace(-gammas, left), displace(-betas, right))
+    moment = _moments(meter(-gammas, [(1, 1)], left)[:, 0], meter(-betas, [(1, 1)], right)[:, 0])
     return moment("parity", "parity").real, _tail_mass(moment)
 
 
@@ -299,17 +289,19 @@ def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[np.ndarray, n
 
 
 def _checked_wigner(
-    left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray, range_tol: float
+    left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray, range_tol: float, asked=None
 ) -> np.ndarray:
     """_factored_wigner's P_J, with the range check at every point: the first
     point whose displaced top-level mass exceeds range_tol, in row-major
-    order, raises NumericalRangeError."""
+    order, raises NumericalRangeError naming that point of the axes asked,
+    (gammas, betas) unless given."""
     values, top = _factored_wigner(left, right, gammas, betas)
     failing = np.argwhere(top > range_tol)
     if failing.size:
         i, j = failing[0]
+        names = asked or (gammas, betas)
         raise NumericalRangeError(
-            f"displacement (gamma={complex(gammas[i])}, beta={complex(betas[j])}) pushes tail "
+            f"displacement (gamma={complex(names[0][i])}, beta={complex(names[1][j])}) pushes tail "
             f"mass {float(top[i, j]):.3e} past the validated range tolerance {range_tol:.1e}"
         )
     return values
@@ -343,10 +335,19 @@ def joint_wigner_point(
 ) -> float:
     """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>,
     in [-1, 1] since the displacements are unitary to rounding; times
-    WIGNER_PREFACTOR it is the phase-space density.  A one-point
-    joint_wigner_grid, at any complex gamma and beta."""
+    WIGNER_PREFACTOR it is the phase-space density.
+
+    With gamma = e^{i phi_a} t_a and beta = e^{i phi_b} t_b split by
+    fock._phase_split into rotations R and real arms, it is the one-point
+    joint_wigner_grid at (t_a, t_b) of the state rotated by R_a^dag (x) R_b^dag:
+    parity commutes with R, and R leaves the top-level mass unchanged, so
+    the range check holds as at (gamma, beta) and names that point.
+    """
+    r_a, t_a = _phase_split(gamma, state.cutoff.dim_a)
+    r_b, t_b = _phase_split(beta, state.cutoff.dim_b)
+    rotated = np.conj(r_a)[:, None] * state.amplitudes * np.conj(r_b)
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    values = _checked_wigner(state.amplitudes, identity, np.array([gamma]), np.array([beta]), range_tol)
+    values = _checked_wigner(rotated, identity, np.array([t_a]), np.array([t_b]), range_tol, ([gamma], [beta]))
     return float(values[0, 0])
 
 

@@ -25,8 +25,7 @@ from ecsim.observables import (
     qcrb,
     qfi_analytic,
     qfi_finite_difference,
-    sum_squeezing_direct,
-    sum_squeezing_normal_ordered,
+    squeezing_report,
 )
 from ecsim.sweep import cmd_squeezing, cmd_wigner
 
@@ -41,10 +40,8 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 def test_c01_probe_zero_squeezing():
     t0 = time.perf_counter()
     state = build_ecs(EcsParams(r=0.1, mu=HALF_PI, varphi=HALF_PI), FockCutoff(40, 40))
-    worst = max(
-        abs(sum_squeezing_direct(state, HALF_PI)),
-        abs(sum_squeezing_normal_ordered(state, HALF_PI)),
-    )
+    report = squeezing_report(state, HALF_PI)
+    worst = max(abs(report.s2s_direct), abs(report.s2s_normal_ordered))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 1.0
     _report("c01", ok, f"|S| = {worst:.3e} (tol 1e-9), elapsed {elapsed:.2f}s (budget 1s)")
@@ -60,10 +57,8 @@ def test_c02_two_form_equivalence():
         amp /= np.linalg.norm(amp)
         state = TwoModeState(amp, cutoff)
         theta_big = float(rng.uniform(0.0, 2.0 * math.pi))
-        gap = abs(
-            sum_squeezing_direct(state, theta_big)
-            - sum_squeezing_normal_ordered(state, theta_big)
-        )
+        report = squeezing_report(state, theta_big)
+        gap = abs(report.s2s_direct - report.s2s_normal_ordered)
         worst_random = max(worst_random, gap)
     sweep = cmd_squeezing(default_config(), RangeSpec(0.0, 3.0, 16), RangeSpec(0.0, 3.0, 16))
     worst_sweep = max(abs(row[2] - row[3]) for row in sweep.rows)

@@ -38,8 +38,6 @@ from ecsim.observables import (
     qfi_analytic,
     qfi_finite_difference,
     squeezing_report,
-    sum_squeezing_direct,
-    sum_squeezing_normal_ordered,
 )
 
 CUT40 = fock.FockCutoff(40, 40)
@@ -81,8 +79,9 @@ def product_coherent_squeezing(alpha, beta, theta_big):
 def test_squeezing_vacuum_is_zero():
     state = vacuum_state(fock.FockCutoff(5, 5))
     for theta_big in (0.0, HALF_PI, 1.0):
-        assert abs(sum_squeezing_direct(state, theta_big)) < 1e-14
-        assert abs(sum_squeezing_normal_ordered(state, theta_big)) < 1e-14
+        report = squeezing_report(state, theta_big)
+        assert abs(report.s2s_direct) < 1e-14
+        assert abs(report.s2s_normal_ordered) < 1e-14
 
 
 def test_squeezing_two_forms_agree_on_random_states():
@@ -91,8 +90,8 @@ def test_squeezing_two_forms_agree_on_random_states():
     for _ in range(30):
         state = random_normalized(rng, cut)
         theta_big = rng.uniform(0.0, 2.0 * math.pi)
-        direct = sum_squeezing_direct(state, theta_big)
-        normal = sum_squeezing_normal_ordered(state, theta_big)
+        report = squeezing_report(state, theta_big)
+        direct, normal = report.s2s_direct, report.s2s_normal_ordered
         assert abs(direct - normal) < 1e-9
         assert direct >= -1.0 - 1e-9
 
@@ -103,8 +102,9 @@ def test_squeezing_product_coherent_closed_form():
     for theta_big in (0.0, HALF_PI, 2.1):
         expected = product_coherent_squeezing(alpha, beta, theta_big)
         state = product_coherent(alpha, beta)
-        assert abs(sum_squeezing_direct(state, theta_big) - expected) < 1e-10
-        assert abs(sum_squeezing_normal_ordered(state, theta_big) - expected) < 1e-10
+        report = squeezing_report(state, theta_big)
+        assert abs(report.s2s_direct - expected) < 1e-10
+        assert abs(report.s2s_normal_ordered - expected) < 1e-10
 
 
 def test_squeezing_probe_state_is_zero():
@@ -171,6 +171,15 @@ def test_wigner_range_guard():
     state = product_coherent(0.0, 0.0, fock.FockCutoff(10, 10))
     with pytest.raises(NumericalRangeError):
         joint_wigner_point(state, 6.0, 0.0)
+
+
+def test_wigner_range_error_names_the_complex_point_asked_for():
+    # The point is evaluated at real arms of a rotated state, yet its error
+    # names the complex (gamma, beta) that was asked for.
+    state = product_coherent(0.0, 0.0, fock.FockCutoff(10, 10))
+    gamma, beta = 6.0 + 0.5j, 0.3j
+    with pytest.raises(NumericalRangeError, match=re.escape(f"(gamma={gamma}, beta={beta})")):
+        joint_wigner_point(state, gamma, beta)
 
 
 def test_wigner_grid_matches_point_evaluation():
