@@ -25,7 +25,7 @@ import math
 import sys
 
 from . import __version__
-from .config import DISPLACEMENT_CONVENTIONS, QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
+from .config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import FockCutoff
 from .sweep import _COMMANDS, FAILURES
@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cutoff", type=parse_cutoff, default=base.cutoff, help="Fock cutoff: N or N_a,N_b")
         p.add_argument("--tail-tol", dest="tail_tolerance", metavar="TAIL_TOL", type=float,
                        default=base.tail_tolerance, help="truncation tail warning tolerance")
-        p.add_argument("--displacement-convention", choices=DISPLACEMENT_CONVENTIONS,
-                       default=base.displacement_convention,
-                       help="branch displacement arms: +-s/2 (half) or +-s (full)")
         p.add_argument("--qfi-gauge", choices=QFI_GAUGES, default=base.qfi_gauge, help="QFI evaluation gauge")
         p.add_argument("--sweep", action="append", default=[], metavar="NAME=MIN:MAX:POINTS",
                        help=f"override a sweep axis (allowed: {', '.join(info['axes'])}); repeatable")

@@ -10,7 +10,6 @@ import numpy as np
 
 from .fock import DEFAULT_TAIL_TOL, FockCutoff, TwoModeState
 from .measurement import (
-    DEFAULT_P_FLOOR,
     CouplingParams,
     EcsParams,
     PostSelectedOutcome,
@@ -21,7 +20,6 @@ from .measurement import (
     ecs_factors,
 )
 
-DISPLACEMENT_CONVENTIONS = {"half": 0.5, "full": 1.0}
 QFI_GAUGES = ("fixed-kappa", "renormalized")
 # The config fields that hold a record; to_dict spells out their fields.
 _RECORDS = {"ecs": EcsParams, "wv": WeakValueParams, "coupling": CouplingParams, "cutoff": FockCutoff}
@@ -80,15 +78,9 @@ class WeakMeasurementConfig:
     theta_big: float = 0.5 * math.pi
     cutoff: FockCutoff = field(default_factory=lambda: FockCutoff(40, 40))
     tail_tolerance: float = DEFAULT_TAIL_TOL
-    displacement_convention: str = "half"
     qfi_gauge: str = "fixed-kappa"
 
     def __post_init__(self) -> None:
-        if self.displacement_convention not in DISPLACEMENT_CONVENTIONS:
-            raise ValueError(
-                f"displacement_convention must be one of "
-                f"{sorted(DISPLACEMENT_CONVENTIONS)}, got {self.displacement_convention!r}"
-            )
         if self.qfi_gauge not in QFI_GAUGES:
             raise ValueError(f"qfi_gauge must be one of {QFI_GAUGES}, got {self.qfi_gauge!r}")
         if not (0.0 < self.tail_tolerance <= 1e-4):
@@ -98,29 +90,23 @@ class WeakMeasurementConfig:
         if not (math.isfinite(self.theta_big)):
             raise ValueError(f"theta_big must be finite, got {self.theta_big!r}")
 
-    @property
-    def displacement_scale(self) -> float:
-        return DISPLACEMENT_CONVENTIONS[self.displacement_convention]
-
     def replace(self, **changes) -> "WeakMeasurementConfig":
         return dataclasses.replace(self, **changes)
 
-    def ecs_state(self, varphi: float | None = None) -> TwoModeState:
-        params = self.ecs if varphi is None else dataclasses.replace(self.ecs, varphi=varphi)
-        return build_ecs(params, self.cutoff, self.tail_tolerance)
+    def ecs_state(self) -> TwoModeState:
+        return build_ecs(self.ecs, self.cutoff, self.tail_tolerance)
 
-    def raw_pointer_state(self, varphi: float | None = None) -> TwoModeState:
-        return TwoModeState(self._raw_pointer_grid(varphi), self.cutoff)
+    def raw_pointer_state(self) -> TwoModeState:
+        return TwoModeState(self._raw_pointer_grid(), self.cutoff)
 
     def pointer_outcome(self) -> PostSelectedOutcome:
-        return _post_select(self._raw_pointer_grid(), self.cutoff, self.tail_tolerance, DEFAULT_P_FLOOR)
+        return _post_select(self._raw_pointer_grid(), self.cutoff, self.tail_tolerance)
 
-    def _raw_pointer_grid(self, varphi: float | None = None) -> np.ndarray:
+    def _raw_pointer_grid(self) -> np.ndarray:
         """A[0, 0] @ X[0, 0].T of one-point _pointer_factors at this config."""
-        phases = None if varphi is None else [varphi]
-        left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance, phases)
+        left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance)
         s1, s2 = [self.coupling.s1], [self.coupling.s2]
-        fac_a, fac_b = _pointer_factors(left, right[0], s1, s2, [self.wv], self.displacement_scale)
+        fac_a, fac_b = _pointer_factors(left, right[0], s1, s2, [self.wv])
         return fac_a[0, 0] @ fac_b[0, 0].T
 
     def to_dict(self) -> dict:

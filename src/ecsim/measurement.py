@@ -12,9 +12,9 @@ and post-selected on |H>, imprint the weak values
     w_y = -i e^{i delta_2} tan(theta_2 / 2)
 
 onto the modes through conditional displacements.  Meter i couples to one
-mode only, with displacement arm u_i = s_i * scale (scale 1/2 under the
-default convention), so with p = i (a^dag - a) post-selecting it on |H>
-applies the single-meter weak-value operator
+mode only, with displacement arm u_i = s_i / 2 for coupling strength s_i, so
+with p = i (a^dag - a) post-selecting it on |H> applies the single-meter
+weak-value operator
 
     K_i = <H| exp(-i u_i sigma_i (x) p) |psi_i> = c_i cos(u_i p) - i d_i sin(u_i p),
     c_i = <H|psi_i> = cos(theta_i / 2),  d_i = <H|sigma_i|psi_i> = c_i w_i,
@@ -225,7 +225,7 @@ def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
 
 
 def _pointer_factors(
-    left: np.ndarray, right: np.ndarray, s1s, s2s, wvs, displacement_scale: float
+    left: np.ndarray, right: np.ndarray, s1s, s2s, wvs
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factors A = K_a L and X = K_b R of the raw pointer states over couplings and meter angles.
 
@@ -241,7 +241,7 @@ def _pointer_factors(
     if not all(0.0 <= s < math.inf for s in (min(s1s), min(s2s))):
         CouplingParams(float(min(s1s)), float(min(s2s)))
     amplitudes = _meter_weights(wvs)
-    u1, u2 = ([displacement_scale * float(s) for s in ss] for ss in (s1s, s2s))
+    u1, u2 = ([0.5 * float(s) for s in ss] for ss in (s1s, s2s))
     return meter(u1, amplitudes[:, 0], left), meter(u2, amplitudes[:, 1], right)
 
 
@@ -249,13 +249,12 @@ def apply_displacement_branches(
     state: TwoModeState,
     wv: WeakValueParams,
     coupling: CouplingParams,
-    displacement_scale: float = 0.5,
 ) -> TwoModeState:
     """(K_a (x) K_b) state, the two meter operators of the module docstring
     applied to state as the factor pair L = amp, R = identity."""
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
     s1, s2 = [coupling.s1], [coupling.s2]
-    fac_a, fac_b = _pointer_factors(state.amplitudes, identity, s1, s2, [wv], displacement_scale)
+    fac_a, fac_b = _pointer_factors(state.amplitudes, identity, s1, s2, [wv])
     return TwoModeState(fac_a[0, 0] @ fac_b[0, 0].T, state.cutoff)
 
 
@@ -271,20 +270,20 @@ def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
     return fixed
 
 
-def _check_p_floor(p_s: float, p_floor: float) -> None:
-    """Raise DegeneratePostSelectionError when P_s falls below p_floor, the
-    measure-zero regime where the conditional state is undefined."""
-    if p_s < p_floor:
+def _check_p_floor(p_s: float) -> None:
+    """Raise DegeneratePostSelectionError when P_s falls below DEFAULT_P_FLOOR,
+    the measure-zero regime where the conditional state is undefined."""
+    if p_s < DEFAULT_P_FLOOR:
         raise DegeneratePostSelectionError(
-            f"post-selection probability {p_s:.3e} below floor {p_floor:.1e}"
+            f"post-selection probability {p_s:.3e} below floor {DEFAULT_P_FLOOR:.1e}"
         )
 
 
-def _post_select(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float, p_floor: float) -> PostSelectedOutcome:
+def _post_select(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float) -> PostSelectedOutcome:
     """The normalized, phase-fixed outcome of a raw pointer grid; raises
-    _check_p_floor's error below p_floor and warns above tail_tol."""
+    _check_p_floor's error below DEFAULT_P_FLOOR and warns above tail_tol."""
     p_s = float(np.vdot(raw, raw).real)
-    _check_p_floor(p_s, p_floor)
+    _check_p_floor(p_s)
     state = _phase_fixed(raw, 1.0 / math.sqrt(p_s))
     warn_if_truncated(top_level_mass(state), tail_tol, "build_pointer_state")
     return PostSelectedOutcome(TwoModeState(state, cutoff), p_s)
@@ -294,14 +293,12 @@ def build_pointer_state(
     ecs: TwoModeState,
     wv: WeakValueParams,
     coupling: CouplingParams,
-    displacement_scale: float = 0.5,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    p_floor: float = DEFAULT_P_FLOOR,
 ) -> PostSelectedOutcome:
     """Post-selected pointer state and success probability.
 
-    Raises DegeneratePostSelectionError when P_s falls below p_floor, the
-    measure-zero regime where the conditional state is undefined.
+    Raises DegeneratePostSelectionError when P_s falls below DEFAULT_P_FLOOR,
+    the measure-zero regime where the conditional state is undefined.
     """
-    raw = apply_displacement_branches(ecs, wv, coupling, displacement_scale)
-    return _post_select(raw.amplitudes, ecs.cutoff, tail_tol, p_floor)
+    raw = apply_displacement_branches(ecs, wv, coupling)
+    return _post_select(raw.amplitudes, ecs.cutoff, tail_tol)

@@ -415,7 +415,7 @@ def _qfi_grid(
         if h is None:
             # i n R: n = 0 drops R's first column e0 and the N c_a[0] in entry 0 of its second.
             right = np.concatenate([right, 1j * np.arange(config.cutoff.dim_b)[:, None] * right])
-        fac_a, fac_b = _pointer_factors(left, right, s1s, s2s, [config.wv], config.displacement_scale)
+        fac_a, fac_b = _pointer_factors(left, right, s1s, s2s, [config.wv])
         members = fac_b[:, 0]
         moment = _moments(fac_a, members if h is not None else members[:, :1])
         p, degenerate, truncated = (grid[:, 0] for grid in _post_selection(moment, tail_tol, probe_tail))

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .config import RangeSpec, WeakMeasurementConfig
 from .errors import NumericalRangeError, TruncationWarning
-from .measurement import DEFAULT_P_FLOOR, _check_p_floor, _pointer_factors, _probe_tail, ecs_factors
+from .measurement import _check_p_floor, _pointer_factors, _probe_tail, ecs_factors
 from .observables import (
     DEFAULT_FD_STEP,
     DEFAULT_RANGE_TOL,
@@ -158,7 +158,7 @@ def _sweep_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.nda
     """_pointer_factors of the config's probe, built once, and the probe's
     top-level mass."""
     left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
-    fac_a, fac_b = _pointer_factors(left, right[0], s1s, s2s, wvs, config.displacement_scale)
+    fac_a, fac_b = _pointer_factors(left, right[0], s1s, s2s, wvs)
     return fac_a, fac_b, float(_probe_tail(left, right)[0])
 
 
@@ -169,7 +169,7 @@ def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray, 
     coupling = config.coupling
     fac_a, fac_b, probe_tail = _sweep_factors(config, [coupling.s1], [coupling.s2], [config.wv])
     moment = _moments(fac_a[:, 0], fac_b[:, 0])
-    _check_p_floor(moment("1", "1")[0, 0].real, DEFAULT_P_FLOOR)
+    _check_p_floor(moment("1", "1")[0, 0].real)
     p_s, _, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
     return fac_a[0, 0] / math.sqrt(p_s[0, 0]), fac_b[0, 0], bool(truncated[0, 0])
 

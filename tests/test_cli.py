@@ -507,7 +507,7 @@ DEFAULT_CONFIG_ECHO = {
     "r": 0.1, "mu": HALF_PI, "varphi": HALF_PI,
     "theta1": 0.8 * math.pi, "delta1": HALF_PI, "theta2": 0.8 * math.pi, "delta2": HALF_PI,
     "s1": 0.0, "s2": 0.0, "theta_big": HALF_PI, "n_max_a": 40, "n_max_b": 40,
-    "tail_tolerance": 1e-10, "displacement_convention": "half", "qfi_gauge": "fixed-kappa",
+    "tail_tolerance": 1e-10, "qfi_gauge": "fixed-kappa",
 }
 COUPLING_AXES = [["s1", 0.0, 3.0, 16], ["s2", 0.0, 3.0, 16]]
 # The --meta sidecar of each golden invocation.  grid_min is compared within
@@ -699,8 +699,7 @@ def test_golden_mismatches_accepts_rounding_drift():
 REPLAY_FLAGS = [
     "--r", "0.4", "--mu", "0.3pi", "--varphi", "0.7pi", "--theta1", "0.6pi", "--delta1", "0.2pi",
     "--theta2", "0.5pi", "--delta2", "1.1pi", "--s1", "0.7", "--s2", "0.4", "--theta-big", "0.3pi",
-    "--cutoff", "20,24", "--tail-tol", "1e-9", "--displacement-convention", "full",
-    "--qfi-gauge", "renormalized",
+    "--cutoff", "20,24", "--tail-tol", "1e-9", "--qfi-gauge", "renormalized",
 ]
 
 
@@ -740,3 +739,12 @@ def test_sidecar_replays_its_run(tmp_path, command):
     assert main([command, *replay_argv(meta), "--out", f"{again}.csv", "--meta", f"{again}.json"]) == 0
     for suffix in (".csv", ".json"):
         assert _read_text(f"{again}{suffix}") == _read_text(f"{first}{suffix}")
+
+
+def test_sidecar_with_a_displacement_convention_does_not_replay(capsys):
+    """An older sidecar's displacement_convention key replays as a flag that
+    no longer exists (every meter arm is s / 2): an argument error, exit 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["hz", "--displacement-convention=full"])
+    assert excinfo.value.code == 2
+    assert "--displacement-convention" in capsys.readouterr().err

@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ecsim.config import (
-    DISPLACEMENT_CONVENTIONS,
-    QFI_GAUGES,
-    RangeSpec,
-    WeakMeasurementConfig,
-    default_config,
-)
+from ecsim.config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.fock import FockCutoff
 from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams
 
@@ -53,7 +47,6 @@ def test_default_config_baseline_values():
     assert cfg.theta_big == HALF_PI
     assert cfg.cutoff == FockCutoff(40, 40)
     assert cfg.tail_tolerance == 1e-10
-    assert cfg.displacement_convention == "half"
     assert cfg.qfi_gauge == "fixed-kappa"
     override = default_config(theta_big=0.0)
     assert override.theta_big == 0.0
@@ -61,8 +54,7 @@ def test_default_config_baseline_values():
 
 def test_config_validation():
     base = default_config()
-    with pytest.raises(ValueError):
-        base.replace(displacement_convention="double")
+    assert QFI_GAUGES == ("fixed-kappa", "renormalized")
     with pytest.raises(ValueError):
         base.replace(qfi_gauge="other")
     with pytest.raises(ValueError):
@@ -71,13 +63,6 @@ def test_config_validation():
         base.replace(tail_tolerance=1e-3)
     with pytest.raises(ValueError):
         base.replace(theta_big=float("nan"))
-
-
-def test_displacement_scale_mapping():
-    assert DISPLACEMENT_CONVENTIONS == {"half": 0.5, "full": 1.0}
-    assert QFI_GAUGES == ("fixed-kappa", "renormalized")
-    assert default_config().displacement_scale == 0.5
-    assert default_config(displacement_convention="full").displacement_scale == 1.0
 
 
 def test_config_dict_round_trip_fixpoint():
@@ -96,7 +81,7 @@ def test_config_state_builders():
     cfg = default_config(coupling=CouplingParams(0.5, 0.5))
     ecs = cfg.ecs_state()
     assert abs(np.linalg.norm(ecs.amplitudes) - 1.0) < 1e-12
-    shifted = cfg.ecs_state(varphi=0.3)
+    shifted = cfg.replace(ecs=EcsParams(0.1, HALF_PI, 0.3)).ecs_state()
     assert abs(np.linalg.norm(shifted.amplitudes) - 1.0) < 1e-12
     assert np.max(np.abs(ecs.amplitudes - shifted.amplitudes)) > 1e-4
 

@@ -19,7 +19,6 @@ from ecsim import fock, measurement
 from ecsim.config import default_config
 from ecsim.errors import DegeneratePostSelectionError, TruncationWarning
 from ecsim.measurement import (
-    DEFAULT_P_FLOOR,
     CouplingParams,
     EcsParams,
     WeakValueParams,
@@ -231,9 +230,6 @@ def test_degenerate_post_selection_raises():
     wv = WeakValueParams(math.pi - 1e-8, HALF_PI, math.pi - 1e-8, HALF_PI)
     with pytest.raises(DegeneratePostSelectionError):
         build_pointer_state(ecs, wv, CouplingParams(0.0, 0.0))
-    # An explicit floor above the actual probability also triggers.
-    with pytest.raises(DegeneratePostSelectionError):
-        build_pointer_state(ecs, baseline_wv(), CouplingParams(0.0, 0.0), p_floor=2.0)
 
 
 def test_unnormalized_norm_squared_is_success_probability():
@@ -243,17 +239,10 @@ def test_unnormalized_norm_squared_is_success_probability():
     assert abs(np.linalg.norm(raw.amplitudes) ** 2 - outcome.success_probability) < 1e-14
 
 
-def test_displacement_convention_full_equals_doubled_half():
-    ecs = build_ecs(EcsParams(0.1, HALF_PI, HALF_PI), CUT40)
-    wv = baseline_wv()
-    full = build_pointer_state(ecs, wv, CouplingParams(0.6, 0.9), displacement_scale=1.0)
-    half = build_pointer_state(ecs, wv, CouplingParams(1.2, 1.8), displacement_scale=0.5)
-    assert np.max(np.abs(full.state.amplitudes - half.state.amplitudes)) < 1e-12
-    assert abs(full.success_probability - half.success_probability) < 1e-14
-
-
 def test_brute_force_tensor_oracle_agreement():
-    """Per-meter operator product vs the explicit two-meter tensor evolution."""
+    """Per-meter operator product vs the explicit two-meter tensor evolution,
+    whose arms are scale * s_i: the library's arm is s_i / 2, so a coupling
+    quoted with arm s_i (scale 1) is the library's 2 s_i."""
     rng = np.random.default_rng(314)
     n_max = 10
     cutoff = fock.FockCutoff(n_max, n_max)
@@ -265,19 +254,20 @@ def test_brute_force_tensor_oracle_agreement():
         delta1, delta2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
         s1, s2 = rng.uniform(0.0, 1.0, size=2)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            ecs = build_ecs(EcsParams(r, mu, varphi), cutoff)
-            outcome = build_pointer_state(
-                ecs,
-                WeakValueParams(theta1, delta1, theta2, delta2),
-                CouplingParams(s1, s2),
+        for factor, scale in ((1.0, 0.5), (2.0, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                ecs = build_ecs(EcsParams(r, mu, varphi), cutoff)
+                outcome = build_pointer_state(
+                    ecs,
+                    WeakValueParams(theta1, delta1, theta2, delta2),
+                    CouplingParams(factor * s1, factor * s2),
+                )
+            expected_amp, expected_p = oracles.brute_force_pointer(
+                r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, n_max, scale
             )
-        expected_amp, expected_p = oracles.brute_force_pointer(
-            r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, n_max
-        )
-        assert abs(outcome.success_probability - expected_p) < 1e-12
-        assert np.linalg.norm(outcome.state.amplitudes - expected_amp) < 1e-9
+            assert abs(outcome.success_probability - expected_p) < 1e-12
+            assert np.linalg.norm(outcome.state.amplitudes - expected_amp) < 1e-9
 
 
 PHASES = st.floats(0.0, 2.0 * math.pi)
@@ -366,7 +356,7 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
-        arms, mixed = measurement._pointer_factors(left, right, [s1], [s2], [wv], 0.5)
+        arms, mixed = measurement._pointer_factors(left, right, [s1], [s2], [wv])
         assert mixed.shape == (1, 1, len(varphis), n_max + 1, 2)
         raw = arms[0] @ mixed[0, 0].swapaxes(-1, -2)
         for k, varphi in enumerate(varphis):
@@ -376,7 +366,7 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
             assert np.max(np.abs(raw[k] - dense_raw)) <= 1e-13
             expected = oracles.brute_force_raw_pointer(r, mu, varphi, *angles, s1, s2, n_max)
             assert np.max(np.abs(raw[k] - expected)) <= 1e-13
-            selected = measurement._post_select(raw[k], cutoff, fock.DEFAULT_TAIL_TOL, DEFAULT_P_FLOOR)
+            selected = measurement._post_select(raw[k], cutoff, fock.DEFAULT_TAIL_TOL)
             assert np.max(np.abs(selected.state.amplitudes - outcome.state.amplitudes)) <= 1e-13
             assert abs(selected.success_probability - outcome.success_probability) <= 1e-13
 
@@ -403,20 +393,20 @@ def test_one_point_factors_equal_their_slot_in_a_batch(r, mu, varphis, wv_angles
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
-        fac_a, fac_b = measurement._pointer_factors(left, right, s1s, s2s, wvs, 0.5)
+        fac_a, fac_b = measurement._pointer_factors(left, right, s1s, s2s, wvs)
         for w, wv in enumerate(wvs):
             for i, s1 in enumerate(s1s):
                 j, k = i % len(s2s), (i + w) % len(varphis)
-                one_a, one_b = measurement._pointer_factors(left, right, [s1], [s2s[j]], [wv], 0.5)
+                one_a, one_b = measurement._pointer_factors(left, right, [s1], [s2s[j]], [wv])
                 assert np.array_equal(one_a[0, 0], fac_a[i, w])
                 assert np.array_equal(one_b[0, 0], fac_b[j, w])
-                _, member_b = measurement._pointer_factors(left, right[k], [s1], [s2s[j]], [wv], 0.5)
+                _, member_b = measurement._pointer_factors(left, right[k], [s1], [s2s[j]], [wv])
                 assert np.array_equal(member_b[0, 0], fac_b[j, w, k])
         config = default_config(
             ecs=EcsParams(r, mu, varphis[0]), wv=wvs[0], coupling=CouplingParams(s1s[0], s2s[0]), cutoff=cutoff
         )
         probe_l, probe_r = ecs_factors(config.ecs, cutoff)
-        one_a, one_b = measurement._pointer_factors(probe_l, probe_r[0], s1s[:1], s2s[:1], wvs[:1], 0.5)
+        one_a, one_b = measurement._pointer_factors(probe_l, probe_r[0], s1s[:1], s2s[:1], wvs[:1])
         raw = config.raw_pointer_state().amplitudes
         assert np.array_equal(raw, one_a[0, 0] @ one_b[0, 0].T)
         assert config.pointer_outcome().success_probability == float(np.vdot(raw, raw).real)
@@ -426,14 +416,14 @@ def dense_derivative_qfi(config):
     """QFI with the varphi derivative built as a dense grid, i beta N e0 (x) b^dag c_b
     with b^dag truncated, and pushed through the meter operators on its own."""
     ecs, cutoff = config.ecs, config.cutoff
-    wv, coupling, scale = config.wv, config.coupling, config.displacement_scale
-    raw0 = apply_displacement_branches(config.ecs_state(), wv, coupling, scale).amplitudes
+    wv, coupling = config.wv, config.coupling
+    raw0 = apply_displacement_branches(config.ecs_state(), wv, coupling).amplitudes
     beta = ecs.alpha * cmath.exp(1j * ecs.varphi)
     col_b = fock.coherent_column(beta, cutoff.n_max_b)
     lifted = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=complex)
     lifted[0, 1:] = np.sqrt(np.arange(1.0, cutoff.dim_b)) * col_b[:-1]
     dphi = fock.TwoModeState(1j * beta * ecs.normalization * lifted, cutoff)
-    draw = apply_displacement_branches(dphi, wv, coupling, scale).amplitudes
+    draw = apply_displacement_branches(dphi, wv, coupling).amplitudes
     kappa = 1.0 / np.linalg.norm(raw0)
     psi, dpsi = kappa * raw0, kappa * draw
     return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)

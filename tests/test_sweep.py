@@ -12,6 +12,7 @@ from ecsim.fock import FockCutoff
 from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams
 from ecsim.observables import hz_correlation, squeezing_report
 from ecsim.sweep import (
+    _COMMANDS,
     NA,
     SweepResult,
     cmd_hz,
@@ -247,3 +248,15 @@ def test_metadata_json_is_sorted_and_newline_terminated():
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+@pytest.mark.parametrize("command", ["probability", "squeezing", "hz", "qcrb"])
+def test_default_grid_rows_equal_their_single_point_runs(command):
+    """Each row of a command's default grid equals, bit for bit, the row of
+    the same command run at that point alone."""
+    spec = _COMMANDS[command]
+    config = default_config()
+    grid = spec["runner"](config, *(spec["defaults"][axis] for axis in spec["axes"]))
+    for row in grid.rows:
+        alone = spec["runner"](config, *(single(value) for value in row[:len(spec["axes"])]))
+        assert alone.rows == (row,)
