@@ -6,15 +6,18 @@ notation ("0.8pi").  Repeatable --sweep flags override the per-command
 default axes; declaration order sets the outer-to-inner nesting of emitted
 rows.
 
-Exit codes: 0 success; 2 configuration or argument validation error, or an
+Exit codes: 0 success; 2 configuration or argument validation error
+(including a cutoff above config.MAX_N_MAX, and an input whose displacement
+angle, squared amplitude or closed-form QFI overflows a double), or an
 --out/--meta path that cannot be written; 3 numerical failure (a wigner
 displacement out of validated range, a probe or pointer state whose
 top-level mass exceeds --tail-tol at a single point or at the wigner
-coupling, an unstable finite-difference step at a single qcrb point); 4
-degenerate post-selection at a single point, whose NA row is written.  Exits
-2 and 3 write no CSV.  Multi-point sweeps other than wigner write NA rows
-instead, and exit 0, as does an NA cell that is a value (the phase bound of
-a vanishing QFI, the hz flag of a NaN correlation).
+coupling, an unstable finite-difference step at a single renormalized qcrb
+point); 4 degenerate post-selection at a single point, whose NA row is
+written.  The fixed-kappa qcrb column is closed-form, so it is never
+truncated.  Exits 2 and 3 write no CSV.  Multi-point sweeps other than
+wigner write NA rows instead, and exit 0, as does an NA cell that is a value
+(the phase bound of a vanishing QFI, the hz flag of a NaN correlation).
 """
 
 from __future__ import annotations

@@ -21,6 +21,10 @@ from .measurement import (
 )
 
 QFI_GAUGES = ("fixed-kappa", "renormalized")
+# The largest n_max per mode.  The quadrature eigenbasis is a dense
+# (n_max + 1)^2 eigenproblem and the dense grids hold (n_max_a + 1)(n_max_b + 1)
+# amplitudes: 8 MB and 16 MB at this cutoff, 74.5 GiB for the eigh at 100000.
+MAX_N_MAX = 1000
 # The config fields that hold a record; to_dict spells out their fields.
 _RECORDS = {"ecs": EcsParams, "wv": WeakValueParams, "coupling": CouplingParams, "cutoff": FockCutoff}
 # default_config's records; they are frozen, so every config shares them.
@@ -86,6 +90,11 @@ class WeakMeasurementConfig:
         if not (0.0 < self.tail_tolerance <= 1e-4):
             raise ValueError(
                 f"tail_tolerance must lie in (0, 1e-4], got {self.tail_tolerance!r}"
+            )
+        if max(self.cutoff.n_max_a, self.cutoff.n_max_b) > MAX_N_MAX:
+            raise ValueError(
+                f"cutoff n_max must be at most {MAX_N_MAX} per mode, "
+                f"got n_max_a={self.cutoff.n_max_a}, n_max_b={self.cutoff.n_max_b}"
             )
         if not (math.isfinite(self.theta_big)):
             raise ValueError(f"theta_big must be finite, got {self.theta_big!r}")

@@ -214,14 +214,15 @@ def build_ecs(
     return TwoModeState(left @ right[0].T, cutoff)
 
 
+def _meter_rows(wv: WeakValueParams) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The amplitudes ((c_1, d_1), (c_2, d_2)) of the module docstring's meter operators."""
+    return ((math.cos(0.5 * wv.theta1), cmath.exp(1j * wv.delta1) * math.sin(0.5 * wv.theta1)),
+            (math.cos(0.5 * wv.theta2), -1j * cmath.exp(1j * wv.delta2) * math.sin(0.5 * wv.theta2)))
+
+
 def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
-    """W x 2 x 2 amplitudes [(c_1, d_1), (c_2, d_2)] of the module docstring's
-    meter operators, one row per WeakValueParams."""
-    return np.array([
-        ((math.cos(0.5 * wv.theta1), cmath.exp(1j * wv.delta1) * math.sin(0.5 * wv.theta1)),
-         (math.cos(0.5 * wv.theta2), -1j * cmath.exp(1j * wv.delta2) * math.sin(0.5 * wv.theta2)))
-        for wv in wvs
-    ])
+    """W x 2 x 2 amplitudes _meter_rows, one row per WeakValueParams."""
+    return np.array([_meter_rows(wv) for wv in wvs])
 
 
 def _pointer_factors(

@@ -21,8 +21,10 @@ coupling and meter, and X only on the mode-b coupling and meter, so a whole
 grid of moments is one product of stacked Grams, and the Wigner
 cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the parity
 Grams of D_a(-gamma) A and D_b(-beta) X; a TwoModeState enters it as the
-factor pair (amplitudes, identity).  The QFI is a cross-Gram moment of the
-probe family's factors (_qfi_grid).
+factor pair (amplitudes, identity).  The finite-difference QFI is a
+cross-Gram moment of the probe family's factors (_qfi_grid); the analytic
+QFI has a closed form between coherent states and no Fock basis at all
+(coherent.pointer_qfi).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .coherent import pointer_qfi
 from .config import RangeSpec, WeakMeasurementConfig
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
@@ -383,58 +386,60 @@ def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _qfi_grid(
-    config: WeakMeasurementConfig, rs, s1s, s2s, h: float | None = None
+    config: WeakMeasurementConfig, rs, s1s, s2s, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, degenerate, truncated, tripped) over amplitudes rs x coupling pairs (s1s[j], s2s[j]).
+    """(Q, degenerate, truncated, tripped) over amplitudes rs x coupling pairs (s1s[j], s2s[j]),
+    by central differences on the Fock factors: the independent check of
+    the closed form that qfi_analytic evaluates.
 
-    One probe per amplitude; its pointer states are the rank-2 factors
-    A X_k^T of _pointer_factors, A = K_a L and X_k = K_b R_k, so every Gram
-    below is 2 x 2.  With x_0 = X_0 / sqrt(P_0) and d psi = A dX^T,
+    One probe per amplitude; its pointer states at varphi and at varphi +-
+    step (h, h/2, h/4) are the rank-2 factors A X_k^T of _pointer_factors,
+    A = K_a L and X_k = K_b R_k, so every Gram below is 2 x 2.  The members
+    are scaled by 1/sqrt(P_0) ("fixed-kappa") or their own 1/sqrt(P_k)
+    ("renormalized"; not phase-fixed, as the raw family is analytic in
+    varphi and the projection term removes a global phase) and differenced
+    on the factors, since differencing Grams would cancel about ten digits.
+    With x_0 = X_0 / sqrt(P_0), d psi = A dX^T and dX the difference,
 
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
-    With h None, dX comes from R_d = [0, i n N c_b], the varphi derivative of
-    the probe, scaled by 1/sqrt(P_0).  Otherwise the members at varphi +-
-    step (h, h/2, h/4) are scaled by 1/sqrt(P_0) ("fixed-kappa") or their own
-    1/sqrt(P_k) ("renormalized"; not phase-fixed, as the raw family is
-    analytic in varphi and the projection term removes a global phase) and
-    differenced on the factors, since differencing Grams would cancel about
-    ten digits.  The states are all members, or X_0 beside X_d, and
-    _post_selection warns for each truncated one.  The masks mark a point
-    where any state's P_s is below DEFAULT_P_FLOOR (Q is then not defined),
-    any state or its probe is truncated, or Q fails _richardson.
+    _post_selection warns for each truncated member.  The masks mark a point
+    where any member's P_s is below DEFAULT_P_FLOOR (Q is then not defined),
+    any member or its probe is truncated, or Q fails _richardson.
     """
     phi0, tail_tol = config.ecs.varphi, config.tail_tolerance
-    steps = [] if h is None else [h, 0.5 * h, 0.25 * h]
+    steps = [h, 0.5 * h, 0.25 * h]
     varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
-    renormalized = h is not None and config.qfi_gauge == "renormalized"
+    renormalized = config.qfi_gauge == "renormalized"
     grids = []
     for r in rs:
         left, right = ecs_factors(EcsParams(float(r), config.ecs.mu, phi0), config.cutoff, tail_tol, varphis)
-        probe_tail = _probe_tail(left, right)
-        if h is None:
-            # i n R: n = 0 drops R's first column e0 and the N c_a[0] in entry 0 of its second.
-            right = np.concatenate([right, 1j * np.arange(config.cutoff.dim_b)[:, None] * right])
         fac_a, fac_b = _pointer_factors(left, right, s1s, s2s, [config.wv])
         members = fac_b[:, 0]
-        moment = _moments(fac_a, members if h is not None else members[:, :1])
-        p, degenerate, truncated = (grid[:, 0] for grid in _post_selection(moment, tail_tol, probe_tail))
+        moment = _moments(fac_a, members)
+        p, degenerate, truncated = (grid[:, 0] for grid in _post_selection(moment, tail_tol, _probe_tail(left, right)))
         scaled = members * (1.0 / np.sqrt(p if renormalized else p[:, :1]))[..., None, None]
-        if h is None:
-            d_x = scaled[:, 1:]
-        else:
-            d_x = (scaled[:, 1::2] - scaled[:, 2::2]) * (0.5 / np.array(steps))[:, None, None]
+        d_x = (scaled[:, 1::2] - scaled[:, 2::2]) * (0.5 / np.array(steps))[:, None, None]
         g_a = moment.gram(0, "1")
         dd = _contract(g_a, _gram(d_x, d_x))[:, 0].real
         cross = _contract(g_a, _gram(scaled[:, :1], d_x))[:, 0]
-        q = 4.0 * (dd - np.abs(cross) ** 2)
-        q, tripped = (q[:, 0], np.zeros(len(q), dtype=bool)) if h is None else _richardson(q, h)
+        q, tripped = _richardson(4.0 * (dd - np.abs(cross) ** 2), h)
         grids.append((q, degenerate.any(axis=-1), truncated.any(axis=-1), tripped))
     return tuple(np.array(grid) for grid in zip(*grids))
 
 
-def _qfi_point(config: WeakMeasurementConfig, h: float | None) -> float:
-    """_qfi_grid at the config's own amplitude and coupling; raises where it marks the point."""
+def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP) -> float:
+    """Finite-difference QFI of the post-selected pointer family in varphi.
+
+    Under "fixed-kappa" the success-probability rescaling is frozen at the
+    working point, under "renormalized" each member is normalized; the
+    projection term makes both gauges agree to finite-difference accuracy.
+    _qfi_grid at one point: a degenerate member raises
+    DegeneratePostSelectionError, a tripped Richardson check
+    NumericalRangeError.
+    """
+    if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
+        raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
     coupling = config.coupling
     q, degenerate, _, tripped = _qfi_grid(config, [config.ecs.r], [coupling.s1], [coupling.s2], h)
     if degenerate[0, 0]:
@@ -447,21 +452,11 @@ def _qfi_point(config: WeakMeasurementConfig, h: float | None) -> float:
     return float(q[0, 0])
 
 
-def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP) -> float:
-    """Finite-difference QFI of the post-selected pointer family in varphi.
-
-    Under "fixed-kappa" the success-probability rescaling is frozen at the
-    working point, under "renormalized" each member is normalized; the
-    projection term makes both gauges agree to finite-difference accuracy.
-    _qfi_grid at one point; a tripped Richardson check raises
-    NumericalRangeError.
-    """
-    if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
-        raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    return _qfi_point(config, h)
-
-
 def qfi_analytic(config: WeakMeasurementConfig) -> float:
-    """Closed-form QFI of the pointer family in varphi: _qfi_grid at one point
-    with the derivative i n N c_b of the probe's mode-b coherent column."""
-    return _qfi_point(config, None)
+    """Closed-form QFI of the pointer family in varphi (coherent.pointer_qfi).
+
+    It uses no Fock basis, so it is exact at any cutoff and warns of no
+    truncation.  Raises DegeneratePostSelectionError when P_s is below
+    DEFAULT_P_FLOOR, and ValueError when the QFI overflows a double.
+    """
+    return pointer_qfi(config.ecs, config.wv, config.coupling)

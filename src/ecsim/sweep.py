@@ -15,6 +15,7 @@ differ.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,8 +27,9 @@ import numpy as np
 
 from . import __version__
 from .config import RangeSpec, WeakMeasurementConfig
-from .errors import NumericalRangeError, TruncationWarning
-from .measurement import _check_p_floor, _pointer_factors, _probe_tail, ecs_factors
+from .coherent import pointer_qfi
+from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
+from .measurement import CouplingParams, EcsParams, _check_p_floor, _pointer_factors, _probe_tail, ecs_factors
 from .observables import (
     DEFAULT_FD_STEP,
     DEFAULT_RANGE_TOL,
@@ -268,17 +270,29 @@ def cmd_qcrb(
 ) -> SweepResult:
     """QFI and single-shot phase bound over amplitude and coupling; s1 = s2 = s.
 
-    One _qfi_grid call: the closed-form derivative under "fixed-kappa",
-    checked finite differences under "renormalized".  Degenerate, truncated
-    and Richardson-tripped points become NA rows, and a QFI below
-    QFI_SENTINEL_FLOOR gets an NA phase bound.
+    Under "fixed-kappa" each point is one closed-form pointer_qfi call, the
+    qfi_analytic of that point, exact at any cutoff.  Under "renormalized"
+    one _qfi_grid call gives Richardson-checked finite differences on the
+    Fock factors.  Degenerate, truncated and Richardson-tripped points
+    become NA rows, and a QFI below QFI_SENTINEL_FLOOR gets an NA phase
+    bound.
     """
 
     def batch():
         rs, ss = r_range.values(), s_range.values()
-        h = None if config.qfi_gauge == "fixed-kappa" else DEFAULT_FD_STEP
-        q, degenerate, truncated, tripped = _qfi_grid(config, rs, ss, ss, h)
-        (q_fi,), counts, na = _failed_na([q], degenerate=degenerate, truncated=truncated, richardson=tripped)
+        if config.qfi_gauge == "fixed-kappa":
+            # pointer_qfi returns a finite Q or raises, so NaN is left only where P_s is degenerate.
+            q = np.full((len(rs), len(ss)), np.nan)
+            for i, r in enumerate(rs.tolist()):
+                ecs = EcsParams(r, config.ecs.mu, config.ecs.varphi)
+                for j, s in enumerate(ss.tolist()):
+                    with contextlib.suppress(DegeneratePostSelectionError):
+                        q[i, j] = pointer_qfi(ecs, config.wv, CouplingParams(s, s))
+            failed = {"degenerate": np.isnan(q)}
+        else:
+            q, degenerate, truncated, tripped = _qfi_grid(config, rs, ss, ss, DEFAULT_FD_STEP)
+            failed = {"degenerate": degenerate, "truncated": truncated, "richardson": tripped}
+        (q_fi,), counts, na = _failed_na([q], **failed)
         zero = ~na & ~(q >= QFI_SENTINEL_FLOOR)
         counts["zero_qfi"] = int(zero.sum())
         delta_phi = _with_na(1.0 / np.sqrt(np.where(na | zero, 1.0, q)), na | zero)

@@ -141,6 +141,10 @@ OVERFLOWING_INPUTS = [
     ["wigner", "--r", "1e200"],
     ["qcrb", "--sweep", "r=1e200:1e201:2"],
     ["qcrb", "--sweep", "r=0:1e300:2"],
+    # The QFI grows as r^4: at r = 1e100 it is no double, though r^2 is.
+    ["qcrb", "--sweep", "r=1e100:1e100:1", "--sweep", "s=1:1:1"],
+    # A cutoff above MAX_N_MAX: its quadrature eigh alone would ask for 74.5 GiB.
+    ["probability", "--cutoff", "100000"],
 ]
 
 
@@ -218,17 +222,42 @@ def test_qcrb_range_trip_at_single_point_exits_three(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, value", [
     (["hz", "--r", "6", "--sweep", "s1=3:3:1", "--sweep", "s2=3:3:1"], "295.000"),
-    (["qcrb", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1"], "1434.44"),
+    (["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1"], "1434.44"),
 ])
 def test_truncated_single_point_exits_three(capsys, argv, value):
     # At cutoff 40 the r = 6 probe is truncated, and the point used to print
-    # E = 204.185... and Q_fi = 1024.38... with exit 0.
+    # E = 204.185... and Q_fi = 1024.38... with exit 0.  The fixed-kappa QFI
+    # is closed-form and needs no cutoff (test_fixed_kappa_qcrb_needs_no_cutoff).
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tail-tol" in captured.err
     assert main(argv + ["--cutoff", "120"]) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[2].startswith(value)
+
+
+@pytest.mark.parametrize("cutoff", ["10", "40", "120"])
+def test_fixed_kappa_qcrb_needs_no_cutoff(capsys, tmp_path, cutoff):
+    # The closed-form QFI prints the --cutoff 120 value of the Fock route at
+    # any cutoff, and no truncation warning.
+    meta = tmp_path / "meta.json"
+    argv = ["qcrb", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1", "--cutoff", cutoff, "--meta", str(meta)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].split(",")[2] == "1434.4456688713035"
+    assert captured.err == ""
+    assert json.loads(meta.read_text())["truncation_warnings"] == 0
+
+
+def test_fixed_kappa_qcrb_at_a_huge_coupling_is_finite(capsys):
+    # At s = 1e150 the meters' displacements overflow any Fock grid and
+    # e^{-a} cosh z is 0 * inf; the closed form reaches the limit that every
+    # s >= 10 already gives at r = 0.1.
+    assert main(["qcrb", "--sweep", "s=1e150:1e150:1", "--sweep", "r=0.1:0.1:1"]) == 0
+    huge = capsys.readouterr().out.splitlines()[1].split(",")
+    assert main(["qcrb", "--sweep", "s=10:10:1", "--sweep", "r=0.1:0.1:1"]) == 0
+    limit = capsys.readouterr().out.splitlines()[1].split(",")
+    assert huge[2:] == limit[2:] == ["0.010125248956264606", "9.937957722141094"]
 
 
 @pytest.mark.parametrize("argv, truncated_row", [
@@ -280,17 +309,18 @@ def test_renormalized_qcrb_builds_the_mode_a_column_once():
     assert result.na_rows["truncated"] == 1
 
 
-@pytest.mark.parametrize("gauge, warnings", [("fixed-kappa", 24), ("renormalized", 168)])
+@pytest.mark.parametrize("gauge, warnings", [("fixed-kappa", 0), ("renormalized", 168)])
 def test_qcrb_counts_each_truncated_pointer_state_once(tmp_path, gauge, warnings):
     # At cutoff 10 the pointer states of 24 default-grid points (all at
-    # s >= 1) reach the top level while every probe fits.  Each truncated
-    # state warns once: one per row on the closed-form route, seven (the
-    # finite-difference members) per row under the renormalized gauge.
+    # s >= 1) reach the top level while every probe fits.  Under the
+    # renormalized gauge each truncated state warns once, seven (the
+    # finite-difference members) per row.  The closed-form fixed-kappa
+    # route has no Fock grid: no row is truncated and nothing warns.
     meta = tmp_path / "meta.json"
     argv = ["qcrb", "--cutoff", "10", "--qfi-gauge", gauge, "--out", str(tmp_path / "o.csv"), "--meta", str(meta)]
     assert main(argv) == 0
     written = json.loads(meta.read_text())
-    assert written["na_rows"] == dict(CLEAN_NA_ROWS, truncated=24)
+    assert written["na_rows"] == dict(CLEAN_NA_ROWS, truncated=24 if warnings else 0)
     assert written["truncation_warnings"] == warnings
 
 
@@ -361,6 +391,7 @@ def test_unknown_sweep_axis_exits_two(capsys):
         (["hz", "--sweep", "s1=-1:0:2"], "s1 must be finite and >= 0, got -1.0"),
         (["hz", "--sweep", "s2=-0.5:1:3"], "s2 must be finite and >= 0, got -0.5"),
         (["squeezing", "--sweep", "s2=-1:0:2", "--sweep", "s1=-2:1:2"], "s1 must be finite and >= 0, got -2.0"),
+        (["qcrb", "--sweep", "s=-1:0:2"], "s1 must be finite and >= 0, got -1.0"),
     ],
 )
 def test_negative_coupling_axis_exits_two(capsys, argv, message):

@@ -63,6 +63,9 @@ def test_config_validation():
         base.replace(tail_tolerance=1e-3)
     with pytest.raises(ValueError):
         base.replace(theta_big=float("nan"))
+    assert base.replace(cutoff=FockCutoff(1000, 10)).cutoff.n_max_a == 1000
+    with pytest.raises(ValueError, match="at most 1000 per mode"):
+        base.replace(cutoff=FockCutoff(10, 1001))
 
 
 def test_config_dict_round_trip_fixpoint():

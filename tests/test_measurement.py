@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -440,16 +440,53 @@ def dense_derivative_qfi(config):
     n_max=st.sampled_from([12, 40]),
 )
 def test_qfi_analytic_matches_dense_derivative(r, mu, varphi, angles, s1, s2, n_max):
-    """The derivative column i n N c_b in the family call gives the QFI of the
-    dense derivative grid."""
+    """The closed-form QFI, at any cutoff, is the QFI of the dense derivative
+    grid at cutoff 40, where every drawn state has converged."""
     config = default_config(
         ecs=EcsParams(r, mu, varphi),
         wv=WeakValueParams(*angles),
         coupling=CouplingParams(s1, s2),
         cutoff=fock.FockCutoff(n_max, n_max),
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        q = qfi_analytic(config)
-        expected = dense_derivative_qfi(config)
+    q = qfi_analytic(config)
+    expected = dense_derivative_qfi(config.replace(cutoff=CUT40))
     assert abs(q - expected) <= 1e-12 * abs(expected) + 1e-15
+
+
+STRONG_THETAS = st.floats(-6.0, -2.0).map(lambda e: math.pi - 10.0**e)
+WEAK_COUPLINGS = st.floats(-4.0, 0.5).map(lambda e: 10.0**e)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.floats(0.0, 2.0),
+    mu=PHASES,
+    varphi=PHASES,
+    angles=st.tuples(STRONG_THETAS, PHASES, STRONG_THETAS, PHASES),
+    s1=WEAK_COUPLINGS,
+    s2=WEAK_COUPLINGS,
+)
+def test_qfi_analytic_matches_dense_derivative_under_strong_post_selection(r, mu, varphi, angles, s1, s2):
+    """Near theta = pi the meters' k+ and k- nearly cancel, and P_s falls
+    towards the floor; the closed form keeps 12 digits there."""
+    config = default_config(
+        ecs=EcsParams(r, mu, varphi), wv=WeakValueParams(*angles), coupling=CouplingParams(s1, s2)
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            config.pointer_outcome()
+        except DegeneratePostSelectionError:
+            assume(False)
+    assume(not caught)
+    expected = dense_derivative_qfi(config)
+    assert abs(qfi_analytic(config) - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("r, s", [(0.3, 1.0), (2.0, 2.5), (6.0, 1.0)])
+def test_qfi_analytic_does_not_depend_on_the_cutoff(r, s):
+    config = default_config(ecs=EcsParams(r, HALF_PI, HALF_PI), coupling=CouplingParams(s, s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [qfi_analytic(config.replace(cutoff=fock.FockCutoff(n, n))) for n in (10, 40)]
+    assert values[0] == values[1]

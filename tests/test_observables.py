@@ -324,15 +324,15 @@ def test_qfi_step_validation_and_degenerate_guard():
 
 
 @pytest.mark.parametrize("qfi, gauge, warned", [
-    pytest.param(qfi_analytic, "fixed-kappa", 1, id="analytic"),
+    pytest.param(qfi_analytic, "fixed-kappa", 0, id="analytic"),
     pytest.param(qfi_finite_difference, "fixed-kappa", 7, id="fd-fixed-kappa"),
     pytest.param(qfi_finite_difference, "renormalized", 7, id="fd-renormalized"),
 ])
 def test_qfi_warns_once_per_truncated_pointer_state(qfi, gauge, warned):
     # At s = 6 and cutoff 10 the pointer state puts 0.31 of its mass on the
     # top level while the probe fits.  Each post-selected state warns once,
-    # as pointer_outcome does: X_0 beside the closed-form derivative, and all
-    # seven finite-difference members in either gauge.
+    # as pointer_outcome does: all seven finite-difference members in either
+    # gauge.  The closed form has no Fock grid and never warns.
     config = baseline_config(0.1, 6.0, cutoff=fock.FockCutoff(10, 10), qfi_gauge=gauge)
     with pytest.warns(TruncationWarning):
         config.pointer_outcome()

@@ -10,7 +10,7 @@ from ecsim import __version__
 from ecsim.config import RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.fock import FockCutoff
 from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams
-from ecsim.observables import hz_correlation, squeezing_report
+from ecsim.observables import hz_correlation, qfi_analytic, squeezing_report
 from ecsim.sweep import (
     _COMMANDS,
     NA,
@@ -260,3 +260,13 @@ def test_default_grid_rows_equal_their_single_point_runs(command):
     for row in grid.rows:
         alone = spec["runner"](config, *(single(value) for value in row[:len(spec["axes"])]))
         assert alone.rows == (row,)
+
+
+def test_fixed_kappa_qcrb_rows_equal_qfi_analytic():
+    """Each fixed-kappa row's Q_fi is, bit for bit, qfi_analytic at its point."""
+    config = default_config()
+    grid = cmd_qcrb(config, *_COMMANDS["qcrb"]["defaults"].values())
+    assert len(grid.rows) == 50
+    for r, s, q, _ in grid.rows:
+        point = config.replace(ecs=EcsParams(r, config.ecs.mu, config.ecs.varphi), coupling=CouplingParams(s, s))
+        assert q == qfi_analytic(point)
