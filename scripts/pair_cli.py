@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Time the golden CLI invocations of two ecsim trees in fresh processes.
+
+    python3 scripts/pair_cli.py PARENT CHANGE --rounds R
+
+PARENT and CHANGE are checkouts of two versions of ecsim (or their `src`
+directories).  Each round runs every invocation of tests/golden_cases.py as
+`python -m ecsim.cli ARGV` once per tree, each in a fresh process, the
+parent first in even rounds and the change first in odd ones, so that a
+slow stretch of the machine weighs on both alike.  It is the cold-start
+counterpart of scripts/pair_points.py: a CLI run pays for the interpreter,
+the imports and the sweep.
+
+The script prints, per invocation, the median wall time and its quartiles
+for both trees, and their ratio (change / parent).  Then, per tree, it
+prints where a cold run spends that time: from one more fresh process per
+invocation and round, the medians of `import numpy`, of `import
+ecsim.cli` after it, and of the run through ecsim.cli.main.  Exits 1 when
+any run exits non-zero.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+
+from golden_cases import GOLDEN_CASES  # noqa: E402
+
+# One fresh process: the in-process split of one invocation, as JSON seconds.
+SPLIT = """
+import contextlib, io, json, sys, time
+start = time.perf_counter()
+import numpy
+numpy_s = time.perf_counter() - start
+start = time.perf_counter()
+import ecsim.cli
+import_s = time.perf_counter() - start
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ecsim.cli.main(sys.argv[1:])
+print(json.dumps({"numpy": numpy_s, "ecsim": import_s, "run": time.perf_counter() - start, "code": code}))
+"""
+PARTS = ("numpy", "ecsim", "run")
+
+
+def src_dir(tree: str) -> str:
+    """The directory that holds the ecsim package of a checkout or a src directory."""
+    root = Path(tree).resolve()
+    for candidate in (root, root / "src"):
+        if (candidate / "ecsim" / "__init__.py").is_file():
+            return str(candidate)
+    raise SystemExit(f"no ecsim package under {tree}")
+
+
+def timed_cli(src: str, argv: list[str], cwd: str) -> tuple[float, int]:
+    """(wall seconds, exit code) of `python -m ecsim.cli argv` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ecsim.cli", *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, env=env, cwd=cwd, timeout=300)
+    return time.perf_counter() - start, proc.returncode
+
+
+def split(src: str, argv: list[str], cwd: str) -> dict:
+    """The in-process split of one invocation in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", SPLIT, *argv], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=300)
+    if proc.returncode != 0:
+        raise SystemExit(f"split of {argv} failed: {proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(samples: list[float]) -> tuple[float, float, float]:
+    """(median, first quartile, third quartile) in ms."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return 1e3 * median, 1e3 * q1, 1e3 * q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--rounds", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2 for quartiles")
+
+    trees = {"parent": src_dir(args.parent), "change": src_dir(args.change)}
+    wall = {name: {case: [] for case in GOLDEN_CASES} for name in trees}
+    parts = {name: {case: {part: [] for part in PARTS} for case in GOLDEN_CASES} for name in trees}
+    failures = 0
+    with tempfile.TemporaryDirectory() as cwd:
+        for round_index in range(args.rounds):
+            order = ("parent", "change") if round_index % 2 == 0 else ("change", "parent")
+            for case, cli_argv in GOLDEN_CASES.items():
+                for name in order:
+                    seconds, code = timed_cli(trees[name], cli_argv, cwd)
+                    wall[name][case].append(seconds)
+                    failures += code != 0
+                for name in order:
+                    sample = split(trees[name], cli_argv, cwd)
+                    failures += sample["code"] != 0
+                    for part in PARTS:
+                        parts[name][case][part].append(sample[part])
+
+    print(f"# {args.rounds} rounds; wall ms per fresh `python -m ecsim.cli` run, median [quartiles]")
+    print(f"{'invocation':<26}{'parent':>24}{'change':>24}{'ratio':>8}")
+    for case in GOLDEN_CASES:
+        (p, p1, p3), (c, c1, c3) = (summary(wall[name][case]) for name in ("parent", "change"))
+        print(f"{case:<26}{p:>8.1f} [{p1:6.1f}, {p3:6.1f}]{c:>8.1f} [{c1:6.1f}, {c3:6.1f}]{c / p:>8.3f}")
+    for name in trees:
+        print(f"# {name}: in-process median ms of `import numpy`, `import ecsim.cli` after it, and the run")
+        for case in GOLDEN_CASES:
+            medians = [1e3 * statistics.median(parts[name][case][part]) for part in PARTS]
+            print(f"{case:<26}" + "".join(f"{part} {value:7.1f}  " for part, value in zip(PARTS, medians)))
+    print(f"failed runs {failures}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,18 +6,23 @@ notation ("0.8pi").  Repeatable --sweep flags override the per-command
 default axes; declaration order sets the outer-to-inner nesting of emitted
 rows.
 
+The sweeps are cutoff-free: probability, squeezing, wigner, hz and the
+fixed-kappa qcrb column are closed-form between coherent states (see the
+coherent module) and import no numpy.  --cutoff and --tail-tol act only on
+the renormalized qcrb column, the one sweep on the Fock grid; the other
+commands echo them in --meta and ignore them.
+
 Exit codes: 0 success; 2 configuration or argument validation error
-(including a cutoff above config.MAX_N_MAX, and an input whose displacement
-angle, squared amplitude or closed-form QFI overflows a double), or an
---out/--meta path that cannot be written; 3 numerical failure (a wigner
-displacement out of validated range, a probe or pointer state whose
-top-level mass exceeds --tail-tol at a single point or at the wigner
-coupling, an unstable finite-difference step at a single renormalized qcrb
-point); 4 degenerate post-selection at a single point, whose NA row is
-written.  The fixed-kappa qcrb column is closed-form, so it is never
-truncated.  Exits 2 and 3 write no CSV.  Multi-point sweeps other than
-wigner write NA rows instead, and exit 0, as does an NA cell that is a value
-(the phase bound of a vanishing QFI, the hz flag of a NaN correlation).
+(including a cutoff above config.MAX_N_MAX, an input whose meter exponent,
+axis width or squared amplitude overflows a double, and a closed-form cell
+that is not a finite double), or an --out/--meta path that cannot be
+written; 3 numerical failure at a single renormalized qcrb point (a probe
+or pointer state that puts more than --tail-tol on or beyond its top Fock
+level, or an unstable finite-difference step); 4 degenerate post-selection
+at a single point, whose NA row is written, or at the wigner coupling.
+Exits 2 and 3 write no CSV.  Multi-point sweeps write NA rows instead, and
+exit 0, as does an NA cell that is a value (the phase bound of a vanishing
+QFI).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import sys
 from . import __version__
 from .config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
 from .errors import DegeneratePostSelectionError, NumericalRangeError
-from .fock import FockCutoff
+from .params import FockCutoff
 from .sweep import _COMMANDS, FAILURES
 
 
@@ -98,9 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s1", type=float, default=coupling.s1, help="mode-a coupling strength")
         p.add_argument("--s2", type=float, default=coupling.s2, help="mode-b coupling strength")
         p.add_argument("--theta-big", type=parse_angle, default=base.theta_big, help="squeezing phase angle")
-        p.add_argument("--cutoff", type=parse_cutoff, default=base.cutoff, help="Fock cutoff: N or N_a,N_b")
+        p.add_argument("--cutoff", type=parse_cutoff, default=base.cutoff,
+                       help="Fock cutoff N or N_a,N_b of the renormalized qcrb column; the closed-form sweeps need none")
         p.add_argument("--tail-tol", dest="tail_tolerance", metavar="TAIL_TOL", type=float,
-                       default=base.tail_tolerance, help="truncation tail warning tolerance")
+                       default=base.tail_tolerance,
+                       help="truncation tail tolerance of the renormalized qcrb column; the closed-form sweeps need none")
         p.add_argument("--qfi-gauge", choices=QFI_GAUGES, default=base.qfi_gauge, help="QFI evaluation gauge")
         p.add_argument("--sweep", action="append", default=[], metavar="NAME=MIN:MAX:POINTS",
                        help=f"override a sweep axis (allowed: {', '.join(info['axes'])}); repeatable")

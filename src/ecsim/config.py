@@ -5,20 +5,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .params import DEFAULT_TAIL_TOL, CouplingParams, EcsParams, FockCutoff, WeakValueParams
 
-from .fock import DEFAULT_TAIL_TOL, FockCutoff, TwoModeState
-from .measurement import (
-    CouplingParams,
-    EcsParams,
-    PostSelectedOutcome,
-    WeakValueParams,
-    _pointer_factors,
-    _post_select,
-    build_ecs,
-    ecs_factors,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fock import TwoModeState
+    from .measurement import PostSelectedOutcome
 
 QFI_GAUGES = ("fixed-kappa", "renormalized")
 # The largest n_max per mode.  The quadrature eigenbasis is a dense
@@ -62,14 +57,27 @@ class RangeSpec:
                 f"range requires stop > start for points >= 2, got [{self.start}, {self.stop}]"
             )
 
-    def values(self) -> np.ndarray:
+    def values(self) -> list[float]:
+        """The points start + i step, step = (stop - start) / (points - 1), and
+        stop itself last: np.linspace's values, bit for bit."""
         if self.points == 1:
-            return np.array([self.start], dtype=np.float64)
-        return np.linspace(self.start, self.stop, self.points)
+            return [float(self.start)]
+        start, width, div = float(self.start), float(self.stop - self.start), self.points - 1
+        step = width / div
+        # np.linspace scales i / div by the width where the step underflows to zero.
+        values = [start + i * step if step else start + i / div * width for i in range(div)]
+        return values + [float(self.stop)]
 
     @property
     def is_single(self) -> bool:
         return self.points == 1
+
+
+def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[list[float], list[float]]:
+    """Real gamma and beta values of a Wigner grid; ValueError below 2 points per axis."""
+    if re_gamma.points < 2 or re_beta.points < 2:
+        raise ValueError("wigner grid needs at least 2 points per axis")
+    return re_gamma.values(), re_beta.values()
 
 
 @dataclass(frozen=True)
@@ -102,17 +110,26 @@ class WeakMeasurementConfig:
     def replace(self, **changes) -> "WeakMeasurementConfig":
         return dataclasses.replace(self, **changes)
 
+    # The Fock routes below import fock and measurement, and so numpy, on first use.
     def ecs_state(self) -> TwoModeState:
+        from .measurement import build_ecs
+
         return build_ecs(self.ecs, self.cutoff, self.tail_tolerance)
 
     def raw_pointer_state(self) -> TwoModeState:
+        from .fock import TwoModeState
+
         return TwoModeState(self._raw_pointer_grid(), self.cutoff)
 
     def pointer_outcome(self) -> PostSelectedOutcome:
+        from .measurement import _post_select
+
         return _post_select(self._raw_pointer_grid(), self.cutoff, self.tail_tolerance)
 
     def _raw_pointer_grid(self) -> np.ndarray:
         """A[0, 0] @ X[0, 0].T of one-point _pointer_factors at this config."""
+        from .measurement import _pointer_factors, ecs_factors
+
         left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance)
         s1, s2 = [self.coupling.s1], [self.coupling.s2]
         fac_a, fac_b = _pointer_factors(left, right[0], s1, s2, [self.wv])

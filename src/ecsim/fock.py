@@ -27,32 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationWarning
-
-DEFAULT_TAIL_TOL = 1e-10
-
-@dataclass(frozen=True)
-class FockCutoff:
-    """Per-mode truncation levels; mode a keeps n_max_a + 1 basis states."""
-
-    n_max_a: int
-    n_max_b: int
-
-    def __post_init__(self) -> None:
-        for label, n in (("n_max_a", self.n_max_a), ("n_max_b", self.n_max_b)):
-            if not isinstance(n, int) or n < 1:
-                raise ValueError(f"{label} must be an integer >= 1, got {n!r}")
-
-    @property
-    def dim_a(self) -> int:
-        return self.n_max_a + 1
-
-    @property
-    def dim_b(self) -> int:
-        return self.n_max_b + 1
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
+from .params import DEFAULT_TAIL_TOL, FockCutoff
 
 
 @dataclass(frozen=True, eq=False)

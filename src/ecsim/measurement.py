@@ -37,6 +37,10 @@ a pointer state of rank at most 2, and each factor is one fock.meter pass,
 diagonal in the eigenbasis of p.  Only c_b depends on varphi, so probes at
 several phases share L and A.  A single pointer state is the product A X^T
 of a one-point factor pair, bit for bit its slot in a batch.
+
+This is the Fock route of the library.  The parameter records and the
+meters' amplitudes (c_i, d_i) live in the numpy-free params module, and the
+sweeps' closed form of the same factors in the coherent module.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePostSelectionError
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
@@ -59,77 +62,15 @@ from .fock import (
     top_level_mass,
     warn_if_truncated,
 )
-
-# tan(theta/2) overflows any useful amplitude well before theta reaches pi;
-# reject everything inside this guard band.
-THETA_GUARD = math.pi - 1e-9
-
-# Success probabilities below this are treated as measure-zero post-selection.
-DEFAULT_P_FLOOR = 1e-12
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class EcsParams:
-    """Probe-state parameters: amplitude r >= 0, phases mu and varphi."""
-
-    r: float
-    mu: float = 0.0
-    varphi: float = 0.0
-
-    def __post_init__(self) -> None:
-        # normalization squares r, and so does each coherent column.
-        if not (self.r >= 0.0 and math.isfinite(self.r * self.r)):
-            raise ValueError(f"r must be >= 0 with a finite square, got {self.r!r}")
-        for label, phase in (("mu", self.mu), ("varphi", self.varphi)):
-            if not math.isfinite(phase):
-                raise ValueError(f"{label} must be finite, got {phase!r}")
-        object.__setattr__(self, "mu", float(self.mu) % TWO_PI)
-        object.__setattr__(self, "varphi", float(self.varphi) % TWO_PI)
-
-    @property
-    def alpha(self) -> complex:
-        return self.r * cmath.exp(1j * self.mu)
-
-    @property
-    def normalization(self) -> float:
-        """Closed-form N = [2 (1 + e^{-|alpha|^2})]^{-1/2}."""
-        return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-self.r**2)))
-
-
-@dataclass(frozen=True)
-class WeakValueParams:
-    """Meter pre-selection angles; theta_i in [0, pi), delta_i in [0, 2 pi]."""
-
-    theta1: float
-    delta1: float
-    theta2: float
-    delta2: float
-
-    def __post_init__(self) -> None:
-        for label, theta in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not (0.0 <= theta < math.pi) or theta > THETA_GUARD:
-                raise ValueError(
-                    f"{label} must lie in [0, pi) below the divergence guard "
-                    f"{THETA_GUARD!r}, got {theta!r}"
-                )
-        for label, delta in (("delta1", self.delta1), ("delta2", self.delta2)):
-            if not (0.0 <= delta <= TWO_PI):
-                raise ValueError(f"{label} must lie in [0, 2 pi], got {delta!r}")
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    """Dimensionless interaction strengths s_i >= 0."""
-
-    s1: float
-    s2: float
-
-    def __post_init__(self) -> None:
-        for label, s in (("s1", self.s1), ("s2", self.s2)):
-            if not (s >= 0.0 and math.isfinite(s)):
-                raise ValueError(f"{label} must be finite and >= 0, got {s!r}")
+from .params import (
+    THETA_GUARD,
+    TWO_PI,
+    CouplingParams,
+    EcsParams,
+    WeakValueParams,
+    _check_p_floor,
+    _meter_rows,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +137,15 @@ def ecs_factors(
 
 
 def _probe_tail(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Top-level mass N^2 (|c_a[-1]|^2 + |c_b[-1]|^2) of each probe L R_k^T."""
-    return abs(left[-1, 0]) ** 2 + np.abs(right[..., -1, 1]) ** 2
+    """Truncated mass of each probe L R_k^T: its top-level mass N^2 (|c_a[-1]|^2
+    + |c_b[-1]|^2), or its norm deficit 1 - <phi|phi> where that is larger.
+    A probe far beyond the grid underflows to zero, top level included.
+    L's columns are orthogonal, since R_k holds the shared cell (0, 0), so
+    <phi|phi> = |L_0|^2 + |R_k1|^2, the same for every member: the phases
+    turn only the levels n >= 1 of R_k1."""
+    top = abs(left[-1, 0]) ** 2 + np.abs(right[..., -1, 1]) ** 2
+    first = right[..., 1].reshape(-1, right.shape[-2])[0]
+    return np.maximum(top, 1.0 - np.vdot(left[:, 0], left[:, 0]).real - np.vdot(first, first).real)
 
 
 def build_ecs(
@@ -212,12 +160,6 @@ def build_ecs(
     """
     left, right = ecs_factors(params, cutoff, tail_tol)
     return TwoModeState(left @ right[0].T, cutoff)
-
-
-def _meter_rows(wv: WeakValueParams) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """The amplitudes ((c_1, d_1), (c_2, d_2)) of the module docstring's meter operators."""
-    return ((math.cos(0.5 * wv.theta1), cmath.exp(1j * wv.delta1) * math.sin(0.5 * wv.theta1)),
-            (math.cos(0.5 * wv.theta2), -1j * cmath.exp(1j * wv.delta2) * math.sin(0.5 * wv.theta2)))
 
 
 def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
@@ -269,15 +211,6 @@ def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
     # pivot * (mag / pivot) can keep an imaginary part of order eps^2 * mag.
     fixed[pivot] = scale * mag
     return fixed
-
-
-def _check_p_floor(p_s: float) -> None:
-    """Raise DegeneratePostSelectionError when P_s falls below DEFAULT_P_FLOOR,
-    the measure-zero regime where the conditional state is undefined."""
-    if p_s < DEFAULT_P_FLOOR:
-        raise DegeneratePostSelectionError(
-            f"post-selection probability {p_s:.3e} below floor {DEFAULT_P_FLOOR:.1e}"
-        )
 
 
 def _post_select(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float) -> PostSelectedOutcome:

@@ -5,26 +5,24 @@ normal-ordered moment form), the joint parity Wigner cross-section, the
 two-mode intensity correlation witness, and phase-estimation figures of
 merit (quantum Fisher information and the resulting Cramer-Rao bound).
 
-squeezing_report and hz_correlation work on a TwoModeState's dense grid.
-Everything else keeps a pointer state as its factors, psi = A X^T with A
-(dim_a x m) and X (dim_b x m), m <= 2 (see the measurement module), and
-computes each product-operator moment from two m x m Gram matrices:
+This is the library's Fock route, and the tests' reference for the
+closed-form sweeps of the coherent module.  squeezing_report and
+hz_correlation work on a TwoModeState's dense grid.  The Wigner grid and
+the finite-difference QFI keep a pointer state as its factors, psi = A X^T
+with A (dim_a x m) and X (dim_b x m), m <= 2 (see the measurement module),
+and compute each product-operator moment from two m x m Gram matrices:
 
     <psi| O_a (x) O_b |psi> = sum_kl (A^dag O_a A)_kl (X^dag O_b X)_kl.
 
-P_s, <N_a>, <N_b>, <N_a N_b>, <a b>, <a^2 b^2>, the direct route's <V> and
-<V^2> (creation on a one-level-enlarged factor, so it stays exact), the
-top-level mass and displaced parity all take this form.  One table names
-the operands of every Gram, and each side's Gram of an operator is built
-only when a moment first asks for it.  A depends only on the mode-a
-coupling and meter, and X only on the mode-b coupling and meter, so a whole
-grid of moments is one product of stacked Grams, and the Wigner
+P_s, the top-level mass and the displaced parity take this form.  One
+table names the operands of every Gram, and each side's Gram of an
+operator is built only when a moment first asks for it.  The Wigner
 cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the parity
 Grams of D_a(-gamma) A and D_b(-beta) X; a TwoModeState enters it as the
 factor pair (amplitudes, identity).  The finite-difference QFI is a
-cross-Gram moment of the probe family's factors (_qfi_grid); the analytic
-QFI has a closed form between coherent states and no Fock basis at all
-(coherent.pointer_qfi).
+cross-Gram moment of the probe family's factors (_qfi_grid), the one Fock
+route of the sweep CLI; the analytic QFI has a closed form between
+coherent states and no Fock basis at all (coherent.pointer_qfi).
 """
 
 from __future__ import annotations
@@ -38,12 +36,11 @@ from typing import Callable
 import numpy as np
 
 from .coherent import pointer_qfi
-from .config import RangeSpec, WeakMeasurementConfig
+from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
     TwoModeState,
     _phase_split,
-    annihilate,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     create,
     levels,
@@ -51,13 +48,8 @@ from .fock import (
     meter,
     warn_if_truncated,
 )
-from .measurement import (
-    DEFAULT_P_FLOOR,
-    EcsParams,
-    _pointer_factors,
-    _probe_tail,
-    ecs_factors,
-)
+from .measurement import _pointer_factors, _probe_tail, ecs_factors
+from .params import DEFAULT_P_FLOOR, EcsParams
 
 # Phase-space density prefactor: W_J(gamma, beta) = (4 / pi^2) P_J(gamma, beta).
 WIGNER_PREFACTOR = 4.0 / math.pi**2
@@ -181,19 +173,10 @@ def _contract(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
 
 
 # The operands (G, H) of the Gram G^dag H that each operator key stands for,
-# from a factor stack F (..., dim, m).  "up" raises F onto a one-level-enlarged
-# copy, so V|psi> keeps every creation term: "up.up" is |a^dag F|^2, "up.a"
-# <a^dag F|a F> and "up" <F|a^dag F>, each over the enlarged levels.  "top"
-# and "below" split F into its top level and the levels under it.
+# from a factor stack F (..., dim, m).  "top" and "below" split F into its top
+# level and the levels under it.
 _GRAM_OPERANDS: dict[str, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = {
     "1": lambda f: (f, f),
-    "n": lambda f: (f, levels(f.shape[-2])[0][:, None] * f),
-    "a": lambda f: (f, annihilate(f, -2)),
-    "aa": lambda f: (f, annihilate(annihilate(f, -2), -2)),
-    "a.a": lambda f: (annihilate(f, -2),) * 2,
-    "up.up": lambda f: (create(f, -2),) * 2,
-    "up.a": lambda f: (create(f, -2)[..., :-1, :], annihilate(f, -2)),
-    "up": lambda f: (f, create(f, -2)[..., :-1, :]),
     "top": lambda f: (f[..., -1:, :],) * 2,
     "below": lambda f: (f[..., :-1, :],) * 2,
     "parity": lambda f: (f, np.where(np.arange(f.shape[-2]) % 2 == 0, 1.0, -1.0)[:, None] * f),
@@ -242,36 +225,6 @@ def _post_selection(moment, tail_tol: float, probe_tail) -> tuple[np.ndarray, np
     return p_s, degenerate, (tail > tail_tol) | (probe_tail > tail_tol)
 
 
-def _hz_grid(moment, p_s: np.ndarray) -> np.ndarray:
-    """hz_correlation over a grid of raw pointer states with success probabilities p_s."""
-    n_a = moment("n", "1").real / p_s
-    n_b = moment("1", "n").real / p_s
-    return n_a * n_b - np.abs(moment("a", "a") / p_s) ** 2
-
-
-def _squeezing_grid(moment, p_s: np.ndarray, theta_big: float) -> tuple[np.ndarray, np.ndarray]:
-    """(direct, normal-ordered) sum squeezing over a grid of raw pointer states.
-
-    The two routes of squeezing_report:
-    the direct one expands |V psi|^2 with V|psi> = (e^{iT} up + e^{-iT} down) / 2,
-    up = a^dag b^dag psi on the enlarged grid and down = a b psi.
-    """
-    n_a = moment("n", "1").real / p_s
-    n_b = moment("1", "n").real / p_s
-    n_ab = moment("n", "n").real / p_s
-    m_ab = moment("a", "a") / p_s
-    m_a2b2 = moment("aa", "aa") / p_s
-    denominator = n_a + n_b + 1.0
-    phase = cmath.exp(-1j * theta_big)
-    numerator = (phase * phase * m_a2b2).real - 2.0 * ((phase * m_ab).real) ** 2 + n_ab
-    normal = 2.0 * numerator / denominator
-    exp_v = (0.5 * (np.conj(phase) * moment("up", "up") / p_s + phase * m_ab)).real
-    up_down = phase * phase * moment("up.a", "up.a")
-    exp_v2 = 0.25 * (moment("up.up", "up.up") + moment("a.a", "a.a") + 2.0 * up_down).real / p_s
-    direct = 4.0 * (exp_v2 - exp_v**2) / denominator - 1.0
-    return direct, normal
-
-
 def _factored_wigner(
     left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -282,13 +235,6 @@ def _factored_wigner(
     """
     moment = _moments(meter(-gammas, [(1, 1)], left)[:, 0], meter(-betas, [(1, 1)], right)[:, 0])
     return moment("parity", "parity").real, _tail_mass(moment)
-
-
-def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Real gamma and beta values of a Wigner grid; ValueError below 2 points per axis."""
-    if re_gamma.points < 2 or re_beta.points < 2:
-        raise ValueError("wigner grid needs at least 2 points per axis")
-    return re_gamma.values(), re_beta.values()
 
 
 def _checked_wigner(
@@ -324,7 +270,7 @@ def joint_wigner_grid(
     the first point, in row-major order, whose displaced top-level mass
     exceeds range_tol.
     """
-    gammas, betas = _wigner_axes(re_gamma, re_beta)
+    gammas, betas = (np.array(axis) for axis in _wigner_axes(re_gamma, re_beta))
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
     values = _checked_wigner(state.amplitudes, identity, gammas, betas, range_tol)
     return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)

@@ -2,45 +2,38 @@
 
 Each command is one entry of _COMMANDS: its axes in canonical (CSV column)
 order, default ranges, output columns, help text and runner.  The runner
-supplies a batch function that returns whole column grids, indexed by
-canonical axis position, with NA already written in, computed from the
-pointer states' factors (the Gram form of the observables module).  _sweep
-reads them out in the declared outer-to-inner nesting.  The CSV rendering
-of the resulting SweepResult is deterministic: shortest-round-trip floats,
+supplies a batch function that returns whole column grids, nested lists
+indexed by canonical axis position, with NA already written in.
+probability, squeezing, hz and wigner read every cell from the closed-form
+coherent-state Grams of the coherent module, each side's built once per
+axis value and contracted per row, and the fixed-kappa qcrb column is
+coherent.pointer_qfi at each point: no Fock basis, no cutoff and no numpy.
+Only the renormalized qcrb column takes finite differences on Fock factors
+(observables._qfi_grid), and imports numpy for them.  _sweep reads the
+grids out in the declared outer-to-inner nesting.  The CSV rendering of
+the resulting SweepResult is deterministic: shortest-round-trip floats,
 UNIX newlines, mandatory header, and "NA" for the rows of NA_CAUSES and the
-phase bound of a vanishing QFI.  Reruns on one numpy/BLAS build are
-byte-identical; across builds only the last digits of computed floats may
-differ.
+phase bound of a vanishing QFI.  Reruns are byte-identical; across numpy
+and BLAS builds only the last digits of the renormalized QFI may differ.
 """
 
 from __future__ import annotations
 
-import contextlib
+import cmath
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
-from .config import RangeSpec, WeakMeasurementConfig
-from .coherent import pointer_qfi
-from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
-from .measurement import CouplingParams, EcsParams, _check_p_floor, _pointer_factors, _probe_tail, ecs_factors
-from .observables import (
-    DEFAULT_FD_STEP,
-    DEFAULT_RANGE_TOL,
-    _checked_wigner,
-    _hz_grid,
-    _moments,
-    _post_selection,
-    _qfi_grid,
-    _squeezing_grid,
-    _wigner_axes,
-)
+from .coherent import contract, parity_grams, pointer_qfi, probe_sides, side_grams
+from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
+from .errors import DegeneratePostSelectionError, TruncationWarning
+from .params import DEFAULT_P_FLOOR, CouplingParams, EcsParams, _check_p_floor, _meter_rows
 
 NA = "NA"
 
@@ -48,23 +41,25 @@ NA = "NA"
 QFI_SENTINEL_FLOOR = 1e-12
 
 # Causes of NA rows, as counted in SweepResult.na_rows.  A row is counted
-# under the first cause that holds for it, in this order.
-NA_CAUSES = ("degenerate", "truncated", "richardson", "zero_qfi")
+# under the first cause that holds for it, in this order: a truncated Fock
+# grid cannot vouch for a P_s below the floor.
+NA_CAUSES = ("truncated", "degenerate", "richardson", "zero_qfi")
 
-# What a single point, or wigner's state, fails with for these causes.
+# What a single point fails with for these causes; only the renormalized
+# qcrb column has a Fock grid to truncate or a finite difference to trip.
 FAILURES = {
-    "truncated": "the probe or pointer state puts more than the tail tolerance (--tail-tol) on its top Fock level",
+    "truncated": "a probe or pointer state of the renormalized QFI puts more than the tail tolerance "
+    "(--tail-tol) on or beyond its top Fock level",
     "richardson": "the finite-difference QFI step is cancellation-dominated",
 }
 
 
 def format_cell(value) -> str:
-    """Shortest round-trip text for one CSV cell."""
+    """Shortest round-trip text for one CSV cell; a numpy scalar is read through its item()."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    value = value.item() if hasattr(value, "item") else value
+    if isinstance(value, (bool, int)):
         return str(int(value))
     return repr(float(value))
 
@@ -103,17 +98,19 @@ def _sweep(
     command: str,
     ranges: tuple[RangeSpec, ...],
     order: list[str] | None,
-    batch: Callable[[], tuple[list[np.ndarray], dict]],
+    batch: Callable[[], tuple[list[list], dict]],
 ) -> SweepResult:
     """Rows of one command over the product of its axis ranges.
 
     ranges follow the command's canonical axes; order names them outermost
     first (default: canonical).  batch() runs once, under the sweep's warning
-    capture, and returns the column grids (one axis per canonical axis, NA
-    written in) and extra metadata, whose "na_rows" counts NA rows by cause.
-    Each grid is transposed into the declared order and read out flat.  The
-    metadata's "axes" lists [name, start, stop, points] outermost first, so
-    that with "config" it describes the run.
+    capture, and returns the column grids (nested lists, one level per
+    canonical axis, NA written in) and extra metadata, whose "na_rows"
+    counts NA rows by cause.  The rows are built in canonical row-major
+    order and then taken in the declared nesting, the product of the axes'
+    indices in the declared order.  The metadata's "axes" lists [name,
+    start, stop, points] outermost first, so that with "config" it
+    describes the run.
     """
     spec = _COMMANDS[command]
     axes = spec["axes"]
@@ -124,8 +121,14 @@ def _sweep(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         columns, extra = batch()
-    grids = [*np.meshgrid(*(r.values() for r in ranges), indexing="ij"), *columns]
-    rows = tuple(zip(*(np.transpose(grid, nest).ravel().tolist() for grid in grids)))
+    for _ in axes[1:]:
+        columns = [list(itertools.chain.from_iterable(grid)) for grid in columns]
+    rows = [point + cells for point, cells in zip(itertools.product(*(r.values() for r in ranges)), zip(*columns))]
+    if nest != sorted(nest):
+        # Row-major strides of the canonical axes, read in the declared order.
+        strides = [math.prod(r.points for r in ranges[k + 1:]) for k in nest]
+        indices = itertools.product(*(range(ranges[k].points) for k in nest))
+        rows = [rows[sum(map(operator.mul, index, strides))] for index in indices]
     metadata = {
         "config": config.to_dict(),
         "axes": [[axes[i], *dataclasses.astuple(ranges[i])] for i in nest],
@@ -134,46 +137,40 @@ def _sweep(
         "rows": len(rows),
         **extra,
     }
-    return SweepResult(axes + spec["columns"], rows, metadata, extra.get("na_rows", dict.fromkeys(NA_CAUSES, 0)))
+    return SweepResult(axes + spec["columns"], tuple(rows), metadata, extra.get("na_rows", dict.fromkeys(NA_CAUSES, 0)))
 
 
-def _with_na(grid: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """grid as an array of Python objects, with NA wherever mask is set."""
-    cells = grid.astype(object)
-    cells[mask] = NA
-    return cells
-
-
-def _failed_na(columns: list[np.ndarray], **failed: np.ndarray) -> tuple[list[np.ndarray], dict, np.ndarray]:
-    """(columns, NA rows by cause, NA mask) with NA rows where a failure mask
-    is set, each counted under its first cause in NA_CAUSES order."""
-    na = np.zeros(np.shape(columns[0]), dtype=bool)
+def _tabulate(cells: list[list], width: int) -> tuple[list[list[list]], dict]:
+    """(column grids, NA rows by cause) of a grid of cells over two axes: each
+    cell is a tuple of `width` column values or the NA cause of its row."""
     counts = dict.fromkeys(NA_CAUSES, 0)
-    for cause in NA_CAUSES:
-        first = failed.get(cause, False) & ~na
-        counts[cause] = int(first.sum())
-        na |= first
-    return [_with_na(column, na) for column in columns], counts, na
+    for cell in itertools.chain.from_iterable(cells):
+        if isinstance(cell, str):
+            counts[cell] += 1
+    columns = [[[NA if isinstance(cell, str) else cell[k] for cell in row] for row in cells] for k in range(width)]
+    return columns, counts
 
 
-def _sweep_factors(config: WeakMeasurementConfig, s1s, s2s, wvs) -> tuple[np.ndarray, np.ndarray, float]:
-    """_pointer_factors of the config's probe, built once, and the probe's
-    top-level mass."""
-    left, right = ecs_factors(config.ecs, config.cutoff, config.tail_tolerance)
-    fac_a, fac_b = _pointer_factors(left, right[0], s1s, s2s, wvs)
-    return fac_a, fac_b, float(_probe_tail(left, right)[0])
+def _finite(values, where: tuple):
+    """values, or ValueError at the first that is not a finite double; where
+    names the point as (name, value) pairs."""
+    for value in values:
+        if not math.isfinite(value):
+            point = ", ".join(f"{name} = {at!r}" for name, at in where)
+            raise ValueError(f"a closed-form value at {point} is {value!r}, not a finite double")
+    return values
 
 
-def _pointer_at(config: WeakMeasurementConfig) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Factors (left, right) of the post-selected pointer state at the config's
-    coupling, normalized up to a global phase, and whether the probe or the
-    state is truncated.  Warns and raises like pointer_outcome."""
-    coupling = config.coupling
-    fac_a, fac_b, probe_tail = _sweep_factors(config, [coupling.s1], [coupling.s2], [config.wv])
-    moment = _moments(fac_a[:, 0], fac_b[:, 0])
-    _check_p_floor(moment("1", "1")[0, 0].real)
-    p_s, _, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
-    return fac_a[0, 0] / math.sqrt(p_s[0, 0]), fac_b[0, 0], bool(truncated[0, 0])
+def _moment_cell(g_a: dict, g_b: dict, columns: Callable, where: tuple):
+    """columns(p_s, moment) of the raw pointer state whose sides have the
+    Grams g_a and g_b, with moment(key_a, key_b) = <O_a (x) O_b> / P_s; the
+    cause "degenerate" where P_s is below DEFAULT_P_FLOOR, and ValueError
+    where P_s or a column is not a finite double."""
+    p_s = contract(g_a["1"], g_b["1"]).real
+    if p_s < DEFAULT_P_FLOOR:
+        return "degenerate"
+    _finite([p_s], where)
+    return _finite(columns(p_s, lambda key_a, key_b: contract(g_a[key_a], g_b[key_b]) / p_s), where)
 
 
 def cmd_probability(
@@ -183,27 +180,38 @@ def cmd_probability(
     order: list[str] | None = None,
 ) -> SweepResult:
     """Success probability over coupling and meter angle; s1 = s2 = s,
-    theta1 = theta2 = theta."""
+    theta1 = theta2 = theta, so each (s, theta) has its own side Grams."""
 
     def batch():
-        s, thetas = s_range.values(), theta_range.values()
-        wvs = [dataclasses.replace(config.wv, theta1=t, theta2=t) for t in thetas.tolist()]
-        fac_a, fac_b, probe_tail = _sweep_factors(config, s, s, wvs)
-        # Each (s, theta) pairs A and X slot by slot: one 1 x 1 moment per slot.
-        moment = _moments(fac_a[:, :, None], fac_b[:, :, None])
-        p_s, degenerate, truncated = (g[..., 0, 0] for g in _post_selection(moment, config.tail_tolerance, probe_tail))
-        columns, counts, _ = _failed_na([p_s], degenerate=degenerate, truncated=truncated)
+        ss, thetas = s_range.values(), theta_range.values()
+        meters = [_meter_rows(dataclasses.replace(config.wv, theta1=t, theta2=t)) for t in thetas]
+        CouplingParams(min(ss), min(ss))
+        side_a, side_b = probe_sides(config.ecs)
+        cells = [
+            [_moment_cell(side_grams(row_a, s, side_a), side_grams(row_b, s, side_b), lambda p_s, moment: (p_s,),
+                          (("s", s), ("theta", t))) for t, (row_a, row_b) in zip(thetas, meters)]
+            for s in ss
+        ]
+        columns, counts = _tabulate(cells, 1)
         return columns, {"na_rows": counts}
 
     return _sweep(config, "probability", (s_range, theta_range), order, batch)
 
 
-def _coupling_batch(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec, columns):
-    """Batch over the (s1, s2) grid of the column grids columns(moment, P_s)."""
-    fac_a, fac_b, probe_tail = _sweep_factors(config, s1_range.values(), s2_range.values(), [config.wv])
-    moment = _moments(fac_a[:, 0], fac_b[:, 0])
-    p_s, degenerate, truncated = _post_selection(moment, config.tail_tolerance, probe_tail)
-    grids, counts, _ = _failed_na(columns(moment, p_s), degenerate=degenerate, truncated=truncated)
+def _coupling_grid(config: WeakMeasurementConfig, command: str, s1_range: RangeSpec, s2_range: RangeSpec, keys,
+                    columns: Callable):
+    """Batch over the (s1, s2) grid of the command's cells columns(p_s,
+    moment) (see _moment_cell), from each side's Grams of the keys, built
+    once per s1 and once per s2."""
+    s1s, s2s = s1_range.values(), s2_range.values()
+    CouplingParams(min(s1s), min(s2s))
+    (row_a, row_b), (side_a, side_b) = _meter_rows(config.wv), probe_sides(config.ecs)
+    grams_b = [side_grams(row_b, s2, side_b, keys) for s2 in s2s]
+    cells = []
+    for s1 in s1s:
+        g_a = side_grams(row_a, s1, side_a, keys)
+        cells.append([_moment_cell(g_a, g_b, columns, (("s1", s1), ("s2", s2))) for s2, g_b in zip(s2s, grams_b)])
+    grids, counts = _tabulate(cells, len(_COMMANDS[command]["columns"]))
     return grids, {"na_rows": counts}
 
 
@@ -214,13 +222,26 @@ def cmd_squeezing(
     order: list[str] | None = None,
 ) -> SweepResult:
     """Sum squeezing of the post-selected state over the coupling grid,
-    reported through both evaluation routes."""
+    by the two routes of observables.squeezing_report from one set of
+    closed-form moments, so they agree to rounding.
 
-    def columns(moment, p_s):
-        return _squeezing_grid(moment, p_s, config.theta_big)
+    Direct: 4 Var(V) / <N_a + N_b + 1> - 1, V = (e^{iT} a^dag b^dag + h.c.) / 2,
+    with <V> = Re(e^{-iT} <a b>) and 4 <V^2> = 2 Re(e^{-2iT} <a^2 b^2>) +
+    2 <N_a N_b> + <N_a + N_b + 1>.  Normal-ordered: 2 [Re(e^{-2iT} <a^2 b^2>)
+    - 2 (Re e^{-iT} <a b>)^2 + <N_a N_b>] / <N_a + N_b + 1>.
+    """
+    phase = cmath.exp(-1j * config.theta_big)
+
+    def columns(p_s, moment):
+        denominator = moment("n", "1").real + moment("1", "n").real + 1.0
+        m_ab, m_a2b2, n_ab = moment("a", "a"), moment("aa", "aa"), moment("n", "n").real
+        pair, square = (phase * m_ab).real, (phase * phase * m_a2b2).real
+        exp_v2 = 0.25 * (2.0 * square + 2.0 * n_ab + denominator)
+        direct = 4.0 * (exp_v2 - pair * pair) / denominator - 1.0
+        return direct, 2.0 * (square - 2.0 * pair * pair + n_ab) / denominator
 
     return _sweep(config, "squeezing", (s1_range, s2_range), order,
-                  lambda: _coupling_batch(config, s1_range, s2_range, columns))
+                  lambda: _coupling_grid(config, "squeezing", s1_range, s2_range, ("1", "n", "a", "aa"), columns))
 
 
 def cmd_wigner(
@@ -230,17 +251,24 @@ def cmd_wigner(
     order: list[str] | None = None,
 ) -> SweepResult:
     """Joint-parity Wigner cross-section of the post-selected state at the
-    config's point coupling, with the grid minimum in the metadata.  Any
-    point out of range, and then a truncated state, fails the whole grid."""
+    config's point coupling, with the grid minimum in the metadata: each
+    side's displaced-parity Grams once per axis value (coherent.parity_grams),
+    contracted per point.  A degenerate state fails the whole grid."""
 
     def batch():
         # Checked before the state is built, so a bad axis fails alike at any coupling.
-        axes = _wigner_axes(re_gamma, re_beta)
-        left, right, truncated = _pointer_at(config)
-        values = _checked_wigner(left, right, *axes, DEFAULT_RANGE_TOL)
-        if truncated:
-            raise NumericalRangeError(FAILURES["truncated"])
-        return [values], {"grid_min": float(values.min())}
+        gammas, betas = _wigner_axes(re_gamma, re_beta)
+        coupling = config.coupling
+        (row_a, row_b), (side_a, side_b) = _meter_rows(config.wv), probe_sides(config.ecs)
+        p_s = contract(side_grams(row_a, coupling.s1, side_a)["1"], side_grams(row_b, coupling.s2, side_b)["1"]).real
+        _check_p_floor(p_s)
+        where = (("s1", coupling.s1), ("s2", coupling.s2))
+        _finite([p_s], where)
+        grams_a, grams_b = parity_grams(row_a, coupling.s1, side_a, gammas), parity_grams(row_b, coupling.s2, side_b, betas)
+        # contract, unrolled: 2,601 calls of it cost more than the products.
+        values = [_finite([(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3).real / p_s for b0, b1, b2, b3 in grams_b], where)
+                  for a0, a1, a2, a3 in grams_a]
+        return [values], {"grid_min": min(map(min, values))}
 
     return _sweep(config, "wigner", (re_gamma, re_beta), order, batch)
 
@@ -251,15 +279,32 @@ def cmd_hz(
     s2_range: RangeSpec,
     order: list[str] | None = None,
 ) -> SweepResult:
-    """Intensity-correlation witness over the coupling grid; the flag column
-    is 1 exactly when E < 0 (entanglement witnessed) and NA when E is NaN."""
+    """Intensity-correlation witness E = <N_a><N_b> - |<a b>|^2 over the
+    coupling grid; the flag column is 1 exactly when E < 0 (entanglement
+    witnessed)."""
 
-    def columns(moment, p_s):
-        e_val = _hz_grid(moment, p_s)
-        return [e_val, _with_na((e_val < 0.0).astype(int), np.isnan(e_val))]
+    def columns(p_s, moment):
+        e_val = moment("n", "1").real * moment("1", "n").real - abs(moment("a", "a")) ** 2
+        return e_val, int(e_val < 0.0)
 
     return _sweep(config, "hz", (s1_range, s2_range), order,
-                  lambda: _coupling_batch(config, s1_range, s2_range, columns))
+                  lambda: _coupling_grid(config, "hz", s1_range, s2_range, ("1", "n", "a"), columns))
+
+
+def _qfi_grid(config: WeakMeasurementConfig, rs, s1s, s2s, h: float):
+    """observables._qfi_grid, the one Fock route of the sweeps; observables,
+    and numpy with it, is imported on its first call."""
+    from .observables import _qfi_grid
+
+    return _qfi_grid(config, rs, s1s, s2s, h)
+
+
+def _fixed_kappa(config: WeakMeasurementConfig, r: float, s: float):
+    """pointer_qfi at amplitude r and coupling s1 = s2 = s, or the cause "degenerate"."""
+    try:
+        return pointer_qfi(EcsParams(r, config.ecs.mu, config.ecs.varphi), config.wv, CouplingParams(s, s))
+    except DegeneratePostSelectionError:
+        return "degenerate"
 
 
 def cmd_qcrb(
@@ -273,7 +318,7 @@ def cmd_qcrb(
     Under "fixed-kappa" each point is one closed-form pointer_qfi call, the
     qfi_analytic of that point, exact at any cutoff.  Under "renormalized"
     one _qfi_grid call gives Richardson-checked finite differences on the
-    Fock factors.  Degenerate, truncated and Richardson-tripped points
+    Fock factors.  Truncated, degenerate and Richardson-tripped points
     become NA rows, and a QFI below QFI_SENTINEL_FLOOR gets an NA phase
     bound.
     """
@@ -281,22 +326,20 @@ def cmd_qcrb(
     def batch():
         rs, ss = r_range.values(), s_range.values()
         if config.qfi_gauge == "fixed-kappa":
-            # pointer_qfi returns a finite Q or raises, so NaN is left only where P_s is degenerate.
-            q = np.full((len(rs), len(ss)), np.nan)
-            for i, r in enumerate(rs.tolist()):
-                ecs = EcsParams(r, config.ecs.mu, config.ecs.varphi)
-                for j, s in enumerate(ss.tolist()):
-                    with contextlib.suppress(DegeneratePostSelectionError):
-                        q[i, j] = pointer_qfi(ecs, config.wv, CouplingParams(s, s))
-            failed = {"degenerate": np.isnan(q)}
+            qs = [[_fixed_kappa(config, r, s) for s in ss] for r in rs]
         else:
-            q, degenerate, truncated, tripped = _qfi_grid(config, rs, ss, ss, DEFAULT_FD_STEP)
-            failed = {"degenerate": degenerate, "truncated": truncated, "richardson": tripped}
-        (q_fi,), counts, na = _failed_na([q], **failed)
-        zero = ~na & ~(q >= QFI_SENTINEL_FLOOR)
-        counts["zero_qfi"] = int(zero.sum())
-        delta_phi = _with_na(1.0 / np.sqrt(np.where(na | zero, 1.0, q)), na | zero)
-        return [q_fi, delta_phi], {"na_rows": counts}
+            from .observables import DEFAULT_FD_STEP
+
+            q, *masks = (grid.tolist() for grid in _qfi_grid(config, rs, ss, ss, DEFAULT_FD_STEP))
+            failed = dict(zip(("degenerate", "truncated", "richardson"), masks))
+            causes = [cause for cause in NA_CAUSES if cause in failed]
+            qs = [[next((cause for cause in causes if failed[cause][i][j]), value) for j, value in enumerate(row)]
+                  for i, row in enumerate(q)]
+        zero = sum(not isinstance(cell, str) and not cell >= QFI_SENTINEL_FLOOR for cell in itertools.chain(*qs))
+        cells = [[cell if isinstance(cell, str) else (cell, 1.0 / math.sqrt(cell) if cell >= QFI_SENTINEL_FLOOR else NA)
+                  for cell in row] for row in qs]
+        columns, counts = _tabulate(cells, 2)
+        return columns, {"na_rows": dict(counts, zero_qfi=zero)}
 
     return _sweep(config, "qcrb", (r_range, s_range), order, batch)
 

@@ -6,8 +6,8 @@ from explicit factorials, displacement operators from their own matrix
 exponential, the post-selected pointer state from the full
 qubit x qubit x Fock tensor with eigenprojector-expanded couplings, and
 the four-branch weights of that expansion from the explicit weak values.
-exact_success_probability needs no cutoff at all: it sums closed-form
-coherent-state overlaps in 40-digit mpmath arithmetic.  No computation is
+exact_success_probability and exact_moments need no cutoff at all: they sum
+closed-form coherent-state overlaps in 40-digit mpmath arithmetic.  No computation is
 shared with the code under test.
 """
 
@@ -179,42 +179,103 @@ def qfi_from_family(family, phi0, h=1e-5):
     return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
 
 
-def exact_success_probability(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale=0.5):
-    """Untruncated P_s to 40 digits.
+def _pointer_terms(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale):
+    """The raw pointer state as eight product coherent states (weight, y_a, y_b),
+    in the current mpmath precision.
 
-    The raw pointer state is a sum of eight product coherent states: the two
-    probe terms N |alpha>|0> and N |0>|beta> times the branches
-    k_a+- D(+-u1) (x) k_b+- D(+-u2), with k_i+- = (c_i +- d_i) / 2, and
-    D(v)|x> = e^{(v x* - v* x) / 2} |x + v>.  P_s is the 64-term sum of
-    their closed-form overlaps <y|x> = exp(-|x|^2/2 - |y|^2/2 + y* x).
+    They are the two probe terms N |alpha>|0> and N |0>|beta> times the
+    branches k_a+- D(+-u1) (x) k_b+- D(+-u2), with k_i+- = (c_i +- d_i) / 2,
+    u_i = scale s_i and D(v)|x> = e^{(v x* - v* x) / 2} |x + v>.
     """
+    mp = [mpmath.mpf(v) for v in (r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale)]
+    r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale = mp
+    alpha = r * mpmath.expj(mu)
+    beta = alpha * mpmath.expj(varphi)
+    norm = 1 / mpmath.sqrt(2 * (1 + mpmath.exp(-r * r)))
+    meters = [
+        (scale * s1, mpmath.cos(theta1 / 2), mpmath.expj(delta1) * mpmath.sin(theta1 / 2)),
+        (scale * s2, mpmath.cos(theta2 / 2), -1j * mpmath.expj(delta2) * mpmath.sin(theta2 / 2)),
+    ]
+
+    def branches(x, meter):
+        u, c, d = meter
+        return [((c + sign * d) / 2 * mpmath.exp((sign * u * mpmath.conj(x) - sign * u * x) / 2), x + sign * u)
+                for sign in (1, -1)]
+
+    terms = []
+    for x_a, x_b in ((alpha, 0), (0, beta)):
+        for w_a, y_a in branches(x_a, meters[0]):
+            for w_b, y_b in branches(x_b, meters[1]):
+                terms.append((norm * w_a * w_b, y_a, y_b))
+    return terms
+
+
+def _overlap(y, x):
+    """<y|x> = exp(-|x|^2/2 - |y|^2/2 + y* x)."""
+    return mpmath.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mpmath.conj(y) * x)
+
+
+def exact_success_probability(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale=0.5):
+    """Untruncated P_s to 40 digits: the 64-term sum of the closed-form
+    overlaps of _pointer_terms' eight product coherent states."""
     with mpmath.workdps(40):
-        mp = [mpmath.mpf(v) for v in (r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale)]
-        r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale = mp
-        alpha = r * mpmath.expj(mu)
-        beta = alpha * mpmath.expj(varphi)
-        norm = 1 / mpmath.sqrt(2 * (1 + mpmath.exp(-r * r)))
-        meters = [
-            (scale * s1, mpmath.cos(theta1 / 2), mpmath.expj(delta1) * mpmath.sin(theta1 / 2)),
-            (scale * s2, mpmath.cos(theta2 / 2), -1j * mpmath.expj(delta2) * mpmath.sin(theta2 / 2)),
-        ]
-
-        def branches(x, meter):
-            u, c, d = meter
-            return [((c + sign * d) / 2 * mpmath.exp((sign * u * mpmath.conj(x) - sign * u * x) / 2), x + sign * u)
-                    for sign in (1, -1)]
-
-        terms = []
-        for x_a, x_b in ((alpha, 0), (0, beta)):
-            for w_a, y_a in branches(x_a, meters[0]):
-                for w_b, y_b in branches(x_b, meters[1]):
-                    terms.append((norm * w_a * w_b, y_a, y_b))
-
-        def overlap(y, x):
-            return mpmath.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mpmath.conj(y) * x)
-
+        terms = _pointer_terms(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale)
         total = mpmath.mpf(0)
         for w_i, a_i, b_i in terms:
             for w_j, a_j, b_j in terms:
-                total += mpmath.conj(w_i) * w_j * overlap(a_i, a_j) * overlap(b_i, b_j)
+                total += mpmath.conj(w_i) * w_j * _overlap(a_i, a_j) * _overlap(b_i, b_j)
         return mpmath.re(total)
+
+
+# <y|O|x> / <y|x> of each single-mode operator between coherent states y and x.
+_FACTORS = {
+    "1": lambda y, x: 1,
+    "n": lambda y, x: mpmath.conj(y) * x,
+    "a": lambda y, x: x,
+    "aa": lambda y, x: x * x,
+}
+
+# The moments of exact_moments, each as its pair of single-mode operators.
+MOMENTS = {
+    "P_s": ("1", "1"),
+    "n_a": ("n", "1"),
+    "n_b": ("1", "n"),
+    "ab": ("a", "a"),
+    "a2b2": ("aa", "aa"),
+    "n_a n_b": ("n", "n"),
+    "parity": ("parity", "parity"),
+}
+
+
+def exact_moments(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, gamma=0.0, beta=0.0, scale=0.5,
+                  names=tuple(MOMENTS)):
+    """Untruncated moments of the pointer state to 40 digits, as complex numbers.
+
+    "P_s" is the raw state's norm; every other of the names in MOMENTS is the
+    moment <O_a (x) O_b> of the normalized state: <n_a>, <n_b>, <a b>,
+    <a^2 b^2>, <n_a n_b> and the displaced joint parity
+    <D_a(2 gamma) Pi_a (x) D_b(2 beta) Pi_b>, the Wigner value P_J(gamma, beta).
+    Each is the 64-term sum over _pointer_terms with one factor per operator
+    inside each overlap <y_i|y_j>: n gives y_i* y_j, a gives y_j, a^2 gives
+    y_j^2, and D(2 g) Pi|x> = e^{g* x - g x*} |2 g - x>.
+    """
+    with mpmath.workdps(40):
+        terms = _pointer_terms(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, scale)
+        shifts = [mpmath.mpc(gamma), mpmath.mpc(beta)]
+
+        def element(op, mode, y, x):
+            if op == "parity":
+                g = shifts[mode]
+                return mpmath.exp(mpmath.conj(g) * x - g * mpmath.conj(x)) * _overlap(y, 2 * g - x)
+            return _FACTORS[op](y, x) * _overlap(y, x)
+
+        sums = {}
+        for name in {"P_s", *names}:
+            op_a, op_b = MOMENTS[name]
+            total = mpmath.mpc(0)
+            for w_i, a_i, b_i in terms:
+                for w_j, a_j, b_j in terms:
+                    total += mpmath.conj(w_i) * w_j * element(op_a, 0, a_i, a_j) * element(op_b, 1, b_i, b_j)
+            sums[name] = total
+        p_s = sums["P_s"]
+        return {name: complex(sums[name] if name == "P_s" else sums[name] / p_s) for name in names}

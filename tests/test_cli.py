@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from golden_cases import GOLDEN_CASES, cell_bound, golden_mismatches
 
 import ecsim
@@ -172,13 +173,22 @@ def test_non_finite_phase_exits_two(capsys, flag, value):
     assert flag[2:] in captured.err
 
 
-def test_nan_correlation_gets_na_flag(capsys, monkeypatch):
-    monkeypatch.setattr(sweep, "_hz_grid", lambda moment, p_s: np.full(p_s.shape, math.nan))
-    code = main(["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"])
-    assert code == 0
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert len(rows) == 2
-    assert all(row["E"] == "nan" and row["entangled_flag"] == "NA" for row in rows)
+@pytest.mark.parametrize("command", ["probability", "squeezing", "wigner", "hz"])
+def test_non_finite_cell_exits_two(capsys, monkeypatch, command):
+    # A closed-form moment that is no finite double is refused, never printed.
+    monkeypatch.setattr(sweep, "contract", lambda g_a, g_b: complex(math.inf, 0.0))
+    assert main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite double" in captured.err
+
+
+def test_overflowing_moment_exits_two(capsys):
+    # At r = 1e100 the occupations are about 1e200 and E = <N_a><N_b> - |<a b>|^2 overflows.
+    assert main(["hz", "--r", "1e100", "--sweep", "s1=1:1:1", "--sweep", "s2=1:1:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite double" in captured.err
 
 
 def _trip_richardson_at(monkeypatch, r, s):
@@ -220,20 +230,44 @@ def test_qcrb_range_trip_at_single_point_exits_three(capsys, monkeypatch):
     assert "cancellation-dominated" in captured.err
 
 
-@pytest.mark.parametrize("argv, value", [
-    (["hz", "--r", "6", "--sweep", "s1=3:3:1", "--sweep", "s2=3:3:1"], "295.000"),
-    (["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1"], "1434.44"),
-])
-def test_truncated_single_point_exits_three(capsys, argv, value):
+def test_truncated_single_point_exits_three(capsys):
     # At cutoff 40 the r = 6 probe is truncated, and the point used to print
-    # E = 204.185... and Q_fi = 1024.38... with exit 0.  The fixed-kappa QFI
-    # is closed-form and needs no cutoff (test_fixed_kappa_qcrb_needs_no_cutoff).
+    # Q_fi = 1024.38... with exit 0.  Only the renormalized QFI has a Fock
+    # grid; the sweeps are closed-form (test_hz_needs_no_cutoff).
+    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1"]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tail-tol" in captured.err
     assert main(argv + ["--cutoff", "120"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split(",")[2].startswith(value)
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2].startswith("1434.44")
+
+
+def test_probe_beyond_the_grid_is_truncated_not_degenerate(capsys, tmp_path):
+    # The r = 1e100 probe underflows to zero on the grid: its top level holds
+    # nothing and P_s reads 0 there, but it is a truncated probe, not a
+    # degenerate post-selection.
+    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "s=1:1:1"]
+    assert main(argv + ["--sweep", "r=1e100:1e100:1"]) == 3
+    assert "--tail-tol" in capsys.readouterr().err
+    meta = tmp_path / "meta.json"
+    assert main(argv + ["--sweep", "r=0.1:1e100:2", "--meta", str(meta)]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "1e+100,1.0,NA,NA"
+    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, truncated=1)
+
+
+@pytest.mark.parametrize("cutoff", ["10", "40", "120"])
+def test_hz_needs_no_cutoff(capsys, tmp_path, cutoff):
+    # The closed form prints E = 295.00003580756845, the --cutoff 120 value of
+    # the old Fock route, at any cutoff and with no truncation warning.
+    meta = tmp_path / "meta.json"
+    argv = ["hz", "--r", "6", "--sweep", "s1=3:3:1", "--sweep", "s2=3:3:1", "--cutoff", cutoff, "--meta", str(meta)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    e_val = float(captured.out.splitlines()[1].split(",")[2])
+    assert abs(e_val - 295.00003580756845) <= cell_bound(295.00003580756845)
+    assert captured.err == ""
+    assert json.loads(meta.read_text())["truncation_warnings"] == 0
 
 
 @pytest.mark.parametrize("cutoff", ["10", "40", "120"])
@@ -260,19 +294,48 @@ def test_fixed_kappa_qcrb_at_a_huge_coupling_is_finite(capsys):
     assert huge[2:] == limit[2:] == ["0.010125248956264606", "9.937957722141094"]
 
 
-@pytest.mark.parametrize("argv, truncated_row", [
-    # The pointer state displaced by s1 = 20 is truncated, its probe is not.
-    (["hz", "--r", "3", "--sweep", "s1=0:20:2", "--sweep", "s2=0:0:1"], "20.0,0.0,NA,NA"),
-    # The r = 6 probe is truncated.
-    (["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.1:6:2", "--sweep", "s=1:1:1"], "6.0,1.0,NA,NA"),
-])
-def test_truncated_row_in_grid_is_na(capsys, tmp_path, argv, truncated_row):
+def test_truncated_row_in_grid_is_na(capsys, tmp_path):
+    # The r = 6 probe is truncated at cutoff 40 on the renormalized QFI's grid.
     meta = tmp_path / "meta.json"
+    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.1:6:2", "--sweep", "s=1:1:1"]
     assert main(argv + ["--meta", str(meta)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert rows[1] == truncated_row
+    assert rows[1] == "6.0,1.0,NA,NA"
     assert "NA" not in rows[0].split(",")
     assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, truncated=1)
+
+
+def _hz_exact(r: float, s1: float, s2: float) -> float:
+    """E = <N_a><N_b> - |<a b>|^2 of the default meters at amplitude r, from the untruncated oracle."""
+    config = default_config(ecs=EcsParams(r, 0.5 * math.pi, 0.5 * math.pi)).to_dict()
+    point = [config[name] for name in ("r", "mu", "varphi", "theta1", "delta1", "theta2", "delta2")]
+    moments = oracles.exact_moments(*point, s1, s2, names=("n_a", "n_b", "ab"))
+    return moments["n_a"].real * moments["n_b"].real - abs(moments["ab"]) ** 2
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # Rows the Fock route refused at cutoff 40, with their untruncated values.
+    (["probability", "--r", "1e100", "--sweep", "s=0:0:1", "--sweep", "theta=0:0:1"], lambda: [1.0]),
+    (["probability", "--r", "1e100", "--sweep", "s=0:0:1", "--sweep", "theta=0.8pi:0.8pi:1"],
+     lambda: [math.cos(0.4 * math.pi) ** 4]),
+    (["hz", "--r", "30", "--sweep", "s1=0:0:1", "--sweep", "s2=0:0:1"], lambda: [450.0 * 450.0]),
+    (["hz", "--r", "3", "--sweep", "s1=0:20:2", "--sweep", "s2=0:0:1"],
+     lambda: [_hz_exact(3.0, 0.0, 0.0), _hz_exact(3.0, 20.0, 0.0)]),
+], ids=["probability-r1e100-theta0", "probability-r1e100", "hz-r30", "hz-r3-s20"])
+def test_rows_beyond_the_fock_grid_are_exact(capsys, tmp_path, argv, expected):
+    # P_s = cos^2(theta1/2) cos^2(theta2/2) at s = 0 whatever r; at r = 30 and
+    # s = 0 the probe has <N_a> = <N_b> = r^2 / 2 and <a b> = 0.
+    meta = tmp_path / "meta.json"
+    assert main(argv + ["--meta", str(meta)]) == 0
+    captured = capsys.readouterr()
+    values = [float(row.split(",")[2]) for row in captured.out.splitlines()[1:]]
+    want = expected()
+    assert len(values) == len(want)
+    assert all(abs(got - value) <= cell_bound(value) for got, value in zip(values, want))
+    assert captured.err == ""
+    written = json.loads(meta.read_text())
+    assert written["na_rows"] == CLEAN_NA_ROWS
+    assert written["truncation_warnings"] == 0
 
 
 def test_zero_qfi_single_point_exits_zero_with_na_bound(capsys, tmp_path):
@@ -363,6 +426,44 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+# Run in a fresh interpreter: the import of ecsim and ecsim.cli, the five
+# golden invocations and the renormalized QFI, recording after each step
+# whether numpy is loaded, then every public name's lookup.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import ecsim, ecsim.cli
+from golden_cases import GOLDEN_CASES
+steps = {"import": "numpy" in sys.modules}
+for name, argv in GOLDEN_CASES.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ecsim.cli.main(argv)
+    steps[name] = (code, "numpy" in sys.modules)
+argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.3:0.3:1", "--sweep", "s=1:1:1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    steps["renormalized"] = (ecsim.cli.main(argv), "numpy" in sys.modules)
+steps["names"] = [name for name in ecsim.__all__ if getattr(ecsim, name, None) is None]
+print(json.dumps(steps))
+"""
+
+
+def test_sweeps_run_without_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        cwd=os.path.dirname(os.path.abspath(__file__)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert steps.pop("import") is False
+    assert steps.pop("names") == []
+    # Only the renormalized QFI has a Fock route; it loads numpy on first use.
+    assert steps.pop("renormalized") == [0, True]
+    assert steps == {name: [0, False] for name in GOLDEN_CASES}
+
+
 def test_package_exports_its_27_public_names():
     # fock's dense operator layer (ModeOperator, displacement_matrix,
     # apply_to_mode) stays in ecsim.fock, outside the package namespace.
@@ -424,24 +525,19 @@ def test_degenerate_single_point_exits_four(capsys):
     assert out.splitlines()[1].endswith("NA")
 
 
-def test_truncated_wigner_state_exits_three(capsys):
-    # Every displacement is in range at |gamma|, |beta| <= 0.01, but the r = 1
-    # probe puts more than --tail-tol on level 12; cutoff 14 holds it.
-    argv = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]
-    assert main(argv + ["--cutoff", "12"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--tail-tol" in captured.err
-    assert main(argv + ["--cutoff", "14"]) == 0
-
-
-def test_wigner_out_of_range_exits_three(capsys):
-    code = main(["wigner", "--r", "1", "--cutoff", "12"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "range" in err
-    # The first point out of range in row-major (re_gamma, re_beta) order.
-    assert "gamma=(-2+0j), beta=(-2+0j)" in err
+def test_wigner_needs_no_cutoff(capsys):
+    # The r = 1 state puts more than --tail-tol on level 12, and its
+    # displacements by 2 leave a cutoff of 12: the closed form prints the
+    # same grid at any cutoff.
+    small = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]
+    for argv in (small, ["wigner", "--r", "1"]):
+        outputs = []
+        for cutoff in ("12", "40"):
+            assert main(argv + ["--cutoff", cutoff]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -586,28 +682,37 @@ def test_golden_files_reproduce(tmp_path, name):
     assert meta == want
 
 
-@pytest.mark.parametrize("argv, warnings", [
-    pytest.param(["probability", "--sweep", "s=0:1:2", "--sweep", "theta=0.8pi:0.8pi:1"], 5, id="probability"),
-    pytest.param(["squeezing", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"], 5, id="squeezing"),
-    pytest.param(["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"], 5, id="hz"),
-    pytest.param(["probability"], 127, id="probability-default"),
-    pytest.param(["squeezing"], 259, id="squeezing-default"),
-    pytest.param(["hz"], 259, id="hz-default"),
+@pytest.mark.parametrize("argv, builds", [
+    pytest.param(["probability", "--sweep", "s=0:1:2", "--sweep", "theta=0.8pi:0.8pi:1"], 4, id="probability"),
+    pytest.param(["squeezing", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"], 3, id="squeezing"),
+    pytest.param(["hz", "--sweep", "s1=0:1:2", "--sweep", "s2=0:0:1"], 3, id="hz"),
+    pytest.param(["probability"], 248, id="probability-default"),
+    pytest.param(["squeezing"], 32, id="squeezing-default"),
+    pytest.param(["hz"], 32, id="hz-default"),
 ])
-def test_sweep_builds_the_probe_once(tmp_path, argv, warnings):
-    # At a truncating cutoff the probe warns for its two coherent columns and
-    # its tail, once per sweep, and each pointer state for its tail: 3 + 2
-    # warnings on two points, 3 + 124 on the default probability grid and
-    # 3 + 256 on the default coupling grids.  Rebuilding the probe per point
-    # would give 8 on two points.  The truncated probe makes every row NA.
+def test_sweep_builds_the_probe_once(monkeypatch, tmp_path, argv, builds):
+    # The sweeps build each side's Grams of the probe's coherent states once
+    # per axis value and contract them per row: 2 + 1 builds on a 2 x 1
+    # coupling grid and 16 + 16 on the default one, where building per row
+    # would take 2 and 2 per row.  probability ties s and theta on both
+    # sides, so each of its rows has its own pair.  At r = 2 and cutoff 10,
+    # where the Fock probe was truncated, nothing warns and no row is NA.
+    calls = []
+    real = sweep.side_grams
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "side_grams", counting)
     meta, out = tmp_path / "meta.json", tmp_path / "o.csv"
     argv = argv + ["--r", "2", "--cutoff", "10", "--out", str(out), "--meta", str(meta)]
     assert main(argv) == 0
+    assert len(calls) == builds
     written = json.loads(meta.read_text())
-    assert written["truncation_warnings"] == warnings
-    rows = out.read_text().splitlines()[1:]
-    assert written["na_rows"] == dict(CLEAN_NA_ROWS, truncated=len(rows))
-    assert all(row.endswith(",NA") for row in rows)
+    assert written["truncation_warnings"] == 0
+    assert written["na_rows"] == CLEAN_NA_ROWS
+    assert "NA" not in out.read_text()
 
 
 # Per command: its two axes, in canonical order, as small --sweep flags.

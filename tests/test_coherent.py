@@ -1,0 +1,156 @@
+"""Tests of the closed-form coherent-state Grams that the sweeps run on.
+
+The closed form is held to two independent references: the untruncated
+40-digit oracle (oracles.exact_moments), and the library's dense Fock route
+(pointer_outcome, then squeezing_report, hz_correlation and
+joint_wigner_grid), which the sweeps no longer share any code with.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from golden_cases import cell_bound
+from ecsim import coherent, sweep
+from ecsim.config import RangeSpec, default_config
+from ecsim.fock import FockCutoff
+from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams
+from ecsim.observables import hz_correlation, joint_wigner_grid, squeezing_report
+from ecsim.params import _meter_rows
+
+TWO_PI = 2.0 * math.pi
+
+# Worst relative error seen against the oracle on 360 such draws: 7.6e-16
+# for P_s, and 6.8e-16 of max(1, |moment|) for the other moments.
+ORACLE_TOL = 1e-14
+
+
+def closed_form_moments(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, gamma, beta):
+    """The moments of oracles.MOMENTS from coherent's Grams: P_s raw, the rest normalized."""
+    row_a, row_b = _meter_rows(WeakValueParams(theta1, delta1, theta2, delta2))
+    side_a, side_b = coherent.probe_sides(EcsParams(r, mu, varphi))
+    keys = ("1", "n", "a", "aa")
+    g_a, g_b = coherent.side_grams(row_a, s1, side_a, keys), coherent.side_grams(row_b, s2, side_b, keys)
+    p_s = coherent.contract(g_a["1"], g_b["1"]).real
+    moments = {name: coherent.contract(g_a[op_a], g_b[op_b]) / p_s
+               for name, (op_a, op_b) in oracles.MOMENTS.items() if name not in ("P_s", "parity")}
+    parity = coherent.contract(coherent.parity_grams(row_a, s1, side_a, [gamma])[0],
+                               coherent.parity_grams(row_b, s2, side_b, [beta])[0])
+    return dict(moments, P_s=p_s, parity=parity / p_s)
+
+
+# theta_i either anywhere in [0.05, 0.95] pi, or pi - 10^-(2..6), the strong
+# post-selection where the branches nearly cancel.
+NEAR_PI = st.floats(2.0, 6.0).map(lambda e: math.pi - 10.0 ** -e)
+THETA = st.one_of(st.floats(0.05 * math.pi, 0.95 * math.pi), NEAR_PI)
+COUPLING = st.one_of(st.floats(0.0, 3.0), st.floats(-4.0, 0.5).map(lambda e: 10.0**e))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.floats(0.0, 2.0),
+    phases=st.tuples(*[st.floats(0.0, TWO_PI)] * 4),
+    thetas=st.tuples(THETA, THETA),
+    s1=COUPLING,
+    s2=COUPLING,
+    gamma=st.floats(-2.0, 2.0),
+    beta=st.floats(-2.0, 2.0),
+)
+def test_moments_match_the_untruncated_oracle(r, phases, thetas, s1, s2, gamma, beta):
+    """P_s, <N_a>, <N_b>, <a b>, <a^2 b^2>, <N_a N_b> and the displaced joint
+    parity, down to P_s = 1e-12."""
+    mu, varphi, delta1, delta2 = phases
+    point = (r, mu, varphi, thetas[0], delta1, thetas[1], delta2, s1, s2)
+    exact = oracles.exact_moments(*point, gamma=gamma, beta=beta)
+    assume(exact["P_s"].real >= 1e-12)
+    closed = closed_form_moments(*point, gamma, beta)
+    assert abs(closed["P_s"] - exact["P_s"].real) <= ORACLE_TOL * exact["P_s"].real
+    for name, value in exact.items():
+        if name != "P_s":
+            assert abs(closed[name] - value) <= ORACLE_TOL * max(1.0, abs(value)), name
+
+
+def dense_outcome(config, s1, s2):
+    return config.replace(coupling=CouplingParams(s1, s2)).pointer_outcome()
+
+
+def default_rows(command, config):
+    spec = sweep._COMMANDS[command]
+    return spec["runner"](config, *(spec["defaults"][axis] for axis in spec["axes"])).rows
+
+
+@pytest.mark.parametrize("command", ["probability", "squeezing", "hz"])
+def test_default_grid_rows_match_the_dense_route(command):
+    """Every default-grid row of the CLI command within the golden bound of
+    the dense library value at its point, cutoff 40."""
+    config = default_config()
+    for row in default_rows(command, config):
+        if command == "probability":
+            s, theta, p_s = row
+            at = config.replace(wv=WeakValueParams(theta, config.wv.delta1, theta, config.wv.delta2))
+            expected = [dense_outcome(at, s, s).success_probability]
+        else:
+            state = dense_outcome(config, *row[:2]).state
+            report = squeezing_report(state, config.theta_big)
+            expected = [report.s2s_direct, report.s2s_normal_ordered] if command == "squeezing" else [hz_correlation(state)]
+        for got, want in zip(row[2:], expected):
+            assert abs(got - want) <= cell_bound(want)
+
+
+def test_default_wigner_grid_matches_the_dense_route():
+    """`wigner --s1 1 --s2 1`, cell by cell, against joint_wigner_grid."""
+    config = default_config(coupling=CouplingParams(1.0, 1.0))
+    spec = sweep._COMMANDS["wigner"]
+    axes = [spec["defaults"][axis] for axis in spec["axes"]]
+    rows = sweep.cmd_wigner(config, *axes).rows
+    grid = joint_wigner_grid(config.pointer_outcome().state, *axes).values.ravel().tolist()
+    assert len(rows) == len(grid) == 2601
+    for (_, _, p_j), want in zip(rows, grid):
+        assert abs(p_j - want) <= cell_bound(want)
+
+
+# perfbench/workloads.py SCAN_BOX, the param_scan workload's parameter box.
+PHASE = st.floats(0.0, TWO_PI)
+SCAN_THETA = st.floats(0.0, 0.9 * math.pi)
+SCAN_COUPLING = st.floats(0.0, 3.0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    r=st.floats(0.05, 1.0),
+    mu=PHASE,
+    varphi=PHASE,
+    theta1=SCAN_THETA,
+    delta1=PHASE,
+    theta2=SCAN_THETA,
+    delta2=PHASE,
+    s1=SCAN_COUPLING,
+    s2=SCAN_COUPLING,
+    gamma=st.floats(-2.0, 2.0),
+    beta=st.floats(-2.0, 2.0),
+)
+def test_closed_form_matches_the_dense_route_at_cutoff_60(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
+                                                          gamma, beta):
+    """P_s, both squeezing routes, E and a Wigner value over param_scan's box,
+    against the dense route at cutoff 60, within the golden bound."""
+    config = default_config(
+        ecs=EcsParams(r, mu, varphi), wv=WeakValueParams(theta1, delta1, theta2, delta2),
+        coupling=CouplingParams(s1, s2), cutoff=FockCutoff(60, 60),
+    )
+    outcome = config.pointer_outcome()
+    closed = closed_form_moments(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, gamma, beta)
+    assert abs(closed["P_s"] - outcome.success_probability) <= cell_bound(outcome.success_probability)
+    single = (RangeSpec(s1, s1, 1), RangeSpec(s2, s2, 1))
+    report = squeezing_report(outcome.state, config.theta_big)
+    (_, _, direct, normal), = sweep.cmd_squeezing(config, *single).rows
+    (_, _, e_val, _), = sweep.cmd_hz(config, *single).rows
+    expected = (report.s2s_direct, report.s2s_normal_ordered, hz_correlation(outcome.state))
+    for got, want in zip((direct, normal, e_val), expected):
+        assert abs(got - want) <= cell_bound(want)
+    axes = (RangeSpec(gamma, gamma + 0.5, 2), RangeSpec(beta, beta + 0.5, 2))
+    dense = joint_wigner_grid(outcome.state, *axes).values.ravel().tolist()
+    for (_, _, p_j), want in zip(sweep.cmd_wigner(config, *axes).rows, dense):
+        assert abs(p_j - want) <= cell_bound(want)

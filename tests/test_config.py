@@ -21,6 +21,24 @@ def test_range_spec_values_and_flags():
     assert np.array_equal(single.values(), [1.5])
 
 
+def test_range_spec_values_are_numpy_linspace_bit_for_bit():
+    """values() is a pure-Python linspace: every default axis of the sweep
+    commands, 2,000 random ranges and a width whose step underflows."""
+    from ecsim.sweep import _COMMANDS
+
+    rng = np.random.default_rng(22)
+    specs = [spec for command in _COMMANDS.values() for spec in command["defaults"].values()]
+    for _ in range(2000):
+        start = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+        stop = start + float(10.0 ** rng.uniform(-12, 4))
+        specs.append(RangeSpec(start, stop, int(rng.integers(2, 200))))
+    specs.append(RangeSpec(0.0, 5e-324, 3))
+    for spec in specs:
+        values = spec.values()
+        assert all(type(value) is float for value in values)
+        assert np.array(values).tobytes() == np.linspace(spec.start, spec.stop, spec.points).tobytes(), spec
+
+
 def test_range_spec_validation():
     with pytest.raises(ValueError):
         RangeSpec(0.0, 1.0, 0)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ecsim import fock, observables, sweep
+from ecsim import fock, sweep
 from ecsim.config import RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
 from ecsim.measurement import (
@@ -423,32 +423,31 @@ def gram_config(r, mu, varphi, angles, n_max, **changes):
 def test_gram_sweep_columns_match_dense_and_tensor_references(
     r, mu, varphi, angles, theta_big, s1, s2, theta, n_max
 ):
-    """P_s over (s, theta), both squeezing routes and E over (s1, s2); a row
-    is NA exactly where the dense probe or pointer state is truncated."""
-    config = gram_config(r, mu, varphi, angles, n_max, theta_big=theta_big)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for s, th, p_s in sweep.cmd_probability(config, s1, theta).rows:
-            at = config.replace(wv=WeakValueParams(th, angles[1], th, angles[3]))
-            assert (p_s == sweep.NA) == truncated_reference(at, s, s)
-            if p_s == sweep.NA:
-                continue
-            for _, expected in reference_states(at, s, s):
-                assert abs(p_s - expected) <= GRAM_TOL
-        squeezing = sweep.cmd_squeezing(config, s1, s2).rows
-        hz = sweep.cmd_hz(config, s1, s2).rows
-        assert [row[:2] for row in squeezing] == [row[:2] for row in hz]
-        for (a, b, direct, normal), (_, _, e_val, flag) in zip(squeezing, hz):
-            truncated = truncated_reference(config, a, b)
-            assert [cell == sweep.NA for cell in (direct, normal, e_val, flag)] == [truncated] * 4
-            if truncated:
-                continue
-            for state, _ in reference_states(config, a, b):
-                report = squeezing_report(state, theta_big)
-                assert abs(direct - report.s2s_direct) <= GRAM_TOL
-                assert abs(normal - report.s2s_normal_ordered) <= GRAM_TOL
-                assert abs(e_val - hz_correlation(state)) <= GRAM_TOL
-            assert flag == int(e_val < 0.0)
+    """P_s over (s, theta), both squeezing routes and E over (s1, s2) of the
+    closed-form sweeps, against both references at cutoff 40, where every
+    drawn state has converged.  The sweeps have no Fock grid: no row is NA,
+    and the drawn cutoff changes no bit."""
+    config = gram_config(r, mu, varphi, angles, 40, theta_big=theta_big)
+    drawn = config.replace(cutoff=fock.FockCutoff(n_max, n_max))
+    for s, th, p_s in sweep.cmd_probability(config, s1, theta).rows:
+        at = config.replace(wv=WeakValueParams(th, angles[1], th, angles[3]))
+        assert not truncated_reference(at, s, s)
+        for _, expected in reference_states(at, s, s):
+            assert abs(p_s - expected) <= GRAM_TOL
+    squeezing = sweep.cmd_squeezing(config, s1, s2).rows
+    hz = sweep.cmd_hz(config, s1, s2).rows
+    assert [row[:2] for row in squeezing] == [row[:2] for row in hz]
+    for (a, b, direct, normal), (_, _, e_val, flag) in zip(squeezing, hz):
+        assert not truncated_reference(config, a, b)
+        for state, _ in reference_states(config, a, b):
+            report = squeezing_report(state, theta_big)
+            assert abs(direct - report.s2s_direct) <= GRAM_TOL
+            assert abs(normal - report.s2s_normal_ordered) <= GRAM_TOL
+            assert abs(e_val - hz_correlation(state)) <= GRAM_TOL
+        assert flag == int(e_val < 0.0)
+    assert sweep.cmd_probability(drawn, s1, theta).rows == sweep.cmd_probability(config, s1, theta).rows
+    assert sweep.cmd_squeezing(drawn, s1, s2).rows == squeezing
+    assert sweep.cmd_hz(drawn, s1, s2).rows == hz
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -466,46 +465,38 @@ def test_gram_sweep_columns_match_dense_and_tensor_references(
 def test_gram_wigner_matches_dense_and_tensor_references(
     r, mu, varphi, angles, s1, s2, re_gamma, re_beta, n_max
 ):
-    """Every P_J value, and the range check at every point, of the sweep's
-    factored grid and of joint_wigner_grid, against the displaced parity of
-    both reference states with the oracle's own displacements.  The sweep
-    also refuses a truncated state, after the range check."""
-    config = gram_config(r, mu, varphi, angles, n_max, coupling=CouplingParams(s1, s2))
+    """Every P_J value of the closed-form sweep against the untruncated
+    oracle, and of joint_wigner_grid, with its range check at every point,
+    against the displaced parity of both reference states at cutoff 40 with
+    the oracle's own displacements.  The sweep has no Fock grid and no range
+    check, and the drawn cutoff changes no bit."""
+    config = gram_config(r, mu, varphi, angles, 40, coupling=CouplingParams(s1, s2))
     gammas, betas = re_gamma.values(), re_beta.values()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        left, right, truncated = sweep._pointer_at(config)
-        values, top = observables._factored_wigner(left, right, gammas, betas)
-        references = reference_states(config, s1, s2)
-        assert truncated == truncated_reference(config, s1, s2)
-    dense = references[0][0]
-    d_a = [oracles.displacement(-g, n_max) for g in gammas.tolist()]
-    d_b = [oracles.displacement(-b, n_max) for b in betas.tolist()]
-    failing = []
-    for i, g in enumerate(gammas.tolist()):
-        for j, b in enumerate(betas.tolist()):
-            out_of_range = top[i, j] > DEFAULT_RANGE_TOL
-            for state, _ in references:
-                parity, mass = oracles.displaced_parity(state.amplitudes, d_a[i], d_b[j])
-                assert abs(values[i, j] - parity) <= GRAM_TOL
-                assert (mass > DEFAULT_RANGE_TOL) == out_of_range
-            if out_of_range:
+    rows = sweep.cmd_wigner(config, re_gamma, re_beta).rows
+    assert sweep.cmd_wigner(config.replace(cutoff=fock.FockCutoff(n_max, n_max)), re_gamma, re_beta).rows == rows
+    point = (r, mu, varphi, *angles, s1, s2)
+    for g, b, p_j in rows:
+        assert abs(p_j - oracles.exact_moments(*point, gamma=g, beta=b, names=("parity",))["parity"].real) <= GRAM_TOL
+    references = reference_states(config, s1, s2)
+    d_a = [oracles.displacement(-g, 40) for g in gammas]
+    d_b = [oracles.displacement(-b, 40) for b in betas]
+    values, failing = np.zeros((len(gammas), len(betas))), []
+    for i, g in enumerate(gammas):
+        for j, b in enumerate(betas):
+            (values[i, j], mass), (parity, tensor_mass) = (
+                oracles.displaced_parity(state.amplitudes, d_a[i], d_b[j]) for state, _ in references
+            )
+            assert abs(values[i, j] - parity) <= GRAM_TOL
+            assert (mass > DEFAULT_RANGE_TOL) == (tensor_mass > DEFAULT_RANGE_TOL)
+            if mass > DEFAULT_RANGE_TOL:
                 failing.append((complex(g), complex(b)))
-    first = failing and re.escape(f"gamma={failing[0][0]}, beta={failing[0][1]})")
     if failing:
+        first = re.escape(f"gamma={failing[0][0]}, beta={failing[0][1]})")
         with pytest.raises(NumericalRangeError, match=first):
-            joint_wigner_grid(dense, re_gamma, re_beta)
+            joint_wigner_grid(references[0][0], re_gamma, re_beta)
     else:
-        grid = joint_wigner_grid(dense, re_gamma, re_beta)
+        grid = joint_wigner_grid(references[0][0], re_gamma, re_beta)
         assert np.max(np.abs(grid.values - values)) <= GRAM_TOL
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        if truncated or failing:
-            with pytest.raises(NumericalRangeError, match=first or "top Fock level"):
-                sweep.cmd_wigner(config, re_gamma, re_beta)
-        else:
-            rows = sweep.cmd_wigner(config, re_gamma, re_beta).rows
-            assert [row[2] for row in rows] == values.ravel().tolist()
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)

@@ -233,13 +233,19 @@ def test_metadata_config_round_trip():
 
 
 def test_metadata_counts_truncation_warnings():
+    # The renormalized QFI is the one Fock route of the sweeps; at cutoff 8
+    # the r = 1.5 probe is truncated.  The closed-form probability sweep
+    # gives the same row at that cutoff as at cutoff 40, and never warns.
     config = default_config(
-        ecs=EcsParams(1.5, HALF_PI, HALF_PI), cutoff=FockCutoff(8, 8)
+        ecs=EcsParams(1.5, HALF_PI, HALF_PI), cutoff=FockCutoff(8, 8), qfi_gauge="renormalized"
     )
-    result = cmd_probability(config, single(0.0), single(0.2 * math.pi))
+    result = cmd_qcrb(config, single(1.5), single(0.0))
     assert result.metadata["truncation_warnings"] >= 1
     assert result.rows[0][2] == NA
     assert result.na_rows["truncated"] == 1
+    closed = cmd_probability(config, single(0.0), single(0.2 * math.pi))
+    assert closed.metadata["truncation_warnings"] == 0
+    assert closed.rows == cmd_probability(config.replace(cutoff=FockCutoff(40, 40)), single(0.0), single(0.2 * math.pi)).rows
 
 
 def test_metadata_json_is_sorted_and_newline_terminated():
