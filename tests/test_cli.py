@@ -525,19 +525,28 @@ def test_degenerate_single_point_exits_four(capsys):
     assert out.splitlines()[1].endswith("NA")
 
 
-def test_wigner_needs_no_cutoff(capsys):
-    # The r = 1 state puts more than --tail-tol on level 12, and its
-    # displacements by 2 leave a cutoff of 12: the closed form prints the
-    # same grid at any cutoff.
-    small = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]
-    for argv in (small, ["wigner", "--r", "1"]):
-        outputs = []
-        for cutoff in ("12", "40"):
-            assert main(argv + ["--cutoff", cutoff]) == 0
-            captured = capsys.readouterr()
-            assert captured.err == ""
-            outputs.append(captured.out)
-        assert outputs[0] == outputs[1]
+def _assert_wigner_needs_no_cutoff(capsys, argv):
+    outputs = []
+    for cutoff in ("12", "40"):
+        assert main(argv + ["--cutoff", cutoff]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_overfilled_wigner_state_needs_no_cutoff(capsys):
+    # The r = 1 state puts more than --tail-tol on level 12, which the Fock
+    # route refused with exit 3; the closed form prints the same grid at any
+    # cutoff.
+    argv = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]
+    _assert_wigner_needs_no_cutoff(capsys, argv)
+
+
+def test_default_wigner_grid_needs_no_cutoff(capsys):
+    # The default grid's displacements by 2 leave a cutoff of 12, which the
+    # Fock route refused as out of range; the closed form has no range check.
+    _assert_wigner_needs_no_cutoff(capsys, ["wigner", "--r", "1"])
 
 
 @pytest.mark.parametrize(
