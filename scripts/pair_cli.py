@@ -12,10 +12,11 @@ counterpart of scripts/pair_points.py: a CLI run pays for the interpreter,
 the imports and the sweep.
 
 The script prints, per invocation, the median wall time and its quartiles
-for both trees, and their ratio (change / parent).  Then, per tree, it
-prints where a cold run spends that time: from one more fresh process per
-invocation and round, the medians of `import numpy`, of `import
-ecsim.cli` after it, and of the run through ecsim.cli.main.  Exits 1 when
+for both trees, their ratio (change / parent), and whether every timed run
+of both trees wrote the same stdout bytes ("same") or not ("DIFFER").
+Then, per tree, it prints where a cold run spends that time: from one more
+fresh process per invocation and round, the medians of `import numpy`, of
+`import ecsim.cli` after it, and of the run through ecsim.cli.main.  Exits 1 when
 any run exits non-zero.
 """
 
@@ -60,13 +61,13 @@ def src_dir(tree: str) -> str:
     raise SystemExit(f"no ecsim package under {tree}")
 
 
-def timed_cli(src: str, argv: list[str], cwd: str) -> tuple[float, int]:
-    """(wall seconds, exit code) of `python -m ecsim.cli argv` in a fresh process."""
+def timed_cli(src: str, argv: list[str], cwd: str) -> tuple[float, int, bytes]:
+    """(wall seconds, exit code, stdout bytes) of `python -m ecsim.cli argv` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "ecsim.cli", *argv], stdout=subprocess.DEVNULL,
+    proc = subprocess.run([sys.executable, "-m", "ecsim.cli", *argv], stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, env=env, cwd=cwd, timeout=300)
-    return time.perf_counter() - start, proc.returncode
+    return time.perf_counter() - start, proc.returncode, proc.stdout
 
 
 def split(src: str, argv: list[str], cwd: str) -> dict:
@@ -97,14 +98,16 @@ def main(argv=None) -> int:
     trees = {"parent": src_dir(args.parent), "change": src_dir(args.change)}
     wall = {name: {case: [] for case in GOLDEN_CASES} for name in trees}
     parts = {name: {case: {part: [] for part in PARTS} for case in GOLDEN_CASES} for name in trees}
+    outputs = {case: set() for case in GOLDEN_CASES}
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
         for round_index in range(args.rounds):
             order = ("parent", "change") if round_index % 2 == 0 else ("change", "parent")
             for case, cli_argv in GOLDEN_CASES.items():
                 for name in order:
-                    seconds, code = timed_cli(trees[name], cli_argv, cwd)
+                    seconds, code, stdout = timed_cli(trees[name], cli_argv, cwd)
                     wall[name][case].append(seconds)
+                    outputs[case].add(stdout)
                     failures += code != 0
                 for name in order:
                     sample = split(trees[name], cli_argv, cwd)
@@ -113,10 +116,11 @@ def main(argv=None) -> int:
                         parts[name][case][part].append(sample[part])
 
     print(f"# {args.rounds} rounds; wall ms per fresh `python -m ecsim.cli` run, median [quartiles]")
-    print(f"{'invocation':<26}{'parent':>24}{'change':>24}{'ratio':>8}")
+    print(f"{'invocation':<26}{'parent':>24}{'change':>24}{'ratio':>8}{'stdout':>8}")
     for case in GOLDEN_CASES:
         (p, p1, p3), (c, c1, c3) = (summary(wall[name][case]) for name in ("parent", "change"))
-        print(f"{case:<26}{p:>8.1f} [{p1:6.1f}, {p3:6.1f}]{c:>8.1f} [{c1:6.1f}, {c3:6.1f}]{c / p:>8.3f}")
+        same = "same" if len(outputs[case]) == 1 else "DIFFER"
+        print(f"{case:<26}{p:>8.1f} [{p1:6.1f}, {p3:6.1f}]{c:>8.1f} [{c1:6.1f}, {c3:6.1f}]{c / p:>8.3f}{same:>8}")
     for name in trees:
         print(f"# {name}: in-process median ms of `import numpy`, `import ecsim.cli` after it, and the run")
         for case in GOLDEN_CASES:

@@ -6,37 +6,31 @@ notation ("0.8pi").  Repeatable --sweep flags override the per-command
 default axes; declaration order sets the outer-to-inner nesting of emitted
 rows.
 
-The sweeps are cutoff-free: probability, squeezing, wigner, hz and the
-fixed-kappa qcrb column are closed-form between coherent states (see the
-coherent module) and import no numpy.  --cutoff and --tail-tol act only on
-the renormalized qcrb column, the one sweep on the Fock grid; the other
-commands echo them in --meta and ignore them.
+Every command is closed-form between coherent states (see the coherent
+module): no Fock cutoff, no truncation and no numpy.  The four config keys
+of the library's Fock routes (n_max_a, n_max_b, tail_tolerance,
+qfi_gauge) keep their defaults and are echoed in --meta.
 
-Exit codes: 0 success; 2 configuration or argument validation error
-(including a cutoff above config.MAX_N_MAX, an input whose meter exponent,
-axis width or squared amplitude overflows a double, and a closed-form cell
-that is not a finite double), or an --out/--meta path that cannot be
-written; 3 numerical failure at a single renormalized qcrb point (a probe
-or pointer state that puts more than --tail-tol on or beyond its top Fock
-level, or an unstable finite-difference step); 4 degenerate post-selection
+Exit codes: 0 success; 2 configuration or argument validation error (an
+input whose meter exponent, axis width or squared amplitude overflows a
+double, and a closed-form cell that is not a finite double, included), or
+an --out/--meta path that cannot be written; 4 degenerate post-selection
 at a single point, whose NA row is written, or at the wigner coupling.
-Exits 2 and 3 write no CSV.  Multi-point sweeps write NA rows instead, and
-exit 0, as does an NA cell that is a value (the phase bound of a vanishing
-QFI).
+Exit 2 writes no CSV: the sidecar is written first.  Multi-point sweeps
+write NA rows instead, and exit 0, as does an NA cell that is a value (the
+phase bound of a vanishing QFI).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
 from . import __version__
-from .config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
-from .errors import DegeneratePostSelectionError, NumericalRangeError
-from .params import FockCutoff
-from .sweep import _COMMANDS, FAILURES
+from .config import RangeSpec, WeakMeasurementConfig, default_config
+from .errors import DegeneratePostSelectionError
+from .sweep import _COMMANDS
 
 
 def parse_angle(text: str) -> float:
@@ -53,17 +47,6 @@ def parse_angle(text: str) -> float:
         return float(t)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
-
-
-def parse_cutoff(text: str) -> FockCutoff:
-    """FockCutoff from 'N' (both modes) or 'N_a,N_b'."""
-    try:
-        parts = [int(p) for p in str(text).split(",")]
-        if len(parts) in (1, 2):
-            return FockCutoff(parts[0], parts[-1])
-        raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse cutoff {text!r}") from None
 
 
 def parse_sweep(text: str) -> tuple[str, RangeSpec]:
@@ -103,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s1", type=float, default=coupling.s1, help="mode-a coupling strength")
         p.add_argument("--s2", type=float, default=coupling.s2, help="mode-b coupling strength")
         p.add_argument("--theta-big", type=parse_angle, default=base.theta_big, help="squeezing phase angle")
-        p.add_argument("--cutoff", type=parse_cutoff, default=base.cutoff,
-                       help="Fock cutoff N or N_a,N_b of the renormalized qcrb column; the closed-form sweeps need none")
-        p.add_argument("--tail-tol", dest="tail_tolerance", metavar="TAIL_TOL", type=float,
-                       default=base.tail_tolerance,
-                       help="truncation tail tolerance of the renormalized qcrb column; the closed-form sweeps need none")
-        p.add_argument("--qfi-gauge", choices=QFI_GAUGES, default=base.qfi_gauge, help="QFI evaluation gauge")
         p.add_argument("--sweep", action="append", default=[], metavar="NAME=MIN:MAX:POINTS",
                        help=f"override a sweep axis (allowed: {', '.join(info['axes'])}); repeatable")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
@@ -148,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     info = _COMMANDS[args.command]
 
     try:
-        config = WeakMeasurementConfig.from_dict({**vars(args), **dataclasses.asdict(args.cutoff)})
+        config = WeakMeasurementConfig.from_dict({**default_config().to_dict(), **vars(args)})
         ranges, order = _resolve_axes(args.command, args.sweep)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"ecsim: {exc}", file=sys.stderr)
@@ -157,28 +134,23 @@ def main(argv: list[str] | None = None) -> int:
     axis_ranges = [ranges[name] for name in info["axes"]]
     try:
         result = info["runner"](config, *axis_ranges, order=order)
-    except (DegeneratePostSelectionError, NumericalRangeError, ValueError) as exc:
+    except (DegeneratePostSelectionError, ValueError) as exc:
         print(f"ecsim: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, DegeneratePostSelectionError) else 3 if isinstance(exc, NumericalRangeError) else 2
+        return 4 if isinstance(exc, DegeneratePostSelectionError) else 2
 
-    single_point = all(spec.is_single for spec in axis_ranges)
-    for cause, message in FAILURES.items():
-        if single_point and result.na_rows[cause]:
-            print(f"ecsim: {message}", file=sys.stderr)
-            return 3
-
-    # Files first, so a run that fails on an unwritable path prints no CSV.
+    # The sidecar first, so a run that fails on an unwritable path writes no CSV.
     try:
-        if args.out is not None:
-            result.write_csv(args.out)
         if args.meta is not None:
             result.write_metadata(args.meta)
-        if args.out is None:
+        if args.out is not None:
+            result.write_csv(args.out)
+        else:
             sys.stdout.write(result.csv_text())
     except OSError as exc:
         print(f"ecsim: {exc}", file=sys.stderr)
         return 2
 
+    single_point = all(spec.is_single for spec in axis_ranges)
     return 4 if single_point and result.na_rows["degenerate"] else 0
 
 

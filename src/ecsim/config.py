@@ -127,13 +127,12 @@ class WeakMeasurementConfig:
         return _post_select(self._raw_pointer_grid(), self.cutoff, self.tail_tolerance)
 
     def _raw_pointer_grid(self) -> np.ndarray:
-        """A[0, 0] @ X[0, 0].T of one-point _pointer_factors at this config."""
+        """A @ X.T of _pointer_factors at this config."""
         from .measurement import _pointer_factors, ecs_factors
 
         left, right = ecs_factors(self.ecs, self.cutoff, self.tail_tolerance)
-        s1, s2 = [self.coupling.s1], [self.coupling.s2]
-        fac_a, fac_b = _pointer_factors(left, right[0], s1, s2, [self.wv])
-        return fac_a[0, 0] @ fac_b[0, 0].T
+        fac_a, fac_b = _pointer_factors(left, right[0], self.wv, self.coupling)
+        return fac_a @ fac_b.T
 
     def to_dict(self) -> dict:
         """The flat record: each sub-record of _RECORDS spelled out as its own

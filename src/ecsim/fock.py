@@ -2,12 +2,12 @@
 
 States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 0 <= n_b <= n_max_b, stored as a complex (n_max_a+1, n_max_b+1) amplitude
-grid.  The ladder operators act on one Fock index of any array (a grid, a
-stack of grids or a stack of single-mode factors).  One eigenbasis per
+grid.  The creation operator acts on one Fock index of any array (a grid,
+a stack of grids or a stack of single-mode factors).  One eigenbasis per
 cutoff, of the quadratures a + a^dag and p = i (a^dag - a), is cached with
-the level constants.  In it, with no matrix formed, meter applies a batch
-of meter operators c cos(u p) - i d sin(u p) over signed real arms u, each
-slot bit for bit the call at that slot alone; it is the one kernel for both
+the level constants.  In it, with no matrix formed, meter applies one meter
+operator c cos(u p) - i d sin(u p) over a batch of signed real arms u, each
+slot bit for bit the call at that arm alone; it is the one kernel for both
 the meters and the displacements D(u) = e^{-i u p}.  A complex amplitude
 gamma = e^{i phi} t is the rotation diag(e^{i phi n}) of the real D(t), and
 displacement_matrix is that rotation around meter on the identity.
@@ -125,31 +125,31 @@ def _quadrature_eigh(n_max: int) -> tuple[np.ndarray, ...]:
     return _frozen(lam, vecs, (turns * vecs).conj().T.copy(), turns)
 
 
-def meter(arms, amplitudes, factors: np.ndarray) -> np.ndarray:
+def meter(arms, row, factors: np.ndarray) -> np.ndarray:
     """K F = W [c cos(u lam) - i d sin(u lam)] W^dag F = (c cos(u p) - i d sin(u p)) F,
-    len(arms) x R x F.shape, for each signed real arm u and each row (c, d) of
-    amplitudes (R x 2), on a factor F (dim x m) or a stack (... x dim x m).
-    The row (1, 1) is the displacement D(u) = e^{-i u p}.
+    len(arms) x F.shape, for each signed real arm u and the one row (c, d),
+    on a factor F (dim x m) or a stack (... x dim x m).  The row (1, 1) is
+    the displacement D(u) = e^{-i u p}.
 
-    W^dag F is shared by all slots; W = diag(i^n) V then acts on each slot
+    W^dag F is shared by all arms; W = diag(i^n) V then acts on each slot
     as one real dim x 2m slice of a stacked product, so a slot's bits do not
-    depend on how many arms, rows or factors share the call.  Slots with
-    u = 0 hold c F exactly.  Raises ValueError naming |u| of the first arm
-    whose angle |u| max(lam) overflows a double.
+    depend on how many arms or factors share the call.  Slots with u = 0
+    hold c F exactly.  Raises ValueError naming |u| of the first arm whose
+    angle |u| max(lam) overflows a double.
     """
     us = [float(u) for u in arms]
-    rows = np.asarray(amplitudes, dtype=np.complex128)
+    c, d = np.asarray(row, dtype=np.complex128)
     lam, vecs, wh, turns = _quadrature_eigh(factors.shape[-2] - 1)
     overflowing = [u for u in us if not math.isfinite(u * float(lam[-1]))]
     if overflowing:
         raise ValueError(f"meter arm |u| = {abs(overflowing[0])!r} overflows at n_max={len(lam) - 1}")
-    angles = np.multiply.outer(us, lam)[:, None]
-    diag = rows[:, :1] * np.cos(angles) - 1j * rows[:, 1:] * np.sin(angles)
+    angles = np.multiply.outer(us, lam)
+    diag = c * np.cos(angles) - 1j * d * np.sin(angles)
     lead = (1,) * (factors.ndim - 2)
-    out = diag.reshape(*diag.shape[:2], *lead, -1, 1) * (wh @ factors)
+    out = diag.reshape(len(us), *lead, -1, 1) * (wh @ factors)
     out = turns * (vecs @ out.view(np.float64)).view(np.complex128)
     if 0.0 in us:
-        out[[u == 0.0 for u in us]] = rows[:, 0].reshape(-1, *lead, 1, 1) * factors
+        out[[u == 0.0 for u in us]] = c * factors
     return out
 
 
@@ -172,7 +172,7 @@ def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
     applied to the identity; raises meter's ValueError on overflow."""
     dim = int(n_max) + 1
     r, t = _phase_split(gamma, dim)
-    shifted = meter([t], [(1.0, 1.0)], np.eye(dim, dtype=np.complex128))[0, 0]
+    shifted = meter([t], (1.0, 1.0), np.eye(dim, dtype=np.complex128))[0]
     return ModeOperator(r[:, None] * shifted * np.conj(r))
 
 
@@ -219,13 +219,6 @@ def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
             ),
             stacklevel=3,
         )
-
-
-def annihilate(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Annihilation on one Fock index of an array; exact, same shape (top level zeroed)."""
-    out = np.zeros_like(arr)
-    out.swapaxes(axis, -1)[..., :-1] = levels(arr.shape[axis])[1][1:] * arr.swapaxes(axis, -1)[..., 1:]
-    return out
 
 
 def create(arr: np.ndarray, axis: int) -> np.ndarray:

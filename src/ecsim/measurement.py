@@ -35,8 +35,8 @@ L = N [c_a, e0] and R = [e0, c_b].  So
 
 a pointer state of rank at most 2, and each factor is one fock.meter pass,
 diagonal in the eigenbasis of p.  Only c_b depends on varphi, so probes at
-several phases share L and A.  A single pointer state is the product A X^T
-of a one-point factor pair, bit for bit its slot in a batch.
+several phases share L and A, and each member's X is bit for bit the one
+built for that member alone.
 
 This is the Fock route of the library.  The parameter records and the
 meters' amplitudes (c_i, d_i) live in the numpy-free params module, and the
@@ -162,30 +162,18 @@ def build_ecs(
     return TwoModeState(left @ right[0].T, cutoff)
 
 
-def _meter_weights(wvs: Sequence[WeakValueParams]) -> np.ndarray:
-    """W x 2 x 2 amplitudes _meter_rows, one row per WeakValueParams."""
-    return np.array([_meter_rows(wv) for wv in wvs])
-
-
 def _pointer_factors(
-    left: np.ndarray, right: np.ndarray, s1s, s2s, wvs
+    left: np.ndarray, right: np.ndarray, wv: WeakValueParams, coupling: CouplingParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors A = K_a L and X = K_b R of the raw pointer states over couplings and meter angles.
+    """Factors A = K_a L and X = K_b R of the raw pointer state at one meter pair and coupling.
 
-    left is the probe's L (dim_a x m) and right its R (dim_b x m); either may
-    be a stack (K x dim x m), such as the members R_k of a family that share
-    L.  Returns A (len(s1s) x len(wvs) x [K x] dim_a x m), at each s1 and
-    WeakValueParams [and member], and X (len(s2s) x len(wvs) x [K x] dim_b x
-    m) likewise over s2, so that the raw pointer grid is A[i, w] @ X[j, w].T
-    (member by member), and a one-point grid is A[0, 0] @ X[0, 0].T.  Each
-    factor is one fock.meter pass.  Raises CouplingParams' ValueError for a
-    negative coupling.
+    left is the probe's L (dim_a x m) and right its R (dim_b x m), or a
+    stack of them (K x dim_b x m), such as the members R_k of a family that
+    share L; the raw pointer state is A @ X.T (member by member).  Each
+    factor is one fock.meter pass.
     """
-    if not all(0.0 <= s < math.inf for s in (min(s1s), min(s2s))):
-        CouplingParams(float(min(s1s)), float(min(s2s)))
-    amplitudes = _meter_weights(wvs)
-    u1, u2 = ([0.5 * float(s) for s in ss] for ss in (s1s, s2s))
-    return meter(u1, amplitudes[:, 0], left), meter(u2, amplitudes[:, 1], right)
+    row_a, row_b = _meter_rows(wv)
+    return meter([0.5 * coupling.s1], row_a, left)[0], meter([0.5 * coupling.s2], row_b, right)[0]
 
 
 def apply_displacement_branches(
@@ -196,9 +184,8 @@ def apply_displacement_branches(
     """(K_a (x) K_b) state, the two meter operators of the module docstring
     applied to state as the factor pair L = amp, R = identity."""
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    s1, s2 = [coupling.s1], [coupling.s2]
-    fac_a, fac_b = _pointer_factors(state.amplitudes, identity, s1, s2, [wv])
-    return TwoModeState(fac_a[0, 0] @ fac_b[0, 0].T, state.cutoff)
+    fac_a, fac_b = _pointer_factors(state.amplitudes, identity, wv, coupling)
+    return TwoModeState(fac_a @ fac_b.T, state.cutoff)
 
 
 def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:

@@ -20,9 +20,9 @@ operator is built only when a moment first asks for it.  The Wigner
 cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the parity
 Grams of D_a(-gamma) A and D_b(-beta) X; a TwoModeState enters it as the
 factor pair (amplitudes, identity).  The finite-difference QFI is a
-cross-Gram moment of the probe family's factors (_qfi_grid), the one Fock
-route of the sweep CLI; the analytic QFI has a closed form between
-coherent states and no Fock basis at all (coherent.pointer_qfi).
+cross-Gram moment of the probe family's factors at one point (_qfi_point);
+the analytic QFI has a closed form between coherent states and no Fock
+basis at all (coherent.pointer_qfi), and it is the QFI the sweep CLI prints.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ from .fock import (
     meter,
     warn_if_truncated,
 )
-from .measurement import _pointer_factors, _probe_tail, ecs_factors
-from .params import DEFAULT_P_FLOOR, EcsParams
-
-# Phase-space density prefactor: W_J(gamma, beta) = (4 / pi^2) P_J(gamma, beta).
-WIGNER_PREFACTOR = 4.0 / math.pi**2
+from .measurement import _pointer_factors, ecs_factors
+from .params import DEFAULT_P_FLOOR
 
 # Displaced states whose top-level mass exceeds this are outside the
 # trustworthy window of the truncated basis.
@@ -63,7 +60,7 @@ _FD_STEP_MAX = 1e-3
 DEFAULT_FD_STEP = 1e-5
 
 # Rounding level of one central-difference QFI, in units of
-# eps * max(1, sqrt(|Q|)) / step.  On _qfi_grid's factors the worst residual
+# eps * max(1, sqrt(|Q|)) / step.  On the Fock factors the worst residual
 # |Q(h/2) - Q(h/4)| over 30,500 evaluations (random points with r <= 1 and
 # s <= 3 in both gauges plus the default qcrb grid, under five OpenBLAS
 # kernels) was 5.5 of these units; 32 leaves a margin of 5.8.
@@ -188,8 +185,9 @@ def _moments(fac_a: np.ndarray, fac_b: np.ndarray) -> Callable[[str, str], np.nd
 
     fac_a (..., Na, dim_a, m) and fac_b (..., Nb, dim_b, m) are factor stacks;
     the moments come out as (..., Na, Nb) grids, named by _GRAM_OPERANDS' keys.
-    Each side's Gram of a key is built once, when first asked for by a moment
-    or by moment.gram(side, key)."""
+    A single factor fac_a (dim_a x m) against a stack fac_b (Nb x dim_b x m)
+    gives Nb moments.  Each side's Gram of a key is built once, when first
+    asked for by a moment or by moment.gram(side, key)."""
 
     @functools.cache
     def gram(side: int, key: str) -> np.ndarray:
@@ -208,23 +206,6 @@ def _tail_mass(moment) -> np.ndarray:
     return moment("top", "1").real + moment("below", "top").real
 
 
-def _post_selection(moment, tail_tol: float, probe_tail) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P_s, degenerate, truncated) over a grid of raw pointer states.
-
-    degenerate marks P_s below DEFAULT_P_FLOOR, where P_s is NaN.  Warns, as
-    _post_select does, for each state whose normalized top-level mass
-    exceeds tail_tol; truncated marks those states and every state whose
-    probe's top-level mass, probe_tail (broadcast against the grid), does.
-    """
-    p_s = moment("1", "1").real
-    degenerate = p_s < DEFAULT_P_FLOOR
-    p_s = np.where(degenerate, np.nan, p_s)
-    tail = _tail_mass(moment) / p_s
-    for mass in tail[tail > tail_tol].tolist():
-        warn_if_truncated(mass, tail_tol, "build_pointer_state")
-    return p_s, degenerate, (tail > tail_tol) | (probe_tail > tail_tol)
-
-
 def _factored_wigner(
     left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +214,7 @@ def _factored_wigner(
     Both are moments of the displaced factor stacks D_a(-gamma) left and
     D_b(-beta) right, each one fock.meter pass with the row (1, 1).
     """
-    moment = _moments(meter(-gammas, [(1, 1)], left)[:, 0], meter(-betas, [(1, 1)], right)[:, 0])
+    moment = _moments(meter(-gammas, (1, 1), left), meter(-betas, (1, 1), right))
     return moment("parity", "parity").real, _tail_mass(moment)
 
 
@@ -283,8 +264,8 @@ def joint_wigner_point(
     range_tol: float = DEFAULT_RANGE_TOL,
 ) -> float:
     """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>,
-    in [-1, 1] since the displacements are unitary to rounding; times
-    WIGNER_PREFACTOR it is the phase-space density.
+    in [-1, 1] since the displacements are unitary to rounding; the
+    phase-space density is (4 / pi^2) P_J.
 
     With gamma = e^{i phi_a} t_a and beta = e^{i phi_b} t_b split by
     fock._phase_split into rotations R and real arms, it is the one-point
@@ -331,47 +312,47 @@ def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return q[..., 1], r2 > np.maximum(0.5 * r1, noise_floor)
 
 
-def _qfi_grid(
-    config: WeakMeasurementConfig, rs, s1s, s2s, h: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, degenerate, truncated, tripped) over amplitudes rs x coupling pairs (s1s[j], s2s[j]),
-    by central differences on the Fock factors: the independent check of
-    the closed form that qfi_analytic evaluates.
+def _qfi_point(config: WeakMeasurementConfig, h: float) -> tuple[float, bool, bool]:
+    """(Q, degenerate, tripped) at the config's point, by central differences
+    on the Fock factors: the independent check of the closed form that
+    qfi_analytic evaluates.
 
-    One probe per amplitude; its pointer states at varphi and at varphi +-
-    step (h, h/2, h/4) are the rank-2 factors A X_k^T of _pointer_factors,
-    A = K_a L and X_k = K_b R_k, so every Gram below is 2 x 2.  The members
-    are scaled by 1/sqrt(P_0) ("fixed-kappa") or their own 1/sqrt(P_k)
-    ("renormalized"; not phase-fixed, as the raw family is analytic in
-    varphi and the projection term removes a global phase) and differenced
-    on the factors, since differencing Grams would cancel about ten digits.
-    With x_0 = X_0 / sqrt(P_0), d psi = A dX^T and dX the difference,
+    The pointer states at varphi and at varphi +- step (h, h/2, h/4) are the
+    rank-2 factors A X_k^T of _pointer_factors, A = K_a L and X_k = K_b R_k,
+    so every Gram below is 2 x 2.  The members are scaled by 1/sqrt(P_0)
+    ("fixed-kappa") or their own 1/sqrt(P_k) ("renormalized"; not
+    phase-fixed, as the raw family is analytic in varphi and the projection
+    term removes a global phase) and differenced on the factors, since
+    differencing Grams would cancel about ten digits.  With x_0 = X_0 /
+    sqrt(P_0), d psi = A dX^T and dX the difference,
 
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
-    _post_selection warns for each truncated member.  The masks mark a point
-    where any member's P_s is below DEFAULT_P_FLOOR (Q is then not defined),
-    any member or its probe is truncated, or Q fails _richardson.
+    Warns, as _post_select does, for each member whose normalized top-level
+    mass exceeds the config's tail tolerance.  degenerate marks a member's
+    P_s below DEFAULT_P_FLOOR (Q is then NaN), tripped a Q that fails
+    _richardson.
     """
     phi0, tail_tol = config.ecs.varphi, config.tail_tolerance
     steps = [h, 0.5 * h, 0.25 * h]
     varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
-    renormalized = config.qfi_gauge == "renormalized"
-    grids = []
-    for r in rs:
-        left, right = ecs_factors(EcsParams(float(r), config.ecs.mu, phi0), config.cutoff, tail_tol, varphis)
-        fac_a, fac_b = _pointer_factors(left, right, s1s, s2s, [config.wv])
-        members = fac_b[:, 0]
-        moment = _moments(fac_a, members)
-        p, degenerate, truncated = (grid[:, 0] for grid in _post_selection(moment, tail_tol, _probe_tail(left, right)))
-        scaled = members * (1.0 / np.sqrt(p if renormalized else p[:, :1]))[..., None, None]
-        d_x = (scaled[:, 1::2] - scaled[:, 2::2]) * (0.5 / np.array(steps))[:, None, None]
-        g_a = moment.gram(0, "1")
-        dd = _contract(g_a, _gram(d_x, d_x))[:, 0].real
-        cross = _contract(g_a, _gram(scaled[:, :1], d_x))[:, 0]
-        q, tripped = _richardson(4.0 * (dd - np.abs(cross) ** 2), h)
-        grids.append((q, degenerate.any(axis=-1), truncated.any(axis=-1), tripped))
-    return tuple(np.array(grid) for grid in zip(*grids))
+    left, right = ecs_factors(config.ecs, config.cutoff, tail_tol, varphis)
+    fac_a, members = _pointer_factors(left, right, config.wv, config.coupling)
+    moment = _moments(fac_a, members)
+    p = moment("1", "1").real
+    degenerate = p < DEFAULT_P_FLOOR
+    tail = _tail_mass(moment) / np.where(degenerate, np.nan, p)
+    for mass in tail[tail > tail_tol].tolist():
+        warn_if_truncated(mass, tail_tol, "build_pointer_state")
+    if degenerate.any():
+        return math.nan, True, False
+    scaled = members * (1.0 / np.sqrt(p if config.qfi_gauge == "renormalized" else p[:1]))[:, None, None]
+    d_x = (scaled[1::2] - scaled[2::2]) * (0.5 / np.array(steps))[:, None, None]
+    g_a = moment.gram(0, "1")
+    dd = _contract(g_a, _gram(d_x, d_x)).real
+    cross = _contract(g_a, _gram(scaled[:1], d_x))
+    q, tripped = _richardson(4.0 * (dd - np.abs(cross) ** 2), h)
+    return float(q), False, bool(tripped)
 
 
 def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP) -> float:
@@ -380,22 +361,20 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
     Under "fixed-kappa" the success-probability rescaling is frozen at the
     working point, under "renormalized" each member is normalized; the
     projection term makes both gauges agree to finite-difference accuracy.
-    _qfi_grid at one point: a degenerate member raises
-    DegeneratePostSelectionError, a tripped Richardson check
-    NumericalRangeError.
+    _qfi_point's Q: a degenerate member raises DegeneratePostSelectionError,
+    a tripped Richardson check NumericalRangeError.
     """
     if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
         raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    coupling = config.coupling
-    q, degenerate, _, tripped = _qfi_grid(config, [config.ecs.r], [coupling.s1], [coupling.s2], h)
-    if degenerate[0, 0]:
+    q, degenerate, tripped = _qfi_point(config, h)
+    if degenerate:
         raise DegeneratePostSelectionError(f"post-selection probability below floor {DEFAULT_P_FLOOR:.1e}")
-    if tripped[0, 0]:
+    if tripped:
         raise NumericalRangeError(
             f"finite-difference step h={h:g} is cancellation-dominated: "
             "successive halvings of the step do not contract the estimate"
         )
-    return float(q[0, 0])
+    return q
 
 
 def qfi_analytic(config: WeakMeasurementConfig) -> float:

@@ -6,15 +6,15 @@ supplies a batch function that returns whole column grids, nested lists
 indexed by canonical axis position, with NA already written in.
 probability, squeezing, hz and wigner read every cell from the closed-form
 coherent-state Grams of the coherent module, each side's built once per
-axis value and contracted per row, and the fixed-kappa qcrb column is
-coherent.pointer_qfi at each point: no Fock basis, no cutoff and no numpy.
-Only the renormalized qcrb column takes finite differences on Fock factors
-(observables._qfi_grid), and imports numpy for them.  _sweep reads the
-grids out in the declared outer-to-inner nesting.  The CSV rendering of
-the resulting SweepResult is deterministic: shortest-round-trip floats,
-UNIX newlines, mandatory header, and "NA" for the rows of NA_CAUSES and the
-phase bound of a vanishing QFI.  Reruns are byte-identical; across numpy
-and BLAS builds only the last digits of the renormalized QFI may differ.
+axis value and contracted per row, and qcrb is coherent.pointer_qfi at each
+point: no Fock basis, no cutoff and no numpy.  So the config's cutoff,
+tail tolerance and QFI gauge, which only the library's Fock routes read,
+change no row.  _sweep reads the grids out in the declared outer-to-inner
+nesting.  The CSV rendering of the resulting SweepResult is deterministic:
+shortest-round-trip floats, UNIX newlines, mandatory header, and "NA" for
+the rows of NA_CAUSES and the phase bound of a vanishing QFI.  Every cell
+is scalar math/cmath with no BLAS call, so reruns are byte-identical and
+the bytes do not depend on the numpy or BLAS build.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ import itertools
 import json
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import __version__
 from .coherent import contract, parity_grams, pointer_qfi, probe_sides, side_grams
 from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
-from .errors import DegeneratePostSelectionError, TruncationWarning
+from .errors import DegeneratePostSelectionError
 from .params import DEFAULT_P_FLOOR, CouplingParams, EcsParams, _check_p_floor, _meter_rows
 
 NA = "NA"
@@ -40,18 +39,9 @@ NA = "NA"
 # Q_fi below this emits an NA phase bound instead of a spuriously huge one.
 QFI_SENTINEL_FLOOR = 1e-12
 
-# Causes of NA rows, as counted in SweepResult.na_rows.  A row is counted
-# under the first cause that holds for it, in this order: a truncated Fock
-# grid cannot vouch for a P_s below the floor.
-NA_CAUSES = ("truncated", "degenerate", "richardson", "zero_qfi")
-
-# What a single point fails with for these causes; only the renormalized
-# qcrb column has a Fock grid to truncate or a finite difference to trip.
-FAILURES = {
-    "truncated": "a probe or pointer state of the renormalized QFI puts more than the tail tolerance "
-    "(--tail-tol) on or beyond its top Fock level",
-    "richardson": "the finite-difference QFI step is cancellation-dominated",
-}
+# Causes of NA rows, as counted in SweepResult.na_rows: a post-selection
+# below the P_s floor, and the phase bound of a QFI below QFI_SENTINEL_FLOOR.
+NA_CAUSES = ("degenerate", "zero_qfi")
 
 
 def format_cell(value) -> str:
@@ -103,10 +93,9 @@ def _sweep(
     """Rows of one command over the product of its axis ranges.
 
     ranges follow the command's canonical axes; order names them outermost
-    first (default: canonical).  batch() runs once, under the sweep's warning
-    capture, and returns the column grids (nested lists, one level per
-    canonical axis, NA written in) and extra metadata, whose "na_rows"
-    counts NA rows by cause.  The rows are built in canonical row-major
+    first (default: canonical).  batch() runs once and returns the column
+    grids (nested lists, one level per canonical axis, NA written in) and
+    extra metadata, whose "na_rows" counts NA rows by cause.  The rows are built in canonical row-major
     order and then taken in the declared nesting, the product of the axes'
     indices in the declared order.  The metadata's "axes" lists [name,
     start, stop, points] outermost first, so that with "config" it
@@ -118,9 +107,7 @@ def _sweep(
     if sorted(order) != sorted(axes):
         raise ValueError(f"order {order} is not a permutation of the axes {list(axes)}")
     nest = [axes.index(name) for name in order]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        columns, extra = batch()
+    columns, extra = batch()
     for _ in axes[1:]:
         columns = [list(itertools.chain.from_iterable(grid)) for grid in columns]
     rows = [point + cells for point, cells in zip(itertools.product(*(r.values() for r in ranges)), zip(*columns))]
@@ -133,7 +120,6 @@ def _sweep(
         "config": config.to_dict(),
         "axes": [[axes[i], *dataclasses.astuple(ranges[i])] for i in nest],
         "version": __version__,
-        "truncation_warnings": sum(issubclass(w.category, TruncationWarning) for w in caught),
         "rows": len(rows),
         **extra,
     }
@@ -291,15 +277,7 @@ def cmd_hz(
                   lambda: _coupling_grid(config, "hz", s1_range, s2_range, ("1", "n", "a"), columns))
 
 
-def _qfi_grid(config: WeakMeasurementConfig, rs, s1s, s2s, h: float):
-    """observables._qfi_grid, the one Fock route of the sweeps; observables,
-    and numpy with it, is imported on its first call."""
-    from .observables import _qfi_grid
-
-    return _qfi_grid(config, rs, s1s, s2s, h)
-
-
-def _fixed_kappa(config: WeakMeasurementConfig, r: float, s: float):
+def _qfi_cell(config: WeakMeasurementConfig, r: float, s: float):
     """pointer_qfi at amplitude r and coupling s1 = s2 = s, or the cause "degenerate"."""
     try:
         return pointer_qfi(EcsParams(r, config.ecs.mu, config.ecs.varphi), config.wv, CouplingParams(s, s))
@@ -315,26 +293,15 @@ def cmd_qcrb(
 ) -> SweepResult:
     """QFI and single-shot phase bound over amplitude and coupling; s1 = s2 = s.
 
-    Under "fixed-kappa" each point is one closed-form pointer_qfi call, the
-    qfi_analytic of that point, exact at any cutoff.  Under "renormalized"
-    one _qfi_grid call gives Richardson-checked finite differences on the
-    Fock factors.  Truncated, degenerate and Richardson-tripped points
-    become NA rows, and a QFI below QFI_SENTINEL_FLOOR gets an NA phase
-    bound.
+    Each point is one closed-form pointer_qfi call, the qfi_analytic of
+    that point; config.qfi_gauge, which picks the scaling of the library's
+    finite-difference QFI, is ignored.  Degenerate points become NA rows,
+    and a QFI below QFI_SENTINEL_FLOOR gets an NA phase bound.
     """
 
     def batch():
         rs, ss = r_range.values(), s_range.values()
-        if config.qfi_gauge == "fixed-kappa":
-            qs = [[_fixed_kappa(config, r, s) for s in ss] for r in rs]
-        else:
-            from .observables import DEFAULT_FD_STEP
-
-            q, *masks = (grid.tolist() for grid in _qfi_grid(config, rs, ss, ss, DEFAULT_FD_STEP))
-            failed = dict(zip(("degenerate", "truncated", "richardson"), masks))
-            causes = [cause for cause in NA_CAUSES if cause in failed]
-            qs = [[next((cause for cause in causes if failed[cause][i][j]), value) for j, value in enumerate(row)]
-                  for i, row in enumerate(q)]
+        qs = [[_qfi_cell(config, r, s) for s in ss] for r in rs]
         zero = sum(not isinstance(cell, str) and not cell >= QFI_SENTINEL_FLOOR for cell in itertools.chain(*qs))
         cells = [[cell if isinstance(cell, str) else (cell, 1.0 / math.sqrt(cell) if cell >= QFI_SENTINEL_FLOOR else NA)
                   for cell in row] for row in qs]

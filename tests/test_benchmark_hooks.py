@@ -2,21 +2,20 @@
 
 The benchmark's tracer looks up every TARGETS entry with vars(owner)[attr]
 and rebinds module globals, plain-dict values and class attributes only, so
-a renamed function, a command table that is not a plain dict, or a sweep
-that binds an observable at import time would break or blind every traced
-run.  TARGETS is read from the benchmark's file, not copied.
+a renamed function or a command table that is not a plain dict would break
+or blind every traced run.  TARGETS is read from the benchmark's file, not
+copied.
 """
 
 import importlib
 import importlib.util
 import os
 
-import numpy as np
 import pytest
 
 import ecsim.cli
 from ecsim import sweep
-from ecsim.config import RangeSpec, default_config
+from ecsim.config import RangeSpec
 
 _TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
 
@@ -52,18 +51,3 @@ def test_cli_calls_each_runner_through_its_table(monkeypatch):
     argv = ["probability", "--sweep", "s=0:0:1", "--sweep", "theta=0:0:1", "--out", os.devnull]
     assert ecsim.cli.main(argv) == 0
     assert calls == [(RangeSpec(0.0, 0.0, 1), RangeSpec(0.0, 0.0, 1))]
-
-
-def test_sweeps_look_up_the_patched_observables_when_called(monkeypatch):
-    calls = []
-
-    def qfi_grid(config, rs, s1s, s2s, h):
-        calls.append(("qfi", h))
-        clear = np.zeros((len(rs), len(s1s)), dtype=bool)
-        return np.full(clear.shape, 4.0), clear, clear, clear
-
-    monkeypatch.setattr(sweep, "_qfi_grid", qfi_grid)
-    point = RangeSpec(0.3, 0.3, 1)
-    config = default_config(qfi_gauge="renormalized")
-    assert sweep.cmd_qcrb(config, point, point).rows == ((0.3, 0.3, 4.0, 0.5),)
-    assert calls == [("qfi", 1e-5)]

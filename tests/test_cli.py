@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import oracles
@@ -15,10 +14,10 @@ from golden_cases import GOLDEN_CASES, cell_bound, golden_mismatches
 
 import ecsim
 from ecsim import __version__, sweep
-from ecsim.cli import main, parse_angle, parse_cutoff, parse_sweep
-from ecsim.config import RangeSpec, default_config
-from ecsim.fock import FockCutoff
-from ecsim.measurement import EcsParams
+from ecsim.cli import main, parse_angle, parse_sweep
+from ecsim.config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
+from ecsim.measurement import CouplingParams, EcsParams
+from ecsim.observables import qfi_finite_difference
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -26,7 +25,11 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 NEAR_PI = "0.99999999pi"
 
 # The --meta "na_rows" of a sweep without NA rows.
-CLEAN_NA_ROWS = {"degenerate": 0, "truncated": 0, "richardson": 0, "zero_qfi": 0}
+CLEAN_NA_ROWS = {"degenerate": 0, "zero_qfi": 0}
+
+# The config keys of the library's Fock routes.  No flag sets them, and a
+# --meta sidecar echoes their defaults.
+FOCK_KEYS = ("n_max_a", "n_max_b", "tail_tolerance", "qfi_gauge")
 
 
 def test_parse_angle():
@@ -44,16 +47,6 @@ def test_parse_angle():
         parse_angle("abc")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_angle("pipi")
-
-
-def test_parse_cutoff():
-    assert parse_cutoff("40") == FockCutoff(40, 40)
-    assert parse_cutoff("30,20") == FockCutoff(30, 20)
-    import argparse
-
-    for bad in ("x", "1,2,3", "0", "-3"):
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_cutoff(bad)
 
 
 def test_parse_sweep():
@@ -120,12 +113,18 @@ def test_out_and_meta_files(tmp_path):
 @pytest.mark.parametrize("flag", ["--out", "--meta"])
 def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
     path = tmp_path / "missing" / "x"
-    code = main(["probability", "--sweep", "s=0:0:1", "--sweep", "theta=0:0:1", flag, str(path)])
+    argv = ["probability", "--sweep", "s=0:0:1", "--sweep", "theta=0:0:1", flag, str(path)]
+    code = main(argv)
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ecsim: ")
     assert str(path) in captured.err
+    # With the other path writable, the run still leaves no CSV behind.
+    out = tmp_path / "o.csv"
+    other = ["--out", str(out)] if flag == "--meta" else ["--meta", str(tmp_path / "m.json")]
+    assert main(argv + other) == 2
+    assert not out.exists() and not path.exists()
 
 
 # Finite inputs whose displacement angle, axis width or squared amplitude
@@ -144,8 +143,6 @@ OVERFLOWING_INPUTS = [
     ["qcrb", "--sweep", "r=0:1e300:2"],
     # The QFI grows as r^4: at r = 1e100 it is no double, though r^2 is.
     ["qcrb", "--sweep", "r=1e100:1e100:1", "--sweep", "s=1:1:1"],
-    # A cutoff above MAX_N_MAX: its quadrature eigh alone would ask for 74.5 GiB.
-    ["probability", "--cutoff", "100000"],
 ]
 
 
@@ -155,6 +152,19 @@ def test_overflowing_input_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ecsim: ")
+
+
+@pytest.mark.parametrize("flag", ["--cutoff=40", "--tail-tol=1e-10", "--qfi-gauge=fixed-kappa"])
+@pytest.mark.parametrize("command", sorted(sweep._COMMANDS))
+def test_fock_flags_exit_two(capsys, command, flag):
+    # Every command is closed-form: the flags of the Fock grid and of the
+    # finite-difference QFI are unknown arguments, even at their defaults.
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag.split("=")[0] in captured.err
 
 
 def test_invalid_theta_exits_two(capsys):
@@ -191,96 +201,42 @@ def test_overflowing_moment_exits_two(capsys):
     assert "not a finite double" in captured.err
 
 
-def _trip_richardson_at(monkeypatch, r, s):
-    """Make the QFI batch refuse the point (r, s) as a tripped Richardson check, and nothing else."""
-    real = sweep._qfi_grid
-
-    def tripping(config, rs, s1s, s2s, *args):
-        q, degenerate, truncated, tripped = real(config, rs, s1s, s2s, *args)
-        tripped = tripped | (np.asarray(rs)[:, None] == r) & (np.asarray(s1s)[None, :] == s)
-        return q, degenerate, truncated, tripped
-
-    monkeypatch.setattr(sweep, "_qfi_grid", tripping)
-
-
-def test_qcrb_range_trip_in_grid_gets_na_row(capsys, monkeypatch, tmp_path):
-    _trip_richardson_at(monkeypatch, 0.1, 1.0)
-    meta = tmp_path / "meta.json"
-    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.05:0.1:2", "--sweep", "s=0:1:2"]
-    assert main(argv + ["--meta", str(meta)]) == 0
-    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, richardson=1)
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert [(row["r"], row["s"]) for row in rows] == [
-        ("0.05", "0.0"), ("0.05", "1.0"), ("0.1", "0.0"), ("0.1", "1.0")
-    ]
-    for row in rows:
-        tripped = (row["r"], row["s"]) == ("0.1", "1.0")
-        assert (row["Q_fi"] == "NA") == tripped
-        assert (row["delta_phi"] == "NA") == tripped
-        if not tripped:
-            assert float(row["Q_fi"]) > 0.0
-
-
-def test_qcrb_range_trip_at_single_point_exits_three(capsys, monkeypatch):
-    _trip_richardson_at(monkeypatch, 0.1, 1.0)
-    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.1:0.1:1", "--sweep", "s=1:1:1"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "cancellation-dominated" in captured.err
-
-
-def test_truncated_single_point_exits_three(capsys):
-    # At cutoff 40 the r = 6 probe is truncated, and the point used to print
-    # Q_fi = 1024.38... with exit 0.  Only the renormalized QFI has a Fock
-    # grid; the sweeps are closed-form (test_hz_needs_no_cutoff).
-    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--tail-tol" in captured.err
-    assert main(argv + ["--cutoff", "120"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split(",")[2].startswith("1434.44")
-
-
-def test_probe_beyond_the_grid_is_truncated_not_degenerate(capsys, tmp_path):
-    # The r = 1e100 probe underflows to zero on the grid: its top level holds
-    # nothing and P_s reads 0 there, but it is a truncated probe, not a
-    # degenerate post-selection.
-    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "s=1:1:1"]
-    assert main(argv + ["--sweep", "r=1e100:1e100:1"]) == 3
-    assert "--tail-tol" in capsys.readouterr().err
-    meta = tmp_path / "meta.json"
-    assert main(argv + ["--sweep", "r=0.1:1e100:2", "--meta", str(meta)]) == 0
-    assert capsys.readouterr().out.splitlines()[2] == "1e+100,1.0,NA,NA"
-    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, truncated=1)
+def _csv_at_cutoff(command: str, meta: dict, n_max: int) -> str:
+    """CSV text of the run a --meta sidecar describes, rerun through the
+    command's sweep with n_max per mode as the config's cutoff."""
+    config = WeakMeasurementConfig.from_dict(dict(meta["config"], n_max_a=n_max, n_max_b=n_max))
+    ranges = {name: RangeSpec(start, stop, points) for name, start, stop, points in meta["axes"]}
+    info = sweep._COMMANDS[command]
+    order = [axis[0] for axis in meta["axes"]]
+    return info["runner"](config, *(ranges[name] for name in info["axes"]), order=order).csv_text()
 
 
 @pytest.mark.parametrize("cutoff", ["10", "40", "120"])
 def test_hz_needs_no_cutoff(capsys, tmp_path, cutoff):
-    # The closed form prints E = 295.00003580756845, the --cutoff 120 value of
-    # the old Fock route, at any cutoff and with no truncation warning.
+    # The closed form prints E = 295.00003580756845, the cutoff-120 value of
+    # the old Fock route, and the sweep gives the same bytes whatever cutoff
+    # its config holds.
     meta = tmp_path / "meta.json"
-    argv = ["hz", "--r", "6", "--sweep", "s1=3:3:1", "--sweep", "s2=3:3:1", "--cutoff", cutoff, "--meta", str(meta)]
+    argv = ["hz", "--r", "6", "--sweep", "s1=3:3:1", "--sweep", "s2=3:3:1", "--meta", str(meta)]
     assert main(argv) == 0
     captured = capsys.readouterr()
     e_val = float(captured.out.splitlines()[1].split(",")[2])
     assert abs(e_val - 295.00003580756845) <= cell_bound(295.00003580756845)
     assert captured.err == ""
-    assert json.loads(meta.read_text())["truncation_warnings"] == 0
+    assert _csv_at_cutoff("hz", json.loads(meta.read_text()), int(cutoff)) == captured.out
 
 
 @pytest.mark.parametrize("cutoff", ["10", "40", "120"])
 def test_fixed_kappa_qcrb_needs_no_cutoff(capsys, tmp_path, cutoff):
-    # The closed-form QFI prints the --cutoff 120 value of the Fock route at
-    # any cutoff, and no truncation warning.
+    # The closed-form QFI prints the cutoff-120 value of the Fock route, and
+    # the sweep gives the same bytes whatever cutoff its config holds.
     meta = tmp_path / "meta.json"
-    argv = ["qcrb", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1", "--cutoff", cutoff, "--meta", str(meta)]
+    argv = ["qcrb", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1", "--meta", str(meta)]
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1].split(",")[2] == "1434.4456688713035"
     assert captured.err == ""
-    assert json.loads(meta.read_text())["truncation_warnings"] == 0
+    assert _csv_at_cutoff("qcrb", json.loads(meta.read_text()), int(cutoff)) == captured.out
 
 
 def test_fixed_kappa_qcrb_at_a_huge_coupling_is_finite(capsys):
@@ -292,17 +248,6 @@ def test_fixed_kappa_qcrb_at_a_huge_coupling_is_finite(capsys):
     assert main(["qcrb", "--sweep", "s=10:10:1", "--sweep", "r=0.1:0.1:1"]) == 0
     limit = capsys.readouterr().out.splitlines()[1].split(",")
     assert huge[2:] == limit[2:] == ["0.010125248956264606", "9.937957722141094"]
-
-
-def test_truncated_row_in_grid_is_na(capsys, tmp_path):
-    # The r = 6 probe is truncated at cutoff 40 on the renormalized QFI's grid.
-    meta = tmp_path / "meta.json"
-    argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.1:6:2", "--sweep", "s=1:1:1"]
-    assert main(argv + ["--meta", str(meta)]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert rows[1] == "6.0,1.0,NA,NA"
-    assert "NA" not in rows[0].split(",")
-    assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, truncated=1)
 
 
 def _hz_exact(r: float, s1: float, s2: float) -> float:
@@ -333,9 +278,7 @@ def test_rows_beyond_the_fock_grid_are_exact(capsys, tmp_path, argv, expected):
     assert len(values) == len(want)
     assert all(abs(got - value) <= cell_bound(value) for got, value in zip(values, want))
     assert captured.err == ""
-    written = json.loads(meta.read_text())
-    assert written["na_rows"] == CLEAN_NA_ROWS
-    assert written["truncation_warnings"] == 0
+    assert json.loads(meta.read_text())["na_rows"] == CLEAN_NA_ROWS
 
 
 def test_zero_qfi_single_point_exits_zero_with_na_bound(capsys, tmp_path):
@@ -359,52 +302,26 @@ def test_zero_qfi_in_grid_is_counted(capsys, tmp_path):
     assert json.loads(meta.read_text())["na_rows"] == dict(CLEAN_NA_ROWS, zero_qfi=1)
 
 
-def test_renormalized_qcrb_builds_the_mode_a_column_once():
-    # At a truncating cutoff each of the seven finite-difference probes warns
-    # for its ECS tail and its pointer tail; the mode-a column they share and
-    # the mode-b column, rotated to each phase, are built, and warn, once
-    # each: 1 + 1 + 2 * 7 warnings.  The row is NA as truncated, which the
-    # CLI refuses at a single point, so the sweep is called directly.
-    config = default_config(qfi_gauge="renormalized", ecs=EcsParams(2.0), cutoff=FockCutoff(10, 10))
-    result = sweep.cmd_qcrb(config, RangeSpec(2.0, 2.0, 1), RangeSpec(0.0, 0.0, 1))
-    assert result.metadata["truncation_warnings"] == 16
-    assert result.rows == ((2.0, 0.0, "NA", "NA"),)
-    assert result.na_rows["truncated"] == 1
-
-
-@pytest.mark.parametrize("gauge, warnings", [("fixed-kappa", 0), ("renormalized", 168)])
-def test_qcrb_counts_each_truncated_pointer_state_once(tmp_path, gauge, warnings):
-    # At cutoff 10 the pointer states of 24 default-grid points (all at
-    # s >= 1) reach the top level while every probe fits.  Under the
-    # renormalized gauge each truncated state warns once, seven (the
-    # finite-difference members) per row.  The closed-form fixed-kappa
-    # route has no Fock grid: no row is truncated and nothing warns.
-    meta = tmp_path / "meta.json"
-    argv = ["qcrb", "--cutoff", "10", "--qfi-gauge", gauge, "--out", str(tmp_path / "o.csv"), "--meta", str(meta)]
-    assert main(argv) == 0
-    written = json.loads(meta.read_text())
-    assert written["na_rows"] == dict(CLEAN_NA_ROWS, truncated=24 if warnings else 0)
-    assert written["truncation_warnings"] == warnings
-
-
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
 
 def test_qcrb_renormalized_default_grid_matches_fixed_kappa(tmp_path):
-    # The finite-difference route must finish the default grid without a
-    # false Richardson trip and agree with the closed-form QFI.
-    renormalized = tmp_path / "renormalized.csv"
-    fixed = tmp_path / "fixed.csv"
-    assert main(["qcrb", "--qfi-gauge", "renormalized", "--out", str(renormalized)]) == 0
-    assert main(["qcrb", "--out", str(fixed)]) == 0
-    fd_rows, closed_rows = _read_rows(renormalized), _read_rows(fixed)
-    assert len(fd_rows) == len(closed_rows) == 50
-    for fd, closed in zip(fd_rows, closed_rows):
-        assert (fd["r"], fd["s"]) == (closed["r"], closed["s"])
-        q_fd, q_closed = float(fd["Q_fi"]), float(closed["Q_fi"])
-        assert abs(q_fd - q_closed) <= 1e-6 * abs(q_closed)
+    # The CLI prints the closed-form QFI.  At each of its 50 default rows the
+    # library's finite-difference QFI, in either gauge, finishes without a
+    # Richardson trip (which would raise) and agrees with it.
+    out = tmp_path / "qcrb.csv"
+    assert main(["qcrb", "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert len(rows) == 50
+    config = default_config()
+    for row in rows:
+        r, s, q_closed = float(row["r"]), float(row["s"]), float(row["Q_fi"])
+        point = config.replace(ecs=EcsParams(r, config.ecs.mu, config.ecs.varphi), coupling=CouplingParams(s, s))
+        for gauge in QFI_GAUGES:
+            q_fd = qfi_finite_difference(point.replace(qfi_gauge=gauge))
+            assert abs(q_fd - q_closed) <= 1e-6 * abs(q_closed)
 
 
 def _child_env() -> dict:
@@ -427,20 +344,18 @@ def test_cli_import_does_not_load_scipy():
 
 
 # Run in a fresh interpreter: the import of ecsim and ecsim.cli, the five
-# golden invocations and the renormalized QFI, recording after each step
+# golden invocations and a single-point qcrb, recording after each step
 # whether numpy is loaded, then every public name's lookup.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import ecsim, ecsim.cli
 from golden_cases import GOLDEN_CASES
 steps = {"import": "numpy" in sys.modules}
-for name, argv in GOLDEN_CASES.items():
+cases = dict(GOLDEN_CASES, single_qcrb=["qcrb", "--sweep", "r=0.3:0.3:1", "--sweep", "s=1:1:1"])
+for name, argv in cases.items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = ecsim.cli.main(argv)
     steps[name] = (code, "numpy" in sys.modules)
-argv = ["qcrb", "--qfi-gauge", "renormalized", "--sweep", "r=0.3:0.3:1", "--sweep", "s=1:1:1"]
-with contextlib.redirect_stdout(io.StringIO()):
-    steps["renormalized"] = (ecsim.cli.main(argv), "numpy" in sys.modules)
 steps["names"] = [name for name in ecsim.__all__ if getattr(ecsim, name, None) is None]
 print(json.dumps(steps))
 """
@@ -459,9 +374,8 @@ def test_sweeps_run_without_numpy():
     steps = json.loads(proc.stdout)
     assert steps.pop("import") is False
     assert steps.pop("names") == []
-    # Only the renormalized QFI has a Fock route; it loads numpy on first use.
-    assert steps.pop("renormalized") == [0, True]
-    assert steps == {name: [0, False] for name in GOLDEN_CASES}
+    # No command has a Fock route, qcrb included: none loads numpy.
+    assert steps == {name: [0, False] for name in [*GOLDEN_CASES, "single_qcrb"]}
 
 
 def test_package_exports_its_27_public_names():
@@ -525,28 +439,27 @@ def test_degenerate_single_point_exits_four(capsys):
     assert out.splitlines()[1].endswith("NA")
 
 
-def _assert_wigner_needs_no_cutoff(capsys, argv):
-    outputs = []
-    for cutoff in ("12", "40"):
-        assert main(argv + ["--cutoff", cutoff]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        outputs.append(captured.out)
-    assert outputs[0] == outputs[1]
+def _assert_wigner_needs_no_cutoff(capsys, tmp_path, argv):
+    meta = tmp_path / "meta.json"
+    assert main(argv + ["--meta", str(meta)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for n_max in (12, 40):
+        assert _csv_at_cutoff("wigner", json.loads(meta.read_text()), n_max) == captured.out
 
 
-def test_overfilled_wigner_state_needs_no_cutoff(capsys):
-    # The r = 1 state puts more than --tail-tol on level 12, which the Fock
-    # route refused with exit 3; the closed form prints the same grid at any
-    # cutoff.
+def test_overfilled_wigner_state_needs_no_cutoff(capsys, tmp_path):
+    # The r = 1 state puts more than the default tail tolerance on level 12,
+    # which the Fock route refused; the closed form prints the same grid
+    # whatever cutoff its config holds.
     argv = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]
-    _assert_wigner_needs_no_cutoff(capsys, argv)
+    _assert_wigner_needs_no_cutoff(capsys, tmp_path, argv)
 
 
-def test_default_wigner_grid_needs_no_cutoff(capsys):
+def test_default_wigner_grid_needs_no_cutoff(capsys, tmp_path):
     # The default grid's displacements by 2 leave a cutoff of 12, which the
     # Fock route refused as out of range; the closed form has no range check.
-    _assert_wigner_needs_no_cutoff(capsys, ["wigner", "--r", "1"])
+    _assert_wigner_needs_no_cutoff(capsys, tmp_path, ["wigner", "--r", "1"])
 
 
 @pytest.mark.parametrize(
@@ -588,27 +501,6 @@ def test_default_nesting_is_canonical(capsys):
     lines = capsys.readouterr().out.splitlines()
     s_vals = [line.split(",")[0] for line in lines[1:]]
     assert s_vals == ["0.0", "0.0", "1.0", "1.0"]
-
-
-def test_cutoff_override_changes_metadata(tmp_path):
-    meta_path = tmp_path / "m.json"
-    code = main(
-        [
-            "squeezing",
-            "--cutoff",
-            "12,14",
-            "--sweep",
-            "s1=0:0:1",
-            "--sweep",
-            "s2=0:0:1",
-            "--meta",
-            str(meta_path),
-        ]
-    )
-    assert code == 0
-    meta = json.loads(meta_path.read_text())
-    assert meta["config"]["n_max_a"] == 12
-    assert meta["config"]["n_max_b"] == 14
 
 
 def test_module_entry_point_subprocess():
@@ -682,7 +574,7 @@ def test_golden_files_reproduce(tmp_path, name):
     golden = _read_text(os.path.join(GOLDEN_DIR, name))
     problems = golden_mismatches(name, golden, _read_text(fresh))
     assert not problems, "\n".join(problems)
-    want = {"config": DEFAULT_CONFIG_ECHO, "version": __version__, "truncation_warnings": 0}
+    want = {"config": DEFAULT_CONFIG_ECHO, "version": __version__}
     want.update(GOLDEN_METADATA[name])
     meta = json.loads(meta_path.read_text())
     if "grid_min" in want:
@@ -704,8 +596,8 @@ def test_sweep_builds_the_probe_once(monkeypatch, tmp_path, argv, builds):
     # per axis value and contract them per row: 2 + 1 builds on a 2 x 1
     # coupling grid and 16 + 16 on the default one, where building per row
     # would take 2 and 2 per row.  probability ties s and theta on both
-    # sides, so each of its rows has its own pair.  At r = 2 and cutoff 10,
-    # where the Fock probe was truncated, nothing warns and no row is NA.
+    # sides, so each of its rows has its own pair.  At r = 2, where a Fock
+    # probe at cutoff 10 is truncated, no row is NA.
     calls = []
     real = sweep.side_grams
 
@@ -715,12 +607,10 @@ def test_sweep_builds_the_probe_once(monkeypatch, tmp_path, argv, builds):
 
     monkeypatch.setattr(sweep, "side_grams", counting)
     meta, out = tmp_path / "meta.json", tmp_path / "o.csv"
-    argv = argv + ["--r", "2", "--cutoff", "10", "--out", str(out), "--meta", str(meta)]
+    argv = argv + ["--r", "2", "--out", str(out), "--meta", str(meta)]
     assert main(argv) == 0
     assert len(calls) == builds
-    written = json.loads(meta.read_text())
-    assert written["truncation_warnings"] == 0
-    assert written["na_rows"] == CLEAN_NA_ROWS
+    assert json.loads(meta.read_text())["na_rows"] == CLEAN_NA_ROWS
     assert "NA" not in out.read_text()
 
 
@@ -844,15 +734,13 @@ def test_golden_mismatches_accepts_rounding_drift():
 REPLAY_FLAGS = [
     "--r", "0.4", "--mu", "0.3pi", "--varphi", "0.7pi", "--theta1", "0.6pi", "--delta1", "0.2pi",
     "--theta2", "0.5pi", "--delta2", "1.1pi", "--s1", "0.7", "--s2", "0.4", "--theta-big", "0.3pi",
-    "--cutoff", "20,24", "--tail-tol", "1e-9", "--qfi-gauge", "renormalized",
 ]
 
 
 def replay_argv(meta: dict) -> list[str]:
     """The argv tail of the run a --meta sidecar describes, from the sidecar alone."""
-    config = dict(meta["config"])
-    argv = [f"--cutoff={config.pop('n_max_a')},{config.pop('n_max_b')}", f"--tail-tol={config.pop('tail_tolerance')}"]
-    argv += [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
+    config = {key: value for key, value in meta["config"].items() if key not in FOCK_KEYS}
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
     for name, start, stop, points in meta["axes"]:
         argv += ["--sweep", f"{name}={start}:{stop}:{points}"]
     return argv
@@ -880,7 +768,8 @@ def test_sidecar_replays_its_run(tmp_path, command):
     assert main(argv + ["--out", f"{first}.csv", "--meta", f"{first}.json"]) == 0
     meta = json.loads(_read_text(f"{first}.json"))
     defaults = default_config().to_dict()
-    assert all(meta["config"][key] != value for key, value in defaults.items())
+    for key, value in defaults.items():
+        assert (meta["config"][key] == value) == (key in FOCK_KEYS)
     assert main([command, *replay_argv(meta), "--out", f"{again}.csv", "--meta", f"{again}.json"]) == 0
     for suffix in (".csv", ".json"):
         assert _read_text(f"{again}{suffix}") == _read_text(f"{first}{suffix}")

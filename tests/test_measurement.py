@@ -30,6 +30,7 @@ from ecsim.measurement import (
     weak_value_y,
 )
 from ecsim.observables import qfi_analytic
+from ecsim.params import _meter_rows
 
 CUT40 = fock.FockCutoff(40, 40)
 HALF_PI = 0.5 * math.pi
@@ -113,7 +114,7 @@ def test_branch_weights_sum_to_four():
         assert abs(total - 4.0) < 1e-12
         signs = [(sa, sb) for _, sa, sb in branches]
         assert signs == [(1, 1), (-1, -1), (-1, 1), (1, -1)]
-        (c_a, d_a), (c_b, d_b) = measurement._meter_weights([wv])[0]
+        (c_a, d_a), (c_b, d_b) = _meter_rows(wv)
         for weight, sign_a, sign_b in branches:
             product = 0.5 * (c_a + sign_a * d_a) * 0.5 * (c_b + sign_b * d_b)
             expected = 0.25 * oracles.meter_overlap(wv.theta1, wv.theta2) * weight
@@ -356,9 +357,9 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
-        arms, mixed = measurement._pointer_factors(left, right, [s1], [s2], [wv])
-        assert mixed.shape == (1, 1, len(varphis), n_max + 1, 2)
-        raw = arms[0] @ mixed[0, 0].swapaxes(-1, -2)
+        arm, mixed = measurement._pointer_factors(left, right, wv, coupling)
+        assert mixed.shape == (len(varphis), n_max + 1, 2)
+        raw = arm @ mixed.swapaxes(-1, -2)
         for k, varphi in enumerate(varphis):
             ecs = build_ecs(EcsParams(r, mu, varphi), cutoff)
             dense_raw = apply_displacement_branches(ecs, wv, coupling).amplitudes
@@ -376,39 +377,32 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
     r=st.floats(0.0, 1.5),
     mu=PHASES,
     varphis=st.lists(PHASES, min_size=2, max_size=7),
-    wv_angles=st.lists(st.tuples(THETAS, PHASES, THETAS, PHASES), min_size=2, max_size=4),
-    s1s=st.lists(COUPLINGS, min_size=2, max_size=5),
-    s2s=st.lists(COUPLINGS, min_size=2, max_size=5),
+    angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
+    s1=COUPLINGS,
+    s2=COUPLINGS,
     n_max=st.sampled_from([12, 40]),
 )
-def test_one_point_factors_equal_their_slot_in_a_batch(r, mu, varphis, wv_angles, s1s, s2s, n_max):
-    """A sweep row and a one-point library call build bit-identical factors:
-    each slot of one _pointer_factors call over several couplings, meter
-    angles and members equals, with np.array_equal, the call at that slot
-    alone, with all members or with its own member only; and the one-point
-    pointer grid behind pointer_outcome is exactly the product of the
-    one-point factors of its probe."""
+def test_one_point_factors_equal_their_slot_in_a_batch(r, mu, varphis, angles, s1, s2, n_max):
+    """A finite-difference member and a one-point library call build
+    bit-identical factors: each member of one _pointer_factors call on a
+    stack of probes equals, with np.array_equal, the call on that member
+    alone; and the one-point pointer grid behind pointer_outcome is exactly
+    the product of the factors of its probe."""
     cutoff = fock.FockCutoff(n_max, n_max)
-    wvs = [WeakValueParams(*angles) for angles in wv_angles]
+    wv, coupling = WeakValueParams(*angles), CouplingParams(s1, s2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
-        fac_a, fac_b = measurement._pointer_factors(left, right, s1s, s2s, wvs)
-        for w, wv in enumerate(wvs):
-            for i, s1 in enumerate(s1s):
-                j, k = i % len(s2s), (i + w) % len(varphis)
-                one_a, one_b = measurement._pointer_factors(left, right, [s1], [s2s[j]], [wv])
-                assert np.array_equal(one_a[0, 0], fac_a[i, w])
-                assert np.array_equal(one_b[0, 0], fac_b[j, w])
-                _, member_b = measurement._pointer_factors(left, right[k], [s1], [s2s[j]], [wv])
-                assert np.array_equal(member_b[0, 0], fac_b[j, w, k])
-        config = default_config(
-            ecs=EcsParams(r, mu, varphis[0]), wv=wvs[0], coupling=CouplingParams(s1s[0], s2s[0]), cutoff=cutoff
-        )
+        fac_a, fac_b = measurement._pointer_factors(left, right, wv, coupling)
+        for k in range(len(varphis)):
+            one_a, one_b = measurement._pointer_factors(left, right[k], wv, coupling)
+            assert np.array_equal(one_a, fac_a)
+            assert np.array_equal(one_b, fac_b[k])
+        config = default_config(ecs=EcsParams(r, mu, varphis[0]), wv=wv, coupling=coupling, cutoff=cutoff)
         probe_l, probe_r = ecs_factors(config.ecs, cutoff)
-        one_a, one_b = measurement._pointer_factors(probe_l, probe_r[0], s1s[:1], s2s[:1], wvs[:1])
+        one_a, one_b = measurement._pointer_factors(probe_l, probe_r[0], wv, coupling)
         raw = config.raw_pointer_state().amplitudes
-        assert np.array_equal(raw, one_a[0, 0] @ one_b[0, 0].T)
+        assert np.array_equal(raw, one_a @ one_b.T)
         assert config.pointer_outcome().success_probability == float(np.vdot(raw, raw).real)
 
 

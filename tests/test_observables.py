@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ecsim import fock, sweep
+from ecsim import fock, observables, sweep
 from ecsim.config import RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
 from ecsim.measurement import (
@@ -342,6 +342,33 @@ def test_qfi_warns_once_per_truncated_pointer_state(qfi, gauge, warned):
     assert [w.category for w in caught] == [TruncationWarning] * warned
 
 
+def test_finite_difference_qfi_builds_the_mode_a_column_once():
+    # At a truncating cutoff each of the seven finite-difference probes warns
+    # for its ECS tail and its pointer tail; the mode-a column they share and
+    # the mode-b column, rotated to each phase, are built, and warn, once
+    # each: 1 + 1 + 2 * 7 warnings.
+    config = default_config(qfi_gauge="renormalized", ecs=EcsParams(2.0), cutoff=fock.FockCutoff(10, 10))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qfi_finite_difference(config)
+    assert [w.category for w in caught] == [TruncationWarning] * 16
+
+
+@pytest.mark.parametrize("gauge", ["fixed-kappa", "renormalized"])
+def test_finite_difference_qfi_of_a_large_probe_needs_a_large_cutoff(gauge):
+    # At cutoff 40 the r = 6 probe is truncated: the finite differences warn
+    # and read 1024.38.  At cutoff 120 they agree with the closed form, which
+    # needs no cutoff, and nothing warns.
+    config = baseline_config(6.0, 1.0, qfi_gauge=gauge)
+    with pytest.warns(TruncationWarning):
+        assert f"{qfi_finite_difference(config):.2f}" == "1024.38"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        q_fd = qfi_finite_difference(config.replace(cutoff=fock.FockCutoff(120, 120)))
+    assert q_fd == pytest.approx(1434.4456688713035, rel=1e-7)
+    assert qfi_analytic(config) == 1434.4456688713035
+
+
 def test_checked_richardson_contracts_and_rejects():
     steps = 1e-5 * np.array([1.0, 0.5, 0.25])
     q, tripped = _richardson(1.0 + 1e6 * steps**2, 1e-5)
@@ -350,6 +377,15 @@ def test_checked_richardson_contracts_and_rejects():
     q, tripped = _richardson(np.array([[1.001, 0.999, 1.001], [np.nan] * 3]), 1e-5)
     assert q[0] == 0.999
     assert tripped.tolist() == [True, False]
+
+
+def test_tripped_richardson_check_raises(monkeypatch):
+    # A point whose finite differences fail the Richardson check is refused,
+    # in either gauge, never returned as a number.
+    monkeypatch.setattr(observables, "_richardson", lambda q, h: (q[1], np.True_))
+    for gauge in ("fixed-kappa", "renormalized"):
+        with pytest.raises(NumericalRangeError, match="cancellation-dominated"):
+            qfi_finite_difference(baseline_config(0.3, 1.0, qfi_gauge=gauge))
 
 
 # Property tests of the Gram route the sweeps take: every column of a sweep
@@ -593,12 +629,12 @@ def test_qfi_matches_the_tensor_oracle_family(r, mu, varphi, angles, s1, s2):
     gauge=st.sampled_from(["fixed-kappa", "renormalized"]),
 )
 def test_cmd_qcrb_rows_equal_the_one_point_library_calls(r, s, mu, varphi, angles, gauge):
+    # The sweep prints the closed-form QFI under either gauge: the gauge picks
+    # only the scaling of the library's finite-difference QFI.
     config = gram_config(0.5, mu, varphi, angles, 40, qfi_gauge=gauge)
-    qfi = qfi_analytic if gauge == "fixed-kappa" else qfi_finite_difference
     for r_value, s_value, q, _ in sweep.cmd_qcrb(config, r, s).rows:
         at = config.replace(ecs=EcsParams(r_value, mu, varphi), coupling=CouplingParams(s_value, s_value))
-        expected = qfi(at)
-        assert abs(q - expected) <= 1e-13 * abs(expected)
+        assert q == qfi_analytic(at)
 
 
 def test_distinct_points_leave_no_displacement_memory_behind():
