@@ -15,9 +15,11 @@ The script prints, per invocation, the median wall time and its quartiles
 for both trees, their ratio (change / parent), and whether every timed run
 of both trees wrote the same stdout bytes ("same") or not ("DIFFER").
 Then, per tree, it prints where a cold run spends that time: from one more
-fresh process per invocation and round, the medians of `import numpy`, of
-`import ecsim.cli` after it, and of the run through ecsim.cli.main.  Exits 1 when
-any run exits non-zero.
+fresh process per invocation and round, the medians of `import ecsim.cli`
+and of the run through ecsim.cli.main.  The import is timed as
+perfbench/child.py times it, between two perf_counter calls in a fresh
+process, but with only sys and time imported before it, so it is the
+import that a CLI run pays.  Exits 1 when any run exits non-zero.
 """
 
 import argparse
@@ -36,20 +38,21 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))
 from golden_cases import GOLDEN_CASES  # noqa: E402
 
 # One fresh process: the in-process split of one invocation, as JSON seconds.
+# The modules that the split itself needs load after the import it times.
 SPLIT = """
-import contextlib, io, json, sys, time
-start = time.perf_counter()
-import numpy
-numpy_s = time.perf_counter() - start
+import sys, time
 start = time.perf_counter()
 import ecsim.cli
 import_s = time.perf_counter() - start
+import contextlib, io
 start = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):
     code = ecsim.cli.main(sys.argv[1:])
-print(json.dumps({"numpy": numpy_s, "ecsim": import_s, "run": time.perf_counter() - start, "code": code}))
+run_s = time.perf_counter() - start
+import json
+print(json.dumps({"ecsim": import_s, "run": run_s, "code": code}))
 """
-PARTS = ("numpy", "ecsim", "run")
+PARTS = ("ecsim", "run")
 
 
 def src_dir(tree: str) -> str:
@@ -122,7 +125,7 @@ def main(argv=None) -> int:
         same = "same" if len(outputs[case]) == 1 else "DIFFER"
         print(f"{case:<26}{p:>8.1f} [{p1:6.1f}, {p3:6.1f}]{c:>8.1f} [{c1:6.1f}, {c3:6.1f}]{c / p:>8.3f}{same:>8}")
     for name in trees:
-        print(f"# {name}: in-process median ms of `import numpy`, `import ecsim.cli` after it, and the run")
+        print(f"# {name}: in-process median ms of `import ecsim.cli` and of the run")
         for case in GOLDEN_CASES:
             medians = [1e3 * statistics.median(parts[name][case][part]) for part in PARTS]
             print(f"{case:<26}" + "".join(f"{part} {value:7.1f}  " for part, value in zip(PARTS, medians)))

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .params import DEFAULT_TAIL_TOL, CouplingParams, EcsParams, FockCutoff, WeakValueParams
+from .params import DEFAULT_TAIL_TOL, CouplingParams, EcsParams, FockCutoff, WeakValueParams, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,7 +20,7 @@ QFI_GAUGES = ("fixed-kappa", "renormalized")
 MAX_N_MAX = 1000
 # The config fields that hold a record; to_dict spells out their fields.
 _RECORDS = {"ecs": EcsParams, "wv": WeakValueParams, "coupling": CouplingParams, "cutoff": FockCutoff}
-# default_config's records; they are frozen, so every config shares them.
+# default_config's records; they are immutable, so every config shares them.
 _BASELINE = {
     "ecs": EcsParams(r=0.1, mu=0.5 * math.pi, varphi=0.5 * math.pi),
     "wv": WeakValueParams(theta1=0.8 * math.pi, delta1=0.5 * math.pi, theta2=0.8 * math.pi, delta2=0.5 * math.pi),
@@ -30,32 +28,30 @@ _BASELINE = {
 }
 
 
-@dataclass(frozen=True)
-class RangeSpec:
+class RangeSpec(_Record):
     """Inclusive linear range with a fixed point count.
 
     points == 1 pins the range to its start value (stop must then agree);
     points >= 2 requires stop > start.
     """
 
-    start: float
-    stop: float
-    points: int
+    __slots__ = ("start", "stop", "points")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.points, int) or self.points < 1:
-            raise ValueError(f"points must be an integer >= 1, got {self.points!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+    def __init__(self, start: float, stop: float, points: int) -> None:
+        if not isinstance(points, int) or points < 1:
+            raise ValueError(f"points must be an integer >= 1, got {points!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("range endpoints must be finite")
-        if not math.isfinite(self.stop - self.start):
-            raise ValueError(f"range width stop - start overflows for [{self.start}, {self.stop}]")
-        if self.points == 1:
-            if self.stop != self.start:
+        if not math.isfinite(stop - start):
+            raise ValueError(f"range width stop - start overflows for [{start}, {stop}]")
+        if points == 1:
+            if stop != start:
                 raise ValueError("single-point range requires stop == start")
-        elif self.stop <= self.start:
+        elif stop <= start:
             raise ValueError(
-                f"range requires stop > start for points >= 2, got [{self.start}, {self.stop}]"
+                f"range requires stop > start for points >= 2, got [{start}, {stop}]"
             )
+        self._set(start, stop, points)
 
     def values(self) -> list[float]:
         """The points start + i step, step = (stop - start) / (points - 1), and
@@ -80,35 +76,35 @@ def _wigner_axes(re_gamma: RangeSpec, re_beta: RangeSpec) -> tuple[list[float], 
     return re_gamma.values(), re_beta.values()
 
 
-@dataclass(frozen=True)
-class WeakMeasurementConfig:
+class WeakMeasurementConfig(_Record):
     """Full parameter set for one post-selected weak-measurement scenario."""
 
-    ecs: EcsParams
-    wv: WeakValueParams
-    coupling: CouplingParams
-    theta_big: float = 0.5 * math.pi
-    cutoff: FockCutoff = field(default_factory=lambda: FockCutoff(40, 40))
-    tail_tolerance: float = DEFAULT_TAIL_TOL
-    qfi_gauge: str = "fixed-kappa"
+    __slots__ = ("ecs", "wv", "coupling", "theta_big", "cutoff", "tail_tolerance", "qfi_gauge")
 
-    def __post_init__(self) -> None:
-        if self.qfi_gauge not in QFI_GAUGES:
-            raise ValueError(f"qfi_gauge must be one of {QFI_GAUGES}, got {self.qfi_gauge!r}")
-        if not (0.0 < self.tail_tolerance <= 1e-4):
+    def __init__(
+        self,
+        ecs: EcsParams,
+        wv: WeakValueParams,
+        coupling: CouplingParams,
+        theta_big: float = 0.5 * math.pi,
+        cutoff: FockCutoff = FockCutoff(40, 40),  # one immutable record, shared by every config
+        tail_tolerance: float = DEFAULT_TAIL_TOL,
+        qfi_gauge: str = "fixed-kappa",
+    ) -> None:
+        if qfi_gauge not in QFI_GAUGES:
+            raise ValueError(f"qfi_gauge must be one of {QFI_GAUGES}, got {qfi_gauge!r}")
+        if not (0.0 < tail_tolerance <= 1e-4):
             raise ValueError(
-                f"tail_tolerance must lie in (0, 1e-4], got {self.tail_tolerance!r}"
+                f"tail_tolerance must lie in (0, 1e-4], got {tail_tolerance!r}"
             )
-        if max(self.cutoff.n_max_a, self.cutoff.n_max_b) > MAX_N_MAX:
+        if max(cutoff.n_max_a, cutoff.n_max_b) > MAX_N_MAX:
             raise ValueError(
                 f"cutoff n_max must be at most {MAX_N_MAX} per mode, "
-                f"got n_max_a={self.cutoff.n_max_a}, n_max_b={self.cutoff.n_max_b}"
+                f"got n_max_a={cutoff.n_max_a}, n_max_b={cutoff.n_max_b}"
             )
-        if not (math.isfinite(self.theta_big)):
-            raise ValueError(f"theta_big must be finite, got {self.theta_big!r}")
-
-    def replace(self, **changes) -> "WeakMeasurementConfig":
-        return dataclasses.replace(self, **changes)
+        if not (math.isfinite(theta_big)):
+            raise ValueError(f"theta_big must be finite, got {theta_big!r}")
+        self._set(ecs, wv, coupling, theta_big, cutoff, tail_tolerance, qfi_gauge)
 
     # The Fock routes below import fock and measurement, and so numpy, on first use.
     def ecs_state(self) -> TwoModeState:
@@ -138,18 +134,17 @@ class WeakMeasurementConfig:
         """The flat record: each sub-record of _RECORDS spelled out as its own
         fields (r, mu, ..., n_max_b), each other field under its own name."""
         flat = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            flat.update(dataclasses.asdict(value) if f.name in _RECORDS else {f.name: value})
+        for name, value in self._fields().items():
+            flat.update(value._fields() if name in _RECORDS else {name: value})
         return flat
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeakMeasurementConfig":
         """Inverse of to_dict: the flat keys are the sub-records' field names
         and the other fields' names.  Any other key is ignored."""
-        kwargs = {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name not in _RECORDS}
+        kwargs = {name: data[name] for name in cls.__slots__ if name not in _RECORDS}
         for name, record in _RECORDS.items():
-            kwargs[name] = record(**{f.name: data[f.name] for f in dataclasses.fields(record)})
+            kwargs[name] = record(**{field: data[field] for field in record.__slots__})
         return cls(**kwargs)
 
 

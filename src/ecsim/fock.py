@@ -21,47 +21,43 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import TruncationWarning
-from .params import DEFAULT_TAIL_TOL, FockCutoff
+from .params import DEFAULT_TAIL_TOL, FockCutoff, _ArrayRecord
 
 
-@dataclass(frozen=True, eq=False)
-class TwoModeState:
+class TwoModeState(_ArrayRecord):
     """Immutable two-mode ket; amplitudes[n_a, n_b] = <n_a, n_b|psi>."""
 
-    amplitudes: np.ndarray
-    cutoff: FockCutoff
+    __slots__ = ("amplitudes", "cutoff")
 
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (self.cutoff.dim_a, self.cutoff.dim_b):
+    def __init__(self, amplitudes: np.ndarray, cutoff: FockCutoff) -> None:
+        amp = np.asarray(amplitudes, dtype=np.complex128)
+        if amp.shape != (cutoff.dim_a, cutoff.dim_b):
             raise ValueError(
                 f"amplitude grid shape {amp.shape} does not match cutoff "
-                f"({self.cutoff.dim_a}, {self.cutoff.dim_b})"
+                f"({cutoff.dim_a}, {cutoff.dim_b})"
             )
         amp = amp.copy()
         amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        self._set(amp, cutoff)
 
 
-@dataclass(frozen=True, eq=False)
-class ModeOperator:
+class ModeOperator(_ArrayRecord):
     """Dense single-mode operator on the truncated basis."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+    def __init__(self, matrix: np.ndarray) -> None:
+        mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         mat = mat.copy()
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._set(mat)
 
     @property
     def n_max(self) -> int:

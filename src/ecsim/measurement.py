@@ -48,7 +48,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,17 +67,19 @@ from .params import (
     CouplingParams,
     EcsParams,
     WeakValueParams,
+    _ArrayRecord,
     _check_p_floor,
     _meter_rows,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PostSelectedOutcome:
+class PostSelectedOutcome(_ArrayRecord):
     """Normalized conditional pointer state plus its success probability."""
 
-    state: TwoModeState
-    success_probability: float
+    __slots__ = ("state", "success_probability")
+
+    def __init__(self, state: TwoModeState, success_probability: float) -> None:
+        self._set(state, success_probability)
 
 
 def weak_value_x(theta1: float, delta1: float) -> complex:

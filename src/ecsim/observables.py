@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,7 +48,7 @@ from .fock import (
     warn_if_truncated,
 )
 from .measurement import _pointer_factors, ecs_factors
-from .params import DEFAULT_P_FLOOR
+from .params import DEFAULT_P_FLOOR, _ArrayRecord, _Record
 
 # Displaced states whose top-level mass exceeds this are outside the
 # trustworthy window of the truncated basis.
@@ -81,13 +80,13 @@ def _mode_occupations(arr: np.ndarray) -> tuple[float, float]:
     return float(levels(arr.shape[0])[0] @ prob.sum(axis=1)), float(prob.sum(axis=0) @ levels(arr.shape[1])[0])
 
 
-@dataclass(frozen=True)
-class SqueezingReport:
+class SqueezingReport(_Record):
     """Both evaluations of the sum-squeezing parameter at one angle."""
 
-    s2s_direct: float
-    s2s_normal_ordered: float
-    theta_big: float
+    __slots__ = ("s2s_direct", "s2s_normal_ordered", "theta_big")
+
+    def __init__(self, s2s_direct: float, s2s_normal_ordered: float, theta_big: float) -> None:
+        self._set(s2s_direct, s2s_normal_ordered, theta_big)
 
 
 def _squeezing_routes(arr: np.ndarray, theta_big: float) -> tuple[float, float]:
@@ -134,19 +133,16 @@ def squeezing_report(state: TwoModeState, theta_big: float) -> SqueezingReport:
     return SqueezingReport(s2s_direct=direct, s2s_normal_ordered=normal, theta_big=theta_big)
 
 
-@dataclass(frozen=True, eq=False)
-class WignerGrid:
+class WignerGrid(_ArrayRecord):
     """Joint-parity values on a rectangular real cross-section of phase space."""
 
-    re_gamma_axis: np.ndarray
-    re_beta_axis: np.ndarray
-    values: np.ndarray
+    __slots__ = ("re_gamma_axis", "re_beta_axis", "values")
 
-    def __post_init__(self) -> None:
-        for name in ("re_gamma_axis", "re_beta_axis", "values"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+    def __init__(self, re_gamma_axis: np.ndarray, re_beta_axis: np.ndarray, values: np.ndarray) -> None:
+        arrays = [np.asarray(arr, dtype=np.float64) for arr in (re_gamma_axis, re_beta_axis, values)]
+        for arr in arrays:
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._set(*arrays)
         if self.values.shape != (self.re_gamma_axis.size, self.re_beta_axis.size):
             raise ValueError("grid value shape does not match its axes")
 

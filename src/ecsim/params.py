@@ -4,15 +4,15 @@ EcsParams, WeakValueParams and CouplingParams describe the probe, the two
 meters and their couplings (see the measurement module for the model), and
 FockCutoff the truncated basis of the library's Fock routes.  The records
 validate themselves, and _meter_rows gives each meter's exact amplitudes
-(c_i, d_i).  Nothing here needs numpy, so the sweep CLI can import it
-without loading numpy.
+(c_i, d_i).  _Record is the base of every record of the package.  Nothing
+here needs numpy or dataclasses, so the sweep CLI can import it without
+loading either.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DegeneratePostSelectionError
 
@@ -27,18 +27,84 @@ DEFAULT_TAIL_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
 
+# Writes a field past _Record.__setattr__, which refuses every assignment.
+_store = object.__setattr__
 
-@dataclass(frozen=True)
-class FockCutoff:
+
+class _Record:
+    """Base of the package's records: immutable value objects over __slots__.
+
+    Each record names its fields, in constructor order, in __slots__ and
+    validates them in __init__, which stores them with _set.  Assignment and
+    deletion raise AttributeError.  A record equals another of its exact type
+    with equal fields and hashes by its fields; repr shows the fields as the
+    constructor takes them; replace(**changes) builds a new record, validated
+    again.  copy, deepcopy and pickle rebuild a record through _restore,
+    which stores the values as they are.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _store(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _fields(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def replace(self, **changes):
+        return type(self)(**{**self._fields(), **changes})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return _restore, (type(self), self._values())
+
+
+class _ArrayRecord(_Record):
+    """A record that holds numpy arrays: it equals and hashes as itself only."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def _restore(cls: type, values: tuple) -> _Record:
+    """The record of type cls with the field values as given, unvalidated."""
+    record = object.__new__(cls)
+    record._set(*values)
+    return record
+
+
+class FockCutoff(_Record):
     """Per-mode truncation levels; mode a keeps n_max_a + 1 basis states."""
 
-    n_max_a: int
-    n_max_b: int
+    __slots__ = ("n_max_a", "n_max_b")
 
-    def __post_init__(self) -> None:
-        for label, n in (("n_max_a", self.n_max_a), ("n_max_b", self.n_max_b)):
+    def __init__(self, n_max_a: int, n_max_b: int) -> None:
+        for label, n in (("n_max_a", n_max_a), ("n_max_b", n_max_b)):
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"{label} must be an integer >= 1, got {n!r}")
+        self._set(n_max_a, n_max_b)
 
     @property
     def dim_a(self) -> int:
@@ -53,23 +119,19 @@ class FockCutoff:
         return self.dim_a * self.dim_b
 
 
-@dataclass(frozen=True)
-class EcsParams:
+class EcsParams(_Record):
     """Probe-state parameters: amplitude r >= 0, phases mu and varphi."""
 
-    r: float
-    mu: float = 0.0
-    varphi: float = 0.0
+    __slots__ = ("r", "mu", "varphi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: float, mu: float = 0.0, varphi: float = 0.0) -> None:
         # normalization squares r, and so does each coherent column.
-        if not (self.r >= 0.0 and math.isfinite(self.r * self.r)):
-            raise ValueError(f"r must be >= 0 with a finite square, got {self.r!r}")
-        for label, phase in (("mu", self.mu), ("varphi", self.varphi)):
+        if not (r >= 0.0 and math.isfinite(r * r)):
+            raise ValueError(f"r must be >= 0 with a finite square, got {r!r}")
+        for label, phase in (("mu", mu), ("varphi", varphi)):
             if not math.isfinite(phase):
                 raise ValueError(f"{label} must be finite, got {phase!r}")
-        object.__setattr__(self, "mu", float(self.mu) % TWO_PI)
-        object.__setattr__(self, "varphi", float(self.varphi) % TWO_PI)
+        self._set(r, float(mu) % TWO_PI, float(varphi) % TWO_PI)
 
     @property
     def alpha(self) -> complex:
@@ -81,38 +143,34 @@ class EcsParams:
         return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-self.r**2)))
 
 
-@dataclass(frozen=True)
-class WeakValueParams:
+class WeakValueParams(_Record):
     """Meter pre-selection angles; theta_i in [0, pi), delta_i in [0, 2 pi]."""
 
-    theta1: float
-    delta1: float
-    theta2: float
-    delta2: float
+    __slots__ = ("theta1", "delta1", "theta2", "delta2")
 
-    def __post_init__(self) -> None:
-        for label, theta in (("theta1", self.theta1), ("theta2", self.theta2)):
+    def __init__(self, theta1: float, delta1: float, theta2: float, delta2: float) -> None:
+        for label, theta in (("theta1", theta1), ("theta2", theta2)):
             if not (0.0 <= theta < math.pi) or theta > THETA_GUARD:
                 raise ValueError(
                     f"{label} must lie in [0, pi) below the divergence guard "
                     f"{THETA_GUARD!r}, got {theta!r}"
                 )
-        for label, delta in (("delta1", self.delta1), ("delta2", self.delta2)):
+        for label, delta in (("delta1", delta1), ("delta2", delta2)):
             if not (0.0 <= delta <= TWO_PI):
                 raise ValueError(f"{label} must lie in [0, 2 pi], got {delta!r}")
+        self._set(theta1, delta1, theta2, delta2)
 
 
-@dataclass(frozen=True)
-class CouplingParams:
+class CouplingParams(_Record):
     """Dimensionless interaction strengths s_i >= 0."""
 
-    s1: float
-    s2: float
+    __slots__ = ("s1", "s2")
 
-    def __post_init__(self) -> None:
-        for label, s in (("s1", self.s1), ("s2", self.s2)):
+    def __init__(self, s1: float, s2: float) -> None:
+        for label, s in (("s1", s1), ("s2", s2)):
             if not (s >= 0.0 and math.isfinite(s)):
                 raise ValueError(f"{label} must be finite and >= 0, got {s!r}")
+        self._set(s1, s2)
 
 
 def _meter_rows(wv: WeakValueParams) -> tuple[tuple[complex, complex], tuple[complex, complex]]:

@@ -20,19 +20,16 @@ the bytes do not depend on the numpy or BLAS build.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import itertools
-import json
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import __version__
 from .coherent import contract, parity_grams, pointer_qfi, probe_sides, side_grams
 from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
 from .errors import DegeneratePostSelectionError
-from .params import DEFAULT_P_FLOOR, CouplingParams, EcsParams, _check_p_floor, _meter_rows
+from .params import DEFAULT_P_FLOOR, CouplingParams, EcsParams, _check_p_floor, _meter_rows, _Record
 
 NA = "NA"
 
@@ -54,14 +51,14 @@ def format_cell(value) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """Ordered header, row tuples, the metadata echo, and NA rows by cause."""
 
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    metadata: dict
-    na_rows: dict = field(default_factory=dict)
+    __slots__ = ("header", "rows", "metadata", "na_rows")
+
+    def __init__(self, header: tuple[str, ...], rows: tuple[tuple, ...], metadata: dict,
+                 na_rows: dict | None = None) -> None:
+        self._set(header, rows, metadata, {} if na_rows is None else na_rows)
 
     def csv_text(self) -> str:
         # Formatted column by column; repr is format_cell's text for a Python float.
@@ -72,6 +69,9 @@ class SweepResult:
         return "\n".join([",".join(self.header), *map(",".join, zip(*columns))]) + "\n"
 
     def metadata_text(self) -> str:
+        # Only --meta writes JSON, so the CLI loads json for that alone.
+        import json
+
         return json.dumps(self.metadata, indent=2, sort_keys=True) + "\n"
 
     def write_csv(self, path: str) -> None:
@@ -118,7 +118,7 @@ def _sweep(
         rows = [rows[sum(map(operator.mul, index, strides))] for index in indices]
     metadata = {
         "config": config.to_dict(),
-        "axes": [[axes[i], *dataclasses.astuple(ranges[i])] for i in nest],
+        "axes": [[axes[i], ranges[i].start, ranges[i].stop, ranges[i].points] for i in nest],
         "version": __version__,
         "rows": len(rows),
         **extra,
@@ -170,7 +170,7 @@ def cmd_probability(
 
     def batch():
         ss, thetas = s_range.values(), theta_range.values()
-        meters = [_meter_rows(dataclasses.replace(config.wv, theta1=t, theta2=t)) for t in thetas]
+        meters = [_meter_rows(config.wv.replace(theta1=t, theta2=t)) for t in thetas]
         CouplingParams(min(ss), min(ss))
         side_a, side_b = probe_sides(config.ecs)
         cells = [

@@ -344,26 +344,39 @@ def test_cli_import_does_not_load_scipy():
 
 
 # Run in a fresh interpreter: the import of ecsim and ecsim.cli, the five
-# golden invocations and a single-point qcrb, recording after each step
-# whether numpy is loaded, then every public name's lookup.
-_NUMPY_PROBE = """
-import contextlib, io, json, sys
-import ecsim, ecsim.cli
+# golden invocations, a single-point qcrb and an hz run with --meta,
+# recording after each step which of the modules that the CLI must not
+# load are loaded, then every public name's lookup.  json is imported only
+# to print the result, after the last step.
+_IMPORT_PROBE = """
+import contextlib, io, os, sys, tempfile
 from golden_cases import GOLDEN_CASES
-steps = {"import": "numpy" in sys.modules}
+WATCHED = ("numpy", "dataclasses", "inspect", "json")
+loaded = lambda: [module for module in WATCHED if module in sys.modules]
+steps = {}
+import ecsim
+steps["import ecsim"] = (0, loaded())
+import ecsim.cli
+steps["import ecsim.cli"] = (0, loaded())
 cases = dict(GOLDEN_CASES, single_qcrb=["qcrb", "--sweep", "r=0.3:0.3:1", "--sweep", "s=1:1:1"])
-for name, argv in cases.items():
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = ecsim.cli.main(argv)
-    steps[name] = (code, "numpy" in sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    cases["meta"] = ["hz", "--meta", os.path.join(tmp, "hz.json")]
+    for name, argv in cases.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ecsim.cli.main(argv)
+        steps[name] = (code, loaded())
 steps["names"] = [name for name in ecsim.__all__ if getattr(ecsim, name, None) is None]
+import json
 print(json.dumps(steps))
 """
 
 
 def test_sweeps_run_without_numpy():
+    """No CLI invocation loads numpy, dataclasses or inspect, and only
+    --meta loads json: these imports are most of what a cold run could
+    add to its start-up."""
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE],
+        [sys.executable, "-c", _IMPORT_PROBE],
         capture_output=True,
         text=True,
         env=_child_env(),
@@ -372,10 +385,10 @@ def test_sweeps_run_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    assert steps.pop("import") is False
     assert steps.pop("names") == []
+    assert steps.pop("meta") == [0, ["json"]]
     # No command has a Fock route, qcrb included: none loads numpy.
-    assert steps == {name: [0, False] for name in [*GOLDEN_CASES, "single_qcrb"]}
+    assert steps == {name: [0, []] for name in ["import ecsim", "import ecsim.cli", *GOLDEN_CASES, "single_qcrb"]}
 
 
 def test_package_exports_its_27_public_names():

@@ -1,13 +1,18 @@
 """Tests for RangeSpec and the aggregated run configuration."""
 
+import copy
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 from ecsim.config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
-from ecsim.fock import FockCutoff
-from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams
+from ecsim.fock import FockCutoff, ModeOperator, TwoModeState
+from ecsim.measurement import CouplingParams, EcsParams, PostSelectedOutcome, WeakValueParams
+from ecsim.observables import SqueezingReport, WignerGrid
+from ecsim.sweep import SweepResult
 
 HALF_PI = 0.5 * math.pi
 
@@ -64,6 +69,8 @@ def test_default_config_baseline_values():
     assert cfg.coupling == CouplingParams(0.0, 0.0)
     assert cfg.theta_big == HALF_PI
     assert cfg.cutoff == FockCutoff(40, 40)
+    # The default cutoff is one immutable record, shared by every config.
+    assert WeakMeasurementConfig(cfg.ecs, cfg.wv, cfg.coupling).cutoff is cfg.cutoff
     assert cfg.tail_tolerance == 1e-10
     assert cfg.qfi_gauge == "fixed-kappa"
     override = default_config(theta_big=0.0)
@@ -110,3 +117,82 @@ def test_config_state_builders():
     outcome = cfg.pointer_outcome()
     assert abs(np.linalg.norm(raw.amplitudes) ** 2 - outcome.success_probability) < 1e-14
     assert abs(np.linalg.norm(outcome.state.amplitudes) - 1.0) < 1e-12
+
+
+_AMPLITUDES = np.arange(4).reshape(2, 2) * (1 + 1j)
+_STATE_TEXT = f"TwoModeState(amplitudes={_AMPLITUDES!r}, cutoff=FockCutoff(n_max_a=1, n_max_b=1))"
+_CONFIG_TEXT = (
+    "WeakMeasurementConfig(ecs=EcsParams(r=0.1, mu=0.0, varphi=0.0), wv=WeakValueParams(theta1=0.5, delta1=0.0, "
+    "theta2=0.5, delta2=0.0), coupling=CouplingParams(s1=1.0, s2=2.0), theta_big=0.25, "
+    "cutoff=FockCutoff(n_max_a=40, n_max_b=40), tail_tolerance=1e-10, qfi_gauge='fixed-kappa')"
+)
+
+# Per record class: a factory of equal records, the repr of one,
+# a change that replace must reject with the constructor's ValueError (None
+# for the records that validate nothing), and whether records compare by
+# identity, as the array holders do.
+RECORD_CASES = {
+    "FockCutoff": (lambda: FockCutoff(3, 4), "FockCutoff(n_max_a=3, n_max_b=4)",
+                   ({"n_max_a": 0}, "n_max_a must be an integer >= 1, got 0"), False),
+    # mu just below 0 reduces to 2 pi itself; copies must keep it unreduced.
+    "EcsParams": (lambda: EcsParams(0.1, -1e-20), "EcsParams(r=0.1, mu=6.283185307179586, varphi=0.0)",
+                  ({"r": -1.0}, "r must be >= 0 with a finite square, got -1.0"), False),
+    "WeakValueParams": (lambda: WeakValueParams(0.1, 0.2, 0.3, 0.4),
+                        "WeakValueParams(theta1=0.1, delta1=0.2, theta2=0.3, delta2=0.4)",
+                        ({"delta2": 7.0}, "delta2 must lie in [0, 2 pi], got 7.0"), False),
+    "CouplingParams": (lambda: CouplingParams(0.5, 1.5), "CouplingParams(s1=0.5, s2=1.5)",
+                       ({"s2": -1.0}, "s2 must be finite and >= 0, got -1.0"), False),
+    "RangeSpec": (lambda: RangeSpec(0.0, 1.0, 3), "RangeSpec(start=0.0, stop=1.0, points=3)",
+                  ({"points": 0}, "points must be an integer >= 1, got 0"), False),
+    "WeakMeasurementConfig": (
+        lambda: WeakMeasurementConfig(EcsParams(0.1), WeakValueParams(0.5, 0.0, 0.5, 0.0), CouplingParams(1.0, 2.0),
+                                      0.25),
+        _CONFIG_TEXT, ({"qfi_gauge": "other"}, "qfi_gauge must be one of ('fixed-kappa', 'renormalized')"), False),
+    "SweepResult": (lambda: SweepResult(("x",), ((1.0,),), {"rows": 1}, {"degenerate": 0}),
+                    "SweepResult(header=('x',), rows=((1.0,),), metadata={'rows': 1}, na_rows={'degenerate': 0})",
+                    None, False),
+    "SqueezingReport": (lambda: SqueezingReport(-0.1, -0.2, 0.3),
+                        "SqueezingReport(s2s_direct=-0.1, s2s_normal_ordered=-0.2, theta_big=0.3)", None, False),
+    "TwoModeState": (lambda: TwoModeState(_AMPLITUDES, FockCutoff(1, 1)), _STATE_TEXT,
+                     ({"cutoff": FockCutoff(2, 2)}, "amplitude grid shape (2, 2) does not match cutoff (3, 3)"), True),
+    "ModeOperator": (lambda: ModeOperator(np.eye(2)), f"ModeOperator(matrix={np.eye(2, dtype=complex)!r})",
+                     ({"matrix": np.ones(3)}, "operator matrix must be square, got shape (3,)"), True),
+    "PostSelectedOutcome": (lambda: PostSelectedOutcome(TwoModeState(_AMPLITUDES, FockCutoff(1, 1)), 0.25),
+                            f"PostSelectedOutcome(state={_STATE_TEXT}, success_probability=0.25)", None, True),
+    "WignerGrid": (lambda: WignerGrid([0.0, 1.0], [2.0], [[1.0], [2.0]]),
+                   f"WignerGrid(re_gamma_axis={np.array([0.0, 1.0])!r}, re_beta_axis={np.array([2.0])!r}, "
+                   f"values={np.array([[1.0], [2.0]])!r})",
+                   ({"values": [[1.0]]}, "grid value shape does not match its axes"), True),
+}
+
+
+@pytest.mark.parametrize("make, text, bad, by_identity", RECORD_CASES.values(), ids=RECORD_CASES)
+def test_records_are_immutable_values(make, text, bad, by_identity):
+    """Every record of the package is an immutable value: no assignment,
+    deletion or new attribute; equality and hash by type and fields (by
+    identity for the array holders); a repr in the dataclass format; replace
+    validates again; copy, deepcopy and pickle give an equal record."""
+    record, twin = make(), make()
+    first = type(record).__slots__[0]
+    for mutate in (lambda: setattr(record, first, getattr(twin, first)), lambda: delattr(record, first),
+                   lambda: setattr(record, "extra", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert repr(record) == text
+    if by_identity:
+        assert record == record and record != twin and len({record, twin}) == 2
+    else:
+        assert record == twin and not record != twin
+        if isinstance(record, SweepResult):
+            # Its dict fields are unhashable, so the record is too.
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(twin)
+    if bad is not None:
+        change, message = bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            record.replace(**change)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and repr(clone) == text
+        assert by_identity or clone == record
