@@ -5,25 +5,20 @@ Run from anywhere:
 
     python3 scripts/golden_drift.py
 
-The script reruns every case in tests/golden_cases.py through the CLI entry
-point under each OpenBLAS kernel of KERNELS, one child process per kernel:
-the default one, then OPENBLAS_CORETYPE Haswell, Sandybridge, Nehalem and
-Prescott.  Each block names the requested kernel beside the core that runs,
-read from the loaded OpenBLAS ("unknown" where it does not report one),
-since OpenBLAS falls back silently on a name it does not know (Prescott
-runs as Katmai on some builds).  For every golden file it prints the
-number of float cells, how many of them differ from the golden text, the
-worst absolute and relative |delta|, the largest share of the per-cell
-bound used, and whether `golden_mismatches` accepts the rerun.  The
-comparison rule itself lives in tests/golden_cases.py.  Exits 1 when any
-golden mismatches under any kernel.
+The script reruns every case in tests/golden_cases.py once, in-process,
+through the CLI entry point.  No sweep loads numpy or calls BLAS, so the
+bytes depend only on the Python build and its libm, which the header line
+names.  For every golden file it prints the number of float cells, how many
+of them differ from the golden text, the worst absolute and relative
+|delta|, the largest share of the per-cell bound used, and whether
+`golden_mismatches` accepts the rerun.  The comparison rule itself lives in
+tests/golden_cases.py.  Exits 1 when any golden mismatches, and with the
+CLI's exit code when an invocation fails.
 """
 
-import ctypes
-import glob
 import math
 import os
-import subprocess
+import platform
 import sys
 import tempfile
 
@@ -42,12 +37,6 @@ from golden_cases import (  # noqa: E402
     golden_mismatches,
     is_float_column,
 )
-
-# OPENBLAS_CORETYPE per run; None leaves OpenBLAS to pick a kernel for the CPU.
-KERNELS = (None, "Haswell", "Sandybridge", "Nehalem", "Prescott")
-# How OpenBLAS builds name their running core (scipy-openblas ILP64 first).
-CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename")
-
 
 def float_drift(golden: str, new: str) -> tuple[int, int, float, float, float]:
     """(float cells, cells that differ, worst |delta|, worst relative |delta|,
@@ -80,35 +69,11 @@ def float_drift(golden: str, new: str) -> tuple[int, int, float, float, float]:
     return cells, differ, worst_abs, worst_rel, worst_share
 
 
-def blas_description() -> str:
-    """Name and version of the BLAS numpy was built against."""
-    import numpy as np
-
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return f"{blas.get('name')} {blas.get('version')}"
-
-
-def running_core() -> str:
-    """The kernel the OpenBLAS loaded by numpy runs, or "unknown"."""
-    import numpy as np
-
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for path in glob.glob(os.path.join(site, "numpy*libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in CORENAME_SYMBOLS:
-            corename = getattr(lib, symbol, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return "unknown"
-
-
 def report() -> int:
-    """Drift of every golden under this process's kernel; 1 on a mismatch."""
+    """Drift of every golden; 1 on a mismatch."""
     from ecsim.cli import main
 
-    requested = os.environ.get("OPENBLAS_CORETYPE") or "unset"
-    print(f"# {blas_description()}; OPENBLAS_CORETYPE={requested}, running core {running_core()}")
+    print(f"# Python {platform.python_version()} ({platform.python_implementation()}), {platform.platform()}")
     print("file,float_cells,differ,worst_abs,worst_rel,bound_share,golden_check")
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,21 +99,5 @@ def report() -> int:
     return 1 if failed else 0
 
 
-def run() -> int:
-    """report() under each of KERNELS, each in a child process, since
-    OpenBLAS reads OPENBLAS_CORETYPE only when it loads."""
-    child = f"import sys; sys.path.insert(0, {SCRIPTS_DIR!r}); import golden_drift; sys.exit(golden_drift.report())"
-    failed = False
-    for kernel in KERNELS:
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        if kernel is not None:
-            env["OPENBLAS_CORETYPE"] = kernel
-        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
-        sys.stdout.write(proc.stdout)
-        sys.stderr.write(proc.stderr)
-        failed |= proc.returncode != 0
-    return 1 if failed else 0
-
-
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(report())

@@ -4,7 +4,11 @@ One subcommand per entry of the sweep command table: probability,
 squeezing, wigner, hz, qcrb.  Angles accept either raw radians or pi-suffix
 notation ("0.8pi").  Repeatable --sweep flags override the per-command
 default axes; declaration order sets the outer-to-inner nesting of emitted
-rows.
+rows.  Each subcommand's runner is one call of the sweep module's row
+walker, which reads the command's cells and writes the rows in that
+nesting.  --meta writes the walker's sidecar: config, axes outermost
+first, version, row count, NA rows by cause on every command, and
+wigner's grid minimum.
 
 Every command is closed-form between coherent states (see the coherent
 module): no Fock cutoff, no truncation and no numpy.  The four config keys

@@ -3,15 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .params import DEFAULT_TAIL_TOL, CouplingParams, EcsParams, FockCutoff, WeakValueParams, _Record
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .fock import TwoModeState
-    from .measurement import PostSelectedOutcome
 
 QFI_GAUGES = ("fixed-kappa", "renormalized")
 # The largest n_max per mode.  The quadrature eigenbasis is a dense
@@ -106,7 +99,8 @@ class WeakMeasurementConfig(_Record):
             raise ValueError(f"theta_big must be finite, got {theta_big!r}")
         self._set(ecs, wv, coupling, theta_big, cutoff, tail_tolerance, qfi_gauge)
 
-    # The Fock routes below import fock and measurement, and so numpy, on first use.
+    # The Fock routes below import fock and measurement, and so numpy, on first use.  Their
+    # annotations name those modules' types; they are never evaluated.
     def ecs_state(self) -> TwoModeState:
         from .measurement import build_ecs
 

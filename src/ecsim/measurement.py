@@ -63,13 +63,13 @@ from .fock import (
 )
 from .params import (
     THETA_GUARD,
-    TWO_PI,
     CouplingParams,
     EcsParams,
     WeakValueParams,
     _ArrayRecord,
     _check_p_floor,
     _meter_rows,
+    _reduced_phase,
 )
 
 
@@ -116,7 +116,7 @@ def ecs_factors(
     coherent columns and once per probe whose top-level mass exceeds
     tail_tol.
     """
-    phases = [params.varphi] if varphis is None else [float(v) % TWO_PI for v in varphis]
+    phases = [params.varphi] if varphis is None else [_reduced_phase(v) for v in varphis]
     alpha, norm = params.alpha, params.normalization
     col_a = coherent_column(alpha, cutoff.n_max_a, tail_tol)
     left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)

@@ -131,7 +131,7 @@ class EcsParams(_Record):
         for label, phase in (("mu", mu), ("varphi", varphi)):
             if not math.isfinite(phase):
                 raise ValueError(f"{label} must be finite, got {phase!r}")
-        self._set(r, float(mu) % TWO_PI, float(varphi) % TWO_PI)
+        self._set(r, _reduced_phase(mu), _reduced_phase(varphi))
 
     @property
     def alpha(self) -> complex:
@@ -171,6 +171,13 @@ class CouplingParams(_Record):
             if not (s >= 0.0 and math.isfinite(s)):
                 raise ValueError(f"{label} must be finite and >= 0, got {s!r}")
         self._set(s1, s2)
+
+
+def _reduced_phase(phase: float) -> float:
+    """phase reduced into [0, 2 pi).  float % returns 2 pi itself for a tiny
+    negative phase, which a second reduction would map to 0.0."""
+    reduced = float(phase) % TWO_PI
+    return 0.0 if reduced == TWO_PI else reduced
 
 
 def _meter_rows(wv: WeakValueParams) -> tuple[tuple[complex, complex], tuple[complex, complex]]:

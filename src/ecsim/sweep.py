@@ -1,16 +1,20 @@
 """Deterministic sweep commands: parameter scans emitted as CSV rows.
 
-Each command is one entry of _COMMANDS: its axes in canonical (CSV column)
-order, default ranges, output columns, help text and runner.  The runner
-supplies a batch function that returns whole column grids, nested lists
-indexed by canonical axis position, with NA already written in.
+Each command is one entry of _COMMANDS: its two axes in canonical (CSV
+column) order, default ranges, output columns, help text, runner and cells
+function.  Every runner, cmd_<command>, is one call of _sweep, the only row
+builder.  _sweep checks the declared order, calls cells(config, xs, ys) once
+on the axes' values, and walks the product of the axes in the declared
+outer-to-inner nesting.  Each row reads its cell grid[i][j] at its canonical
+indices (i, j): the row's column values, or the cause of an NA row, which
+the walker writes as NA cells and counts in SweepResult.na_rows.
+
 probability, squeezing, hz and wigner read every cell from the closed-form
 coherent-state Grams of the coherent module, each side's built once per
 axis value and contracted per row, and qcrb is coherent.pointer_qfi at each
 point: no Fock basis, no cutoff and no numpy.  So the config's cutoff,
 tail tolerance and QFI gauge, which only the library's Fock routes read,
-change no row.  _sweep reads the grids out in the declared outer-to-inner
-nesting.  The CSV rendering of the resulting SweepResult is deterministic:
+change no row.  The CSV rendering of the resulting SweepResult is deterministic:
 shortest-round-trip floats, UNIX newlines, mandatory header, and "NA" for
 the rows of NA_CAUSES and the phase bound of a vanishing QFI.  Every cell
 is scalar math/cmath with no BLAS call, so reruns are byte-identical and
@@ -22,8 +26,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
-from typing import Callable
 
 from . import __version__
 from .coherent import contract, parity_grams, pointer_qfi, probe_sides, side_grams
@@ -83,23 +85,18 @@ class SweepResult(_Record):
             fh.write(self.metadata_text())
 
 
-def _sweep(
-    config: WeakMeasurementConfig,
-    command: str,
-    ranges: tuple[RangeSpec, ...],
-    order: list[str] | None,
-    batch: Callable[[], tuple[list[list], dict]],
-) -> SweepResult:
-    """Rows of one command over the product of its axis ranges.
+def _sweep(config: WeakMeasurementConfig, command: str, ranges: tuple[RangeSpec, RangeSpec],
+           order: list[str] | None) -> SweepResult:
+    """Rows of one command over the product of its two axis ranges.
 
     ranges follow the command's canonical axes; order names them outermost
-    first (default: canonical).  batch() runs once and returns the column
-    grids (nested lists, one level per canonical axis, NA written in) and
-    extra metadata, whose "na_rows" counts NA rows by cause.  The rows are built in canonical row-major
-    order and then taken in the declared nesting, the product of the axes'
-    indices in the declared order.  The metadata's "axes" lists [name,
-    start, stop, points] outermost first, so that with "config" it
-    describes the run.
+    first (default: canonical).  The command's cells(config, xs, ys) runs
+    once on the axes' values and returns (grid, extra): grid[i][j] holds the
+    column values of the row at (xs[i], ys[j]) or that row's NA cause, and
+    extra the command's metadata, with the count of a cause that NAs one
+    cell only (zero_qfi).  The rows are walked in the declared nesting.  The
+    metadata's "axes" lists [name, start, stop, points] outermost first, so
+    that with "config" it describes the run.
     """
     spec = _COMMANDS[command]
     axes = spec["axes"]
@@ -107,34 +104,29 @@ def _sweep(
     if sorted(order) != sorted(axes):
         raise ValueError(f"order {order} is not a permutation of the axes {list(axes)}")
     nest = [axes.index(name) for name in order]
-    columns, extra = batch()
-    for _ in axes[1:]:
-        columns = [list(itertools.chain.from_iterable(grid)) for grid in columns]
-    rows = [point + cells for point, cells in zip(itertools.product(*(r.values() for r in ranges)), zip(*columns))]
-    if nest != sorted(nest):
-        # Row-major strides of the canonical axes, read in the declared order.
-        strides = [math.prod(r.points for r in ranges[k + 1:]) for k in nest]
-        indices = itertools.product(*(range(ranges[k].points) for k in nest))
-        rows = [rows[sum(map(operator.mul, index, strides))] for index in indices]
+    xs, ys = (r.values() for r in ranges)
+    grid, extra = spec["cells"](config, xs, ys)
+    na_rows = {cause: extra.pop(cause, 0) for cause in NA_CAUSES}
+    blank = (NA,) * len(spec["columns"])
+    indices = itertools.product(*(range(ranges[k].points) for k in nest))
+    if nest != [0, 1]:
+        indices = ((i, j) for j, i in indices)
+    rows = []
+    for i, j in indices:
+        cell = grid[i][j]
+        if type(cell) is str:
+            na_rows[cell] += 1
+            cell = blank
+        rows.append((xs[i], ys[j]) + cell)
     metadata = {
         "config": config.to_dict(),
-        "axes": [[axes[i], ranges[i].start, ranges[i].stop, ranges[i].points] for i in nest],
+        "axes": [[axes[k], ranges[k].start, ranges[k].stop, ranges[k].points] for k in nest],
         "version": __version__,
         "rows": len(rows),
+        "na_rows": na_rows,
         **extra,
     }
-    return SweepResult(axes + spec["columns"], tuple(rows), metadata, extra.get("na_rows", dict.fromkeys(NA_CAUSES, 0)))
-
-
-def _tabulate(cells: list[list], width: int) -> tuple[list[list[list]], dict]:
-    """(column grids, NA rows by cause) of a grid of cells over two axes: each
-    cell is a tuple of `width` column values or the NA cause of its row."""
-    counts = dict.fromkeys(NA_CAUSES, 0)
-    for cell in itertools.chain.from_iterable(cells):
-        if isinstance(cell, str):
-            counts[cell] += 1
-    columns = [[[NA if isinstance(cell, str) else cell[k] for cell in row] for row in cells] for k in range(width)]
-    return columns, counts
+    return SweepResult(axes + spec["columns"], tuple(rows), metadata, na_rows)
 
 
 def _finite(values, where: tuple):
@@ -147,66 +139,71 @@ def _finite(values, where: tuple):
     return values
 
 
-def _moment_cell(g_a: dict, g_b: dict, columns: Callable, where: tuple):
-    """columns(p_s, moment) of the raw pointer state whose sides have the
-    Grams g_a and g_b, with moment(key_a, key_b) = <O_a (x) O_b> / P_s; the
-    cause "degenerate" where P_s is below DEFAULT_P_FLOOR, and ValueError
-    where P_s or a column is not a finite double."""
+def _moment_cell(config: WeakMeasurementConfig, g_a: dict, g_b: dict, columns, where: tuple):
+    """columns(config, p_s, moment) of the raw pointer state whose sides have
+    the Grams g_a and g_b, with moment(key_a, key_b) = <O_a (x) O_b> / P_s;
+    the cause "degenerate" where P_s is below DEFAULT_P_FLOOR, and
+    ValueError where P_s or a column is not a finite double."""
     p_s = contract(g_a["1"], g_b["1"]).real
     if p_s < DEFAULT_P_FLOOR:
         return "degenerate"
     _finite([p_s], where)
-    return _finite(columns(p_s, lambda key_a, key_b: contract(g_a[key_a], g_b[key_b]) / p_s), where)
+    return _finite(columns(config, p_s, lambda key_a, key_b: contract(g_a[key_a], g_b[key_b]) / p_s), where)
 
 
-def cmd_probability(
-    config: WeakMeasurementConfig,
-    s_range: RangeSpec,
-    theta_range: RangeSpec,
-    order: list[str] | None = None,
-) -> SweepResult:
+def _probability_cells(config: WeakMeasurementConfig, ss: list[float], thetas: list[float]):
+    """(P_s,) at each (s, theta), from that point's own side Grams."""
+    meters = [_meter_rows(config.wv.replace(theta1=t, theta2=t)) for t in thetas]
+    CouplingParams(min(ss), min(ss))
+    side_a, side_b = probe_sides(config.ecs)
+    grid = [
+        [_moment_cell(config, side_grams(row_a, s, side_a), side_grams(row_b, s, side_b),
+                      lambda config, p_s, moment: (p_s,), (("s", s), ("theta", t)))
+         for t, (row_a, row_b) in zip(thetas, meters)]
+        for s in ss
+    ]
+    return grid, {}
+
+
+def cmd_probability(config: WeakMeasurementConfig, s_range: RangeSpec, theta_range: RangeSpec,
+                    order: list[str] | None = None) -> SweepResult:
     """Success probability over coupling and meter angle; s1 = s2 = s,
     theta1 = theta2 = theta, so each (s, theta) has its own side Grams."""
-
-    def batch():
-        ss, thetas = s_range.values(), theta_range.values()
-        meters = [_meter_rows(config.wv.replace(theta1=t, theta2=t)) for t in thetas]
-        CouplingParams(min(ss), min(ss))
-        side_a, side_b = probe_sides(config.ecs)
-        cells = [
-            [_moment_cell(side_grams(row_a, s, side_a), side_grams(row_b, s, side_b), lambda p_s, moment: (p_s,),
-                          (("s", s), ("theta", t))) for t, (row_a, row_b) in zip(thetas, meters)]
-            for s in ss
-        ]
-        columns, counts = _tabulate(cells, 1)
-        return columns, {"na_rows": counts}
-
-    return _sweep(config, "probability", (s_range, theta_range), order, batch)
+    return _sweep(config, "probability", (s_range, theta_range), order)
 
 
-def _coupling_grid(config: WeakMeasurementConfig, command: str, s1_range: RangeSpec, s2_range: RangeSpec, keys,
-                    columns: Callable):
-    """Batch over the (s1, s2) grid of the command's cells columns(p_s,
-    moment) (see _moment_cell), from each side's Grams of the keys, built
-    once per s1 and once per s2."""
-    s1s, s2s = s1_range.values(), s2_range.values()
-    CouplingParams(min(s1s), min(s2s))
-    (row_a, row_b), (side_a, side_b) = _meter_rows(config.wv), probe_sides(config.ecs)
-    grams_b = [side_grams(row_b, s2, side_b, keys) for s2 in s2s]
-    cells = []
-    for s1 in s1s:
-        g_a = side_grams(row_a, s1, side_a, keys)
-        cells.append([_moment_cell(g_a, g_b, columns, (("s1", s1), ("s2", s2))) for s2, g_b in zip(s2s, grams_b)])
-    grids, counts = _tabulate(cells, len(_COMMANDS[command]["columns"]))
-    return grids, {"na_rows": counts}
+def _coupling_cells(keys: tuple[str, ...], columns):
+    """The cells(config, s1s, s2s) of a command over the (s1, s2) grid: the
+    _moment_cell of columns at each point, from each side's Grams of the
+    keys, built once per s1 and once per s2."""
+
+    def cells(config: WeakMeasurementConfig, s1s: list[float], s2s: list[float]):
+        CouplingParams(min(s1s), min(s2s))
+        (row_a, row_b), (side_a, side_b) = _meter_rows(config.wv), probe_sides(config.ecs)
+        grams_b = [side_grams(row_b, s2, side_b, keys) for s2 in s2s]
+        grid = []
+        for s1 in s1s:
+            g_a = side_grams(row_a, s1, side_a, keys)
+            grid.append([_moment_cell(config, g_a, g_b, columns, (("s1", s1), ("s2", s2)))
+                         for s2, g_b in zip(s2s, grams_b)])
+        return grid, {}
+
+    return cells
 
 
-def cmd_squeezing(
-    config: WeakMeasurementConfig,
-    s1_range: RangeSpec,
-    s2_range: RangeSpec,
-    order: list[str] | None = None,
-) -> SweepResult:
+def _squeezing_columns(config: WeakMeasurementConfig, p_s: float, moment) -> tuple[float, float]:
+    """(S2s_direct, S2s_normal) from the point's moments; see cmd_squeezing."""
+    phase = cmath.exp(-1j * config.theta_big)
+    denominator = moment("n", "1").real + moment("1", "n").real + 1.0
+    m_ab, m_a2b2, n_ab = moment("a", "a"), moment("aa", "aa"), moment("n", "n").real
+    pair, square = (phase * m_ab).real, (phase * phase * m_a2b2).real
+    exp_v2 = 0.25 * (2.0 * square + 2.0 * n_ab + denominator)
+    direct = 4.0 * (exp_v2 - pair * pair) / denominator - 1.0
+    return direct, 2.0 * (square - 2.0 * pair * pair + n_ab) / denominator
+
+
+def cmd_squeezing(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec,
+                  order: list[str] | None = None) -> SweepResult:
     """Sum squeezing of the post-selected state over the coupling grid,
     by the two routes of observables.squeezing_report from one set of
     closed-form moments, so they agree to rounding.
@@ -216,81 +213,70 @@ def cmd_squeezing(
     2 <N_a N_b> + <N_a + N_b + 1>.  Normal-ordered: 2 [Re(e^{-2iT} <a^2 b^2>)
     - 2 (Re e^{-iT} <a b>)^2 + <N_a N_b>] / <N_a + N_b + 1>.
     """
-    phase = cmath.exp(-1j * config.theta_big)
-
-    def columns(p_s, moment):
-        denominator = moment("n", "1").real + moment("1", "n").real + 1.0
-        m_ab, m_a2b2, n_ab = moment("a", "a"), moment("aa", "aa"), moment("n", "n").real
-        pair, square = (phase * m_ab).real, (phase * phase * m_a2b2).real
-        exp_v2 = 0.25 * (2.0 * square + 2.0 * n_ab + denominator)
-        direct = 4.0 * (exp_v2 - pair * pair) / denominator - 1.0
-        return direct, 2.0 * (square - 2.0 * pair * pair + n_ab) / denominator
-
-    return _sweep(config, "squeezing", (s1_range, s2_range), order,
-                  lambda: _coupling_grid(config, "squeezing", s1_range, s2_range, ("1", "n", "a", "aa"), columns))
+    return _sweep(config, "squeezing", (s1_range, s2_range), order)
 
 
-def cmd_wigner(
-    config: WeakMeasurementConfig,
-    re_gamma: RangeSpec,
-    re_beta: RangeSpec,
-    order: list[str] | None = None,
-) -> SweepResult:
+def _wigner_cells(config: WeakMeasurementConfig, gammas: list[float], betas: list[float]):
+    """(P_J,) at each (re_gamma, re_beta), and the grid minimum; see cmd_wigner."""
+    coupling = config.coupling
+    (row_a, row_b), (side_a, side_b) = _meter_rows(config.wv), probe_sides(config.ecs)
+    p_s = contract(side_grams(row_a, coupling.s1, side_a)["1"], side_grams(row_b, coupling.s2, side_b)["1"]).real
+    _check_p_floor(p_s)
+    where = (("s1", coupling.s1), ("s2", coupling.s2))
+    _finite([p_s], where)
+    grams_a, grams_b = parity_grams(row_a, coupling.s1, side_a, gammas), parity_grams(row_b, coupling.s2, side_b, betas)
+    # contract, unrolled: 2,601 calls of it cost more than the products.  zip makes each value a 1-tuple cell.
+    grid = [list(zip(_finite([(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3).real / p_s
+                              for b0, b1, b2, b3 in grams_b], where)))
+            for a0, a1, a2, a3 in grams_a]
+    return grid, {"grid_min": min(map(min, grid))[0]}
+
+
+def cmd_wigner(config: WeakMeasurementConfig, re_gamma: RangeSpec, re_beta: RangeSpec,
+               order: list[str] | None = None) -> SweepResult:
     """Joint-parity Wigner cross-section of the post-selected state at the
     config's point coupling, with the grid minimum in the metadata: each
     side's displaced-parity Grams once per axis value (coherent.parity_grams),
     contracted per point.  A degenerate state fails the whole grid."""
-
-    def batch():
-        # Checked before the state is built, so a bad axis fails alike at any coupling.
-        gammas, betas = _wigner_axes(re_gamma, re_beta)
-        coupling = config.coupling
-        (row_a, row_b), (side_a, side_b) = _meter_rows(config.wv), probe_sides(config.ecs)
-        p_s = contract(side_grams(row_a, coupling.s1, side_a)["1"], side_grams(row_b, coupling.s2, side_b)["1"]).real
-        _check_p_floor(p_s)
-        where = (("s1", coupling.s1), ("s2", coupling.s2))
-        _finite([p_s], where)
-        grams_a, grams_b = parity_grams(row_a, coupling.s1, side_a, gammas), parity_grams(row_b, coupling.s2, side_b, betas)
-        # contract, unrolled: 2,601 calls of it cost more than the products.
-        values = [_finite([(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3).real / p_s for b0, b1, b2, b3 in grams_b], where)
-                  for a0, a1, a2, a3 in grams_a]
-        return [values], {"grid_min": min(map(min, values))}
-
-    return _sweep(config, "wigner", (re_gamma, re_beta), order, batch)
+    # Checked before the state is built, so a bad axis fails alike at any coupling.
+    _wigner_axes(re_gamma, re_beta)
+    return _sweep(config, "wigner", (re_gamma, re_beta), order)
 
 
-def cmd_hz(
-    config: WeakMeasurementConfig,
-    s1_range: RangeSpec,
-    s2_range: RangeSpec,
-    order: list[str] | None = None,
-) -> SweepResult:
+def _hz_columns(config: WeakMeasurementConfig, p_s: float, moment) -> tuple[float, int]:
+    """(E, entangled_flag) from the point's moments; see cmd_hz."""
+    e_val = moment("n", "1").real * moment("1", "n").real - abs(moment("a", "a")) ** 2
+    return e_val, int(e_val < 0.0)
+
+
+def cmd_hz(config: WeakMeasurementConfig, s1_range: RangeSpec, s2_range: RangeSpec,
+           order: list[str] | None = None) -> SweepResult:
     """Intensity-correlation witness E = <N_a><N_b> - |<a b>|^2 over the
     coupling grid; the flag column is 1 exactly when E < 0 (entanglement
     witnessed)."""
-
-    def columns(p_s, moment):
-        e_val = moment("n", "1").real * moment("1", "n").real - abs(moment("a", "a")) ** 2
-        return e_val, int(e_val < 0.0)
-
-    return _sweep(config, "hz", (s1_range, s2_range), order,
-                  lambda: _coupling_grid(config, "hz", s1_range, s2_range, ("1", "n", "a"), columns))
+    return _sweep(config, "hz", (s1_range, s2_range), order)
 
 
-def _qfi_cell(config: WeakMeasurementConfig, r: float, s: float):
-    """pointer_qfi at amplitude r and coupling s1 = s2 = s, or the cause "degenerate"."""
+def _qcrb_cell(config: WeakMeasurementConfig, r: float, s: float):
+    """(Q_fi, delta_phi) at amplitude r and coupling s1 = s2 = s, with an NA
+    delta_phi where Q_fi is below QFI_SENTINEL_FLOOR; or the cause
+    "degenerate"."""
     try:
-        return pointer_qfi(EcsParams(r, config.ecs.mu, config.ecs.varphi), config.wv, CouplingParams(s, s))
+        q = pointer_qfi(EcsParams(r, config.ecs.mu, config.ecs.varphi), config.wv, CouplingParams(s, s))
     except DegeneratePostSelectionError:
         return "degenerate"
+    return q, 1.0 / math.sqrt(q) if q >= QFI_SENTINEL_FLOOR else NA
 
 
-def cmd_qcrb(
-    config: WeakMeasurementConfig,
-    r_range: RangeSpec,
-    s_range: RangeSpec,
-    order: list[str] | None = None,
-) -> SweepResult:
+def _qcrb_cells(config: WeakMeasurementConfig, rs: list[float], ss: list[float]):
+    """_qcrb_cell at each (r, s), and the count of NA phase bounds as "zero_qfi"."""
+    grid = [[_qcrb_cell(config, r, s) for s in ss] for r in rs]
+    zero = sum(not isinstance(cell, str) and cell[1] == NA for row in grid for cell in row)
+    return grid, {"zero_qfi": zero}
+
+
+def cmd_qcrb(config: WeakMeasurementConfig, r_range: RangeSpec, s_range: RangeSpec,
+             order: list[str] | None = None) -> SweepResult:
     """QFI and single-shot phase bound over amplitude and coupling; s1 = s2 = s.
 
     Each point is one closed-form pointer_qfi call, the qfi_analytic of
@@ -298,23 +284,14 @@ def cmd_qcrb(
     finite-difference QFI, is ignored.  Degenerate points become NA rows,
     and a QFI below QFI_SENTINEL_FLOOR gets an NA phase bound.
     """
-
-    def batch():
-        rs, ss = r_range.values(), s_range.values()
-        qs = [[_qfi_cell(config, r, s) for s in ss] for r in rs]
-        zero = sum(not isinstance(cell, str) and not cell >= QFI_SENTINEL_FLOOR for cell in itertools.chain(*qs))
-        cells = [[cell if isinstance(cell, str) else (cell, 1.0 / math.sqrt(cell) if cell >= QFI_SENTINEL_FLOOR else NA)
-                  for cell in row] for row in qs]
-        columns, counts = _tabulate(cells, 2)
-        return columns, {"na_rows": dict(counts, zero_qfi=zero)}
-
-    return _sweep(config, "qcrb", (r_range, s_range), order, batch)
+    return _sweep(config, "qcrb", (r_range, s_range), order)
 
 
 # Per command: canonical axis order (also the CSV leading columns), the
 # built-in default ranges used when an axis is not overridden, the output
-# columns, the CLI help text and the runner, called as
-# runner(config, *ranges in canonical order, order=declared order).
+# columns, the CLI help text, the runner, called as
+# runner(config, *ranges in canonical order, order=declared order), and the
+# cells function that _sweep calls with the axes' values (see there).
 _COMMANDS = {
     "probability": {
         "axes": ("s", "theta"),
@@ -325,6 +302,7 @@ _COMMANDS = {
         "columns": ("P_s",),
         "help": "post-selection success probability over (s, theta)",
         "runner": cmd_probability,
+        "cells": _probability_cells,
     },
     "squeezing": {
         "axes": ("s1", "s2"),
@@ -332,6 +310,7 @@ _COMMANDS = {
         "columns": ("S2s_direct", "S2s_normal"),
         "help": "sum squeezing of the post-selected state over (s1, s2)",
         "runner": cmd_squeezing,
+        "cells": _coupling_cells(("1", "n", "a", "aa"), _squeezing_columns),
     },
     "wigner": {
         "axes": ("re_gamma", "re_beta"),
@@ -342,6 +321,7 @@ _COMMANDS = {
         "columns": ("P_J",),
         "help": "joint-parity Wigner cross-section at the configured coupling",
         "runner": cmd_wigner,
+        "cells": _wigner_cells,
     },
     "hz": {
         "axes": ("s1", "s2"),
@@ -349,6 +329,7 @@ _COMMANDS = {
         "columns": ("E", "entangled_flag"),
         "help": "intensity-correlation entanglement witness over (s1, s2)",
         "runner": cmd_hz,
+        "cells": _coupling_cells(("1", "n", "a"), _hz_columns),
     },
     "qcrb": {
         "axes": ("r", "s"),
@@ -356,5 +337,6 @@ _COMMANDS = {
         "columns": ("Q_fi", "delta_phi"),
         "help": "quantum Fisher information and phase bound over (r, s)",
         "runner": cmd_qcrb,
+        "cells": _qcrb_cells,
     },
 }

@@ -4,9 +4,11 @@ and the rule by which a rerun is compared with them.
 Each case maps a golden file name to the argv tail passed to ecsim.cli.main
 (the --out flag is appended by the generator and by the comparison test).
 
-Reruns on one numpy/BLAS build are byte-identical (acceptance check c10).
-Across builds the last digits of computed floats follow the BLAS kernel and
-the numpy reductions, so `golden_mismatches` checks a rerun in two parts:
+Reruns are byte-identical (acceptance check c10).  The CLI calls no BLAS
+and loads no numpy, so only the libm and CPython build can move the last
+digits of a computed float; and the goldens were written by the Fock-grid
+route of earlier versions, whose last digits followed the BLAS kernel and
+numpy's reductions.  So `golden_mismatches` checks a rerun in two parts:
 
 - exact text: header, row count and order, "\\n" line ends with a trailing
   newline, every axis cell, every integer cell, every "NA" cell and every
@@ -14,9 +16,12 @@ the numpy reductions, so `golden_mismatches` checks a rerun in two parts:
 - finite float observable cells: |new - golden| <= FLOAT_BOUND *
   max(1, |golden|).
 
-FLOAT_BOUND is 100x the worst drift measured between OpenBLAS kernels
-(9.8e-15 absolute, 9.6e-12 relative on squeezing cells near zero). Moving
---r by one part in 1e9 moves hz cells by up to about 200x the bound.
+FLOAT_BOUND is 100x the worst drift once measured between OpenBLAS kernels
+on the Fock-grid route (9.8e-15 absolute, 9.6e-12 relative on squeezing
+cells near zero).  It covers the closed form's distance from the
+Fock-written goldens (scripts/golden_drift.py: at most 0.3 % of the bound)
+and the libm/CPython build.  Moving --r by one part in 1e9 moves hz cells
+by up to about 200x the bound.
 
 Regenerate the goldens with scripts/make_golden.py only after an
 intentional change in the numerics, review the diff before committing it,

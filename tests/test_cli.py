@@ -346,12 +346,13 @@ def test_cli_import_does_not_load_scipy():
 # Run in a fresh interpreter: the import of ecsim and ecsim.cli, the five
 # golden invocations, a single-point qcrb and an hz run with --meta,
 # recording after each step which of the modules that the CLI must not
-# load are loaded, then every public name's lookup.  json is imported only
-# to print the result, after the last step.
+# load are loaded, then every public name's lookup.  A module that the
+# interpreter loaded before the probe (site loads typing) is not counted.
+# json is imported only to print the result, after the last step.
 _IMPORT_PROBE = """
 import contextlib, io, os, sys, tempfile
 from golden_cases import GOLDEN_CASES
-WATCHED = ("numpy", "dataclasses", "inspect", "json")
+WATCHED = [module for module in ("numpy", "dataclasses", "inspect", "json", "typing") if module not in sys.modules]
 loaded = lambda: [module for module in WATCHED if module in sys.modules]
 steps = {}
 import ecsim
@@ -365,30 +366,33 @@ with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
             code = ecsim.cli.main(argv)
         steps[name] = (code, loaded())
-steps["names"] = [name for name in ecsim.__all__ if getattr(ecsim, name, None) is None]
+if not sys.flags.no_site:  # the Fock layer's names load numpy, which python -S does not find
+    steps["names"] = [name for name in ecsim.__all__ if getattr(ecsim, name, None) is None]
 import json
 print(json.dumps(steps))
 """
 
 
 def test_sweeps_run_without_numpy():
-    """No CLI invocation loads numpy, dataclasses or inspect, and only
-    --meta loads json: these imports are most of what a cold run could
-    add to its start-up."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        cwd=os.path.dirname(os.path.abspath(__file__)),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
-    assert steps.pop("names") == []
-    assert steps.pop("meta") == [0, ["json"]]
-    # No command has a Fock route, qcrb included: none loads numpy.
-    assert steps == {name: [0, []] for name in ["import ecsim", "import ecsim.cli", *GOLDEN_CASES, "single_qcrb"]}
+    """No CLI invocation loads numpy, dataclasses, inspect or typing, and
+    only --meta loads json: these imports are most of what a cold run could
+    add to its start-up.  typing is watched under python -S, whose
+    interpreter does not load it before the probe."""
+    for flags in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        assert steps.pop("names", None) == (None if flags else [])
+        assert steps.pop("meta") == [0, ["json"]]
+        # No command has a Fock route, qcrb included: none loads numpy.
+        assert steps == {name: [0, []] for name in ["import ecsim", "import ecsim.cli", *GOLDEN_CASES, "single_qcrb"]}
 
 
 def test_package_exports_its_27_public_names():
@@ -562,6 +566,7 @@ GOLDEN_METADATA = {
     "squeezing_default.csv": {"rows": 256, "na_rows": CLEAN_NA_ROWS, "axes": COUPLING_AXES},
     "wigner_coupled.csv": {
         "rows": 2601,
+        "na_rows": CLEAN_NA_ROWS,
         "grid_min": -0.32515977428700416,
         "config": dict(DEFAULT_CONFIG_ECHO, s1=1.0, s2=1.0),
         "axes": [["re_gamma", -2.0, 2.0, 51], ["re_beta", -2.0, 2.0, 51]],
@@ -786,6 +791,18 @@ def test_sidecar_replays_its_run(tmp_path, command):
     assert main([command, *replay_argv(meta), "--out", f"{again}.csv", "--meta", f"{again}.json"]) == 0
     for suffix in (".csv", ".json"):
         assert _read_text(f"{again}{suffix}") == _read_text(f"{first}{suffix}")
+
+
+def test_sidecar_of_a_tiny_negative_phase_replays_its_run(capsys, tmp_path):
+    """--mu=-1e-20 reduces to 0.0, not to 2 pi, which the replay would
+    reduce to 0.0 again: the replay prints the same bytes."""
+    meta = tmp_path / "m.json"
+    assert main(["hz", "--mu=-1e-20", "--meta", str(meta)]) == 0
+    first = capsys.readouterr().out
+    recorded = json.loads(_read_text(meta))
+    assert recorded["config"]["mu"] == 0.0
+    assert main(["hz", *replay_argv(recorded)]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_sidecar_with_a_displacement_convention_does_not_replay(capsys):

@@ -103,6 +103,18 @@ def test_config_dict_round_trip_fixpoint():
     again = WeakMeasurementConfig.from_dict(data)
     assert again == cfg
     assert again.to_dict() == data
+    # -1e-20, which float % alone reduces to 2 pi itself, -0.0 and the
+    # largest double below 2 pi: each is stored as a phase in [0, 2 pi)
+    # that reduces to itself, bit for bit.
+    for phase in (-1e-20, -0.0, math.nextafter(2.0 * math.pi, 0.0)):
+        for field in ("mu", "varphi"):
+            cfg = default_config(ecs=EcsParams(0.1, **{field: phase}))
+            data = cfg.to_dict()
+            assert 0.0 <= data[field] < 2.0 * math.pi
+            assert WeakMeasurementConfig.from_dict(data) == cfg
+            assert cfg.replace() == cfg and cfg.ecs.replace() == cfg.ecs
+            assert repr(cfg.ecs.replace()) == repr(cfg.ecs)
+            assert WeakMeasurementConfig.from_dict(data).to_dict() == data
 
 
 def test_config_state_builders():
@@ -134,8 +146,8 @@ _CONFIG_TEXT = (
 RECORD_CASES = {
     "FockCutoff": (lambda: FockCutoff(3, 4), "FockCutoff(n_max_a=3, n_max_b=4)",
                    ({"n_max_a": 0}, "n_max_a must be an integer >= 1, got 0"), False),
-    # mu just below 0 reduces to 2 pi itself; copies must keep it unreduced.
-    "EcsParams": (lambda: EcsParams(0.1, -1e-20), "EcsParams(r=0.1, mu=6.283185307179586, varphi=0.0)",
+    # mu just below 0 reduces to 0.0, where float % alone gives 2 pi itself.
+    "EcsParams": (lambda: EcsParams(0.1, -1e-20), "EcsParams(r=0.1, mu=0.0, varphi=0.0)",
                   ({"r": -1.0}, "r must be >= 0 with a finite square, got -1.0"), False),
     "WeakValueParams": (lambda: WeakValueParams(0.1, 0.2, 0.3, 0.4),
                         "WeakValueParams(theta1=0.1, delta1=0.2, theta2=0.3, delta2=0.4)",

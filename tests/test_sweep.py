@@ -91,15 +91,28 @@ def test_cmd_probability_full_grid_bounds_and_order():
     assert result.metadata["version"] == __version__
 
 
-def test_order_names_the_axes_outer_to_inner():
+# Per command: its runner and a 2 x 2 grid over its canonical axes.
+ORDER_GRIDS = {
+    "probability": (cmd_probability, RangeSpec(0.0, 1.0, 2), RangeSpec(0.2, 0.4, 2)),
+    "squeezing": (cmd_squeezing, RangeSpec(0.0, 1.0, 2), RangeSpec(0.5, 2.0, 2)),
+    "wigner": (cmd_wigner, RangeSpec(-1.0, 1.0, 2), RangeSpec(-0.5, 0.5, 2)),
+    "hz": (cmd_hz, RangeSpec(0.0, 1.0, 2), RangeSpec(0.5, 2.0, 2)),
+    "qcrb": (cmd_qcrb, RangeSpec(0.1, 0.3, 2), RangeSpec(0.0, 1.0, 2)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORDER_GRIDS))
+def test_order_names_the_axes_outer_to_inner(command):
+    runner, outer, inner = ORDER_GRIDS[command]
+    first, second = _COMMANDS[command]["axes"]
     config = default_config()
-    s_range, theta_range = RangeSpec(0.0, 1.0, 2), RangeSpec(0.2, 0.4, 2)
-    canonical = cmd_probability(config, s_range, theta_range).rows
-    nested = cmd_probability(config, s_range, theta_range, order=["theta", "s"]).rows
+    canonical = runner(config, outer, inner).rows
+    assert runner(config, outer, inner, order=[first, second]).rows == canonical
+    nested = runner(config, outer, inner, order=[second, first]).rows
     assert nested == tuple(canonical[i] for i in (0, 2, 1, 3))
-    for bad in (["s"], ["s", "s"], ["theta", "r"]):
+    for bad in ([first], [first, first], [second, "bogus"]):
         with pytest.raises(ValueError, match="permutation"):
-            cmd_probability(config, s_range, theta_range, order=bad)
+            runner(config, outer, inner, order=bad)
 
 
 def test_cmd_probability_degenerate_rows_become_na():
