@@ -12,7 +12,7 @@ import sys
 
 from .config import RangeSpec, WeakMeasurementConfig, default_config
 from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
-from .params import CouplingParams, EcsParams, FockCutoff, WeakValueParams
+from .params import CouplingParams, EcsParams, WeakValueParams
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "fock": ("TwoModeState", "coherent_column"),
+        "fock": ("FockCutoff", "TwoModeState", "coherent_column"),
         "measurement": ("PostSelectedOutcome", "build_ecs", "build_pointer_state", "weak_value_x", "weak_value_y"),
         "observables": ("SqueezingReport", "WignerGrid", "hz_correlation", "joint_wigner_grid", "joint_wigner_point",
                         "qcrb", "qfi_analytic", "qfi_finite_difference", "squeezing_report"),
@@ -33,7 +33,6 @@ __all__ = [
     "CouplingParams",
     "DegeneratePostSelectionError",
     "EcsParams",
-    "FockCutoff",
     "NumericalRangeError",
     "RangeSpec",
     "TruncationWarning",

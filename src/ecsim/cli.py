@@ -11,9 +11,9 @@ first, version, row count, NA rows by cause on every command, and
 wigner's grid minimum.
 
 Every command is closed-form between coherent states (see the coherent
-module): no Fock cutoff, no truncation and no numpy.  The four config keys
-of the library's Fock routes (n_max_a, n_max_b, tail_tolerance,
-qfi_gauge) keep their defaults and are echoed in --meta.
+module): no Fock cutoff, no truncation and no numpy.  The config's
+qfi_gauge, which only the library's finite-difference QFI reads, keeps its
+default and is echoed in --meta; no flag sets it.
 
 Exit codes: 0 success; 2 configuration or argument validation error (an
 input whose meter exponent, axis width or squared amplitude overflows a

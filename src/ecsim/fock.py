@@ -2,13 +2,16 @@
 
 States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 0 <= n_b <= n_max_b, stored as a complex (n_max_a+1, n_max_b+1) amplitude
-grid.  The creation operator acts on one Fock index of any array (a grid,
-a stack of grids or a stack of single-mode factors).  One eigenbasis per
-cutoff, of the quadratures a + a^dag and p = i (a^dag - a), is cached with
-the level constants.  In it, with no matrix formed, meter applies one meter
-operator c cos(u p) - i d sin(u p) over a batch of signed real arms u, each
-slot bit for bit the call at that arm alone; it is the one kernel for both
-the meters and the displacements D(u) = e^{-i u p}.  A complex amplitude
+grid; FockCutoff holds the two levels.  The library's Fock routes take a
+cutoff and a tail tolerance, the truncated mass they accept without a
+TruncationWarning, which warn_if_truncated checks.  The creation operator
+acts on one Fock index of any array (a grid, a stack of grids or a stack of
+single-mode factors).  One eigenbasis per cutoff, of the quadratures
+a + a^dag and p = i (a^dag - a), is cached with the level constants.  In
+it, with no matrix formed, meter applies one meter operator
+c cos(u p) - i d sin(u p) over a batch of signed real arms u, each slot bit
+for bit the call at that arm alone; it is the one kernel for both the
+meters and the displacements D(u) = e^{-i u p}.  A complex amplitude
 gamma = e^{i phi} t is the rotation diag(e^{i phi n}) of the real D(t), and
 displacement_matrix is that rotation around meter on the identity.
 apply_to_mode applies a dense operator to a state's tensor factor, and the
@@ -26,7 +29,40 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationWarning
-from .params import DEFAULT_TAIL_TOL, FockCutoff, _ArrayRecord
+from .params import _ArrayRecord, _Record
+
+DEFAULT_TAIL_TOL = 1e-10
+
+# The largest n_max per mode.  The quadrature eigenbasis is a dense
+# (n_max + 1)^2 eigenproblem and the dense grids hold (n_max_a + 1)(n_max_b + 1)
+# amplitudes: 8 MB and 16 MB at this cutoff, 74.5 GiB for the eigh at 100000.
+MAX_N_MAX = 1000
+
+
+class FockCutoff(_Record):
+    """Per-mode truncation levels; mode a keeps n_max_a + 1 basis states."""
+
+    __slots__ = ("n_max_a", "n_max_b")
+
+    def __init__(self, n_max_a: int, n_max_b: int) -> None:
+        for label, n in (("n_max_a", n_max_a), ("n_max_b", n_max_b)):
+            if not isinstance(n, int) or n < 1:
+                raise ValueError(f"{label} must be an integer >= 1, got {n!r}")
+            if n > MAX_N_MAX:
+                raise ValueError(f"{label} must be at most {MAX_N_MAX} per mode, got {n}")
+        self._set(n_max_a, n_max_b)
+
+    @property
+    def dim_a(self) -> int:
+        return self.n_max_a + 1
+
+    @property
+    def dim_b(self) -> int:
+        return self.n_max_b + 1
+
+
+# The cutoff of the Fock routes that the caller does not give one.
+DEFAULT_CUTOFF = FockCutoff(40, 40)
 
 
 class TwoModeState(_ArrayRecord):
@@ -70,7 +106,7 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     Entries are built by the cumulative recurrence c_n = c_{n-1} alpha / sqrt(n),
     which stays finite for any amplitude the truncated basis can represent.
     Warns with the measured norm deficit when 1 - sum |c_n|^2 exceeds tail_tol.
-    Raises ValueError when |alpha|^2 overflows a double.
+    Raises ValueError when |alpha|^2 overflows a double, and warn_if_truncated's.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -81,14 +117,7 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     col[1:] = alpha / levels(n_max + 1)[1][1:]
     np.cumprod(col, out=col)
     deficit = max(0.0, 1.0 - np.vdot(col, col).real)
-    if deficit > tail_tol:
-        warnings.warn(
-            TruncationWarning(
-                f"coherent column |alpha|={abs(alpha):.4g} at n_max={n_max} "
-                f"misses tail mass {deficit:.3e} (tolerance {tail_tol:.1e})"
-            ),
-            stacklevel=2,
-        )
+    warn_if_truncated(deficit, tail_tol, f"coherent column |alpha|={abs(alpha):.4g} at n_max={n_max}")
     return col
 
 
@@ -207,12 +236,13 @@ def top_level_mass(amps: np.ndarray) -> np.ndarray:
 
 
 def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
-    """Emit TruncationWarning when a top-level mass exceeds tail_tol."""
+    """Emit TruncationWarning when a tail mass exceeds tail_tol.  The one
+    check of a tail tolerance: ValueError unless 0 < tail_tol <= 1e-4."""
+    if not (0.0 < tail_tol <= 1e-4):
+        raise ValueError(f"tail_tolerance must lie in (0, 1e-4], got {tail_tol!r}")
     if mass > tail_tol:
         warnings.warn(
-            TruncationWarning(
-                f"{context}: top-level tail mass {mass:.3e} exceeds tolerance {tail_tol:.1e}"
-            ),
+            TruncationWarning(f"{context}: tail mass {mass:.3e} exceeds tolerance {tail_tol:.1e}"),
             stacklevel=3,
         )
 

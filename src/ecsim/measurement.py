@@ -51,7 +51,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .config import WeakMeasurementConfig
 from .fock import (
+    DEFAULT_CUTOFF,
     DEFAULT_TAIL_TOL,
     FockCutoff,
     TwoModeState,
@@ -151,7 +153,7 @@ def _probe_tail(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def build_ecs(
     params: EcsParams,
-    cutoff: FockCutoff,
+    cutoff: FockCutoff = DEFAULT_CUTOFF,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> TwoModeState:
     """Assemble |phi> on the truncated basis using the closed-form N.
@@ -187,6 +189,15 @@ def apply_displacement_branches(
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
     fac_a, fac_b = _pointer_factors(state.amplitudes, identity, wv, coupling)
     return TwoModeState(fac_a @ fac_b.T, state.cutoff)
+
+
+def _pointer_grid(config: WeakMeasurementConfig, cutoff: FockCutoff = DEFAULT_CUTOFF,
+                  tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[np.ndarray, FockCutoff, float]:
+    """_post_select's arguments at a config's point: the raw pointer grid A @ X.T
+    of _pointer_factors, built at cutoff, with cutoff and tail_tol."""
+    left, right = ecs_factors(config.ecs, cutoff, tail_tol)
+    fac_a, fac_b = _pointer_factors(left, right[0], config.wv, config.coupling)
+    return fac_a @ fac_b.T, cutoff, tail_tol
 
 
 def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:

@@ -38,6 +38,9 @@ from .coherent import pointer_qfi
 from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
+    DEFAULT_CUTOFF,
+    DEFAULT_TAIL_TOL,
+    FockCutoff,
     TwoModeState,
     _phase_split,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
@@ -308,10 +311,11 @@ def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return q[..., 1], r2 > np.maximum(0.5 * r1, noise_floor)
 
 
-def _qfi_point(config: WeakMeasurementConfig, h: float) -> tuple[float, bool, bool]:
+def _qfi_point(config: WeakMeasurementConfig, h: float, cutoff: FockCutoff,
+               tail_tol: float) -> tuple[float, bool, bool]:
     """(Q, degenerate, tripped) at the config's point, by central differences
-    on the Fock factors: the independent check of the closed form that
-    qfi_analytic evaluates.
+    on the Fock factors at cutoff: the independent check of the closed form
+    that qfi_analytic evaluates.
 
     The pointer states at varphi and at varphi +- step (h, h/2, h/4) are the
     rank-2 factors A X_k^T of _pointer_factors, A = K_a L and X_k = K_b R_k,
@@ -325,14 +329,13 @@ def _qfi_point(config: WeakMeasurementConfig, h: float) -> tuple[float, bool, bo
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
     Warns, as _post_select does, for each member whose normalized top-level
-    mass exceeds the config's tail tolerance.  degenerate marks a member's
-    P_s below DEFAULT_P_FLOOR (Q is then NaN), tripped a Q that fails
-    _richardson.
+    mass exceeds tail_tol.  degenerate marks a member's P_s below
+    DEFAULT_P_FLOOR (Q is then NaN), tripped a Q that fails _richardson.
     """
-    phi0, tail_tol = config.ecs.varphi, config.tail_tolerance
+    phi0 = config.ecs.varphi
     steps = [h, 0.5 * h, 0.25 * h]
     varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
-    left, right = ecs_factors(config.ecs, config.cutoff, tail_tol, varphis)
+    left, right = ecs_factors(config.ecs, cutoff, tail_tol, varphis)
     fac_a, members = _pointer_factors(left, right, config.wv, config.coupling)
     moment = _moments(fac_a, members)
     p = moment("1", "1").real
@@ -351,8 +354,10 @@ def _qfi_point(config: WeakMeasurementConfig, h: float) -> tuple[float, bool, bo
     return float(q), False, bool(tripped)
 
 
-def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP) -> float:
-    """Finite-difference QFI of the post-selected pointer family in varphi.
+def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP,
+                          cutoff: FockCutoff = DEFAULT_CUTOFF, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+    """Finite-difference QFI of the post-selected pointer family in varphi,
+    on the Fock basis of cutoff.
 
     Under "fixed-kappa" the success-probability rescaling is frozen at the
     working point, under "renormalized" each member is normalized; the
@@ -362,7 +367,7 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
     """
     if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
         raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    q, degenerate, tripped = _qfi_point(config, h)
+    q, degenerate, tripped = _qfi_point(config, h, cutoff, tail_tol)
     if degenerate:
         raise DegeneratePostSelectionError(f"post-selection probability below floor {DEFAULT_P_FLOOR:.1e}")
     if tripped:

@@ -1,12 +1,12 @@
 """The parameter records of one scenario, with no numpy.
 
 EcsParams, WeakValueParams and CouplingParams describe the probe, the two
-meters and their couplings (see the measurement module for the model), and
-FockCutoff the truncated basis of the library's Fock routes.  The records
-validate themselves, and _meter_rows gives each meter's exact amplitudes
-(c_i, d_i).  _Record is the base of every record of the package.  Nothing
-here needs numpy or dataclasses, so the sweep CLI can import it without
-loading either.
+meters and their couplings (see the measurement module for the model); the
+Fock basis of the library's routes is the fock module's FockCutoff.  The
+records validate themselves, and _meter_rows gives each meter's exact
+amplitudes (c_i, d_i).  _Record is the base of every record of the package.
+Nothing here needs numpy or dataclasses, so the sweep CLI can import it
+without loading either.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ THETA_GUARD = math.pi - 1e-9
 
 # Success probabilities below this are treated as measure-zero post-selection.
 DEFAULT_P_FLOOR = 1e-12
-
-DEFAULT_TAIL_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,30 +91,6 @@ def _restore(cls: type, values: tuple) -> _Record:
     record = object.__new__(cls)
     record._set(*values)
     return record
-
-
-class FockCutoff(_Record):
-    """Per-mode truncation levels; mode a keeps n_max_a + 1 basis states."""
-
-    __slots__ = ("n_max_a", "n_max_b")
-
-    def __init__(self, n_max_a: int, n_max_b: int) -> None:
-        for label, n in (("n_max_a", n_max_a), ("n_max_b", n_max_b)):
-            if not isinstance(n, int) or n < 1:
-                raise ValueError(f"{label} must be an integer >= 1, got {n!r}")
-        self._set(n_max_a, n_max_b)
-
-    @property
-    def dim_a(self) -> int:
-        return self.n_max_a + 1
-
-    @property
-    def dim_b(self) -> int:
-        return self.n_max_b + 1
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
 
 
 class EcsParams(_Record):

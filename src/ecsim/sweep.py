@@ -12,13 +12,13 @@ the walker writes as NA cells and counts in SweepResult.na_rows.
 probability, squeezing, hz and wigner read every cell from the closed-form
 coherent-state Grams of the coherent module, each side's built once per
 axis value and contracted per row, and qcrb is coherent.pointer_qfi at each
-point: no Fock basis, no cutoff and no numpy.  So the config's cutoff,
-tail tolerance and QFI gauge, which only the library's Fock routes read,
-change no row.  The CSV rendering of the resulting SweepResult is deterministic:
-shortest-round-trip floats, UNIX newlines, mandatory header, and "NA" for
-the rows of NA_CAUSES and the phase bound of a vanishing QFI.  Every cell
-is scalar math/cmath with no BLAS call, so reruns are byte-identical and
-the bytes do not depend on the numpy or BLAS build.
+point: no Fock basis, no cutoff and no numpy.  So the config's QFI gauge,
+which only qfi_finite_difference reads, changes no row.  The CSV rendering
+of the resulting SweepResult is deterministic: shortest-round-trip floats,
+UNIX newlines, mandatory header, and "NA" for the rows of NA_CAUSES and the
+phase bound of a vanishing QFI.  Every cell is scalar math/cmath with no
+BLAS call, so reruns are byte-identical and the bytes do not depend on the
+numpy or BLAS build.
 """
 
 from __future__ import annotations

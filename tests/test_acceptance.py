@@ -163,9 +163,8 @@ def test_c06_brute_force_oracle():
                 ecs=EcsParams(r=r, mu=mu, varphi=varphi),
                 wv=WeakValueParams(theta1, delta1, theta2, delta2),
                 coupling=CouplingParams(s1, s2),
-                cutoff=cutoff,
             )
-            outcome = config.pointer_outcome()
+            outcome = config.pointer_outcome(cutoff=cutoff)
             ref_amp, ref_prob = oracles.brute_force_pointer(
                 r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, n_max=10
             )

@@ -27,9 +27,13 @@ NEAR_PI = "0.99999999pi"
 # The --meta "na_rows" of a sweep without NA rows.
 CLEAN_NA_ROWS = {"degenerate": 0, "zero_qfi": 0}
 
-# The config keys of the library's Fock routes.  No flag sets them, and a
-# --meta sidecar echoes their defaults.
-FOCK_KEYS = ("n_max_a", "n_max_b", "tail_tolerance", "qfi_gauge")
+# The config key of the library's finite-difference QFI.  No flag sets it,
+# and a --meta sidecar echoes its default.
+FOCK_KEYS = ("qfi_gauge",)
+# The config keys that older sidecars recorded for the Fock cutoff and tail
+# tolerance, which are now arguments of the Fock routes, at the values of a
+# run that set them.
+OLDER_FOCK_KEYS = {"n_max_a": 30, "n_max_b": 40, "tail_tolerance": 1e-12}
 
 
 def test_parse_angle():
@@ -201,10 +205,12 @@ def test_overflowing_moment_exits_two(capsys):
     assert "not a finite double" in captured.err
 
 
-def _csv_at_cutoff(command: str, meta: dict, n_max: int) -> str:
+def _csv_of_sidecar(command: str, meta: dict, **older_keys) -> str:
     """CSV text of the run a --meta sidecar describes, rerun through the
-    command's sweep with n_max per mode as the config's cutoff."""
-    config = WeakMeasurementConfig.from_dict(dict(meta["config"], n_max_a=n_max, n_max_b=n_max))
+    command's sweep from the sidecar's config with older_keys, keys that
+    older sidecars recorded, added to it."""
+    config = WeakMeasurementConfig.from_dict(dict(meta["config"], **older_keys))
+    assert config.to_dict() == meta["config"]
     ranges = {name: RangeSpec(start, stop, points) for name, start, stop, points in meta["axes"]}
     info = sweep._COMMANDS[command]
     order = [axis[0] for axis in meta["axes"]]
@@ -214,8 +220,8 @@ def _csv_at_cutoff(command: str, meta: dict, n_max: int) -> str:
 @pytest.mark.parametrize("cutoff", ["10", "40", "120"])
 def test_hz_needs_no_cutoff(capsys, tmp_path, cutoff):
     # The closed form prints E = 295.00003580756845, the cutoff-120 value of
-    # the old Fock route, and the sweep gives the same bytes whatever cutoff
-    # its config holds.
+    # the old Fock route, and a sidecar gives the same bytes whatever cutoff
+    # an older sidecar recorded.
     meta = tmp_path / "meta.json"
     argv = ["hz", "--r", "6", "--sweep", "s1=3:3:1", "--sweep", "s2=3:3:1", "--meta", str(meta)]
     assert main(argv) == 0
@@ -223,20 +229,22 @@ def test_hz_needs_no_cutoff(capsys, tmp_path, cutoff):
     e_val = float(captured.out.splitlines()[1].split(",")[2])
     assert abs(e_val - 295.00003580756845) <= cell_bound(295.00003580756845)
     assert captured.err == ""
-    assert _csv_at_cutoff("hz", json.loads(meta.read_text()), int(cutoff)) == captured.out
+    older = {"n_max_a": int(cutoff), "n_max_b": int(cutoff)}
+    assert _csv_of_sidecar("hz", json.loads(meta.read_text()), **older) == captured.out
 
 
 @pytest.mark.parametrize("cutoff", ["10", "40", "120"])
 def test_fixed_kappa_qcrb_needs_no_cutoff(capsys, tmp_path, cutoff):
-    # The closed-form QFI prints the cutoff-120 value of the Fock route, and
-    # the sweep gives the same bytes whatever cutoff its config holds.
+    # The closed-form QFI prints the cutoff-120 value of the Fock route, and a
+    # sidecar gives the same bytes whatever cutoff an older sidecar recorded.
     meta = tmp_path / "meta.json"
     argv = ["qcrb", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1", "--meta", str(meta)]
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1].split(",")[2] == "1434.4456688713035"
     assert captured.err == ""
-    assert _csv_at_cutoff("qcrb", json.loads(meta.read_text()), int(cutoff)) == captured.out
+    older = {"n_max_a": int(cutoff), "n_max_b": int(cutoff)}
+    assert _csv_of_sidecar("qcrb", json.loads(meta.read_text()), **older) == captured.out
 
 
 def test_fixed_kappa_qcrb_at_a_huge_coupling_is_finite(capsys):
@@ -346,8 +354,9 @@ def test_cli_import_does_not_load_scipy():
 # Run in a fresh interpreter: the import of ecsim and ecsim.cli, the five
 # golden invocations, a single-point qcrb and an hz run with --meta,
 # recording after each step which of the modules that the CLI must not
-# load are loaded, then every public name's lookup.  A module that the
-# interpreter loaded before the probe (site loads typing) is not counted.
+# load are loaded, and after the CLI's import the ecsim modules it loaded,
+# then every public name's lookup.  A module that the interpreter loaded
+# before the probe (site loads typing) is not counted.
 # json is imported only to print the result, after the last step.
 _IMPORT_PROBE = """
 import contextlib, io, os, sys, tempfile
@@ -359,6 +368,7 @@ import ecsim
 steps["import ecsim"] = (0, loaded())
 import ecsim.cli
 steps["import ecsim.cli"] = (0, loaded())
+steps["ecsim modules"] = sorted(name for name in sys.modules if name.partition(".")[0] == "ecsim")
 cases = dict(GOLDEN_CASES, single_qcrb=["qcrb", "--sweep", "r=0.3:0.3:1", "--sweep", "s=1:1:1"])
 with tempfile.TemporaryDirectory() as tmp:
     cases["meta"] = ["hz", "--meta", os.path.join(tmp, "hz.json")]
@@ -391,6 +401,9 @@ def test_sweeps_run_without_numpy():
         steps = json.loads(proc.stdout)
         assert steps.pop("names", None) == (None if flags else [])
         assert steps.pop("meta") == [0, ["json"]]
+        # The CLI loads the scenario's records and the closed form, and no Fock module.
+        assert steps.pop("ecsim modules") == [f"ecsim{name}" for name in (
+            "", ".cli", ".coherent", ".config", ".errors", ".params", ".sweep")]
         # No command has a Fock route, qcrb included: none loads numpy.
         assert steps == {name: [0, []] for name in ["import ecsim", "import ecsim.cli", *GOLDEN_CASES, "single_qcrb"]}
 
@@ -462,13 +475,13 @@ def _assert_wigner_needs_no_cutoff(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.err == ""
     for n_max in (12, 40):
-        assert _csv_at_cutoff("wigner", json.loads(meta.read_text()), n_max) == captured.out
+        assert _csv_of_sidecar("wigner", json.loads(meta.read_text()), n_max_a=n_max, n_max_b=n_max) == captured.out
 
 
 def test_overfilled_wigner_state_needs_no_cutoff(capsys, tmp_path):
     # The r = 1 state puts more than the default tail tolerance on level 12,
     # which the Fock route refused; the closed form prints the same grid
-    # whatever cutoff its config holds.
+    # whatever cutoff an older sidecar recorded.
     argv = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]
     _assert_wigner_needs_no_cutoff(capsys, tmp_path, argv)
 
@@ -551,8 +564,7 @@ HALF_PI = 0.5 * math.pi
 DEFAULT_CONFIG_ECHO = {
     "r": 0.1, "mu": HALF_PI, "varphi": HALF_PI,
     "theta1": 0.8 * math.pi, "delta1": HALF_PI, "theta2": 0.8 * math.pi, "delta2": HALF_PI,
-    "s1": 0.0, "s2": 0.0, "theta_big": HALF_PI, "n_max_a": 40, "n_max_b": 40,
-    "tail_tolerance": 1e-10, "qfi_gauge": "fixed-kappa",
+    "s1": 0.0, "s2": 0.0, "theta_big": HALF_PI, "qfi_gauge": "fixed-kappa",
 }
 COUPLING_AXES = [["s1", 0.0, 3.0, 16], ["s2", 0.0, 3.0, 16]]
 # The --meta sidecar of each golden invocation.  grid_min is compared within
@@ -778,7 +790,8 @@ REPLAY_SWEEPS = {
 def test_sidecar_replays_its_run(tmp_path, command):
     """A run rebuilt from its --meta sidecar alone writes the same CSV and
     sidecar bytes: each config key maps back to its flag, and the axes keep
-    their declared order."""
+    their declared order.  The 14-key config of an older sidecar, with its
+    cutoff and tail tolerance, loads to the same config and CSV bytes."""
     argv = [command, *REPLAY_FLAGS]
     for flag in REPLAY_SWEEPS[command]:
         argv += ["--sweep", flag]
@@ -791,6 +804,8 @@ def test_sidecar_replays_its_run(tmp_path, command):
     assert main([command, *replay_argv(meta), "--out", f"{again}.csv", "--meta", f"{again}.json"]) == 0
     for suffix in (".csv", ".json"):
         assert _read_text(f"{again}{suffix}") == _read_text(f"{first}{suffix}")
+    assert len(meta["config"]) == 11 and len({**meta["config"], **OLDER_FOCK_KEYS}) == 14
+    assert _csv_of_sidecar(command, meta, **OLDER_FOCK_KEYS) == _read_text(f"{first}.csv")
 
 
 def test_sidecar_of_a_tiny_negative_phase_replays_its_run(capsys, tmp_path):

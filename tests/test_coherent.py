@@ -138,9 +138,9 @@ def test_closed_form_matches_the_dense_route_at_cutoff_60(r, mu, varphi, theta1,
     against the dense route at cutoff 60, within the golden bound."""
     config = default_config(
         ecs=EcsParams(r, mu, varphi), wv=WeakValueParams(theta1, delta1, theta2, delta2),
-        coupling=CouplingParams(s1, s2), cutoff=FockCutoff(60, 60),
+        coupling=CouplingParams(s1, s2),
     )
-    outcome = config.pointer_outcome()
+    outcome = config.pointer_outcome(cutoff=FockCutoff(60, 60))
     closed = closed_form_moments(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, gamma, beta)
     assert abs(closed["P_s"] - outcome.success_probability) <= cell_bound(outcome.success_probability)
     single = (RangeSpec(s1, s1, 1), RangeSpec(s2, s2, 1))

@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 
 from ecsim.config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
-from ecsim.fock import FockCutoff, ModeOperator, TwoModeState
-from ecsim.measurement import CouplingParams, EcsParams, PostSelectedOutcome, WeakValueParams
-from ecsim.observables import SqueezingReport, WignerGrid
+from ecsim.fock import FockCutoff, ModeOperator, TwoModeState, coherent_column
+from ecsim.measurement import (
+    CouplingParams,
+    EcsParams,
+    PostSelectedOutcome,
+    WeakValueParams,
+    build_ecs,
+    build_pointer_state,
+)
+from ecsim.observables import SqueezingReport, WignerGrid, qfi_finite_difference
 from ecsim.sweep import SweepResult
 
 HALF_PI = 0.5 * math.pi
@@ -68,11 +75,11 @@ def test_default_config_baseline_values():
     assert cfg.wv == WeakValueParams(0.8 * math.pi, HALF_PI, 0.8 * math.pi, HALF_PI)
     assert cfg.coupling == CouplingParams(0.0, 0.0)
     assert cfg.theta_big == HALF_PI
-    assert cfg.cutoff == FockCutoff(40, 40)
-    # The default cutoff is one immutable record, shared by every config.
-    assert WeakMeasurementConfig(cfg.ecs, cfg.wv, cfg.coupling).cutoff is cfg.cutoff
-    assert cfg.tail_tolerance == 1e-10
     assert cfg.qfi_gauge == "fixed-kappa"
+    # The config holds the scenario alone; the Fock routes take the cutoff
+    # and the tail tolerance as arguments.
+    assert WeakMeasurementConfig.__slots__ == ("ecs", "wv", "coupling", "theta_big", "qfi_gauge")
+    assert len(cfg.to_dict()) == 11
     override = default_config(theta_big=0.0)
     assert override.theta_big == 0.0
 
@@ -83,22 +90,31 @@ def test_config_validation():
     with pytest.raises(ValueError):
         base.replace(qfi_gauge="other")
     with pytest.raises(ValueError):
-        base.replace(tail_tolerance=0.0)
-    with pytest.raises(ValueError):
-        base.replace(tail_tolerance=1e-3)
-    with pytest.raises(ValueError):
         base.replace(theta_big=float("nan"))
-    assert base.replace(cutoff=FockCutoff(1000, 10)).cutoff.n_max_a == 1000
-    with pytest.raises(ValueError, match="at most 1000 per mode"):
-        base.replace(cutoff=FockCutoff(10, 1001))
+
+
+_BASE = default_config(coupling=CouplingParams(0.5, 0.5))
+# Each public route that takes a tail tolerance, called with tail_tol.
+TAIL_TOL_ROUTES = {
+    "coherent_column": lambda tol: coherent_column(0.1, 10, tol),
+    "build_ecs": lambda tol: build_ecs(_BASE.ecs, tail_tol=tol),
+    "build_pointer_state": lambda tol: build_pointer_state(build_ecs(_BASE.ecs), _BASE.wv, _BASE.coupling, tol),
+    "ecs_state": lambda tol: _BASE.ecs_state(tail_tol=tol),
+    "raw_pointer_state": lambda tol: _BASE.raw_pointer_state(tail_tol=tol),
+    "pointer_outcome": lambda tol: _BASE.pointer_outcome(tail_tol=tol),
+    "qfi_finite_difference": lambda tol: qfi_finite_difference(_BASE, tail_tol=tol),
+}
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1e-3])
+@pytest.mark.parametrize("route", TAIL_TOL_ROUTES.values(), ids=TAIL_TOL_ROUTES)
+def test_every_fock_route_checks_its_tail_tolerance(route, tail_tol):
+    with pytest.raises(ValueError, match=re.escape(f"tail_tolerance must lie in (0, 1e-4], got {tail_tol!r}")):
+        route(tail_tol)
 
 
 def test_config_dict_round_trip_fixpoint():
-    cfg = default_config(
-        coupling=CouplingParams(0.7, 1.3),
-        cutoff=FockCutoff(30, 35),
-        qfi_gauge="renormalized",
-    )
+    cfg = default_config(coupling=CouplingParams(0.7, 1.3), qfi_gauge="renormalized")
     data = cfg.to_dict()
     again = WeakMeasurementConfig.from_dict(data)
     assert again == cfg
@@ -135,8 +151,7 @@ _AMPLITUDES = np.arange(4).reshape(2, 2) * (1 + 1j)
 _STATE_TEXT = f"TwoModeState(amplitudes={_AMPLITUDES!r}, cutoff=FockCutoff(n_max_a=1, n_max_b=1))"
 _CONFIG_TEXT = (
     "WeakMeasurementConfig(ecs=EcsParams(r=0.1, mu=0.0, varphi=0.0), wv=WeakValueParams(theta1=0.5, delta1=0.0, "
-    "theta2=0.5, delta2=0.0), coupling=CouplingParams(s1=1.0, s2=2.0), theta_big=0.25, "
-    "cutoff=FockCutoff(n_max_a=40, n_max_b=40), tail_tolerance=1e-10, qfi_gauge='fixed-kappa')"
+    "theta2=0.5, delta2=0.0), coupling=CouplingParams(s1=1.0, s2=2.0), theta_big=0.25, qfi_gauge='fixed-kappa')"
 )
 
 # Per record class: a factory of equal records, the repr of one,

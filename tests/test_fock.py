@@ -42,7 +42,13 @@ def test_cutoff_validation():
     cut = fock.FockCutoff(4, 6)
     assert cut.dim_a == 5
     assert cut.dim_b == 7
-    assert cut.dim == 35
+    # The record holds the bound, so every Fock route is held to it.  Only
+    # the constructor runs: the eigenbasis at such a cutoff is a dense
+    # (n_max + 1)^2 eigenproblem.
+    assert fock.FockCutoff(1000, 10).n_max_a == 1000
+    for levels in ((1001, 1), (1, 1001), (10, 1001)):
+        with pytest.raises(ValueError, match="at most 1000 per mode"):
+            fock.FockCutoff(*levels)
 
 
 def test_state_shape_validation_and_immutability():

@@ -398,20 +398,19 @@ def test_one_point_factors_equal_their_slot_in_a_batch(r, mu, varphis, angles, s
             one_a, one_b = measurement._pointer_factors(left, right[k], wv, coupling)
             assert np.array_equal(one_a, fac_a)
             assert np.array_equal(one_b, fac_b[k])
-        config = default_config(ecs=EcsParams(r, mu, varphis[0]), wv=wv, coupling=coupling, cutoff=cutoff)
+        config = default_config(ecs=EcsParams(r, mu, varphis[0]), wv=wv, coupling=coupling)
         probe_l, probe_r = ecs_factors(config.ecs, cutoff)
         one_a, one_b = measurement._pointer_factors(probe_l, probe_r[0], wv, coupling)
-        raw = config.raw_pointer_state().amplitudes
+        raw = config.raw_pointer_state(cutoff=cutoff).amplitudes
         assert np.array_equal(raw, one_a @ one_b.T)
-        assert config.pointer_outcome().success_probability == float(np.vdot(raw, raw).real)
+        assert config.pointer_outcome(cutoff=cutoff).success_probability == float(np.vdot(raw, raw).real)
 
 
-def dense_derivative_qfi(config):
+def dense_derivative_qfi(config, cutoff=CUT40):
     """QFI with the varphi derivative built as a dense grid, i beta N e0 (x) b^dag c_b
     with b^dag truncated, and pushed through the meter operators on its own."""
-    ecs, cutoff = config.ecs, config.cutoff
-    wv, coupling = config.wv, config.coupling
-    raw0 = apply_displacement_branches(config.ecs_state(), wv, coupling).amplitudes
+    ecs, wv, coupling = config.ecs, config.wv, config.coupling
+    raw0 = apply_displacement_branches(config.ecs_state(cutoff=cutoff), wv, coupling).amplitudes
     beta = ecs.alpha * cmath.exp(1j * ecs.varphi)
     col_b = fock.coherent_column(beta, cutoff.n_max_b)
     lifted = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=complex)
@@ -431,19 +430,13 @@ def dense_derivative_qfi(config):
     angles=st.tuples(THETAS, PHASES, THETAS, PHASES),
     s1=COUPLINGS,
     s2=COUPLINGS,
-    n_max=st.sampled_from([12, 40]),
 )
-def test_qfi_analytic_matches_dense_derivative(r, mu, varphi, angles, s1, s2, n_max):
-    """The closed-form QFI, at any cutoff, is the QFI of the dense derivative
-    grid at cutoff 40, where every drawn state has converged."""
-    config = default_config(
-        ecs=EcsParams(r, mu, varphi),
-        wv=WeakValueParams(*angles),
-        coupling=CouplingParams(s1, s2),
-        cutoff=fock.FockCutoff(n_max, n_max),
-    )
+def test_qfi_analytic_matches_dense_derivative(r, mu, varphi, angles, s1, s2):
+    """The closed-form QFI is the QFI of the dense derivative grid at cutoff
+    40, where every drawn state has converged."""
+    config = default_config(ecs=EcsParams(r, mu, varphi), wv=WeakValueParams(*angles), coupling=CouplingParams(s1, s2))
     q = qfi_analytic(config)
-    expected = dense_derivative_qfi(config.replace(cutoff=CUT40))
+    expected = dense_derivative_qfi(config)
     assert abs(q - expected) <= 1e-12 * abs(expected) + 1e-15
 
 
@@ -476,11 +469,3 @@ def test_qfi_analytic_matches_dense_derivative_under_strong_post_selection(r, mu
     expected = dense_derivative_qfi(config)
     assert abs(qfi_analytic(config) - expected) <= 1e-12 * abs(expected)
 
-
-@pytest.mark.parametrize("r, s", [(0.3, 1.0), (2.0, 2.5), (6.0, 1.0)])
-def test_qfi_analytic_does_not_depend_on_the_cutoff(r, s):
-    config = default_config(ecs=EcsParams(r, HALF_PI, HALF_PI), coupling=CouplingParams(s, s))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values = [qfi_analytic(config.replace(cutoff=fock.FockCutoff(n, n))) for n in (10, 40)]
-    assert values[0] == values[1]

@@ -10,7 +10,6 @@ import pytest
 from ecsim import __version__
 from ecsim.config import RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.errors import TruncationWarning
-from ecsim.fock import FockCutoff
 from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams
 from ecsim.observables import hz_correlation, qfi_analytic, squeezing_report
 from ecsim.sweep import (
@@ -247,11 +246,10 @@ def test_metadata_config_round_trip():
 
 
 def test_sweeps_ignore_the_fock_settings():
-    # At cutoff 8 the r = 1.5 probe is truncated on the library's Fock grid.
-    # The closed-form sweeps read no cutoff, tail tolerance or QFI gauge:
-    # they give the same rows as under the defaults, and nothing warns.
+    # The closed-form sweeps read no QFI gauge, the one Fock setting that the
+    # config holds: they give the same rows under either gauge, and nothing warns.
     config = default_config(ecs=EcsParams(1.5, HALF_PI, HALF_PI))
-    fock_settings = config.replace(cutoff=FockCutoff(8, 8), tail_tolerance=1e-12, qfi_gauge="renormalized")
+    fock_settings = config.replace(qfi_gauge="renormalized")
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         for command, ranges in (("qcrb", (single(1.5), single(0.0))), ("probability", (single(0.0), single(0.2 * math.pi)))):
