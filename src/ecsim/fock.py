@@ -95,10 +95,6 @@ class ModeOperator(_ArrayRecord):
         mat.setflags(write=False)
         self._set(mat)
 
-    @property
-    def n_max(self) -> int:
-        return self.matrix.shape[0] - 1
-
 
 def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Truncated coherent-state column: entry n is e^{-|alpha|^2/2} alpha^n / sqrt(n!).
@@ -235,11 +231,15 @@ def top_level_mass(amps: np.ndarray) -> np.ndarray:
     return top_a + np.sum(np.abs(amps[..., :-1, -1]) ** 2, axis=-1)
 
 
-def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
-    """Emit TruncationWarning when a tail mass exceeds tail_tol.  The one
-    check of a tail tolerance: ValueError unless 0 < tail_tol <= 1e-4."""
+def _check_tail_tol(tail_tol: float) -> None:
+    """The one check of a tail tolerance: ValueError unless 0 < tail_tol <= 1e-4."""
     if not (0.0 < tail_tol <= 1e-4):
         raise ValueError(f"tail_tolerance must lie in (0, 1e-4], got {tail_tol!r}")
+
+
+def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
+    """Emit TruncationWarning when a tail mass exceeds tail_tol, after _check_tail_tol."""
+    _check_tail_tol(tail_tol)
     if mass > tail_tol:
         warnings.warn(
             TruncationWarning(f"{context}: tail mass {mass:.3e} exceeds tolerance {tail_tol:.1e}"),

@@ -57,6 +57,7 @@ from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
     TwoModeState,
+    _check_tail_tol,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     coherent_column,
     meter,
@@ -214,7 +215,9 @@ def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
 
 def _post_select(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float) -> PostSelectedOutcome:
     """The normalized, phase-fixed outcome of a raw pointer grid; raises
-    _check_p_floor's error below DEFAULT_P_FLOOR and warns above tail_tol."""
+    _check_tail_tol's error, then _check_p_floor's below DEFAULT_P_FLOOR, and
+    warns above tail_tol."""
+    _check_tail_tol(tail_tol)
     p_s = float(np.vdot(raw, raw).real)
     _check_p_floor(p_s)
     state = _phase_fixed(raw, 1.0 / math.sqrt(p_s))

@@ -14,23 +14,20 @@ and compute each product-operator moment from two m x m Gram matrices:
 
     <psi| O_a (x) O_b |psi> = sum_kl (A^dag O_a A)_kl (X^dag O_b X)_kl.
 
-P_s, the top-level mass and the displaced parity take this form.  One
-table names the operands of every Gram, and each side's Gram of an
-operator is built only when a moment first asks for it.  The Wigner
-cross-section is one (N_gamma x m^2)(m^2 x N_beta) product of the parity
-Grams of D_a(-gamma) A and D_b(-beta) X; a TwoModeState enters it as the
-factor pair (amplitudes, identity).  The finite-difference QFI is a
-cross-Gram moment of the probe family's factors at one point (_qfi_point);
-the analytic QFI has a closed form between coherent states and no Fock
-basis at all (coherent.pointer_qfi), and it is the QFI the sweep CLI prints.
+P_s, the top-level mass and the displaced parity take this form, each
+from Grams built once per call.  The Wigner cross-section is one
+(N_gamma x m^2)(m^2 x N_beta) product of the parity Grams of D_a(-gamma) A
+and D_b(-beta) X; a TwoModeState enters it as the factor pair (amplitudes,
+identity).  The finite-difference QFI is a cross-Gram moment of the probe
+family's factors at one point (qfi_finite_difference); the analytic QFI has
+a closed form between coherent states and no Fock basis at all
+(coherent.pointer_qfi), and it is the QFI the sweep CLI prints.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -168,63 +165,38 @@ def _contract(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
     return flat_a @ g_b.reshape(*g_b.shape[:-2], -1).swapaxes(-1, -2)
 
 
-# The operands (G, H) of the Gram G^dag H that each operator key stands for,
-# from a factor stack F (..., dim, m).  "top" and "below" split F into its top
-# level and the levels under it.
-_GRAM_OPERANDS: dict[str, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = {
-    "1": lambda f: (f, f),
-    "top": lambda f: (f[..., -1:, :],) * 2,
-    "below": lambda f: (f[..., :-1, :],) * 2,
-    "parity": lambda f: (f, np.where(np.arange(f.shape[-2]) % 2 == 0, 1.0, -1.0)[:, None] * f),
-}
+def _parity_gram(fac: np.ndarray) -> np.ndarray:
+    """F^dag P F of a factor stack F, P = diag((-1)^n) the parity over its Fock axis."""
+    return _gram(fac, np.where(np.arange(fac.shape[-2]) % 2 == 0, 1.0, -1.0)[:, None] * fac)
 
 
-def _moments(fac_a: np.ndarray, fac_b: np.ndarray) -> Callable[[str, str], np.ndarray]:
-    """moment(op_a, op_b): <O_a (x) O_b> of every raw pointer state fac_a @ fac_b^T.
+def _tail_mass(fac_a: np.ndarray, fac_b: np.ndarray, gram_b: np.ndarray) -> np.ndarray:
+    """Top-level mass of every raw pointer state fac_a @ fac_b^T, given
+    gram_b = _gram(fac_b, fac_b): its top row plus the top column below it,
+    so the corner cell counts once.
 
-    fac_a (..., Na, dim_a, m) and fac_b (..., Nb, dim_b, m) are factor stacks;
-    the moments come out as (..., Na, Nb) grids, named by _GRAM_OPERANDS' keys.
-    A single factor fac_a (dim_a x m) against a stack fac_b (Nb x dim_b x m)
-    gives Nb moments.  Each side's Gram of a key is built once, when first
-    asked for by a moment or by moment.gram(side, key)."""
-
-    @functools.cache
-    def gram(side: int, key: str) -> np.ndarray:
-        return _gram(*_GRAM_OPERANDS[key]((fac_a, fac_b)[side]))
-
-    def moment(op_a: str, op_b: str) -> np.ndarray:
-        return _contract(gram(0, op_a), gram(1, op_b))
-
-    moment.gram = gram
-    return moment
-
-
-def _tail_mass(moment) -> np.ndarray:
-    """Top-level mass of every raw pointer state: its top row plus the top
-    column below it, so the corner cell counts once."""
-    return moment("top", "1").real + moment("below", "top").real
-
-
-def _factored_wigner(
-    left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """P_J and the displaced top-level mass over real gammas x betas of the normalized state left @ right^T.
-
-    Both are moments of the displaced factor stacks D_a(-gamma) left and
-    D_b(-beta) right, each one fock.meter pass with the row (1, 1).
+    fac_a (..., Na, dim_a, m) and fac_b (..., Nb, dim_b, m) are factor
+    stacks and the masses an (..., Na, Nb) grid; a single factor fac_a
+    (dim_a x m) against a stack fac_b (Nb x dim_b x m) gives Nb masses.
     """
-    moment = _moments(meter(-gammas, (1, 1), left), meter(-betas, (1, 1), right))
-    return moment("parity", "parity").real, _tail_mass(moment)
+    top_a, below_a, top_b = fac_a[..., -1:, :], fac_a[..., :-1, :], fac_b[..., -1:, :]
+    top_row = _contract(_gram(top_a, top_a), gram_b).real
+    return top_row + _contract(_gram(below_a, below_a), _gram(top_b, top_b)).real
 
 
 def _checked_wigner(
     left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray, range_tol: float, asked=None
 ) -> np.ndarray:
-    """_factored_wigner's P_J, with the range check at every point: the first
-    point whose displaced top-level mass exceeds range_tol, in row-major
-    order, raises NumericalRangeError naming that point of the axes asked,
-    (gammas, betas) unless given."""
-    values, top = _factored_wigner(left, right, gammas, betas)
+    """P_J over real gammas x betas of the normalized state left @ right^T.
+
+    P_J and the displaced top-level mass are moments of the displaced factor
+    stacks D_a(-gamma) left and D_b(-beta) right, each one fock.meter pass
+    with the row (1, 1).  The first point whose displaced top-level mass
+    exceeds range_tol, in row-major order, raises NumericalRangeError naming
+    that point of the axes asked, (gammas, betas) unless given.
+    """
+    shifted_a, shifted_b = meter(-gammas, (1, 1), left), meter(-betas, (1, 1), right)
+    top = _tail_mass(shifted_a, shifted_b, _gram(shifted_b, shifted_b))
     failing = np.argwhere(top > range_tol)
     if failing.size:
         i, j = failing[0]
@@ -233,7 +205,7 @@ def _checked_wigner(
             f"displacement (gamma={complex(names[0][i])}, beta={complex(names[1][j])}) pushes tail "
             f"mass {float(top[i, j]):.3e} past the validated range tolerance {range_tol:.1e}"
         )
-    return values
+    return _contract(_parity_gram(shifted_a), _parity_gram(shifted_b)).real
 
 
 def joint_wigner_grid(
@@ -311,11 +283,15 @@ def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return q[..., 1], r2 > np.maximum(0.5 * r1, noise_floor)
 
 
-def _qfi_point(config: WeakMeasurementConfig, h: float, cutoff: FockCutoff,
-               tail_tol: float) -> tuple[float, bool, bool]:
-    """(Q, degenerate, tripped) at the config's point, by central differences
-    on the Fock factors at cutoff: the independent check of the closed form
+def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP,
+                          cutoff: FockCutoff = DEFAULT_CUTOFF, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+    """Finite-difference QFI of the post-selected pointer family in varphi,
+    on the Fock basis of cutoff: the independent check of the closed form
     that qfi_analytic evaluates.
+
+    Under "fixed-kappa" the success-probability rescaling is frozen at the
+    working point, under "renormalized" each member is normalized; the
+    projection term makes both gauges agree to finite-difference accuracy.
 
     The pointer states at varphi and at varphi +- step (h, h/2, h/4) are the
     rank-2 factors A X_k^T of _pointer_factors, A = K_a L and X_k = K_b R_k,
@@ -329,53 +305,36 @@ def _qfi_point(config: WeakMeasurementConfig, h: float, cutoff: FockCutoff,
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
     Warns, as _post_select does, for each member whose normalized top-level
-    mass exceeds tail_tol.  degenerate marks a member's P_s below
-    DEFAULT_P_FLOOR (Q is then NaN), tripped a Q that fails _richardson.
+    mass exceeds tail_tol.  A member's P_s below DEFAULT_P_FLOOR raises
+    DegeneratePostSelectionError, a Q that fails _richardson
+    NumericalRangeError.
     """
+    if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
+        raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
     phi0 = config.ecs.varphi
     steps = [h, 0.5 * h, 0.25 * h]
     varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
     left, right = ecs_factors(config.ecs, cutoff, tail_tol, varphis)
     fac_a, members = _pointer_factors(left, right, config.wv, config.coupling)
-    moment = _moments(fac_a, members)
-    p = moment("1", "1").real
+    g_a, g_members = _gram(fac_a, fac_a), _gram(members, members)
+    p = _contract(g_a, g_members).real
     degenerate = p < DEFAULT_P_FLOOR
-    tail = _tail_mass(moment) / np.where(degenerate, np.nan, p)
+    tail = _tail_mass(fac_a, members, g_members) / np.where(degenerate, np.nan, p)
     for mass in tail[tail > tail_tol].tolist():
         warn_if_truncated(mass, tail_tol, "build_pointer_state")
     if degenerate.any():
-        return math.nan, True, False
+        raise DegeneratePostSelectionError(f"post-selection probability below floor {DEFAULT_P_FLOOR:.1e}")
     scaled = members * (1.0 / np.sqrt(p if config.qfi_gauge == "renormalized" else p[:1]))[:, None, None]
     d_x = (scaled[1::2] - scaled[2::2]) * (0.5 / np.array(steps))[:, None, None]
-    g_a = moment.gram(0, "1")
     dd = _contract(g_a, _gram(d_x, d_x)).real
     cross = _contract(g_a, _gram(scaled[:1], d_x))
     q, tripped = _richardson(4.0 * (dd - np.abs(cross) ** 2), h)
-    return float(q), False, bool(tripped)
-
-
-def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP,
-                          cutoff: FockCutoff = DEFAULT_CUTOFF, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Finite-difference QFI of the post-selected pointer family in varphi,
-    on the Fock basis of cutoff.
-
-    Under "fixed-kappa" the success-probability rescaling is frozen at the
-    working point, under "renormalized" each member is normalized; the
-    projection term makes both gauges agree to finite-difference accuracy.
-    _qfi_point's Q: a degenerate member raises DegeneratePostSelectionError,
-    a tripped Richardson check NumericalRangeError.
-    """
-    if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
-        raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    q, degenerate, tripped = _qfi_point(config, h, cutoff, tail_tol)
-    if degenerate:
-        raise DegeneratePostSelectionError(f"post-selection probability below floor {DEFAULT_P_FLOOR:.1e}")
     if tripped:
         raise NumericalRangeError(
             f"finite-difference step h={h:g} is cancellation-dominated: "
             "successive halvings of the step do not contract the estimate"
         )
-    return q
+    return float(q)
 
 
 def qfi_analytic(config: WeakMeasurementConfig) -> float:

@@ -1,6 +1,7 @@
 """Tests for RangeSpec and the aggregated run configuration."""
 
 import copy
+import functools
 import math
 import pickle
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from ecsim.config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
+from ecsim.errors import DegeneratePostSelectionError
 from ecsim.fock import FockCutoff, ModeOperator, TwoModeState, coherent_column
 from ecsim.measurement import (
     CouplingParams,
@@ -111,6 +113,21 @@ TAIL_TOL_ROUTES = {
 def test_every_fock_route_checks_its_tail_tolerance(route, tail_tol):
     with pytest.raises(ValueError, match=re.escape(f"tail_tolerance must lie in (0, 1e-4], got {tail_tol!r}")):
         route(tail_tol)
+
+
+def test_a_degenerate_point_reports_its_bad_tail_tolerance_first():
+    # P_s is below the floor at this point.  Both post-selection routes check
+    # the tolerance before the floor, so a bad tolerance raises the same
+    # ValueError on the dense route as on the config's.
+    config = default_config(
+        wv=WeakValueParams(math.pi - 1e-9, HALF_PI, math.pi - 1e-9, HALF_PI), coupling=CouplingParams(0.0, 0.0)
+    )
+    dense = functools.partial(build_pointer_state, build_ecs(config.ecs), config.wv, config.coupling)
+    for route in (dense, config.pointer_outcome):
+        with pytest.raises(DegeneratePostSelectionError):
+            route()
+        with pytest.raises(ValueError, match=re.escape("tail_tolerance must lie in (0, 1e-4], got 0.0")):
+            route(tail_tol=0.0)
 
 
 def test_config_dict_round_trip_fixpoint():

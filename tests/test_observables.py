@@ -369,6 +369,27 @@ def test_finite_difference_qfi_of_a_large_probe_needs_a_large_cutoff(gauge):
     assert qfi_analytic(config) == 1434.4456688713035
 
 
+def test_tail_mass_of_factors_is_the_dense_top_level_mass():
+    # A single factor against a member stack (the finite-difference QFI) and
+    # a stack against a stack (the Wigner grid): each mass equals
+    # fock.top_level_mass of the dense product A @ X_k^T, corner cell once.
+    rng = np.random.default_rng(29)
+
+    def factors(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    single, members = factors(9, 2), factors(7, 6, 2)
+    stack = factors(3, 9, 2)
+    for fac_a, dense in (
+        (single, single @ members.swapaxes(-1, -2)),
+        (stack, stack[:, None] @ members.swapaxes(-1, -2)),
+    ):
+        masses = observables._tail_mass(fac_a, members, observables._gram(members, members))
+        expected = fock.top_level_mass(dense)
+        assert masses.shape == expected.shape
+        assert np.allclose(masses, expected, rtol=1e-13, atol=0.0)
+
+
 def test_checked_richardson_contracts_and_rejects():
     steps = 1e-5 * np.array([1.0, 0.5, 0.25])
     q, tripped = _richardson(1.0 + 1e6 * steps**2, 1e-5)
