@@ -22,8 +22,8 @@ _LAZY = {
     for module, names in {
         "fock": ("FockCutoff", "TwoModeState", "coherent_column"),
         "measurement": ("PostSelectedOutcome", "build_ecs", "build_pointer_state", "weak_value_x", "weak_value_y"),
-        "observables": ("SqueezingReport", "WignerGrid", "hz_correlation", "joint_wigner_grid", "joint_wigner_point",
-                        "qcrb", "qfi_analytic", "qfi_finite_difference", "squeezing_report"),
+        "observables": ("SqueezingReport", "WignerGrid", "hz_correlation", "joint_wigner_grid", "qcrb",
+                        "qfi_analytic", "qfi_finite_difference", "squeezing_report"),
     }.items()
     for name in names
 }

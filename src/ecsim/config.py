@@ -27,7 +27,7 @@ class RangeSpec(_Record):
     __slots__ = ("start", "stop", "points")
 
     def __init__(self, start: float, stop: float, points: int) -> None:
-        if not isinstance(points, int) or points < 1:
+        if not isinstance(points, int) or isinstance(points, bool) or points < 1:
             raise ValueError(f"points must be an integer >= 1, got {points!r}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("range endpoints must be finite")

@@ -46,7 +46,7 @@ class FockCutoff(_Record):
 
     def __init__(self, n_max_a: int, n_max_b: int) -> None:
         for label, n in (("n_max_a", n_max_a), ("n_max_b", n_max_b)):
-            if not isinstance(n, int) or n < 1:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ValueError(f"{label} must be an integer >= 1, got {n!r}")
             if n > MAX_N_MAX:
                 raise ValueError(f"{label} must be at most {MAX_N_MAX} per mode, got {n}")
@@ -174,25 +174,17 @@ def meter(arms, row, factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phase_split(gamma: complex, dim: int) -> tuple[np.ndarray, float]:
-    """(r, t) with gamma = e^{i phi} t, phi = arg gamma mod pi, t real and
-    r = e^{i phi n} over the levels 0 .. dim - 1.
-
-    R = diag(r) rephases a to e^{-i phi} a exactly on the truncated basis, so
-    D(gamma) = R D(t) R^dag; a real gamma has phi = 0 and r all ones.
-    """
+def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
+    """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a);
+    raises meter's ValueError on overflow.  With gamma = e^{i phi} t, phi =
+    arg gamma mod pi and t real, R = diag(e^{i phi n}) rephases a to
+    e^{-i phi} a exactly on the truncated basis, so D(gamma) = R D(t) R^dag,
+    D(t) the meter of arm t and row (1, 1) on the identity; a real gamma has R = 1."""
+    dim = int(n_max) + 1
     angle = cmath.phase(gamma)
     phi = angle % math.pi
     t = abs(gamma) if angle == phi else -abs(gamma)
-    return np.exp(1j * phi * levels(dim)[0]), t
-
-
-def displacement_matrix(gamma: complex, n_max: int) -> ModeOperator:
-    """Truncated displacement D(gamma) = exp(gamma a^dag - conj(gamma) a):
-    R D(t) R^dag of _phase_split, with D(t) the meter of arm t and row (1, 1)
-    applied to the identity; raises meter's ValueError on overflow."""
-    dim = int(n_max) + 1
-    r, t = _phase_split(gamma, dim)
+    r = np.exp(1j * phi * levels(dim)[0])
     shifted = meter([t], (1.0, 1.0), np.eye(dim, dtype=np.complex128))[0]
     return ModeOperator(r[:, None] * shifted * np.conj(r))
 

@@ -89,6 +89,8 @@ def weak_value_x(theta1: float, delta1: float) -> complex:
     """w_x = e^{i delta_1} tan(theta_1 / 2)."""
     if not (0.0 <= theta1 <= THETA_GUARD):
         raise ValueError(f"theta1 outside [0, pi) divergence guard: {theta1!r}")
+    if not math.isfinite(delta1):
+        raise ValueError(f"delta1 must be finite, got {delta1!r}")
     return cmath.exp(1j * delta1) * math.tan(0.5 * theta1)
 
 
@@ -96,6 +98,8 @@ def weak_value_y(theta2: float, delta2: float) -> complex:
     """w_y = -i e^{i delta_2} tan(theta_2 / 2)."""
     if not (0.0 <= theta2 <= THETA_GUARD):
         raise ValueError(f"theta2 outside [0, pi) divergence guard: {theta2!r}")
+    if not math.isfinite(delta2):
+        raise ValueError(f"delta2 must be finite, got {delta2!r}")
     return -1j * cmath.exp(1j * delta2) * math.tan(0.5 * theta2)
 
 

@@ -39,7 +39,6 @@ from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
     TwoModeState,
-    _phase_split,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     create,
     levels,
@@ -128,7 +127,11 @@ def squeezing_report(state: TwoModeState, theta_big: float) -> SqueezingReport:
 
     S = 2 [ Re(e^{-2iT} <a^2 b^2>) - 2 (Re e^{-iT} <a b>)^2 + <N_a N_b> ]
         / (<N_a> + <N_b> + 1).
+
+    A non-finite T raises ValueError.
     """
+    if not math.isfinite(theta_big):
+        raise ValueError(f"theta_big must be finite, got {theta_big!r}")
     direct, normal = _squeezing_routes(state.amplitudes, theta_big)
     return SqueezingReport(s2s_direct=direct, s2s_normal_ordered=normal, theta_big=theta_big)
 
@@ -184,72 +187,40 @@ def _tail_mass(fac_a: np.ndarray, fac_b: np.ndarray, gram_b: np.ndarray) -> np.n
     return top_row + _contract(_gram(below_a, below_a), _gram(top_b, top_b)).real
 
 
-def _checked_wigner(
-    left: np.ndarray, right: np.ndarray, gammas: np.ndarray, betas: np.ndarray, range_tol: float, asked=None
-) -> np.ndarray:
-    """P_J over real gammas x betas of the normalized state left @ right^T.
-
-    P_J and the displaced top-level mass are moments of the displaced factor
-    stacks D_a(-gamma) left and D_b(-beta) right, each one fock.meter pass
-    with the row (1, 1).  The first point whose displaced top-level mass
-    exceeds range_tol, in row-major order, raises NumericalRangeError naming
-    that point of the axes asked, (gammas, betas) unless given.
-    """
-    shifted_a, shifted_b = meter(-gammas, (1, 1), left), meter(-betas, (1, 1), right)
-    top = _tail_mass(shifted_a, shifted_b, _gram(shifted_b, shifted_b))
-    failing = np.argwhere(top > range_tol)
-    if failing.size:
-        i, j = failing[0]
-        names = asked or (gammas, betas)
-        raise NumericalRangeError(
-            f"displacement (gamma={complex(names[0][i])}, beta={complex(names[1][j])}) pushes tail "
-            f"mass {float(top[i, j]):.3e} past the validated range tolerance {range_tol:.1e}"
-        )
-    return _contract(_parity_gram(shifted_a), _parity_gram(shifted_b)).real
-
-
 def joint_wigner_grid(
     state: TwoModeState,
     re_gamma: RangeSpec,
     re_beta: RangeSpec,
     range_tol: float = DEFAULT_RANGE_TOL,
 ) -> WignerGrid:
-    """P_J sampled over real gamma and beta, rows indexed by Re(gamma).
+    """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>
+    over real gamma and beta, rows indexed by Re(gamma): in [-1, 1] to
+    rounding, and (4 / pi^2) P_J is the phase-space density.
 
-    The state enters as the factor pair (amplitudes, identity), so the grid
-    is one product of the parity Grams of D_a(-gamma) amplitudes and
-    D_b(-beta), as in the module docstring.  Raises NumericalRangeError at
-    the first point, in row-major order, whose displaced top-level mass
-    exceeds range_tol.
+    P_J and the displaced top-level mass are moments of the factor pair
+    (D_a(-gamma) amplitudes, D_b(-beta)), as in the module docstring.  Raises
+    ValueError unless range_tol is finite and > 0, and NumericalRangeError
+    naming the first point, in row-major order, whose displaced top-level
+    mass exceeds range_tol.  A complex point (e^{i phi_a} t_a, e^{i phi_b} t_b),
+    t real, is the real point (t_a, t_b) of the state rotated by
+    diag(e^{-i phi n}) on each mode, which commutes with parity and keeps the
+    top-level mass.
     """
+    if not 0.0 < range_tol < math.inf:
+        raise ValueError(f"range_tol must be finite and > 0, got {range_tol!r}")
     gammas, betas = (np.array(axis) for axis in _wigner_axes(re_gamma, re_beta))
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    values = _checked_wigner(state.amplitudes, identity, gammas, betas, range_tol)
+    shifted_a, shifted_b = meter(-gammas, (1, 1), state.amplitudes), meter(-betas, (1, 1), identity)
+    top = _tail_mass(shifted_a, shifted_b, _gram(shifted_b, shifted_b))
+    failing = np.argwhere(top > range_tol)
+    if failing.size:
+        i, j = failing[0]
+        raise NumericalRangeError(
+            f"displacement (gamma={complex(gammas[i])}, beta={complex(betas[j])}) pushes tail "
+            f"mass {float(top[i, j]):.3e} past the validated range tolerance {range_tol:.1e}"
+        )
+    values = _contract(_parity_gram(shifted_a), _parity_gram(shifted_b)).real
     return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)
-
-
-def joint_wigner_point(
-    state: TwoModeState,
-    gamma: complex,
-    beta: complex,
-    range_tol: float = DEFAULT_RANGE_TOL,
-) -> float:
-    """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>,
-    in [-1, 1] since the displacements are unitary to rounding; the
-    phase-space density is (4 / pi^2) P_J.
-
-    With gamma = e^{i phi_a} t_a and beta = e^{i phi_b} t_b split by
-    fock._phase_split into rotations R and real arms, it is the one-point
-    joint_wigner_grid at (t_a, t_b) of the state rotated by R_a^dag (x) R_b^dag:
-    parity commutes with R, and R leaves the top-level mass unchanged, so
-    the range check holds as at (gamma, beta) and names that point.
-    """
-    r_a, t_a = _phase_split(gamma, state.cutoff.dim_a)
-    r_b, t_b = _phase_split(beta, state.cutoff.dim_b)
-    rotated = np.conj(r_a)[:, None] * state.amplitudes * np.conj(r_b)
-    identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
-    values = _checked_wigner(rotated, identity, np.array([t_a]), np.array([t_b]), range_tol, ([gamma], [beta]))
-    return float(values[0, 0])
 
 
 def hz_correlation(state: TwoModeState) -> float:
@@ -263,7 +234,7 @@ def qcrb(qfi: float, shots: int = 1) -> float:
     """delta_phi = 1 / sqrt(shots * qfi)."""
     if not (qfi > 0.0 and math.isfinite(qfi)):
         raise ValueError(f"qcrb requires qfi > 0, got {qfi!r}")
-    if not isinstance(shots, int) or shots < 1:
+    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     return 1.0 / math.sqrt(shots * qfi)
 

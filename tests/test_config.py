@@ -58,6 +58,8 @@ def test_range_spec_validation():
         RangeSpec(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         RangeSpec(0.0, 1.0, 2.5)
+    with pytest.raises(ValueError, match="points must be an integer >= 1, got True"):
+        RangeSpec(0.0, 0.0, True)
     with pytest.raises(ValueError):
         RangeSpec(1.0, 0.0, 3)
     with pytest.raises(ValueError):

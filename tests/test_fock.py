@@ -39,6 +39,10 @@ def test_cutoff_validation():
         fock.FockCutoff(5, -1)
     with pytest.raises(ValueError):
         fock.FockCutoff(2.5, 5)
+    with pytest.raises(ValueError, match="n_max_a must be an integer >= 1, got True"):
+        fock.FockCutoff(True, 5)
+    with pytest.raises(ValueError, match="n_max_b must be an integer >= 1, got False"):
+        fock.FockCutoff(5, False)
     cut = fock.FockCutoff(4, 6)
     assert cut.dim_a == 5
     assert cut.dim_b == 7

@@ -95,6 +95,12 @@ def test_weak_values_frozen():
     assert abs(weak_value_y(HALF_PI, 0.0) + 1j) < 1e-15
     with pytest.raises(ValueError):
         weak_value_x(math.pi, 0.0)
+    # A non-finite phase, as WeakValueParams rejects for its delta_i.
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta1 must be finite"):
+            weak_value_x(0.5, delta)
+        with pytest.raises(ValueError, match="delta2 must be finite"):
+            weak_value_y(0.5, delta)
 
 
 def test_branch_weights_sum_to_four():

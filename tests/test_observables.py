@@ -33,7 +33,6 @@ from ecsim.observables import (
     _richardson,
     hz_correlation,
     joint_wigner_grid,
-    joint_wigner_point,
     qcrb,
     qfi_analytic,
     qfi_finite_difference,
@@ -76,6 +75,25 @@ def product_coherent_squeezing(alpha, beta, theta_big):
     return 2.0 * numerator / (abs(alpha) ** 2 + abs(beta) ** 2 + 1.0)
 
 
+def wigner_at(state, gamma, beta, range_tol=DEFAULT_RANGE_TOL):
+    """P_J at a complex (gamma, beta): the first cell of a two-point
+    joint_wigner_grid of the state rotated by diag(e^{-i phi n}) on each
+    mode, with gamma = e^{i phi_a} t_a, beta = e^{i phi_b} t_b, phi = arg mod
+    pi and t real.  Each axis's second point is the next float after t, so
+    the range check of the grid is, to rounding, the check at (gamma, beta).
+    """
+    arms, rotations = [], []
+    for z, dim in ((gamma, state.cutoff.dim_a), (beta, state.cutoff.dim_b)):
+        angle = cmath.phase(z)
+        phi = angle % math.pi
+        t = abs(z) if angle == phi else -abs(z)
+        arms.append(RangeSpec(t, math.nextafter(t, math.inf), 2))
+        rotations.append(np.exp(-1j * phi * np.arange(dim)))
+    rotated = rotations[0][:, None] * state.amplitudes * rotations[1]
+    grid = joint_wigner_grid(fock.TwoModeState(rotated, state.cutoff), *arms, range_tol=range_tol)
+    return float(grid.values[0, 0])
+
+
 def test_squeezing_vacuum_is_zero():
     state = vacuum_state(fock.FockCutoff(5, 5))
     for theta_big in (0.0, HALF_PI, 1.0):
@@ -115,12 +133,20 @@ def test_squeezing_probe_state_is_zero():
     assert report.theta_big == HALF_PI
 
 
+def test_squeezing_report_rejects_a_non_finite_angle():
+    # As WeakMeasurementConfig does for its theta_big.
+    state = vacuum_state(fock.FockCutoff(5, 5))
+    for theta_big in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="theta_big must be finite"):
+            squeezing_report(state, theta_big)
+
+
 def test_wigner_vacuum_and_coherent_peaks():
     state = vacuum_state(fock.FockCutoff(20, 20))
-    assert abs(joint_wigner_point(state, 0.0, 0.0) - 1.0) < 1e-12
+    assert abs(wigner_at(state, 0.0, 0.0) - 1.0) < 1e-12
     shifted = product_coherent(0.1j, -0.3, fock.FockCutoff(20, 20))
     # Displacing back to the vacuum restores parity one.
-    assert abs(joint_wigner_point(shifted, 0.1j, -0.3) - 1.0) < 1e-10
+    assert abs(wigner_at(shifted, 0.1j, -0.3) - 1.0) < 1e-10
 
 
 def test_wigner_product_coherent_gaussian_profile():
@@ -143,7 +169,7 @@ def test_wigner_complex_point_gaussian():
     expected = math.exp(-2.0 * abs(gamma - alpha) ** 2) * math.exp(
         -2.0 * abs(beta - beta0) ** 2
     )
-    assert abs(joint_wigner_point(state, gamma, beta) - expected) < 1e-9
+    assert abs(wigner_at(state, gamma, beta) - expected) < 1e-9
 
 
 def test_wigner_probe_origin_closed_form():
@@ -154,7 +180,7 @@ def test_wigner_probe_origin_closed_form():
         2.0 * (1.0 + math.exp(-r * r))
     )
     assert abs(expected - 0.9139311852712282) < 1e-14
-    assert abs(joint_wigner_point(state, 0.0, 0.0) - expected) < 1e-10
+    assert abs(wigner_at(state, 0.0, 0.0) - expected) < 1e-10
 
 
 def test_wigner_bounds_on_random_states():
@@ -163,23 +189,14 @@ def test_wigner_bounds_on_random_states():
     for _ in range(10):
         state = random_normalized(rng, cut)
         for gamma, beta in ((0.0, 0.0), (0.5, -0.3), (0.2j, 0.4)):
-            val = joint_wigner_point(state, gamma, beta, range_tol=2.0)
+            val = wigner_at(state, gamma, beta, range_tol=2.0)
             assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
 
 
 def test_wigner_range_guard():
     state = product_coherent(0.0, 0.0, fock.FockCutoff(10, 10))
     with pytest.raises(NumericalRangeError):
-        joint_wigner_point(state, 6.0, 0.0)
-
-
-def test_wigner_range_error_names_the_complex_point_asked_for():
-    # The point is evaluated at real arms of a rotated state, yet its error
-    # names the complex (gamma, beta) that was asked for.
-    state = product_coherent(0.0, 0.0, fock.FockCutoff(10, 10))
-    gamma, beta = 6.0 + 0.5j, 0.3j
-    with pytest.raises(NumericalRangeError, match=re.escape(f"(gamma={gamma}, beta={beta})")):
-        joint_wigner_point(state, gamma, beta)
+        wigner_at(state, 6.0, 0.0)
 
 
 def test_wigner_grid_matches_point_evaluation():
@@ -193,7 +210,7 @@ def test_wigner_grid_matches_point_evaluation():
         for j, b in enumerate(grid.re_beta_axis):
             parity, _ = oracles.displaced_parity(state.amplitudes, d_a, oracles.displacement(-b, 40))
             assert abs(grid.values[i, j] - parity) < 1e-13
-            assert abs(joint_wigner_point(state, complex(g), complex(b)) - parity) < 1e-13
+            assert abs(wigner_at(state, complex(g), complex(b)) - parity) < 1e-13
 
 
 def test_wigner_grid_validation():
@@ -202,6 +219,15 @@ def test_wigner_grid_validation():
         joint_wigner_grid(state, RangeSpec(0.0, 0.0, 1), RangeSpec(-1.0, 1.0, 3))
     with pytest.raises(ValueError):
         WignerGrid(np.zeros(3), np.zeros(3), np.zeros((2, 3)))
+    # range_tol is checked before any point: NaN or inf would switch the
+    # range guard off (P_J = 0.314 at gamma = 6 with NaN, where the default
+    # raises), and zero or below would fault a grid point instead.
+    far = (vacuum_state(fock.FockCutoff(10, 10)), RangeSpec(5.0, 6.0, 2), RangeSpec(0.0, 1.0, 2))
+    with pytest.raises(NumericalRangeError, match=re.escape("(gamma=(5+0j), beta=0j)")):
+        joint_wigner_grid(*far)
+    for range_tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="range_tol must be finite and > 0"):
+            joint_wigner_grid(*far, range_tol=range_tol)
 
 
 def test_hz_vacuum_and_product_coherent_vanish():
@@ -239,6 +265,8 @@ def test_qcrb_values_and_validation():
         qcrb(1.0, 0)
     with pytest.raises(ValueError):
         qcrb(1.0, 1.5)
+    with pytest.raises(ValueError, match="shots must be an integer >= 1, got True"):
+        qcrb(4.0, True)
 
 
 def test_qfi_coherent_family_number_variance():
@@ -554,20 +582,20 @@ def test_gram_wigner_matches_dense_and_tensor_references(r, mu, varphi, angles, 
 def test_wigner_point_matches_oracle_at_complex_displacements(
     r, mu, varphi, angles, s1, s2, gamma, beta, n_max
 ):
-    """joint_wigner_point at a complex (gamma, beta), the only way a complex
-    displacement reaches the factored route: its value, and its range check,
-    against the displaced parity of the tensor oracle's pointer state."""
+    """P_J at a complex (gamma, beta), read by wigner_at as a real point of
+    the rotated state: its value, and its range check, against the displaced
+    parity of the tensor oracle's pointer state."""
     amp, _ = oracles.brute_force_pointer(r, mu, varphi, *angles, s1, s2, n_max)
     state = fock.TwoModeState(amp, fock.FockCutoff(n_max, n_max))
     parity, mass = oracles.displaced_parity(
         amp, oracles.displacement(-gamma, n_max), oracles.displacement(-beta, n_max)
     )
-    assert abs(joint_wigner_point(state, gamma, beta, range_tol=2.0) - parity) <= GRAM_TOL
+    assert abs(wigner_at(state, gamma, beta, range_tol=2.0) - parity) <= GRAM_TOL
     if mass > DEFAULT_RANGE_TOL:
         with pytest.raises(NumericalRangeError):
-            joint_wigner_point(state, gamma, beta)
+            wigner_at(state, gamma, beta)
     else:
-        joint_wigner_point(state, gamma, beta)
+        wigner_at(state, gamma, beta)
 
 
 def test_gram_sweeps_keep_the_dense_accuracy_under_strong_post_selection():
