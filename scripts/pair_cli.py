@@ -13,7 +13,11 @@ the imports and the sweep.
 
 The script prints, per invocation, the median wall time and its quartiles
 for both trees, their ratio (change / parent), and whether every timed run
-of both trees wrote the same stdout bytes ("same") or not ("DIFFER").
+of both trees wrote the same stdout bytes ("same") or not ("DIFFER").  A
+DIFFER row also gives, from the first run of each tree, how many float cells
+differ, the worst absolute and relative gap and the largest share of the
+golden bound used, as scripts/golden_drift.py measures them with the parent's
+stdout in place of the golden file.
 Then, per tree, it prints where a cold run spends that time: from one more
 fresh process per invocation and round, the medians of `import ecsim.cli`
 and of the run through ecsim.cli.main.  The import is timed as
@@ -36,6 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from golden_cases import GOLDEN_CASES  # noqa: E402
+from golden_drift import float_drift  # noqa: E402
 
 # One fresh process: the in-process split of one invocation, as JSON seconds.
 # The modules that the split itself needs load after the import it times.
@@ -83,6 +88,14 @@ def split(src: str, argv: list[str], cwd: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def gap(parent: bytes, change: bytes) -> str:
+    """The float gap between the parent's and the change's stdout of one invocation."""
+    if not (parent and change):
+        return "no output"
+    _, differ, worst_abs, worst_rel, share = float_drift(parent.decode(), change.decode())
+    return f"{differ} cells, worst abs {worst_abs:.2g}, rel {worst_rel:.2g}, {100.0 * share:.2f}% of bound"
+
+
 def summary(samples: list[float]) -> tuple[float, float, float]:
     """(median, first quartile, third quartile) in ms."""
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
@@ -101,7 +114,7 @@ def main(argv=None) -> int:
     trees = {"parent": src_dir(args.parent), "change": src_dir(args.change)}
     wall = {name: {case: [] for case in GOLDEN_CASES} for name in trees}
     parts = {name: {case: {part: [] for part in PARTS} for case in GOLDEN_CASES} for name in trees}
-    outputs = {case: set() for case in GOLDEN_CASES}
+    outputs = {case: {name: [] for name in trees} for case in GOLDEN_CASES}
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
         for round_index in range(args.rounds):
@@ -110,7 +123,7 @@ def main(argv=None) -> int:
                 for name in order:
                     seconds, code, stdout = timed_cli(trees[name], cli_argv, cwd)
                     wall[name][case].append(seconds)
-                    outputs[case].add(stdout)
+                    outputs[case][name].append(stdout)
                     failures += code != 0
                 for name in order:
                     sample = split(trees[name], cli_argv, cwd)
@@ -122,8 +135,10 @@ def main(argv=None) -> int:
     print(f"{'invocation':<26}{'parent':>24}{'change':>24}{'ratio':>8}{'stdout':>8}")
     for case in GOLDEN_CASES:
         (p, p1, p3), (c, c1, c3) = (summary(wall[name][case]) for name in ("parent", "change"))
-        same = "same" if len(outputs[case]) == 1 else "DIFFER"
-        print(f"{case:<26}{p:>8.1f} [{p1:6.1f}, {p3:6.1f}]{c:>8.1f} [{c1:6.1f}, {c3:6.1f}]{c / p:>8.3f}{same:>8}")
+        runs = outputs[case]
+        same = "same" if len(set(runs["parent"] + runs["change"])) == 1 else "DIFFER"
+        row = f"{case:<26}{p:>8.1f} [{p1:6.1f}, {p3:6.1f}]{c:>8.1f} [{c1:6.1f}, {c3:6.1f}]{c / p:>8.3f}{same:>8}"
+        print(row if same == "same" else f"{row}  {gap(runs['parent'][0], runs['change'][0])}")
     for name in trees:
         print(f"# {name}: in-process median ms of `import ecsim.cli` and of the run")
         for case in GOLDEN_CASES:

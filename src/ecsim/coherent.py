@@ -23,16 +23,17 @@ u K' with K' = K(d, c), so
 and the parity Pi passes as Pi K(c, d) = K(c, -d) Pi, with Pi|y> = |-y>.
 The pointer state is A X^T with the factors A = K_a [N|alpha>, |0>] and
 X = K_b [|0>, N|beta>] (see measurement), so each side's 2 x 2 Grams of the
-keys 1, n, a and aa (side_grams), and of the displaced parity D(2 gamma) Pi
-of the Wigner function (parity_grams), are a few elements each, and a
-moment <O_a (x) O_b> is sum_kl GA_kl GB_kl (contract).  The QFI's number
-operator terms are z-derivatives of the same basis (_slopes, pointer_qfi).
+keys 1, n, a and aa, of the QFI's varphi-derivative keys d and dd
+(side_grams, with _slopes), and of the displaced parity D(2 gamma) Pi of
+the Wigner function (parity_grams), are a few elements each, and a moment
+<O_a (x) O_b> is sum_kl GA_kl GB_kl (contract).
 
-Two rules keep every digit and every intermediate finite.  1 - rho is
+Three rules keep every digit and every intermediate finite.  1 - rho is
 -expm1(-a) - 2 e^{-a} sinh^2(z/2), which keeps its digits at small u.
 Where |Re z| > 1, e^{+-z - a} is only ever formed together with
 <x|D(g)|y>, as the one exponential <x|D(g +- 2u)|y>, whose modulus is at
-most 1.  All of it is scalar math, exact at any cutoff, with no numpy.
+most 1.  d and dd take n from _slopes, not from the shift rules, which
+cancel at large u.  All of it is scalar math, exact at any cutoff, no numpy.
 """
 
 from __future__ import annotations
@@ -99,15 +100,17 @@ def _slopes(basis: tuple, row: tuple) -> tuple[complex, complex]:
     return spread * s_odd - kappa * s_even, spread * s_even - kappa * s_odd
 
 
-# <F_k|O|F_l> of each Gram key O, from x = y_k*, y = y_l, the arm u and the
+# <F_k|O|F_l> of each Gram key O, from x = y_k*, y = y_l, the arm u, the
 # elements t = (t_00, t_01, t_10, t_11), t_ij = w_k w_l <y_k|K_i^dag K_j|y_l>
-# with K_0 = K and K_1 = K', by the shift rules of the module docstring;
-# n = a^dag a pairs a F_k with a F_l.
+# with K_0 = K and K_1 = K', and f = w_k w_l _slopes, by the shift rules of the
+# module docstring: n pairs a F_k with a F_l, and d and dd pair F_k and dF_k with dF_l = i w_l K n|y_l>.
 _SHIFTS = {
-    "1": lambda t, x, y, u: t[0],
-    "a": lambda t, x, y, u: y * t[0] + u * t[1],
-    "aa": lambda t, x, y, u: (y * y + u * u) * t[0] + 2.0 * u * y * t[1],
-    "n": lambda t, x, y, u: x * (y * t[0] + u * t[1]) + u * (y * t[2] + u * t[3]),
+    "1": lambda t, f, x, y, u: t[0],
+    "a": lambda t, f, x, y, u: y * t[0] + u * t[1],
+    "aa": lambda t, f, x, y, u: (y * y + u * u) * t[0] + 2.0 * u * y * t[1],
+    "n": lambda t, f, x, y, u: x * (y * t[0] + u * t[1]) + u * (y * t[2] + u * t[3]),
+    "d": lambda t, f, x, y, u: 1j * y * (x * t[0] - 2.0 * u * f[0]),
+    "dd": lambda t, f, x, y, u: x * y * ((1.0 + x * y) * t[0] + 2.0 * u * (x - y) * f[0] - 4.0 * u * u * f[1]),
 }
 
 
@@ -125,17 +128,17 @@ def side_grams(row: tuple, s: float, side: tuple, keys=("1",)) -> dict[str, tupl
     Raises _arm's ValueError when 2u^2 overflows.
     """
     arm = _arm(s)
-    # Only the ladder keys need K' = K(d, c).
+    # Only the ladder keys need K' = K(d, c), and only "d" and "dd" the slopes.
     pairs = [(row, row)]
-    if keys != ("1",):
+    if {"a", "aa", "n"} & set(keys):
         swapped = (row[1], row[0])
         pairs += [(row, swapped), (swapped, row), (swapped, swapped)]
-    shifts = [_SHIFTS[key] for key in keys]
     cells = []
     for (w_k, y_k), (w_l, y_l) in itertools.product(side, repeat=2):
         basis, weight, x = _basis(arm, y_k, y_l), w_k * w_l, y_k.conjugate()
         t = [weight * _element(basis, *pair) for pair in pairs]
-        cells.append([shift(t, x, y_l, arm[0]) for shift in shifts])
+        f = [weight * slope for slope in _slopes(basis, row)] if "d" in keys or "dd" in keys else None
+        cells.append([_SHIFTS[key](t, f, x, y_l, arm[0]) for key in keys])
     return dict(zip(keys, zip(*cells)))
 
 
@@ -165,47 +168,28 @@ def contract(g_a: tuple, g_b: tuple) -> complex:
 def pointer_qfi(ecs: EcsParams, wv: WeakValueParams, coupling: CouplingParams) -> float:
     """QFI in varphi of the post-selected pointer family at one point, in closed form.
 
-    The pointer state is A X^T (side_grams' factors), and d/dvarphi |beta> =
-    i n |beta>, so only X's second column, X_1 (indices from 0), moves.
-    With GA and GB the 2 x 2 Grams of A and X, P = sum_kl GA_kl GB_kl,
-    col_k = <X_k|dX_1> and D = <dX_1|dX_1>,
+    The pointer state is A X^T (side_grams' factors), d/dvarphi |beta> =
+    i n |beta>, and with A's Gram GA and X's keys 1, d and dd, P =
+    contract(GA, GB_1) and (Braunstein and Caves, PRL 72, 3439 (1994))
 
-        Q = 4 [ GA_11 D / P - |sum_k GA_k1 col_k / P|^2 ].
+        Q = 4 [ contract(GA, GB_dd) / P - |contract(GA, GB_d) / P|^2 ].
 
-    The creation operator is a derivative of the unnormalized coherent
-    state, a^dag e^{|y|^2/2}|y> = d/dy e^{|y|^2/2}|y>, so with <x|K^dag K|y> =
-    <x|y> F the number operator turns into derivatives of F in z (_slopes):
+    With <x|K^dag K|y> = <x|y> F(z), z = 2u (x* - y), a^dag acting as d/dy on
+    e^{|y|^2/2}|y> turns n into derivatives of F in z (_slopes), 0 at y = 0:
 
         <x|K^dag K n|y>   = y <x|y> (x* F - 2u F_z),
-        <y|n K^dag K n|y> = |y|^2 [(1 + |y|^2) F + z F_z - 4u^2 F_zz].
+        <x|n K^dag K n|y> = x* y <x|y> [(1 + x* y) F + z F_z - 4u^2 F_zz].
 
     Raises DegeneratePostSelectionError when P is below DEFAULT_P_FLOOR, and
     ValueError for an arm whose 2u^2 overflows or a Q that is not finite.
     """
-    row_a, row_b = _meter_rows(wv)
-    arm_a, arm_b = _arm(coupling.s1), _arm(coupling.s2)
-    alpha, norm, zero = ecs.alpha, ecs.normalization, 0j
-    beta = alpha * cmath.exp(1j * ecs.varphi)
-    # The Gram entries 00, 01 and 11 of side_grams' key "1", as its elements.
-    ga_00 = norm * norm * _element(_basis(arm_a, alpha, alpha), row_a, row_a)
-    ga_01 = norm * _element(_basis(arm_a, alpha, zero), row_a, row_a)
-    ga_11 = _element(_basis(arm_a, zero, zero), row_a, row_a)
-    basis_0, basis = _basis(arm_b, zero, beta), _basis(arm_b, beta, beta)
-    f = _element(basis, row_b, row_b)
-    gb_00 = _element(_basis(arm_b, zero, zero), row_b, row_b)
-    gb_01, gb_11 = norm * _element(basis_0, row_b, row_b), norm * norm * f
-    p_s = (ga_00 * gb_00 + ga_11 * gb_11).real + 2.0 * (ga_01 * gb_01).real
+    (row_a, row_b), (side_a, side_b) = _meter_rows(wv), probe_sides(ecs)
+    g_a = side_grams(row_a, coupling.s1, side_a)["1"]
+    g_b = side_grams(row_b, coupling.s2, side_b, ("1", "d", "dd"))
+    p_s = contract(g_a, g_b["1"]).real
     _check_p_floor(p_s)
-    u = arm_b[0]
-    f_z0 = _slopes(basis_0, row_b)[0]
-    f_z, f_zz = _slopes(basis, row_b)
-    z = 2.0 * u * (beta.conjugate() - beta)
-    col_0 = -2j * u * norm * beta * f_z0
-    col_1 = 1j * norm * norm * beta * (beta.conjugate() * f - 2.0 * u * f_z)
-    cross = (ga_01 * col_0 + ga_11 * col_1) / p_s
-    size = (beta.conjugate() * beta).real
-    d_norm = norm * norm * size * ((1.0 + size) * f + z * f_z - 4.0 * u * u * f_zz).real
-    q = 4.0 * (ga_11.real * d_norm / p_s - (cross.real * cross.real + cross.imag * cross.imag))
+    cross = contract(g_a, g_b["d"]) / p_s
+    q = 4.0 * (contract(g_a, g_b["dd"]).real / p_s - (cross.real * cross.real + cross.imag * cross.imag))
     if not math.isfinite(q):
         raise ValueError(
             f"the closed-form QFI at r = {ecs.r!r}, s1 = {coupling.s1!r}, s2 = {coupling.s2!r} overflows a double"

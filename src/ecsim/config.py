@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .params import CouplingParams, EcsParams, WeakValueParams, _Record
+from .params import CouplingParams, EcsParams, WeakValueParams, _Record, _positive_int
 
 QFI_GAUGES = ("fixed-kappa", "renormalized")
 # The config fields that hold a record; to_dict spells out their fields.
@@ -27,8 +27,7 @@ class RangeSpec(_Record):
     __slots__ = ("start", "stop", "points")
 
     def __init__(self, start: float, stop: float, points: int) -> None:
-        if not isinstance(points, int) or isinstance(points, bool) or points < 1:
-            raise ValueError(f"points must be an integer >= 1, got {points!r}")
+        points = _positive_int("points", points)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("range endpoints must be finite")
         if not math.isfinite(stop - start):

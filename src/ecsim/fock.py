@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationWarning
-from .params import _ArrayRecord, _Record
+from .params import _ArrayRecord, _Record, _positive_int
 
 DEFAULT_TAIL_TOL = 1e-10
 
@@ -46,11 +46,9 @@ class FockCutoff(_Record):
 
     def __init__(self, n_max_a: int, n_max_b: int) -> None:
         for label, n in (("n_max_a", n_max_a), ("n_max_b", n_max_b)):
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValueError(f"{label} must be an integer >= 1, got {n!r}")
-            if n > MAX_N_MAX:
+            if _positive_int(label, n) > MAX_N_MAX:
                 raise ValueError(f"{label} must be at most {MAX_N_MAX} per mode, got {n}")
-        self._set(n_max_a, n_max_b)
+        self._set(int(n_max_a), int(n_max_b))
 
     @property
     def dim_a(self) -> int:

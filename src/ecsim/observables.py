@@ -47,7 +47,7 @@ from .fock import (
     warn_if_truncated,
 )
 from .measurement import _pointer_factors, ecs_factors
-from .params import DEFAULT_P_FLOOR, _ArrayRecord, _Record
+from .params import DEFAULT_P_FLOOR, _ArrayRecord, _Record, _positive_int
 
 # Displaced states whose top-level mass exceeds this are outside the
 # trustworthy window of the truncated basis.
@@ -234,9 +234,7 @@ def qcrb(qfi: float, shots: int = 1) -> float:
     """delta_phi = 1 / sqrt(shots * qfi)."""
     if not (qfi > 0.0 and math.isfinite(qfi)):
         raise ValueError(f"qcrb requires qfi > 0, got {qfi!r}")
-    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
-    return 1.0 / math.sqrt(shots * qfi)
+    return 1.0 / math.sqrt(_positive_int("shots", shots) * qfi)
 
 
 def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from .errors import DegeneratePostSelectionError
 
@@ -158,6 +159,16 @@ def _meter_rows(wv: WeakValueParams) -> tuple[tuple[complex, complex], tuple[com
     """The amplitudes ((c_1, d_1), (c_2, d_2)) of the measurement module's meter operators."""
     return ((math.cos(0.5 * wv.theta1), cmath.exp(1j * wv.delta1) * math.sin(0.5 * wv.theta1)),
             (math.cos(0.5 * wv.theta2), -1j * cmath.exp(1j * wv.delta2) * math.sin(0.5 * wv.theta2)))
+
+
+def _positive_int(label: str, value) -> int:
+    """value as a Python int when it is an integer >= 1 but not a bool; numpy's integers pass."""
+    try:
+        if not isinstance(value, bool) and (n := operator.index(value)) >= 1:
+            return n
+    except TypeError:
+        pass
+    raise ValueError(f"{label} must be an integer >= 1, got {value!r}")
 
 
 def _check_p_floor(p_s: float) -> None:

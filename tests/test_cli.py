@@ -241,7 +241,7 @@ def test_fixed_kappa_qcrb_needs_no_cutoff(capsys, tmp_path, cutoff):
     argv = ["qcrb", "--sweep", "r=6:6:1", "--sweep", "s=1:1:1", "--meta", str(meta)]
     assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[1].split(",")[2] == "1434.4456688713035"
+    assert captured.out.splitlines()[1].split(",")[2] == "1434.445668871303"
     assert captured.err == ""
     older = {"n_max_a": int(cutoff), "n_max_b": int(cutoff)}
     assert _csv_of_sidecar("qcrb", json.loads(meta.read_text()), **older) == captured.out

@@ -8,16 +8,17 @@ joint_wigner_grid), which the sweeps no longer share any code with.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from golden_cases import cell_bound
-from ecsim import coherent, sweep
+from ecsim import coherent, fock, sweep
 from ecsim.config import RangeSpec, default_config
 from ecsim.fock import FockCutoff
-from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams
+from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams, ecs_factors
 from ecsim.observables import hz_correlation, joint_wigner_grid, squeezing_report
 from ecsim.params import _meter_rows
 
@@ -71,6 +72,47 @@ def test_moments_match_the_untruncated_oracle(r, phases, thetas, s1, s2, gamma, 
     for name, value in exact.items():
         if name != "P_s":
             assert abs(closed[name] - value) <= ORACLE_TOL * max(1.0, abs(value)), name
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.floats(0.0, 2.0),
+    phases=st.tuples(*[st.floats(0.0, TWO_PI)] * 3),
+    theta=THETA,
+    s=COUPLING,
+)
+def test_phase_derivative_grams_match_the_dense_fock_grams(r, phases, theta, s):
+    """side_grams' keys d and dd of mode b are the dense Grams X^dag (i K n R)
+    and (K n R)^dag (K n R) of the probe's factor R at cutoff 60, X = K R,
+    entry by entry, the vacuum column's exact zeros included."""
+    mu, varphi, delta = phases
+    ecs = EcsParams(r, mu, varphi)
+    _, row = _meter_rows(WeakValueParams(0.0, 0.0, theta, delta))
+    right = ecs_factors(ecs, FockCutoff(60, 60))[1][0]
+    # R holds the probe's shared vacuum cell N (c_a[0] + c_b[0]); the side's
+    # column is N|beta> alone, so take mode a's share back out.
+    right[0, 1] -= ecs.normalization * fock.coherent_column(ecs.alpha, 60)[0]
+    x, k_n_r = fock.meter([0.5 * s], row, np.stack([right, fock.levels(61)[0][:, None] * right]))[0]
+    dense = {"d": (x.conj().T @ (1j * k_n_r)).ravel(), "dd": (k_n_r.conj().T @ k_n_r).ravel()}
+    closed = coherent.side_grams(row, s, coherent.probe_sides(ecs)[1], ("d", "dd"))
+    for key, vacuum in (("d", (0, 2)), ("dd", (0, 1, 2))):
+        for got, want in zip(closed[key], dense[key].tolist()):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), key
+        assert all(closed[key][i] == dense[key][i] == 0.0 for i in vacuum), key
+
+
+@pytest.mark.parametrize("r", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("s1", [0.5, 30.0])
+def test_pointer_qfi_keeps_its_digits_at_huge_couplings(r, s1):
+    # From s2 of about 10 on, mode b's meter branches no longer overlap and Q
+    # stops moving.  The derivative Grams keep their digits there because
+    # they are built from _slopes; the same Grams by the ladder shift rules
+    # cancel, and Q reads -2.5e-5 for 0.0101 at r = 0.1, s1 = s2 = 1e150.
+    config = default_config()
+    ecs = EcsParams(r, config.ecs.mu, config.ecs.varphi)
+    limit = coherent.pointer_qfi(ecs, config.wv, CouplingParams(s1, 30.0))
+    for s2 in (1e4, 1e8, 1e150):
+        assert abs(coherent.pointer_qfi(ecs, config.wv, CouplingParams(s1, s2)) - limit) <= 1e-14 * limit, s2
 
 
 def dense_outcome(config, s1, s2):

@@ -60,6 +60,14 @@ def test_range_spec_validation():
         RangeSpec(0.0, 1.0, 2.5)
     with pytest.raises(ValueError, match="points must be an integer >= 1, got True"):
         RangeSpec(0.0, 0.0, True)
+    # A numpy integer passes and is stored as a Python int, which JSON takes;
+    # a numpy float does not.
+    spec = RangeSpec(0.0, 1.0, np.int64(3))
+    assert spec == RangeSpec(0.0, 1.0, 3) and type(spec.points) is int
+    with pytest.raises(ValueError, match=re.escape(f"points must be an integer >= 1, got {np.int64(0)!r}")):
+        RangeSpec(0.0, 1.0, np.int64(0))
+    with pytest.raises(ValueError, match="points must be an integer >= 1"):
+        RangeSpec(0.0, 1.0, np.float64(3.0))
     with pytest.raises(ValueError):
         RangeSpec(1.0, 0.0, 3)
     with pytest.raises(ValueError):

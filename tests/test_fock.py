@@ -43,6 +43,13 @@ def test_cutoff_validation():
         fock.FockCutoff(True, 5)
     with pytest.raises(ValueError, match="n_max_b must be an integer >= 1, got False"):
         fock.FockCutoff(5, False)
+    # A numpy integer passes and is stored as a Python int; a numpy float does not.
+    numpy_cut = fock.FockCutoff(np.int64(10), 10)
+    assert numpy_cut == fock.FockCutoff(10, 10) and type(numpy_cut.n_max_a) is int
+    with pytest.raises(ValueError, match="n_max_b must be an integer >= 1"):
+        fock.FockCutoff(10, np.float64(10.0))
+    with pytest.raises(ValueError, match="n_max_a must be at most 1000 per mode, got 1001"):
+        fock.FockCutoff(np.int64(1001), 10)
     cut = fock.FockCutoff(4, 6)
     assert cut.dim_a == 5
     assert cut.dim_b == 7

@@ -1,6 +1,7 @@
 """The repository's tooling scripts run end to end."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -40,3 +41,25 @@ def test_golden_drift_passes_every_golden():
     assert run.returncode == 0, run.stderr
     rows = run.stdout.splitlines()[2:]
     assert len(rows) == 5 and all(row.endswith(",pass") for row in rows), run.stdout
+
+
+def test_pair_cli_reports_the_float_gap_of_an_output_that_differs(tmp_path):
+    # A copy of src whose closed-form QFI is one part in 2^50 larger: only
+    # qcrb prints it, so only its row differs, and the row gives the gap.
+    change = tmp_path / "src"
+    shutil.copytree(os.path.join(_ROOT, "src"), change, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(change / "ecsim" / "coherent.py", "a") as fh:
+        fh.write("\n\n_exact_qfi = pointer_qfi\n\n\n"
+                 "def pointer_qfi(*args):\n    return _exact_qfi(*args) * (1.0 + 2.0**-50)\n")
+    script = os.path.join(_ROOT, "scripts", "pair_cli.py")
+    run = subprocess.run([sys.executable, script, _ROOT, str(change), "--rounds", "2"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    rows = {line.split()[0]: line for line in run.stdout.splitlines()[2:7]}
+    assert [name for name, row in rows.items() if row.split()[-1] == "same"] == [
+        "probability_default.csv", "squeezing_default.csv", "wigner_coupled.csv", "hz_default.csv"]
+    fields = rows["qcrb_default.csv"].split("DIFFER", 1)[1].replace(",", "").split()
+    # "N cells worst abs A rel R P% of bound"
+    cells, worst_abs, worst_rel = int(fields[0]), float(fields[4]), float(fields[6])
+    assert cells > 0 and worst_abs > 0.0 and 0.0 < worst_rel <= 4e-15, run.stdout
+    assert run.stdout.splitlines()[-1] == "failed runs 0"
