@@ -20,7 +20,11 @@ of the whole point for both versions with their ratio (change / parent),
 the worst relative gap |a - b| / max(|a|, |b|) between the two versions'
 values, for each of the six values and overall, and the number of points
 whose outcomes do not match (one raises and the other does not, they raise
-different errors, or a value is NaN in one only).
+different errors, or a value is NaN in one only).  For each version it also
+prints the finite-difference accuracy, the median and worst
+|Q_fd - Q_analytic| / Q_analytic over the points where both are finite and
+Q_analytic is not zero, so one run compares the two trees' finite
+differences against the closed form.
 """
 
 import argparse
@@ -103,6 +107,13 @@ def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
+def fd_accuracy(results) -> tuple[float, float, int]:
+    """(median, worst, count) of |Q_fd - Q_analytic| / Q_analytic over one version's evaluated points."""
+    pairs = [(v[VALUES.index("Q_fd")], v[VALUES.index("Q_analytic")]) for v in results if not isinstance(v, str)]
+    gaps = [abs(fd - an) / abs(an) for fd, an in pairs if math.isfinite(fd) and math.isfinite(an) and an != 0.0]
+    return (statistics.median(gaps), max(gaps), len(gaps)) if gaps else (math.nan, math.nan, 0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
@@ -153,6 +164,10 @@ def main(argv=None) -> int:
     ))
     print(f"worst relative gap {max(gap for gap, _ in worst):.2e}")
     print(f"outcome mismatches {mismatches}")
+    for name in ("parent", "change"):
+        median, worst_fd, count = fd_accuracy(pair[name] for pair in outcomes.values())
+        print(f"fd accuracy {name}: |Q_fd - Q_analytic| / Q_analytic median {median:.2e}, worst {worst_fd:.2e},"
+              f" over {count} points")
     return 0
 
 

@@ -102,8 +102,7 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     Warns with the measured norm deficit when 1 - sum |c_n|^2 exceeds tail_tol.
     Raises ValueError when |alpha|^2 overflows a double, and warn_if_truncated's.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _positive_int("n_max", n_max)
     if not math.isfinite(abs(alpha) * abs(alpha)):
         raise ValueError(f"coherent amplitude {alpha!r} has no finite |alpha|^2")
     col = np.empty(n_max + 1, dtype=np.complex128)

@@ -34,9 +34,9 @@ L = N [c_a, e0] and R = [e0, c_b].  So
     |Phi~> = (K_a L) (K_b R)^T = A X^T,
 
 a pointer state of rank at most 2, and each factor is one fock.meter pass,
-diagonal in the eigenbasis of p.  Only c_b depends on varphi, so probes at
-several phases share L and A, and each member's X is bit for bit the one
-built for that member alone.
+diagonal in the eigenbasis of p.  Only c_b depends on varphi, and a phase
+step delta turns it as diag(e^{i n delta}), so the finite-difference QFI
+turns one probe's R itself and its members share L and A.
 
 This is the Fock route of the library.  The parameter records and the
 meters' amplitudes (c_i, d_i) live in the numpy-free params module, and the
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -72,7 +71,6 @@ from .params import (
     _ArrayRecord,
     _check_p_floor,
     _meter_rows,
-    _reduced_phase,
 )
 
 
@@ -107,53 +105,35 @@ def ecs_factors(
     params: EcsParams,
     cutoff: FockCutoff,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    varphis: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors L (dim_a x 2) and R_k (K x dim_b x 2) of |phi> at each phase in varphis.
+    """Factors L (dim_a x 2) and R (dim_b x 2) of |phi>, with L R^T its amplitude grid.
 
-    L R_k^T is the probe's amplitude grid at varphi_k (default: params.varphi
-    alone), with L = [N c_a, e0] and R_k = [e0, N c_b(varphi_k)] except that
-    the shared cell (0, 0), N (c_a[0] + c_b[0]), is stored in R_k.  L then
-    does not depend on varphi.  The cell is summed once, before any
-    displacement: split over both columns, its two halves meet again only in
-    the Gram contraction, and P_s at zero coupling and theta = 0 rounds to
-    1 - 1.1e-16 instead of 1.  The mode-b column is built once, at the first
-    phase, and rotated by e^{i n (varphi_k - varphi_0)} for the others, which
-    leaves its norm deficit unchanged.  Warns once for each of the two
-    coherent columns and once per probe whose top-level mass exceeds
-    tail_tol.
+    L = [N c_a, e0] and R = [e0, N c_b] except that the shared cell (0, 0),
+    N (c_a[0] + c_b[0]), is stored in R, so L does not depend on varphi.
+    The cell is summed once, before any displacement: split over both
+    columns, its two halves meet again only in the Gram contraction, and P_s
+    at zero coupling and theta = 0 rounds to 1 - 1.1e-16 instead of 1.
+    Warns once for each of the two coherent columns and once for the probe
+    when its truncated mass exceeds tail_tol: its top-level mass
+    N^2 (|c_a[-1]|^2 + |c_b[-1]|^2), or its norm deficit 1 - <phi|phi> where
+    that is larger.  L's columns are orthogonal, so <phi|phi> = |L_0|^2 +
+    |R_1|^2; a probe far beyond the grid underflows to zero, top level
+    included.
     """
-    phases = [params.varphi] if varphis is None else [_reduced_phase(v) for v in varphis]
     alpha, norm = params.alpha, params.normalization
     col_a = coherent_column(alpha, cutoff.n_max_a, tail_tol)
     left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)
     left[1:, 0] = norm * col_a[1:]
     left[0, 1] = 1.0
-    cols_b = coherent_column(alpha * cmath.exp(1j * phases[0]), cutoff.n_max_b, tail_tol)
-    cols_b[0] += col_a[0]
-    if len(phases) > 1:
-        # c_b(varphi_k) = e^{i n (varphi_k - varphi_0)} c_b(varphi_0); level 0 does not turn.
-        turns = np.multiply.outer(np.array(phases) - phases[0], np.arange(cutoff.dim_b))
-        cols_b = cols_b * (np.cos(turns) + 1j * np.sin(turns))
-    right = np.zeros((len(phases), cutoff.dim_b, 2), dtype=np.complex128)
-    right[:, 0, 0] = 1.0
-    right[:, :, 1] = norm * cols_b
-    tail = _probe_tail(left, right)
-    for mass in tail[tail > tail_tol].tolist():
-        warn_if_truncated(mass, tail_tol, "build_ecs")
+    col_b = coherent_column(alpha * cmath.exp(1j * params.varphi), cutoff.n_max_b, tail_tol)
+    col_b[0] += col_a[0]
+    right = np.zeros((cutoff.dim_b, 2), dtype=np.complex128)
+    right[0, 0] = 1.0
+    right[:, 1] = norm * col_b
+    top = abs(left[-1, 0]) ** 2 + abs(right[-1, 1]) ** 2
+    deficit = 1.0 - np.vdot(left[:, 0], left[:, 0]).real - np.vdot(right[:, 1], right[:, 1]).real
+    warn_if_truncated(max(top, deficit), tail_tol, "build_ecs")
     return left, right
-
-
-def _probe_tail(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Truncated mass of each probe L R_k^T: its top-level mass N^2 (|c_a[-1]|^2
-    + |c_b[-1]|^2), or its norm deficit 1 - <phi|phi> where that is larger.
-    A probe far beyond the grid underflows to zero, top level included.
-    L's columns are orthogonal, since R_k holds the shared cell (0, 0), so
-    <phi|phi> = |L_0|^2 + |R_k1|^2, the same for every member: the phases
-    turn only the levels n >= 1 of R_k1."""
-    top = abs(left[-1, 0]) ** 2 + np.abs(right[..., -1, 1]) ** 2
-    first = right[..., 1].reshape(-1, right.shape[-2])[0]
-    return np.maximum(top, 1.0 - np.vdot(left[:, 0], left[:, 0]).real - np.vdot(first, first).real)
 
 
 def build_ecs(
@@ -167,7 +147,7 @@ def build_ecs(
     deliberately not renormalized so the tail deficit stays observable.
     """
     left, right = ecs_factors(params, cutoff, tail_tol)
-    return TwoModeState(left @ right[0].T, cutoff)
+    return TwoModeState(left @ right.T, cutoff)
 
 
 def _pointer_factors(
@@ -176,9 +156,9 @@ def _pointer_factors(
     """Factors A = K_a L and X = K_b R of the raw pointer state at one meter pair and coupling.
 
     left is the probe's L (dim_a x m) and right its R (dim_b x m), or a
-    stack of them (K x dim_b x m), such as the members R_k of a family that
-    share L; the raw pointer state is A @ X.T (member by member).  Each
-    factor is one fock.meter pass.
+    stack of them (K x dim_b x m), such as the finite-difference members
+    R_k that share L; the raw pointer state is A @ X.T (member by member).
+    Each factor is one fock.meter pass.
     """
     row_a, row_b = _meter_rows(wv)
     return meter([0.5 * coupling.s1], row_a, left)[0], meter([0.5 * coupling.s2], row_b, right)[0]
@@ -201,7 +181,7 @@ def _pointer_grid(config: WeakMeasurementConfig, cutoff: FockCutoff = DEFAULT_CU
     """_post_select's arguments at a config's point: the raw pointer grid A @ X.T
     of _pointer_factors, built at cutoff, with cutoff and tail_tol."""
     left, right = ecs_factors(config.ecs, cutoff, tail_tol)
-    fac_a, fac_b = _pointer_factors(left, right[0], config.wv, config.coupling)
+    fac_a, fac_b = _pointer_factors(left, right, config.wv, config.coupling)
     return fac_a @ fac_b.T, cutoff, tail_tol
 
 

@@ -262,9 +262,12 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
     working point, under "renormalized" each member is normalized; the
     projection term makes both gauges agree to finite-difference accuracy.
 
-    The pointer states at varphi and at varphi +- step (h, h/2, h/4) are the
-    rank-2 factors A X_k^T of _pointer_factors, A = K_a L and X_k = K_b R_k,
-    so every Gram below is 2 x 2.  The members are scaled by 1/sqrt(P_0)
+    The pointer states at varphi and at varphi + delta_k, with delta_k
+    exactly +-h, +-h/2 and +-h/4, are the rank-2 factors A X_k^T of
+    _pointer_factors, A = K_a L and X_k = K_b R_k, so every Gram below is
+    2 x 2.  L and R are the probe's factors at varphi, and R_k =
+    diag(e^{i n delta_k}) R turns R by the step; level 0 does not turn, so
+    member 0 is R itself.  The members are scaled by 1/sqrt(P_0)
     ("fixed-kappa") or their own 1/sqrt(P_k) ("renormalized"; not
     phase-fixed, as the raw family is analytic in varphi and the projection
     term removes a global phase) and differenced on the factors, since
@@ -273,18 +276,19 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
 
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
-    Warns, as _post_select does, for each member whose normalized top-level
-    mass exceeds tail_tol.  A member's P_s below DEFAULT_P_FLOOR raises
-    DegeneratePostSelectionError, a Q that fails _richardson
-    NumericalRangeError.
+    Warns as ecs_factors does, once for the probe, and as _post_select
+    does, for each member whose normalized top-level mass exceeds tail_tol.
+    A member's P_s below DEFAULT_P_FLOOR raises DegeneratePostSelectionError,
+    a Q that fails _richardson NumericalRangeError.
     """
     if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
         raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    phi0 = config.ecs.varphi
     steps = [h, 0.5 * h, 0.25 * h]
-    varphis = [phi0] + [phi0 + sign * step for step in steps for sign in (1.0, -1.0)]
-    left, right = ecs_factors(config.ecs, cutoff, tail_tol, varphis)
-    fac_a, members = _pointer_factors(left, right, config.wv, config.coupling)
+    left, right = ecs_factors(config.ecs, cutoff, tail_tol)
+    turns = np.multiply.outer([sign * step for step in steps for sign in (1.0, -1.0)], np.arange(cutoff.dim_b))
+    probes = np.repeat(right[None], 1 + len(turns), axis=0)
+    probes[1:, :, 1] *= np.cos(turns) + 1j * np.sin(turns)
+    fac_a, members = _pointer_factors(left, probes, config.wv, config.coupling)
     g_a, g_members = _gram(fac_a, fac_a), _gram(members, members)
     p = _contract(g_a, g_members).real
     degenerate = p < DEFAULT_P_FLOOR

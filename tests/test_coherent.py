@@ -88,7 +88,7 @@ def test_phase_derivative_grams_match_the_dense_fock_grams(r, phases, theta, s):
     mu, varphi, delta = phases
     ecs = EcsParams(r, mu, varphi)
     _, row = _meter_rows(WeakValueParams(0.0, 0.0, theta, delta))
-    right = ecs_factors(ecs, FockCutoff(60, 60))[1][0]
+    right = ecs_factors(ecs, FockCutoff(60, 60))[1]
     # R holds the probe's shared vacuum cell N (c_a[0] + c_b[0]); the side's
     # column is N|beta> alone, so take mode a's share back out.
     right[0, 1] -= ecs.normalization * fock.coherent_column(ecs.alpha, 60)[0]

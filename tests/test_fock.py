@@ -104,6 +104,12 @@ def test_coherent_column_stays_finite_at_huge_amplitude():
 def test_coherent_column_rejects_tiny_basis():
     with pytest.raises(ValueError):
         fock.coherent_column(0.5, 0)
+    # The cutoff check of FockCutoff: a bool or a float is refused with the
+    # same message, and numpy's integers pass.
+    for n_max in (True, 2.5):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+            fock.coherent_column(0.5, n_max)
+    assert np.array_equal(fock.coherent_column(0.01, np.int64(3)), fock.coherent_column(0.01, 3))
 
 
 def test_coherent_column_rejects_overflowing_amplitude():

@@ -362,7 +362,8 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
     wv, coupling = WeakValueParams(*angles), CouplingParams(s1, s2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
+        left = ecs_factors(EcsParams(r, mu), cutoff)[0]
+        right = np.stack([ecs_factors(EcsParams(r, mu, v), cutoff)[1] for v in varphis])
         arm, mixed = measurement._pointer_factors(left, right, wv, coupling)
         assert mixed.shape == (len(varphis), n_max + 1, 2)
         raw = arm @ mixed.swapaxes(-1, -2)
@@ -398,7 +399,8 @@ def test_one_point_factors_equal_their_slot_in_a_batch(r, mu, varphis, angles, s
     wv, coupling = WeakValueParams(*angles), CouplingParams(s1, s2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        left, right = ecs_factors(EcsParams(r, mu), cutoff, varphis=varphis)
+        left = ecs_factors(EcsParams(r, mu), cutoff)[0]
+        right = np.stack([ecs_factors(EcsParams(r, mu, v), cutoff)[1] for v in varphis])
         fac_a, fac_b = measurement._pointer_factors(left, right, wv, coupling)
         for k in range(len(varphis)):
             one_a, one_b = measurement._pointer_factors(left, right[k], wv, coupling)
@@ -406,7 +408,7 @@ def test_one_point_factors_equal_their_slot_in_a_batch(r, mu, varphis, angles, s
             assert np.array_equal(one_b, fac_b[k])
         config = default_config(ecs=EcsParams(r, mu, varphis[0]), wv=wv, coupling=coupling)
         probe_l, probe_r = ecs_factors(config.ecs, cutoff)
-        one_a, one_b = measurement._pointer_factors(probe_l, probe_r[0], wv, coupling)
+        one_a, one_b = measurement._pointer_factors(probe_l, probe_r, wv, coupling)
         raw = config.raw_pointer_state(cutoff=cutoff).amplitudes
         assert np.array_equal(raw, one_a @ one_b.T)
         assert config.pointer_outcome(cutoff=cutoff).success_probability == float(np.vdot(raw, raw).real)

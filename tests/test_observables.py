@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ecsim import fock, observables, sweep
+from ecsim import fock, measurement, observables, sweep
 from ecsim.config import RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
 from ecsim.measurement import (
@@ -26,6 +26,7 @@ from ecsim.measurement import (
     WeakValueParams,
     build_ecs,
     build_pointer_state,
+    ecs_factors,
 )
 from ecsim.observables import (
     DEFAULT_RANGE_TOL,
@@ -374,15 +375,40 @@ def test_qfi_warns_once_per_truncated_pointer_state(qfi, gauge, warned):
 
 
 def test_finite_difference_qfi_builds_the_mode_a_column_once():
-    # At a truncating cutoff each of the seven finite-difference probes warns
-    # for its ECS tail and its pointer tail; the mode-a column they share and
-    # the mode-b column, rotated to each phase, are built, and warn, once
-    # each: 1 + 1 + 2 * 7 warnings.
+    # At a truncating cutoff the two coherent columns and the probe are built,
+    # and warn, once each: the seven finite-difference members are turns of
+    # the one probe, which keep every |R_n| and so its truncated mass.  Each
+    # member's pointer tail warns on its own: 1 + 1 + 1 + 7 warnings.
     config = default_config(qfi_gauge="renormalized", ecs=EcsParams(2.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         qfi_finite_difference(config, cutoff=fock.FockCutoff(10, 10))
-    assert [w.category for w in caught] == [TruncationWarning] * 16
+    assert [w.category for w in caught] == [TruncationWarning] * 10
+
+
+@pytest.mark.parametrize("varphi", [0.3, 2.0, 4.1, 6.2])
+def test_finite_difference_members_are_exact_turns_of_the_probe(monkeypatch, varphi):
+    # Member k of the finite-difference family is the probe's R at varphi
+    # turned by diag(e^{i n delta_k}), with delta_k the step itself; member 0
+    # is R bit for bit.
+    config = default_config(ecs=EcsParams(0.8, HALF_PI, varphi), coupling=CouplingParams(1.0, 1.0))
+    right = ecs_factors(config.ecs, CUT40)[1]
+    h = observables.DEFAULT_FD_STEP
+    deltas = np.array([0.0, h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h])
+    seen = []
+
+    def spy(left, probes, wv, coupling):
+        seen.append(probes.copy())
+        return measurement._pointer_factors(left, probes, wv, coupling)
+
+    monkeypatch.setattr(observables, "_pointer_factors", spy)
+    qfi_finite_difference(config)
+    (probes,) = seen
+    expected = np.exp(1j * np.multiply.outer(deltas, np.arange(CUT40.dim_b)))[:, :, None] * right
+    assert probes.shape == expected.shape
+    keep = np.broadcast_to(np.abs(right) > 1e-200, expected.shape)
+    assert (np.abs(probes - expected)[keep] / np.abs(expected)[keep]).max() <= 2e-15
+    assert np.array_equal(probes[0], right)
 
 
 @pytest.mark.parametrize("gauge", ["fixed-kappa", "renormalized"])

@@ -19,6 +19,11 @@ def test_pair_points_finds_no_gap_between_a_tree_and_itself():
     lines = run.stdout.splitlines()
     assert "outcome mismatches 0" in lines
     assert "worst relative gap 0.00e+00" in lines
+    # Each side's finite-difference accuracy against the closed form, the same on both.
+    accuracy = {line.split(":")[0]: line.split(":", 1)[1] for line in lines if line.startswith("fd accuracy ")}
+    assert sorted(accuracy) == ["fd accuracy change", "fd accuracy parent"], run.stdout
+    assert accuracy["fd accuracy parent"] == accuracy["fd accuracy change"]
+    assert "median" in accuracy["fd accuracy parent"], run.stdout
 
 
 def test_pair_cli_finds_the_same_output_for_a_tree_and_itself():
