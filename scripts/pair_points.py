@@ -17,14 +17,17 @@ Each evaluation is param_scan's: the config build, pointer_outcome,
 squeezing_report, hz_correlation, qfi_analytic and the renormalized
 qfi_finite_difference.  The script prints the median time of each stage and
 of the whole point for both versions with their ratio (change / parent),
-the worst relative gap |a - b| / max(|a|, |b|) between the two versions'
-values, for each of the six values and overall, and the number of points
-whose outcomes do not match (one raises and the other does not, they raise
-different errors, or a value is NaN in one only).  For each version it also
-prints the finite-difference accuracy, the median and worst
-|Q_fd - Q_analytic| / Q_analytic over the points where both are finite and
-Q_analytic is not zero, so one run compares the two trees' finite
-differences against the closed form.
+the worst relative gap between the two versions' values, for each of the
+six values and overall, and the number of points whose outcomes do not
+match (one raises and the other does not, they raise different errors, or
+a value is NaN in one only).  The gap is |a - b| / max(|a|, |b|) for P_s
+and the two QFIs, and |a - b| / max(1, |a|, |b|) for the squeezing values
+and E, as the oracle tests measure them: those are differences of O(1)
+moments, so a value near 0 carries absolute, not relative, rounding.  For
+each version it also prints the finite-difference accuracy, the median and
+worst |Q_fd - Q_analytic| / Q_analytic over the points where both are
+finite and Q_analytic is not zero, so one run compares the two trees'
+finite differences against the closed form.
 """
 
 import argparse
@@ -45,6 +48,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("config", "pointer_outcome", "squeezing_report", "hz_correlation", "qfi_analytic",
           "qfi_finite_difference")
 VALUES = ("P_s", "S2s_direct", "S2s_normal", "E", "Q_analytic", "Q_fd")
+# The values whose gap is measured against max(1, |a|, |b|).
+UNIT_FLOOR = {"S2s_direct", "S2s_normal", "E"}
 
 
 def load_workloads():
@@ -102,8 +107,8 @@ def evaluate(e, p):
     return values, times
 
 
-def relative_gap(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
+def relative_gap(a: float, b: float, floor: float = 0.0) -> float:
+    scale = max(floor, abs(a), abs(b))
     return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
@@ -151,7 +156,7 @@ def main(argv=None) -> int:
             mismatches += 1
             continue
         for k, (x, y) in enumerate(zip(a, b)):
-            gap = 0.0 if math.isnan(x) else relative_gap(x, y)
+            gap = 0.0 if math.isnan(x) else relative_gap(x, y, 1.0 if VALUES[k] in UNIT_FLOOR else 0.0)
             if gap > worst[k][0]:
                 worst[k] = (gap, index)
     print(f"# seed {args.seed}, {len(points)} points, {args.rounds} rounds; median us per stage")

@@ -114,6 +114,10 @@ _SHIFTS = {
 }
 
 
+# The keys whose Gram is Hermitian: <F_k|O|F_l> with O = 1, a^dag a, or the Gram of the dF_k.
+_HERMITIAN = {"1", "n", "dd"}
+
+
 def probe_sides(ecs: EcsParams) -> tuple[tuple, tuple]:
     """The columns (weight, amplitude) of the probe's factors: mode a's [N|alpha>, |0>]
     and mode b's [|0>, N|beta>], beta = alpha e^{i varphi}."""
@@ -124,6 +128,7 @@ def probe_sides(ecs: EcsParams) -> tuple[tuple, tuple]:
 def side_grams(row: tuple, s: float, side: tuple, keys=("1",)) -> dict[str, tuple]:
     """{key: (G_00, G_01, G_10, G_11)}: the Grams <F_k|O|F_l> of one side's factor
     F_k = w_k K|y_k> for the meter row (c, d) at coupling s, for each key of _SHIFTS.
+    When every key is Hermitian (1, n, dd), G_10 is conj(G_01), not built.
 
     Raises _arm's ValueError when 2u^2 overflows.
     """
@@ -133,8 +138,12 @@ def side_grams(row: tuple, s: float, side: tuple, keys=("1",)) -> dict[str, tupl
     if {"a", "aa", "n"} & set(keys):
         swapped = (row[1], row[0])
         pairs += [(row, swapped), (swapped, row), (swapped, swapped)]
+    hermitian = set(keys) <= _HERMITIAN
     cells = []
     for (w_k, y_k), (w_l, y_l) in itertools.product(side, repeat=2):
+        if hermitian and len(cells) == 2:
+            cells.append([value.conjugate() for value in cells[1]])
+            continue
         basis, weight, x = _basis(arm, y_k, y_l), w_k * w_l, y_k.conjugate()
         t = [weight * _element(basis, *pair) for pair in pairs]
         f = [weight * slope for slope in _slopes(basis, row)] if "d" in keys or "dd" in keys else None

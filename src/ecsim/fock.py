@@ -4,19 +4,19 @@ States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 0 <= n_b <= n_max_b, stored as a complex (n_max_a+1, n_max_b+1) amplitude
 grid; FockCutoff holds the two levels.  The library's Fock routes take a
 cutoff and a tail tolerance, the truncated mass they accept without a
-TruncationWarning, which warn_if_truncated checks.  The creation operator
-acts on one Fock index of any array (a grid, a stack of grids or a stack of
-single-mode factors).  One eigenbasis per cutoff, of the quadratures
-a + a^dag and p = i (a^dag - a), is cached with the level constants.  In
-it, with no matrix formed, meter applies one meter operator
+TruncationWarning, which warn_if_truncated checks.  lowering_grid is the
+factor sqrt(n_a) sqrt(n_b) that a b puts on a grid's interior, and a^dag
+b^dag on a grid grown by one level.  One eigenbasis per cutoff, of the
+quadratures a + a^dag and p = i (a^dag - a), is cached with the level
+constants.  In it, with no matrix formed, meter applies one meter operator
 c cos(u p) - i d sin(u p) over a batch of signed real arms u, each slot bit
 for bit the call at that arm alone; it is the one kernel for both the
 meters and the displacements D(u) = e^{-i u p}.  A complex amplitude
 gamma = e^{i phi} t is the rotation diag(e^{i phi n}) of the real D(t), and
 displacement_matrix is that rotation around meter on the identity.
-apply_to_mode applies a dense operator to a state's tensor factor, and the
-top-level mass of a grid measures truncation.  Everything is plain numpy;
-nothing here knows about measurements or observables.
+apply_to_mode applies a dense operator to a state's tensor factor.
+Everything is plain numpy; nothing here knows about measurements or
+observables.
 """
 
 from __future__ import annotations
@@ -110,7 +110,9 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     col[1:] = alpha / levels(n_max + 1)[1][1:]
     np.cumprod(col, out=col)
     deficit = max(0.0, 1.0 - np.vdot(col, col).real)
-    warn_if_truncated(deficit, tail_tol, f"coherent column |alpha|={abs(alpha):.4g} at n_max={n_max}")
+    _check_tail_tol(tail_tol)
+    if deficit > tail_tol:
+        warn_if_truncated(deficit, tail_tol, f"coherent column |alpha|={abs(alpha):.4g} at n_max={n_max}")
     return col
 
 
@@ -212,14 +214,6 @@ def apply_to_mode(op: ModeOperator, mode: str, state: TwoModeState) -> TwoModeSt
     return TwoModeState(out, state.cutoff)
 
 
-def top_level_mass(amps: np.ndarray) -> np.ndarray:
-    """Probability mass on the top retained level of either mode, over the
-    last two axes of an amplitude grid or a stack of them."""
-    # The corner cell sits in both edges; count it once.
-    top_a = np.sum(np.abs(amps[..., -1, :]) ** 2, axis=-1)
-    return top_a + np.sum(np.abs(amps[..., :-1, -1]) ** 2, axis=-1)
-
-
 def _check_tail_tol(tail_tol: float) -> None:
     """The one check of a tail tolerance: ValueError unless 0 < tail_tol <= 1e-4."""
     if not (0.0 < tail_tol <= 1e-4):
@@ -234,12 +228,3 @@ def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
             TruncationWarning(f"{context}: tail mass {mass:.3e} exceeds tolerance {tail_tol:.1e}"),
             stacklevel=3,
         )
-
-
-def create(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Creation on one Fock index of an array, grown by one level so it is exact."""
-    shape = list(arr.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=np.complex128)
-    out.swapaxes(axis, -1)[..., 1:] = levels(shape[axis])[1][1:] * arr.swapaxes(axis, -1)
-    return out

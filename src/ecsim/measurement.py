@@ -36,7 +36,8 @@ L = N [c_a, e0] and R = [e0, c_b].  So
 a pointer state of rank at most 2, and each factor is one fock.meter pass,
 diagonal in the eigenbasis of p.  Only c_b depends on varphi, and a phase
 step delta turns it as diag(e^{i n delta}), so the finite-difference QFI
-turns one probe's R itself and its members share L and A.
+turns one probe's c_b itself, as its cos and sin parts, and its members
+share L and A.
 
 This is the Fock route of the library.  The parameter records and the
 meters' amplitudes (c_i, d_i) live in the numpy-free params module, and the
@@ -60,7 +61,6 @@ from .fock import (
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     coherent_column,
     meter,
-    top_level_mass,
     warn_if_truncated,
 )
 from .params import (
@@ -155,10 +155,10 @@ def _pointer_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factors A = K_a L and X = K_b R of the raw pointer state at one meter pair and coupling.
 
-    left is the probe's L (dim_a x m) and right its R (dim_b x m), or a
-    stack of them (K x dim_b x m), such as the finite-difference members
-    R_k that share L; the raw pointer state is A @ X.T (member by member).
-    Each factor is one fock.meter pass.
+    left is the probe's L (dim_a x m) and right its R (dim_b x m), or any
+    mode-b columns (dim_b x m'), such as the finite-difference QFI's eight
+    probe columns, or a stack of them (K x dim_b x m); the raw pointer state
+    is A @ X.T (member by member).  Each factor is one fock.meter pass.
     """
     row_a, row_b = _meter_rows(wv)
     return meter([0.5 * coupling.s1], row_a, left)[0], meter([0.5 * coupling.s2], row_b, right)[0]
@@ -188,8 +188,10 @@ def _pointer_grid(config: WeakMeasurementConfig, cutoff: FockCutoff = DEFAULT_CU
 def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
     """amp times scale, rotated so its first largest-magnitude entry is real
     positive; ties resolve to the first flat index, so repeated builds are
-    byte-reproducible.  amp must not be zero."""
-    pivot = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
+    byte-reproducible.  The magnitude is compared as |x|^2 = re^2 + im^2 of
+    amp's real view.  amp must be a nonzero grid."""
+    squares = np.square(amp.ravel().view(np.float64))
+    pivot = divmod(int(np.argmax(squares[::2] + squares[1::2])), amp.shape[1])
     mag = abs(amp[pivot])
     fixed = amp * (scale * (mag / amp[pivot]))
     # pivot * (mag / pivot) can keep an imaginary part of order eps^2 * mag.
@@ -200,12 +202,15 @@ def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
 def _post_select(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float) -> PostSelectedOutcome:
     """The normalized, phase-fixed outcome of a raw pointer grid; raises
     _check_tail_tol's error, then _check_p_floor's below DEFAULT_P_FLOOR, and
-    warns above tail_tol."""
+    warns when the normalized top-level mass, the top row plus the top
+    column below it (the corner cell once), exceeds tail_tol."""
     _check_tail_tol(tail_tol)
     p_s = float(np.vdot(raw, raw).real)
     _check_p_floor(p_s)
+    top_row, top_col = raw[-1], raw[:-1, -1]
+    top = float(np.vdot(top_row, top_row).real + np.vdot(top_col, top_col).real) / p_s
     state = _phase_fixed(raw, 1.0 / math.sqrt(p_s))
-    warn_if_truncated(top_level_mass(state), tail_tol, "build_pointer_state")
+    warn_if_truncated(top, tail_tol, "build_pointer_state")
     return PostSelectedOutcome(TwoModeState(state, cutoff), p_s)
 
 

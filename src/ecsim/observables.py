@@ -7,7 +7,9 @@ merit (quantum Fisher information and the resulting Cramer-Rao bound).
 
 This is the library's Fock route, and the tests' reference for the
 closed-form sweeps of the coherent module.  squeezing_report and
-hz_correlation work on a TwoModeState's dense grid.  The Wigner grid and
+hz_correlation work on a TwoModeState's dense grid: a b psi on its
+interior, a^dag b^dag psi on a grid grown by one level, and |psi|^2 from
+its real view.  The Wigner grid and
 the finite-difference QFI keep a pointer state as its factors, psi = A X^T
 with A (dim_a x m) and X (dim_b x m), m <= 2 (see the measurement module),
 and compute each product-operator moment from two m x m Gram matrices:
@@ -18,10 +20,13 @@ P_s, the top-level mass and the displaced parity take this form, each
 from Grams built once per call.  The Wigner cross-section is one
 (N_gamma x m^2)(m^2 x N_beta) product of the parity Grams of D_a(-gamma) A
 and D_b(-beta) X; a TwoModeState enters it as the factor pair (amplitudes,
-identity).  The finite-difference QFI is a cross-Gram moment of the probe
-family's factors at one point (qfi_finite_difference); the analytic QFI has
-a closed form between coherent states and no Fock basis at all
-(coherent.pointer_qfi), and it is the QFI the sweep CLI prints.
+identity).  The finite-difference QFI meters the probe's mode-b column and
+its cos and sin turns by the three steps in one pass, and takes every
+member's P, its top-level mass and the central differences, formed before
+the meter, from one 8 x 8 Gram of that pass on Python scalars
+(qfi_finite_difference).  The analytic QFI has a closed form between
+coherent states and no Fock basis at all (coherent.pointer_qfi), and it is
+the QFI the sweep CLI prints.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import math
 
 import numpy as np
 
-from .coherent import pointer_qfi
+from .coherent import contract, pointer_qfi
 from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
 from .errors import DegeneratePostSelectionError, NumericalRangeError
 from .fock import (
@@ -40,7 +45,6 @@ from .fock import (
     FockCutoff,
     TwoModeState,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
-    create,
     levels,
     lowering_grid,
     meter,
@@ -61,22 +65,23 @@ DEFAULT_FD_STEP = 1e-5
 # eps * max(1, sqrt(|Q|)) / step.  On the Fock factors the worst residual
 # |Q(h/2) - Q(h/4)| over 30,500 evaluations (random points with r <= 1 and
 # s <= 3 in both gauges plus the default qcrb grid, under five OpenBLAS
-# kernels) was 5.5 of these units; 32 leaves a margin of 5.8.
+# kernels) was 1.46 of these units; 32 leaves a margin of 22.
 _FD_ROUNDING_UNITS = 32.0
 
 
 def _lowered(arr: np.ndarray) -> np.ndarray:
-    """a b psi of an amplitude grid psi, on psi's grid (top row and column
-    zero): one product of psi's interior with the outer grid sqrt(n_a) sqrt(n_b)."""
-    ab = np.zeros_like(arr)
-    ab[:-1, :-1] = lowering_grid(*arr.shape) * arr[1:, 1:]
-    return ab
+    """a b psi of an amplitude grid psi on its support, the (dim_a - 1) x
+    (dim_b - 1) corner below psi's top row and column: psi's interior times
+    the outer grid sqrt(n_a) sqrt(n_b)."""
+    return lowering_grid(*arr.shape) * arr[1:, 1:]
 
 
 def _mode_occupations(arr: np.ndarray) -> tuple[float, float]:
-    """(<N_a>, <N_b>) from the diagonal probability grid."""
-    prob = np.abs(arr) ** 2
-    return float(levels(arr.shape[0])[0] @ prob.sum(axis=1)), float(prob.sum(axis=0) @ levels(arr.shape[1])[0])
+    """(<N_a>, <N_b>) from the probability grid |psi|^2 = re^2 + im^2 of psi's real view."""
+    squares = np.square(arr.view(np.float64))
+    cols = squares.sum(axis=0)
+    n_a = float(levels(arr.shape[0])[0] @ squares.sum(axis=1))
+    return n_a, float((cols[::2] + cols[1::2]) @ levels(arr.shape[1])[0])
 
 
 class SqueezingReport(_Record):
@@ -90,24 +95,26 @@ class SqueezingReport(_Record):
 
 def _squeezing_routes(arr: np.ndarray, theta_big: float) -> tuple[float, float]:
     """(direct, normal-ordered) sum squeezing of an amplitude grid; both
-    routes share one a b psi grid and the occupations."""
+    routes share one a b psi and the occupations."""
+    dim_a, dim_b = arr.shape
     ab = _lowered(arr)
     denominator = sum(_mode_occupations(arr)) + 1.0
     phase = cmath.exp(-1j * theta_big)
+    half = 0.5 * phase
 
-    # Direct: V|psi> = (e^{iT} a^dag b^dag psi + e^{-iT} a b psi) / 2 on the enlarged grid.
-    up = create(create(arr, 0), 1)
-    v_psi = np.zeros_like(up)
-    v_psi[: arr.shape[0], : arr.shape[1]] = phase * ab
-    v_psi += np.conj(phase) * up
-    v_psi *= 0.5
-    exp_v = float(np.real(np.vdot(arr, v_psi[: arr.shape[0], : arr.shape[1]])))
-    exp_v2 = float(np.real(np.vdot(v_psi, v_psi)))
+    # Direct: V|psi> = conj(half) a^dag b^dag psi + half a b psi on the enlarged grid,
+    # built in place on a^dag b^dag psi, which <a^2 b^2> = <a^dag b^dag psi|a b psi> reads first.
+    v_psi = np.zeros((dim_a + 1, dim_b + 1), dtype=np.complex128)
+    np.multiply(lowering_grid(dim_a + 1, dim_b + 1), arr, out=v_psi[1:, 1:])
+    m_a2b2 = complex(np.vdot(v_psi[: dim_a - 1, : dim_b - 1], ab))
+    v_psi *= half.conjugate()
+    v_psi[: dim_a - 1, : dim_b - 1] += half * ab
+    exp_v = float(np.vdot(arr, v_psi[:dim_a, :dim_b]).real)
+    exp_v2 = float(np.vdot(v_psi, v_psi).real)
     direct = 4.0 * (exp_v2 - exp_v**2) / denominator - 1.0
 
     # Normal-ordered: <a b>, <a^2 b^2> and <N_a N_b> = |a b psi|^2.
-    m_ab = complex(np.vdot(arr, ab))
-    m_a2b2 = complex(np.vdot(arr, _lowered(ab)))
+    m_ab = complex(np.vdot(arr[:-1, :-1], ab))
     n_ab = float(np.vdot(ab, ab).real)
     numerator = (phase * phase * m_a2b2).real - 2.0 * ((phase * m_ab).real) ** 2 + n_ab
     return direct, 2.0 * numerator / denominator
@@ -227,7 +234,7 @@ def hz_correlation(state: TwoModeState) -> float:
     """E = <N_a><N_b> - |<a b>|^2; negative values witness entanglement."""
     arr = state.amplitudes
     n_a, n_b = _mode_occupations(arr)
-    return n_a * n_b - abs(complex(np.vdot(arr, _lowered(arr)))) ** 2
+    return n_a * n_b - abs(complex(np.vdot(arr[:-1, :-1], _lowered(arr)))) ** 2
 
 
 def qcrb(qfi: float, shots: int = 1) -> float:
@@ -252,6 +259,12 @@ def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return q[..., 1], r2 > np.maximum(0.5 * r1, noise_floor)
 
 
+def _row_gram(u: complex, v: complex) -> tuple:
+    """The Gram cells (u* u, u* v, v* u, v* v) of one factor row (u, v), as coherent.contract takes them."""
+    cu, cv = u.conjugate(), v.conjugate()
+    return cu * u, cu * v, cv * u, cv * v
+
+
 def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP,
                           cutoff: FockCutoff = DEFAULT_CUTOFF, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Finite-difference QFI of the post-selected pointer family in varphi,
@@ -262,17 +275,30 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
     working point, under "renormalized" each member is normalized; the
     projection term makes both gauges agree to finite-difference accuracy.
 
-    The pointer states at varphi and at varphi + delta_k, with delta_k
-    exactly +-h, +-h/2 and +-h/4, are the rank-2 factors A X_k^T of
-    _pointer_factors, A = K_a L and X_k = K_b R_k, so every Gram below is
-    2 x 2.  L and R are the probe's factors at varphi, and R_k =
-    diag(e^{i n delta_k}) R turns R by the step; level 0 does not turn, so
-    member 0 is R itself.  The members are scaled by 1/sqrt(P_0)
-    ("fixed-kappa") or their own 1/sqrt(P_k) ("renormalized"; not
-    phase-fixed, as the raw family is analytic in varphi and the projection
-    term removes a global phase) and differenced on the factors, since
-    differencing Grams would cancel about ten digits.  With x_0 = X_0 /
-    sqrt(P_0), d psi = A dX^T and dX the difference,
+    The pointer states at varphi and at varphi + delta, with delta exactly
+    +-h, +-h/2 and +-h/4, are the rank-2 factors A X^T of _pointer_factors,
+    A = K_a L and X = K_b R, so every Gram below is 2 x 2.  L and R = [e0,
+    c_b] are the probe's factors at varphi, and a step turns only c_b, by
+    diag(e^{i n delta}) = cos(n delta) + i sin(n delta).  One meter pass
+    over the eight columns
+
+        Y = K_b [e0, c_b, cos(n delta_k) c_b, i sin(n delta_k) c_b],  k = 1, 2, 3,
+
+    gives every member: X_0 = [Y_0, Y_1] and X_+-k = [Y_0, Y_ck +- Y_sk].
+    Each member's P, its top-level mass and the moments of the difference
+    are contractions of A's 2 x 2 Grams (whole and top row) with cells of
+    Y's one 8 x 8 Gram, on Python scalars.  The difference is formed before
+    the meter, so no step subtracts two rounded members.  With kappa_+-k
+    the members' scales, 1/sqrt(P_0) ("fixed-kappa") or their own
+    1/sqrt(P_+-k) ("renormalized"; not phase-fixed, as the raw family is
+    analytic in varphi and the projection term removes a global phase),
+
+        dX_k = [kappa' Y_0, kappa' Y_ck + (kappa_+k + kappa_-k) Y_sk / (2 delta_k)],
+
+    with kappa' = (kappa_+k - kappa_-k) / (2 delta_k), which is 0 under
+    "fixed-kappa" and otherwise -(P_+k - P_-k) / (sqrt(P_+k P_-k)
+    (sqrt(P_+k) + sqrt(P_-k))) / (2 delta_k), P_+k - P_-k taken from its odd
+    part.  With x_0 = X_0 / sqrt(P_0) and d psi = A dX^T,
 
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
@@ -283,31 +309,59 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
     """
     if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
         raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
-    steps = [h, 0.5 * h, 0.25 * h]
+    steps = (h, 0.5 * h, 0.25 * h)
     left, right = ecs_factors(config.ecs, cutoff, tail_tol)
-    turns = np.multiply.outer([sign * step for step in steps for sign in (1.0, -1.0)], np.arange(cutoff.dim_b))
-    probes = np.repeat(right[None], 1 + len(turns), axis=0)
-    probes[1:, :, 1] *= np.cos(turns) + 1j * np.sin(turns)
-    fac_a, members = _pointer_factors(left, probes, config.wv, config.coupling)
-    g_a, g_members = _gram(fac_a, fac_a), _gram(members, members)
-    p = _contract(g_a, g_members).real
-    degenerate = p < DEFAULT_P_FLOOR
-    tail = _tail_mass(fac_a, members, g_members) / np.where(degenerate, np.nan, p)
-    for mass in tail[tail > tail_tol].tolist():
-        warn_if_truncated(mass, tail_tol, "build_pointer_state")
-    if degenerate.any():
+    turns = np.multiply.outer(levels(cutoff.dim_b)[0], steps)
+    probe = np.empty((cutoff.dim_b, 2 + 2 * len(steps)), dtype=np.complex128)
+    probe[:, :2] = right
+    probe[:, 2::2] = np.cos(turns) * right[:, 1:]
+    probe[:, 3::2] = np.sin(turns) * (1j * right[:, 1:])
+    fac_a, fac_y = _pointer_factors(left, probe, config.wv, config.coupling)
+    g_a = tuple(_gram(fac_a, fac_a).ravel().tolist())
+    top_a = _row_gram(*fac_a[-1].tolist())
+    below_a = tuple(whole - top for whole, top in zip(g_a, top_a))
+    g, top_y = _gram(fac_y, fac_y).tolist(), fac_y[-1].tolist()
+
+    # Each member's column 1 as (Y_0^dag X_1, X_1^dag X_1, its top entry), in the order 0, +h, -h, ..., -h/4.
+    columns = [(g[0][1], g[1][1], top_y[1])]
+    for c in range(2, len(g), 2):
+        even, odd = g[c][c] + g[c + 1][c + 1], g[c][c + 1] + g[c + 1][c]
+        columns += [(g[0][c] + sign * g[0][c + 1], even + sign * odd, top_y[c] + sign * top_y[c + 1])
+                    for sign in (1.0, -1.0)]
+    p = []
+    for g_0x, g_xx, top_x in columns:
+        g_x = (g[0][0], g_0x, g_0x.conjugate(), g_xx)
+        p.append(contract(g_a, g_x).real)
+        tail = contract(top_a, g_x).real + contract(below_a, _row_gram(top_y[0], top_x)).real
+        if not p[-1] < DEFAULT_P_FLOOR and tail / p[-1] > tail_tol:
+            warn_if_truncated(tail / p[-1], tail_tol, "build_pointer_state")
+    if any(p_k < DEFAULT_P_FLOOR for p_k in p):
         raise DegeneratePostSelectionError(f"post-selection probability below floor {DEFAULT_P_FLOOR:.1e}")
-    scaled = members * (1.0 / np.sqrt(p if config.qfi_gauge == "renormalized" else p[:1]))[:, None, None]
-    d_x = (scaled[1::2] - scaled[2::2]) * (0.5 / np.array(steps))[:, None, None]
-    dd = _contract(g_a, _gram(d_x, d_x)).real
-    cross = _contract(g_a, _gram(scaled[:1], d_x))
-    q, tripped = _richardson(4.0 * (dd - np.abs(cross) ** 2), h)
+
+    root_0 = math.sqrt(p[0])
+    q = []
+    for k, step in enumerate(steps):
+        c, s = 2 + 2 * k, 3 + 2 * k
+        if config.qfi_gauge == "renormalized":
+            root_plus, root_minus = math.sqrt(p[1 + 2 * k]), math.sqrt(p[2 + 2 * k])
+            half_gap = contract(g_a, (0.0, g[0][s], g[0][s].conjugate(), g[c][s] + g[s][c])).real
+            kappa_gap = -2.0 * half_gap / (root_plus * root_minus * (root_plus + root_minus))
+            kappa_sum = 1.0 / root_plus + 1.0 / root_minus
+        else:
+            kappa_gap, kappa_sum = 0.0, 2.0 / root_0
+        slope, turn = kappa_gap / (2.0 * step), kappa_sum / (2.0 * step)
+        g_0d = slope * g[0][c] + turn * g[0][s]
+        g_dd = slope * slope * g[c][c] + slope * turn * (g[c][s] + g[s][c]) + turn * turn * g[s][s]
+        dd = contract(g_a, (slope * slope * g[0][0], slope * g_0d, slope * g_0d.conjugate(), g_dd)).real
+        cross = contract(g_a, (slope * g[0][0], g_0d, slope * g[1][0], slope * g[1][c] + turn * g[1][s])) / root_0
+        q.append(4.0 * (dd - (cross.real * cross.real + cross.imag * cross.imag)))
+    value, tripped = _richardson(np.array(q), h)
     if tripped:
         raise NumericalRangeError(
             f"finite-difference step h={h:g} is cancellation-dominated: "
             "successive halvings of the step do not contract the estimate"
         )
-    return float(q)
+    return float(value)
 
 
 def qfi_analytic(config: WeakMeasurementConfig) -> float:

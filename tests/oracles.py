@@ -36,6 +36,24 @@ def ladder_down(n_max):
     return mat
 
 
+def create(arr, axis):
+    """Creation on one Fock index of an array (a grid, a stack of grids or a
+    stack of single-mode factors), grown by one level so it is exact."""
+    shape = list(arr.shape)
+    shape[axis] += 1
+    out = np.zeros(shape, dtype=complex)
+    out.swapaxes(axis, -1)[..., 1:] = np.sqrt(np.arange(1.0, shape[axis])) * arr.swapaxes(axis, -1)
+    return out
+
+
+def top_level_mass(amps):
+    """Probability mass on the top retained level of either mode, over the
+    last two axes of an amplitude grid or a stack of them; the corner cell
+    sits in both edges and counts once."""
+    top_a = np.sum(np.abs(amps[..., -1, :]) ** 2, axis=-1)
+    return top_a + np.sum(np.abs(amps[..., :-1, -1]) ** 2, axis=-1)
+
+
 def displacement(gamma, n_max):
     a = ladder_down(n_max)
     return expm(gamma * a.conj().T - np.conj(gamma) * a)

@@ -386,29 +386,58 @@ def test_finite_difference_qfi_builds_the_mode_a_column_once():
     assert [w.category for w in caught] == [TruncationWarning] * 10
 
 
+@pytest.mark.parametrize("gauge", ["fixed-kappa", "renormalized"])
+def test_finite_difference_member_warnings_give_the_dense_tail_masses(gauge):
+    # The member tails come from Gram cells of the one metered probe matrix;
+    # each warning's mass is the normalized top-level mass of that member's
+    # dense pointer grid A X_k^T, X_k = K_b [e0, e^{i n delta_k} c_b].
+    config, cutoff = baseline_config(0.1, 6.0, qfi_gauge=gauge), fock.FockCutoff(10, 10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qfi_finite_difference(config, cutoff=cutoff)
+    warned = [float(re.search(r"tail mass (\S+) exceeds", str(w.message)).group(1)) for w in caught]
+    left, right = ecs_factors(config.ecs, cutoff)
+    h = observables.DEFAULT_FD_STEP
+    expected = []
+    for delta in (0.0, h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h):
+        turned = right.copy()
+        turned[:, 1] *= np.exp(1j * delta * np.arange(cutoff.dim_b))
+        fac_a, fac_b = measurement._pointer_factors(left, turned, config.wv, config.coupling)
+        raw = fac_a @ fac_b.T
+        expected.append(oracles.top_level_mass(raw) / np.vdot(raw, raw).real)
+    assert len(warned) == len(expected)
+    for got, want in zip(warned, expected):
+        assert abs(got - want) <= 5e-4 * want
+
+
 @pytest.mark.parametrize("varphi", [0.3, 2.0, 4.1, 6.2])
 def test_finite_difference_members_are_exact_turns_of_the_probe(monkeypatch, varphi):
-    # Member k of the finite-difference family is the probe's R at varphi
-    # turned by diag(e^{i n delta_k}), with delta_k the step itself; member 0
-    # is R bit for bit.
+    # The finite-difference QFI meters one probe matrix [e0, c_b, cos(n delta_k)
+    # c_b, i sin(n delta_k) c_b], k = 1..3, with delta_k the step itself:
+    # member +-k's column cos +- sin is R's c_b turned by e^{+-i n delta_k},
+    # and columns 0 and 1 are R's bit for bit.
     config = default_config(ecs=EcsParams(0.8, HALF_PI, varphi), coupling=CouplingParams(1.0, 1.0))
     right = ecs_factors(config.ecs, CUT40)[1]
     h = observables.DEFAULT_FD_STEP
-    deltas = np.array([0.0, h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h])
     seen = []
 
-    def spy(left, probes, wv, coupling):
-        seen.append(probes.copy())
-        return measurement._pointer_factors(left, probes, wv, coupling)
+    def spy(left, probe, wv, coupling):
+        seen.append(probe.copy())
+        return measurement._pointer_factors(left, probe, wv, coupling)
 
     monkeypatch.setattr(observables, "_pointer_factors", spy)
     qfi_finite_difference(config)
-    (probes,) = seen
-    expected = np.exp(1j * np.multiply.outer(deltas, np.arange(CUT40.dim_b)))[:, :, None] * right
-    assert probes.shape == expected.shape
-    keep = np.broadcast_to(np.abs(right) > 1e-200, expected.shape)
-    assert (np.abs(probes - expected)[keep] / np.abs(expected)[keep]).max() <= 2e-15
-    assert np.array_equal(probes[0], right)
+    (probe,) = seen
+    assert probe.shape == (CUT40.dim_b, 8)
+    assert np.array_equal(probe[:, :2], right)
+    col = right[:, 1]
+    keep = np.abs(col) > 1e-200
+    for k, delta in enumerate([h, 0.5 * h, 0.25 * h]):
+        cos, sin = probe[:, 2 + 2 * k], probe[:, 3 + 2 * k]
+        for sign in (1.0, -1.0):
+            expected = np.exp(sign * 1j * delta * np.arange(CUT40.dim_b)) * col
+            gap = np.abs(cos + sign * sin - expected)[keep] / np.abs(expected)[keep]
+            assert gap.max() <= 2e-15
 
 
 @pytest.mark.parametrize("gauge", ["fixed-kappa", "renormalized"])
@@ -427,9 +456,9 @@ def test_finite_difference_qfi_of_a_large_probe_needs_a_large_cutoff(gauge):
 
 
 def test_tail_mass_of_factors_is_the_dense_top_level_mass():
-    # A single factor against a member stack (the finite-difference QFI) and
-    # a stack against a stack (the Wigner grid): each mass equals
-    # fock.top_level_mass of the dense product A @ X_k^T, corner cell once.
+    # A single factor against a stack and a stack against a stack (the
+    # Wigner grid): each mass equals
+    # oracles.top_level_mass of the dense product A @ X_k^T, corner cell once.
     rng = np.random.default_rng(29)
 
     def factors(*shape):
@@ -442,7 +471,7 @@ def test_tail_mass_of_factors_is_the_dense_top_level_mass():
         (stack, stack[:, None] @ members.swapaxes(-1, -2)),
     ):
         masses = observables._tail_mass(fac_a, members, observables._gram(members, members))
-        expected = fock.top_level_mass(dense)
+        expected = oracles.top_level_mass(dense)
         assert masses.shape == expected.shape
         assert np.allclose(masses, expected, rtol=1e-13, atol=0.0)
 
@@ -509,7 +538,7 @@ def truncated_reference(config, s1, s2):
     puts more than the default tail tolerance on its top Fock level."""
     probe = config.ecs_state(cutoff=CUT40)
     outcome = build_pointer_state(probe, config.wv, CouplingParams(s1, s2))
-    masses = fock.top_level_mass(probe.amplitudes), fock.top_level_mass(outcome.state.amplitudes)
+    masses = oracles.top_level_mass(probe.amplitudes), oracles.top_level_mass(outcome.state.amplitudes)
     return max(masses) > fock.DEFAULT_TAIL_TOL
 
 

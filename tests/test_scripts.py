@@ -1,5 +1,6 @@
 """The repository's tooling scripts run end to end."""
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -24,6 +25,22 @@ def test_pair_points_finds_no_gap_between_a_tree_and_itself():
     assert sorted(accuracy) == ["fd accuracy change", "fd accuracy parent"], run.stdout
     assert accuracy["fd accuracy parent"] == accuracy["fd accuracy change"]
     assert "median" in accuracy["fd accuracy parent"], run.stdout
+
+
+def test_pair_points_measures_moment_gaps_against_one():
+    # Squeezing and E are differences of O(1) moments: a 1.1e-16 gap at a
+    # value of -1.2e-4 is rounding, and reads as such, not as 9.4e-13
+    # relative.  P_s and the QFIs keep the plain relative gap.
+    spec = importlib.util.spec_from_file_location("pair_points", os.path.join(_ROOT, "scripts", "pair_points.py"))
+    pair_points = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pair_points)
+    assert pair_points.UNIT_FLOOR == {"S2s_direct", "S2s_normal", "E"}
+    a = -1.2e-4
+    b = a + 1.1e-16
+    assert pair_points.relative_gap(a, b, 1.0) == abs(b - a) < 2e-16
+    assert pair_points.relative_gap(a, b) > 5e-13
+    assert pair_points.relative_gap(a, 2.0 * a) == 0.5
+    assert pair_points.relative_gap(0.0, 0.0) == 0.0
 
 
 def test_pair_cli_finds_the_same_output_for_a_tree_and_itself():
