@@ -21,7 +21,7 @@ _LAZY = {
     name: module
     for module, names in {
         "fock": ("FockCutoff", "TwoModeState", "coherent_column"),
-        "measurement": ("PostSelectedOutcome", "build_ecs", "build_pointer_state", "weak_value_x", "weak_value_y"),
+        "measurement": ("PostSelectedOutcome", "build_ecs", "build_pointer_state"),
         "observables": ("SqueezingReport", "WignerGrid", "hz_correlation", "joint_wigner_grid", "qcrb",
                         "qfi_analytic", "qfi_finite_difference", "squeezing_report"),
     }.items()

@@ -155,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     single_point = all(spec.is_single for spec in axis_ranges)
-    return 4 if single_point and result.na_rows["degenerate"] else 0
+    return 4 if single_point and result.metadata["na_rows"]["degenerate"] else 0
 
 
 if __name__ == "__main__":

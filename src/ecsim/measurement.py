@@ -40,8 +40,9 @@ turns one probe's c_b itself, as its cos and sin parts, and its members
 share L and A.
 
 This is the Fock route of the library.  The parameter records and the
-meters' amplitudes (c_i, d_i) live in the numpy-free params module, and the
-sweeps' closed form of the same factors in the coherent module.
+meters' amplitudes (c_i, d_i), which carry the weak values w_i = d_i / c_i,
+live in the numpy-free params module (_meter_rows), and the sweeps' closed
+form of the same factors in the coherent module.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .fock import (
     warn_if_truncated,
 )
 from .params import (
-    THETA_GUARD,
     CouplingParams,
     EcsParams,
     WeakValueParams,
@@ -81,24 +81,6 @@ class PostSelectedOutcome(_ArrayRecord):
 
     def __init__(self, state: TwoModeState, success_probability: float) -> None:
         self._set(state, success_probability)
-
-
-def weak_value_x(theta1: float, delta1: float) -> complex:
-    """w_x = e^{i delta_1} tan(theta_1 / 2)."""
-    if not (0.0 <= theta1 <= THETA_GUARD):
-        raise ValueError(f"theta1 outside [0, pi) divergence guard: {theta1!r}")
-    if not math.isfinite(delta1):
-        raise ValueError(f"delta1 must be finite, got {delta1!r}")
-    return cmath.exp(1j * delta1) * math.tan(0.5 * theta1)
-
-
-def weak_value_y(theta2: float, delta2: float) -> complex:
-    """w_y = -i e^{i delta_2} tan(theta_2 / 2)."""
-    if not (0.0 <= theta2 <= THETA_GUARD):
-        raise ValueError(f"theta2 outside [0, pi) divergence guard: {theta2!r}")
-    if not math.isfinite(delta2):
-        raise ValueError(f"delta2 must be finite, got {delta2!r}")
-    return -1j * cmath.exp(1j * delta2) * math.tan(0.5 * theta2)
 
 
 def ecs_factors(

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
 from .coherent import contract, pointer_qfi
 from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
-from .errors import DegeneratePostSelectionError, NumericalRangeError
+from .errors import NumericalRangeError
 from .fock import (
     DEFAULT_CUTOFF,
     DEFAULT_TAIL_TOL,
@@ -51,14 +52,12 @@ from .fock import (
     warn_if_truncated,
 )
 from .measurement import _pointer_factors, ecs_factors
-from .params import DEFAULT_P_FLOOR, _ArrayRecord, _Record, _positive_int
+from .params import DEFAULT_P_FLOOR, _ArrayRecord, _check_p_floor, _Record, _positive_int
 
 # Displaced states whose top-level mass exceeds this are outside the
 # trustworthy window of the truncated basis.
 DEFAULT_RANGE_TOL = 1e-6
 
-_FD_STEP_MIN = 1e-7
-_FD_STEP_MAX = 1e-3
 DEFAULT_FD_STEP = 1e-5
 
 # Rounding level of one central-difference QFI, in units of
@@ -156,10 +155,6 @@ class WignerGrid(_ArrayRecord):
         if self.values.shape != (self.re_gamma_axis.size, self.re_beta_axis.size):
             raise ValueError("grid value shape does not match its axes")
 
-    @property
-    def minimum(self) -> float:
-        return float(self.values.min())
-
 
 def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left^dag right over the Fock axis (-2) of two factor stacks: (..., m, m)."""
@@ -244,19 +239,19 @@ def qcrb(qfi: float, shots: int = 1) -> float:
     return 1.0 / math.sqrt(_positive_int("shots", shots) * qfi)
 
 
-def _richardson(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, tripped) from central-difference estimates q[..., i] at steps h, h/2, h/4.
+def _richardson(q_h: float, q_h2: float, q_h4: float) -> tuple[float, bool]:
+    """(Q, tripped) from the central-difference estimates at steps h, h/2, h/4, h = DEFAULT_FD_STEP.
 
     Q is the middle estimate.  Rounding perturbs each estimate by about
-    eps * |d psi| / step, with |d psi| ~ sqrt(Q) / 2; tripped marks the
-    points whose successive differences neither contract by half nor stay
-    within that level at h/4.
+    eps * |d psi| / step, with |d psi| ~ sqrt(Q) / 2; tripped is True when
+    the successive differences neither contract by half nor stay within that
+    level at h/4.  A NaN estimate never trips: it makes a difference NaN,
+    and max keeps its first argument against a NaN.
     """
-    r1 = np.abs(q[..., 0] - q[..., 1])
-    r2 = np.abs(q[..., 1] - q[..., 2])
-    scale = np.maximum(1.0, np.sqrt(np.abs(q).max(axis=-1)))
-    noise_floor = _FD_ROUNDING_UNITS * np.finfo(np.float64).eps * scale / (0.25 * h)
-    return q[..., 1], r2 > np.maximum(0.5 * r1, noise_floor)
+    r1, r2 = abs(q_h - q_h2), abs(q_h2 - q_h4)
+    scale = max(1.0, math.sqrt(max(abs(q_h), abs(q_h2), abs(q_h4))))
+    noise_floor = _FD_ROUNDING_UNITS * sys.float_info.epsilon * scale / (0.25 * DEFAULT_FD_STEP)
+    return q_h2, r2 > max(0.5 * r1, noise_floor)
 
 
 def _row_gram(u: complex, v: complex) -> tuple:
@@ -265,8 +260,8 @@ def _row_gram(u: complex, v: complex) -> tuple:
     return cu * u, cu * v, cv * u, cv * v
 
 
-def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_STEP,
-                          cutoff: FockCutoff = DEFAULT_CUTOFF, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+def qfi_finite_difference(config: WeakMeasurementConfig, cutoff: FockCutoff = DEFAULT_CUTOFF,
+                          tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Finite-difference QFI of the post-selected pointer family in varphi,
     on the Fock basis of cutoff: the independent check of the closed form
     that qfi_analytic evaluates.
@@ -276,11 +271,11 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
     projection term makes both gauges agree to finite-difference accuracy.
 
     The pointer states at varphi and at varphi + delta, with delta exactly
-    +-h, +-h/2 and +-h/4, are the rank-2 factors A X^T of _pointer_factors,
-    A = K_a L and X = K_b R, so every Gram below is 2 x 2.  L and R = [e0,
-    c_b] are the probe's factors at varphi, and a step turns only c_b, by
-    diag(e^{i n delta}) = cos(n delta) + i sin(n delta).  One meter pass
-    over the eight columns
+    +-h, +-h/2 and +-h/4 for the fixed h = DEFAULT_FD_STEP, are the rank-2
+    factors A X^T of _pointer_factors, A = K_a L and X = K_b R, so every
+    Gram below is 2 x 2.  L and R = [e0, c_b] are the probe's factors at
+    varphi, and a step turns only c_b, by diag(e^{i n delta}) = cos(n delta)
+    + i sin(n delta).  One meter pass over the eight columns
 
         Y = K_b [e0, c_b, cos(n delta_k) c_b, i sin(n delta_k) c_b],  k = 1, 2, 3,
 
@@ -304,11 +299,10 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
 
     Warns as ecs_factors does, once for the probe, and as _post_select
     does, for each member whose normalized top-level mass exceeds tail_tol.
-    A member's P_s below DEFAULT_P_FLOOR raises DegeneratePostSelectionError,
-    a Q that fails _richardson NumericalRangeError.
+    A member's P_s below DEFAULT_P_FLOOR raises _check_p_floor's error, a Q
+    that fails _richardson NumericalRangeError.
     """
-    if not (_FD_STEP_MIN <= h <= _FD_STEP_MAX):
-        raise ValueError(f"step h must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], got {h!r}")
+    h = DEFAULT_FD_STEP
     steps = (h, 0.5 * h, 0.25 * h)
     left, right = ecs_factors(config.ecs, cutoff, tail_tol)
     turns = np.multiply.outer(levels(cutoff.dim_b)[0], steps)
@@ -335,8 +329,7 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
         tail = contract(top_a, g_x).real + contract(below_a, _row_gram(top_y[0], top_x)).real
         if not p[-1] < DEFAULT_P_FLOOR and tail / p[-1] > tail_tol:
             warn_if_truncated(tail / p[-1], tail_tol, "build_pointer_state")
-    if any(p_k < DEFAULT_P_FLOOR for p_k in p):
-        raise DegeneratePostSelectionError(f"post-selection probability below floor {DEFAULT_P_FLOOR:.1e}")
+    _check_p_floor(min(p))
 
     root_0 = math.sqrt(p[0])
     q = []
@@ -355,13 +348,13 @@ def qfi_finite_difference(config: WeakMeasurementConfig, h: float = DEFAULT_FD_S
         dd = contract(g_a, (slope * slope * g[0][0], slope * g_0d, slope * g_0d.conjugate(), g_dd)).real
         cross = contract(g_a, (slope * g[0][0], g_0d, slope * g[1][0], slope * g[1][c] + turn * g[1][s])) / root_0
         q.append(4.0 * (dd - (cross.real * cross.real + cross.imag * cross.imag)))
-    value, tripped = _richardson(np.array(q), h)
+    value, tripped = _richardson(*q)
     if tripped:
         raise NumericalRangeError(
             f"finite-difference step h={h:g} is cancellation-dominated: "
             "successive halvings of the step do not contract the estimate"
         )
-    return float(value)
+    return value
 
 
 def qfi_analytic(config: WeakMeasurementConfig) -> float:

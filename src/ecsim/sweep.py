@@ -7,15 +7,16 @@ builder.  _sweep checks the declared order, calls cells(config, xs, ys) once
 on the axes' values, and walks the product of the axes in the declared
 outer-to-inner nesting.  Each row reads its cell grid[i][j] at its canonical
 indices (i, j): the row's column values, or the cause of an NA row, which
-the walker writes as NA cells and counts in SweepResult.na_rows.
+the walker writes as NA cells and counts in the metadata's "na_rows".
 
 probability, squeezing, hz and wigner read every cell from the closed-form
 coherent-state Grams of the coherent module, each side's built once per
 axis value and contracted per row, and qcrb is coherent.pointer_qfi at each
 point: no Fock basis, no cutoff and no numpy.  So the config's QFI gauge,
 which only qfi_finite_difference reads, changes no row.  The CSV rendering
-of the resulting SweepResult is deterministic: shortest-round-trip floats,
-UNIX newlines, mandatory header, and "NA" for the rows of NA_CAUSES and the
+of the resulting SweepResult is deterministic: every cell is a str, an int
+or a float, written as itself or its repr (shortest-round-trip floats), UNIX
+newlines, mandatory header, and "NA" for the rows of NA_CAUSES and the
 phase bound of a vanishing QFI.  Every cell is scalar math/cmath with no
 BLAS call, so reruns are byte-identical and the bytes do not depend on the
 numpy or BLAS build.
@@ -38,36 +39,22 @@ NA = "NA"
 # Q_fi below this emits an NA phase bound instead of a spuriously huge one.
 QFI_SENTINEL_FLOOR = 1e-12
 
-# Causes of NA rows, as counted in SweepResult.na_rows: a post-selection
+# Causes of NA rows, as counted in the metadata's "na_rows": a post-selection
 # below the P_s floor, and the phase bound of a QFI below QFI_SENTINEL_FLOOR.
 NA_CAUSES = ("degenerate", "zero_qfi")
 
 
-def format_cell(value) -> str:
-    """Shortest round-trip text for one CSV cell; a numpy scalar is read through its item()."""
-    if isinstance(value, str):
-        return value
-    value = value.item() if hasattr(value, "item") else value
-    if isinstance(value, (bool, int)):
-        return str(int(value))
-    return repr(float(value))
-
-
 class SweepResult(_Record):
-    """Ordered header, row tuples, the metadata echo, and NA rows by cause."""
+    """Ordered header, row tuples of str, int and float cells, and the metadata echo."""
 
-    __slots__ = ("header", "rows", "metadata", "na_rows")
+    __slots__ = ("header", "rows", "metadata")
 
-    def __init__(self, header: tuple[str, ...], rows: tuple[tuple, ...], metadata: dict,
-                 na_rows: dict | None = None) -> None:
-        self._set(header, rows, metadata, {} if na_rows is None else na_rows)
+    def __init__(self, header: tuple[str, ...], rows: tuple[tuple, ...], metadata: dict) -> None:
+        self._set(header, rows, metadata)
 
     def csv_text(self) -> str:
-        # Formatted column by column; repr is format_cell's text for a Python float.
-        columns = [
-            [repr(cell) if type(cell) is float else format_cell(cell) for cell in column]
-            for column in zip(*self.rows)
-        ]
+        # Formatted column by column: a str as itself, an int or a float as its repr.
+        columns = [[cell if type(cell) is str else repr(cell) for cell in column] for column in zip(*self.rows)]
         return "\n".join([",".join(self.header), *map(",".join, zip(*columns))]) + "\n"
 
     def metadata_text(self) -> str:
@@ -126,7 +113,7 @@ def _sweep(config: WeakMeasurementConfig, command: str, ranges: tuple[RangeSpec,
         "na_rows": na_rows,
         **extra,
     }
-    return SweepResult(axes + spec["columns"], tuple(rows), metadata, na_rows)
+    return SweepResult(axes + spec["columns"], tuple(rows), metadata)
 
 
 def _finite(values, where: tuple):

@@ -408,7 +408,7 @@ def test_sweeps_run_without_numpy():
         assert steps == {name: [0, []] for name in ["import ecsim", "import ecsim.cli", *GOLDEN_CASES, "single_qcrb"]}
 
 
-def test_package_exports_its_26_public_names():
+def test_package_exports_its_24_public_names():
     # fock's dense operator layer (ModeOperator, displacement_matrix,
     # apply_to_mode) stays in ecsim.fock, outside the package namespace.
     assert sorted(ecsim.__all__) == sorted([
@@ -417,7 +417,7 @@ def test_package_exports_its_26_public_names():
         "TwoModeState", "WeakMeasurementConfig", "WeakValueParams", "WignerGrid", "build_ecs",
         "build_pointer_state", "coherent_column", "default_config", "hz_correlation",
         "joint_wigner_grid", "qcrb", "qfi_analytic", "qfi_finite_difference",
-        "squeezing_report", "weak_value_x", "weak_value_y",
+        "squeezing_report",
     ])
     assert all(hasattr(ecsim, name) for name in ecsim.__all__)
 

@@ -202,8 +202,8 @@ RECORD_CASES = {
         lambda: WeakMeasurementConfig(EcsParams(0.1), WeakValueParams(0.5, 0.0, 0.5, 0.0), CouplingParams(1.0, 2.0),
                                       0.25),
         _CONFIG_TEXT, ({"qfi_gauge": "other"}, "qfi_gauge must be one of ('fixed-kappa', 'renormalized')"), False),
-    "SweepResult": (lambda: SweepResult(("x",), ((1.0,),), {"rows": 1}, {"degenerate": 0}),
-                    "SweepResult(header=('x',), rows=((1.0,),), metadata={'rows': 1}, na_rows={'degenerate': 0})",
+    "SweepResult": (lambda: SweepResult(("x",), ((1.0,),), {"rows": 1}),
+                    "SweepResult(header=('x',), rows=((1.0,),), metadata={'rows': 1})",
                     None, False),
     "SqueezingReport": (lambda: SqueezingReport(-0.1, -0.2, 0.3),
                         "SqueezingReport(s2s_direct=-0.1, s2s_normal_ordered=-0.2, theta_big=0.3)", None, False),

@@ -26,8 +26,6 @@ from ecsim.measurement import (
     build_ecs,
     build_pointer_state,
     ecs_factors,
-    weak_value_x,
-    weak_value_y,
 )
 from ecsim.observables import qfi_analytic
 from ecsim.params import _meter_rows
@@ -74,6 +72,12 @@ def test_weak_value_params_validation():
         WeakValueParams(0.1, -0.1, 0.1, 0.0)
     with pytest.raises(ValueError):
         WeakValueParams(0.1, 0.0, 0.1, 7.0)
+    # A non-finite azimuth on either meter.
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta1 must lie"):
+            WeakValueParams(0.5, delta, 0.5, 0.0)
+        with pytest.raises(ValueError, match="delta2 must lie"):
+            WeakValueParams(0.5, 0.0, 0.5, delta)
     WeakValueParams(math.pi - 1e-8, 0.0, 0.0, 2.0 * math.pi)
 
 
@@ -84,23 +88,16 @@ def test_coupling_params_validation():
         CouplingParams(0.0, float("inf"))
 
 
-def test_weak_values_frozen():
-    # w_x at the baseline angles theta = 4 pi / 5, delta = pi / 2 is
-    # i tan(2 pi / 5) = 3.077683537175253 i.
-    w_x = weak_value_x(0.8 * math.pi, HALF_PI)
-    assert abs(w_x - 3.077683537175253j) < 1e-12
-    w_y = weak_value_y(0.8 * math.pi, HALF_PI)
-    assert abs(w_y - 3.077683537175253) < 1e-12
-    assert abs(weak_value_x(HALF_PI, 0.0) - 1.0) < 1e-15
-    assert abs(weak_value_y(HALF_PI, 0.0) + 1j) < 1e-15
-    with pytest.raises(ValueError):
-        weak_value_x(math.pi, 0.0)
-    # A non-finite phase, as WeakValueParams rejects for its delta_i.
-    for delta in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="delta1 must be finite"):
-            weak_value_x(0.5, delta)
-        with pytest.raises(ValueError, match="delta2 must be finite"):
-            weak_value_y(0.5, delta)
+def test_meter_rows_carry_the_frozen_weak_values():
+    # Each meter row (c_i, d_i) has d_i = c_i w_i.  At the baseline angles
+    # theta = 4 pi / 5, delta = pi / 2, w_x = i tan(2 pi / 5) =
+    # 3.077683537175253 i and w_y = 3.077683537175253.
+    (c_x, d_x), (c_y, d_y) = _meter_rows(baseline_wv())
+    assert abs(d_x / c_x - 3.077683537175253j) < 1e-12
+    assert abs(d_y / c_y - 3.077683537175253) < 1e-12
+    (c_x, d_x), (c_y, d_y) = _meter_rows(WeakValueParams(HALF_PI, 0.0, HALF_PI, 0.0))
+    assert abs(d_x / c_x - 1.0) < 1e-15
+    assert abs(d_y / c_y + 1j) < 1e-15
 
 
 def test_branch_weights_sum_to_four():

@@ -205,7 +205,6 @@ def test_wigner_grid_matches_point_evaluation():
     the oracle's own displacements."""
     state = build_ecs(EcsParams(0.1, HALF_PI, HALF_PI), CUT40)
     grid = joint_wigner_grid(state, RangeSpec(-0.5, 0.5, 3), RangeSpec(-0.5, 0.5, 3))
-    assert grid.minimum == float(grid.values.min())
     for i, g in enumerate(grid.re_gamma_axis):
         d_a = oracles.displacement(-g, 40)
         for j, b in enumerate(grid.re_beta_axis):
@@ -340,9 +339,6 @@ def test_qfi_zero_coupling_closed_meter_reduces_to_bare_probe():
 
 
 def test_qfi_step_validation_and_degenerate_guard():
-    config = baseline_config(0.3, 1.0)
-    with pytest.raises(ValueError):
-        qfi_finite_difference(config, h=1e-8)
     # Amplification rescues P_s at nonzero coupling, so the degenerate
     # regime needs s = 0, where P_s collapses to the meter overlap squared.
     near_pi = math.pi - 1e-8
@@ -351,7 +347,8 @@ def test_qfi_step_validation_and_degenerate_guard():
     )
     with pytest.raises(DegeneratePostSelectionError):
         qfi_analytic(degenerate)
-    with pytest.raises(DegeneratePostSelectionError):
+    # The message gives the smallest member's P_s, as every other route's does.
+    with pytest.raises(DegeneratePostSelectionError, match=r"probability \d\.\d{3}e-\d+ below floor"):
         qfi_finite_difference(degenerate)
 
 
@@ -477,19 +474,20 @@ def test_tail_mass_of_factors_is_the_dense_top_level_mass():
 
 
 def test_checked_richardson_contracts_and_rejects():
-    steps = 1e-5 * np.array([1.0, 0.5, 0.25])
-    q, tripped = _richardson(1.0 + 1e6 * steps**2, 1e-5)
+    # O(h^2) estimates at h = 1e-5, h/2, h/4 contract and pass.
+    q, tripped = _richardson(*(1.0 + 1e6 * (1e-5 * k) ** 2 for k in (1.0, 0.5, 0.25)))
     assert abs(q - (1.0 + 1e6 * 2.5e-11)) < 1e-15
-    assert not tripped
-    q, tripped = _richardson(np.array([[1.001, 0.999, 1.001], [np.nan] * 3]), 1e-5)
-    assert q[0] == 0.999
-    assert tripped.tolist() == [True, False]
+    assert tripped is False
+    assert _richardson(1.001, 0.999, 1.001) == (0.999, True)
+    q, tripped = _richardson(math.nan, math.nan, math.nan)
+    assert math.isnan(q)
+    assert tripped is False
 
 
 def test_tripped_richardson_check_raises(monkeypatch):
     # A point whose finite differences fail the Richardson check is refused,
     # in either gauge, never returned as a number.
-    monkeypatch.setattr(observables, "_richardson", lambda q, h: (q[1], np.True_))
+    monkeypatch.setattr(observables, "_richardson", lambda *q: (q[1], True))
     for gauge in ("fixed-kappa", "renormalized"):
         with pytest.raises(NumericalRangeError, match="cancellation-dominated"):
             qfi_finite_difference(baseline_config(0.3, 1.0, qfi_gauge=gauge))

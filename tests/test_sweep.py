@@ -4,7 +4,6 @@ import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 from ecsim import __version__
@@ -21,7 +20,6 @@ from ecsim.sweep import (
     cmd_qcrb,
     cmd_squeezing,
     cmd_wigner,
-    format_cell,
 )
 
 HALF_PI = 0.5 * math.pi
@@ -31,24 +29,17 @@ def single(value):
     return RangeSpec(value, value, 1)
 
 
-def test_format_cell():
-    assert format_cell(0.1) == "0.1"
-    assert format_cell(np.float64(1.0 / 3.0)) == "0.3333333333333333"
-    assert format_cell(1.0) == "1.0"
-    assert format_cell(3) == "3"
-    assert format_cell(True) == "1"
-    assert format_cell(np.bool_(False)) == "0"
-    assert format_cell("NA") == "NA"
-    # Shortest-round-trip text survives a parse back to the same float.
-    for value in (0.1, 2.5132741228718345, 1e-17, -0.00912):
-        assert float(format_cell(value)) == value
-
-
 def test_sweep_result_csv_shape():
     result = SweepResult(
         header=("a", "b"), rows=((1.5, NA), (0.25, 2)), metadata={"rows": 2}
     )
     assert result.csv_text() == "a,b\n1.5,NA\n0.25,2\n"
+    # A float cell is its shortest round-trip text, an int its digits, a str itself.
+    cells = SweepResult(header=("c",) * 5, rows=((0.1, 1.0 / 3.0, 1.0, 3, NA),), metadata={})
+    assert cells.csv_text().splitlines()[1] == "0.1,0.3333333333333333,1.0,3,NA"
+    values = (0.1, 2.5132741228718345, 1e-17, -0.00912)
+    text = SweepResult(header=("v",) * 4, rows=(values,), metadata={}).csv_text()
+    assert tuple(map(float, text.splitlines()[1].split(","))) == values
 
 
 def test_sweep_result_file_output(tmp_path):
@@ -118,7 +109,7 @@ def test_cmd_probability_degenerate_rows_become_na():
     config = default_config()
     result = cmd_probability(config, single(0.0), single(math.pi - 1e-8))
     assert result.rows[0][2] == NA
-    assert result.na_rows == {"degenerate": 1, "zero_qfi": 0}
+    assert result.metadata["na_rows"] == {"degenerate": 1, "zero_qfi": 0}
 
 
 def test_cmd_squeezing_zero_coupling_row_and_column_agreement():
@@ -213,8 +204,7 @@ def test_cmd_qcrb_values_and_sentinel():
     _, _, q0, delta0 = zero.rows[0]
     assert abs(q0) < 1e-12
     assert delta0 == NA
-    assert zero.na_rows == {"degenerate": 0, "zero_qfi": 1}
-    assert zero.metadata["na_rows"] == zero.na_rows
+    assert zero.metadata["na_rows"] == {"degenerate": 0, "zero_qfi": 1}
 
 
 def test_cmd_qcrb_counts_na_rows_by_cause():
