@@ -201,6 +201,7 @@ def pointer_qfi(ecs: EcsParams, wv: WeakValueParams, coupling: CouplingParams) -
     q = 4.0 * (contract(g_a, g_b["dd"]).real / p_s - (cross.real * cross.real + cross.imag * cross.imag))
     if not math.isfinite(q):
         raise ValueError(
-            f"the closed-form QFI at r = {ecs.r!r}, s1 = {coupling.s1!r}, s2 = {coupling.s2!r} overflows a double"
+            f"the closed-form QFI at r = {ecs.r!r}, s1 = {coupling.s1!r}, s2 = {coupling.s2!r} is {q!r}, "
+            "not a finite double"
         )
     return q

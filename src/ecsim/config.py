@@ -84,22 +84,23 @@ class WeakMeasurementConfig(_Record):
         self._set(ecs, wv, coupling, theta_big, qfi_gauge)
 
     # The Fock routes import measurement, and so numpy, on first use.  Each takes
-    # build_ecs's keyword arguments cutoff (40 per mode by default) and tail_tol.
-    def ecs_state(self, **fock) -> TwoModeState:
-        from .measurement import build_ecs
+    # one argument, the cutoff; None is fock.DEFAULT_CUTOFF, 40 per mode.
+    def ecs_state(self, cutoff: FockCutoff | None = None) -> TwoModeState:
+        from .measurement import DEFAULT_CUTOFF, build_ecs
 
-        return build_ecs(self.ecs, **fock)
+        return build_ecs(self.ecs, cutoff or DEFAULT_CUTOFF)
 
-    def raw_pointer_state(self, **fock) -> TwoModeState:
-        from .measurement import TwoModeState, _pointer_grid
+    def raw_pointer_state(self, cutoff: FockCutoff | None = None) -> TwoModeState:
+        from .measurement import DEFAULT_CUTOFF, TwoModeState, _pointer_grid
 
-        grid, cutoff, _ = _pointer_grid(self, **fock)
-        return TwoModeState(grid, cutoff)
+        cutoff = cutoff or DEFAULT_CUTOFF
+        return TwoModeState(_pointer_grid(self, cutoff), cutoff)
 
-    def pointer_outcome(self, **fock) -> PostSelectedOutcome:
-        from .measurement import _pointer_grid, _post_select
+    def pointer_outcome(self, cutoff: FockCutoff | None = None) -> PostSelectedOutcome:
+        from .measurement import DEFAULT_CUTOFF, _pointer_grid, _post_select
 
-        return _post_select(*_pointer_grid(self, **fock))
+        cutoff = cutoff or DEFAULT_CUTOFF
+        return _post_select(_pointer_grid(self, cutoff), cutoff)
 
     def to_dict(self) -> dict:
         """The flat record: each sub-record of _RECORDS spelled out as its own

@@ -3,7 +3,7 @@
 
 class TruncationWarning(UserWarning):
     """Emitted when a constructed state leaves more probability mass above
-    the Fock cutoff than the configured tail tolerance allows.
+    the Fock cutoff than the package's tail tolerance, fock.TAIL_TOL, allows.
 
     Carries the measured tail mass in the message so sweep drivers can count
     and report suspect points without aborting.

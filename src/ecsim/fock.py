@@ -3,8 +3,8 @@
 States live on the product basis |n_a, n_b> with 0 <= n_a <= n_max_a and
 0 <= n_b <= n_max_b, stored as a complex (n_max_a+1, n_max_b+1) amplitude
 grid; FockCutoff holds the two levels.  The library's Fock routes take a
-cutoff and a tail tolerance, the truncated mass they accept without a
-TruncationWarning, which warn_if_truncated checks.  lowering_grid is the
+cutoff, and warn_if_truncated warns where the truncated mass exceeds
+TAIL_TOL, the one tail tolerance of the package.  lowering_grid is the
 factor sqrt(n_a) sqrt(n_b) that a b puts on a grid's interior, and a^dag
 b^dag on a grid grown by one level.  One eigenbasis per cutoff, of the
 quadratures a + a^dag and p = i (a^dag - a), is cached with the level
@@ -31,7 +31,8 @@ import numpy as np
 from .errors import TruncationWarning
 from .params import _ArrayRecord, _Record, _positive_int
 
-DEFAULT_TAIL_TOL = 1e-10
+# The truncated mass a Fock route accepts without a TruncationWarning.
+TAIL_TOL = 1e-10
 
 # The largest n_max per mode.  The quadrature eigenbasis is a dense
 # (n_max + 1)^2 eigenproblem and the dense grids hold (n_max_a + 1)(n_max_b + 1)
@@ -94,13 +95,13 @@ class ModeOperator(_ArrayRecord):
         self._set(mat)
 
 
-def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+def coherent_column(alpha: complex, n_max: int) -> np.ndarray:
     """Truncated coherent-state column: entry n is e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
     Entries are built by the cumulative recurrence c_n = c_{n-1} alpha / sqrt(n),
     which stays finite for any amplitude the truncated basis can represent.
-    Warns with the measured norm deficit when 1 - sum |c_n|^2 exceeds tail_tol.
-    Raises ValueError when |alpha|^2 overflows a double, and warn_if_truncated's.
+    Warns with the measured norm deficit when 1 - sum |c_n|^2 exceeds TAIL_TOL.
+    Raises ValueError when |alpha|^2 overflows a double.
     """
     n_max = _positive_int("n_max", n_max)
     if not math.isfinite(abs(alpha) * abs(alpha)):
@@ -110,9 +111,8 @@ def coherent_column(alpha: complex, n_max: int, tail_tol: float = DEFAULT_TAIL_T
     col[1:] = alpha / levels(n_max + 1)[1][1:]
     np.cumprod(col, out=col)
     deficit = max(0.0, 1.0 - np.vdot(col, col).real)
-    _check_tail_tol(tail_tol)
-    if deficit > tail_tol:
-        warn_if_truncated(deficit, tail_tol, f"coherent column |alpha|={abs(alpha):.4g} at n_max={n_max}")
+    if deficit > TAIL_TOL:
+        warn_if_truncated(deficit, f"coherent column |alpha|={abs(alpha):.4g} at n_max={n_max}")
     return col
 
 
@@ -214,17 +214,10 @@ def apply_to_mode(op: ModeOperator, mode: str, state: TwoModeState) -> TwoModeSt
     return TwoModeState(out, state.cutoff)
 
 
-def _check_tail_tol(tail_tol: float) -> None:
-    """The one check of a tail tolerance: ValueError unless 0 < tail_tol <= 1e-4."""
-    if not (0.0 < tail_tol <= 1e-4):
-        raise ValueError(f"tail_tolerance must lie in (0, 1e-4], got {tail_tol!r}")
-
-
-def warn_if_truncated(mass: float, tail_tol: float, context: str) -> None:
-    """Emit TruncationWarning when a tail mass exceeds tail_tol, after _check_tail_tol."""
-    _check_tail_tol(tail_tol)
-    if mass > tail_tol:
+def warn_if_truncated(mass: float, context: str) -> None:
+    """Emit TruncationWarning when a tail mass exceeds TAIL_TOL."""
+    if mass > TAIL_TOL:
         warnings.warn(
-            TruncationWarning(f"{context}: tail mass {mass:.3e} exceeds tolerance {tail_tol:.1e}"),
+            TruncationWarning(f"{context}: tail mass {mass:.3e} exceeds tolerance {TAIL_TOL:.1e}"),
             stacklevel=3,
         )

@@ -55,10 +55,8 @@ import numpy as np
 from .config import WeakMeasurementConfig
 from .fock import (
     DEFAULT_CUTOFF,
-    DEFAULT_TAIL_TOL,
     FockCutoff,
     TwoModeState,
-    _check_tail_tol,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
     coherent_column,
     meter,
@@ -83,11 +81,7 @@ class PostSelectedOutcome(_ArrayRecord):
         self._set(state, success_probability)
 
 
-def ecs_factors(
-    params: EcsParams,
-    cutoff: FockCutoff,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def ecs_factors(params: EcsParams, cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
     """Factors L (dim_a x 2) and R (dim_b x 2) of |phi>, with L R^T its amplitude grid.
 
     L = [N c_a, e0] and R = [e0, N c_b] except that the shared cell (0, 0),
@@ -96,39 +90,35 @@ def ecs_factors(
     columns, its two halves meet again only in the Gram contraction, and P_s
     at zero coupling and theta = 0 rounds to 1 - 1.1e-16 instead of 1.
     Warns once for each of the two coherent columns and once for the probe
-    when its truncated mass exceeds tail_tol: its top-level mass
+    when its truncated mass exceeds fock.TAIL_TOL: its top-level mass
     N^2 (|c_a[-1]|^2 + |c_b[-1]|^2), or its norm deficit 1 - <phi|phi> where
     that is larger.  L's columns are orthogonal, so <phi|phi> = |L_0|^2 +
     |R_1|^2; a probe far beyond the grid underflows to zero, top level
     included.
     """
     alpha, norm = params.alpha, params.normalization
-    col_a = coherent_column(alpha, cutoff.n_max_a, tail_tol)
+    col_a = coherent_column(alpha, cutoff.n_max_a)
     left = np.zeros((cutoff.dim_a, 2), dtype=np.complex128)
     left[1:, 0] = norm * col_a[1:]
     left[0, 1] = 1.0
-    col_b = coherent_column(alpha * cmath.exp(1j * params.varphi), cutoff.n_max_b, tail_tol)
+    col_b = coherent_column(alpha * cmath.exp(1j * params.varphi), cutoff.n_max_b)
     col_b[0] += col_a[0]
     right = np.zeros((cutoff.dim_b, 2), dtype=np.complex128)
     right[0, 0] = 1.0
     right[:, 1] = norm * col_b
     top = abs(left[-1, 0]) ** 2 + abs(right[-1, 1]) ** 2
     deficit = 1.0 - np.vdot(left[:, 0], left[:, 0]).real - np.vdot(right[:, 1], right[:, 1]).real
-    warn_if_truncated(max(top, deficit), tail_tol, "build_ecs")
+    warn_if_truncated(max(top, deficit), "build_ecs")
     return left, right
 
 
-def build_ecs(
-    params: EcsParams,
-    cutoff: FockCutoff = DEFAULT_CUTOFF,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> TwoModeState:
+def build_ecs(params: EcsParams, cutoff: FockCutoff = DEFAULT_CUTOFF) -> TwoModeState:
     """Assemble |phi> on the truncated basis using the closed-form N.
 
     The numeric norm then equals 1 up to the truncated tail; the state is
     deliberately not renormalized so the tail deficit stays observable.
     """
-    left, right = ecs_factors(params, cutoff, tail_tol)
+    left, right = ecs_factors(params, cutoff)
     return TwoModeState(left @ right.T, cutoff)
 
 
@@ -158,13 +148,11 @@ def apply_displacement_branches(
     return TwoModeState(fac_a @ fac_b.T, state.cutoff)
 
 
-def _pointer_grid(config: WeakMeasurementConfig, cutoff: FockCutoff = DEFAULT_CUTOFF,
-                  tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[np.ndarray, FockCutoff, float]:
-    """_post_select's arguments at a config's point: the raw pointer grid A @ X.T
-    of _pointer_factors, built at cutoff, with cutoff and tail_tol."""
-    left, right = ecs_factors(config.ecs, cutoff, tail_tol)
+def _pointer_grid(config: WeakMeasurementConfig, cutoff: FockCutoff) -> np.ndarray:
+    """The raw pointer grid A @ X.T of _pointer_factors at a config's point, built at cutoff."""
+    left, right = ecs_factors(config.ecs, cutoff)
     fac_a, fac_b = _pointer_factors(left, right, config.wv, config.coupling)
-    return fac_a @ fac_b.T, cutoff, tail_tol
+    return fac_a @ fac_b.T
 
 
 def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
@@ -181,18 +169,17 @@ def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
     return fixed
 
 
-def _post_select(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float) -> PostSelectedOutcome:
+def _post_select(raw: np.ndarray, cutoff: FockCutoff) -> PostSelectedOutcome:
     """The normalized, phase-fixed outcome of a raw pointer grid; raises
-    _check_tail_tol's error, then _check_p_floor's below DEFAULT_P_FLOOR, and
-    warns when the normalized top-level mass, the top row plus the top
-    column below it (the corner cell once), exceeds tail_tol."""
-    _check_tail_tol(tail_tol)
+    _check_p_floor's error below DEFAULT_P_FLOOR, and warns when the
+    normalized top-level mass, the top row plus the top column below it (the
+    corner cell once), exceeds fock.TAIL_TOL."""
     p_s = float(np.vdot(raw, raw).real)
     _check_p_floor(p_s)
     top_row, top_col = raw[-1], raw[:-1, -1]
     top = float(np.vdot(top_row, top_row).real + np.vdot(top_col, top_col).real) / p_s
     state = _phase_fixed(raw, 1.0 / math.sqrt(p_s))
-    warn_if_truncated(top, tail_tol, "build_pointer_state")
+    warn_if_truncated(top, "build_pointer_state")
     return PostSelectedOutcome(TwoModeState(state, cutoff), p_s)
 
 
@@ -200,7 +187,6 @@ def build_pointer_state(
     ecs: TwoModeState,
     wv: WeakValueParams,
     coupling: CouplingParams,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> PostSelectedOutcome:
     """Post-selected pointer state and success probability.
 
@@ -208,4 +194,4 @@ def build_pointer_state(
     the measure-zero regime where the conditional state is undefined.
     """
     raw = apply_displacement_branches(ecs, wv, coupling)
-    return _post_select(raw.amplitudes, ecs.cutoff, tail_tol)
+    return _post_select(raw.amplitudes, ecs.cutoff)

@@ -42,7 +42,6 @@ from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
 from .errors import NumericalRangeError
 from .fock import (
     DEFAULT_CUTOFF,
-    DEFAULT_TAIL_TOL,
     FockCutoff,
     TwoModeState,
     apply_to_mode,  # noqa: F401  re-exported; perfbench/test_perfbench.py binds it here
@@ -260,8 +259,7 @@ def _row_gram(u: complex, v: complex) -> tuple:
     return cu * u, cu * v, cv * u, cv * v
 
 
-def qfi_finite_difference(config: WeakMeasurementConfig, cutoff: FockCutoff = DEFAULT_CUTOFF,
-                          tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+def qfi_finite_difference(config: WeakMeasurementConfig, cutoff: FockCutoff = DEFAULT_CUTOFF) -> float:
     """Finite-difference QFI of the post-selected pointer family in varphi,
     on the Fock basis of cutoff: the independent check of the closed form
     that qfi_analytic evaluates.
@@ -298,13 +296,13 @@ def qfi_finite_difference(config: WeakMeasurementConfig, cutoff: FockCutoff = DE
         Q = 4 [ (A^dag A).(dX^dag dX) - |(A^dag A).(x_0^dag dX)|^2 ].
 
     Warns as ecs_factors does, once for the probe, and as _post_select
-    does, for each member whose normalized top-level mass exceeds tail_tol.
+    does, for each member whose normalized top-level mass exceeds fock.TAIL_TOL.
     A member's P_s below DEFAULT_P_FLOOR raises _check_p_floor's error, a Q
     that fails _richardson NumericalRangeError.
     """
     h = DEFAULT_FD_STEP
     steps = (h, 0.5 * h, 0.25 * h)
-    left, right = ecs_factors(config.ecs, cutoff, tail_tol)
+    left, right = ecs_factors(config.ecs, cutoff)
     turns = np.multiply.outer(levels(cutoff.dim_b)[0], steps)
     probe = np.empty((cutoff.dim_b, 2 + 2 * len(steps)), dtype=np.complex128)
     probe[:, :2] = right
@@ -327,8 +325,8 @@ def qfi_finite_difference(config: WeakMeasurementConfig, cutoff: FockCutoff = DE
         g_x = (g[0][0], g_0x, g_0x.conjugate(), g_xx)
         p.append(contract(g_a, g_x).real)
         tail = contract(top_a, g_x).real + contract(below_a, _row_gram(top_y[0], top_x)).real
-        if not p[-1] < DEFAULT_P_FLOOR and tail / p[-1] > tail_tol:
-            warn_if_truncated(tail / p[-1], tail_tol, "build_pointer_state")
+        if not p[-1] < DEFAULT_P_FLOOR:
+            warn_if_truncated(tail / p[-1], "build_pointer_state")
     _check_p_floor(min(p))
 
     root_0 = math.sqrt(p[0])
@@ -362,6 +360,6 @@ def qfi_analytic(config: WeakMeasurementConfig) -> float:
 
     It uses no Fock basis, so it is exact at any cutoff and warns of no
     truncation.  Raises DegeneratePostSelectionError when P_s is below
-    DEFAULT_P_FLOOR, and ValueError when the QFI overflows a double.
+    DEFAULT_P_FLOOR, and ValueError when the QFI is not a finite double.
     """
     return pointer_qfi(config.ecs, config.wv, config.coupling)

@@ -13,7 +13,7 @@ import oracles
 from golden_cases import GOLDEN_CASES, cell_bound, golden_mismatches
 
 import ecsim
-from ecsim import __version__, sweep
+from ecsim import __version__, coherent, sweep
 from ecsim.cli import main, parse_angle, parse_sweep
 from ecsim.config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
 from ecsim.measurement import CouplingParams, EcsParams
@@ -31,8 +31,8 @@ CLEAN_NA_ROWS = {"degenerate": 0, "zero_qfi": 0}
 # and a --meta sidecar echoes its default.
 FOCK_KEYS = ("qfi_gauge",)
 # The config keys that older sidecars recorded for the Fock cutoff and tail
-# tolerance, which are now arguments of the Fock routes, at the values of a
-# run that set them.
+# tolerance, now the Fock routes' one argument and the constant fock.TAIL_TOL,
+# at the values of a run that set them.
 OLDER_FOCK_KEYS = {"n_max_a": 30, "n_max_b": 40, "tail_tolerance": 1e-12}
 
 
@@ -187,10 +187,12 @@ def test_non_finite_phase_exits_two(capsys, flag, value):
     assert flag[2:] in captured.err
 
 
-@pytest.mark.parametrize("command", ["probability", "squeezing", "wigner", "hz"])
+@pytest.mark.parametrize("command", ["probability", "squeezing", "wigner", "hz", "qcrb"])
 def test_non_finite_cell_exits_two(capsys, monkeypatch, command):
-    # A closed-form moment that is no finite double is refused, never printed.
-    monkeypatch.setattr(sweep, "contract", lambda g_a, g_b: complex(math.inf, 0.0))
+    # A closed-form moment that is no finite double is refused, never printed;
+    # qcrb contracts its Grams inside coherent.pointer_qfi.
+    module = coherent if command == "qcrb" else sweep
+    monkeypatch.setattr(module, "contract", lambda g_a, g_b: complex(math.inf, 0.0))
     assert main([command]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -479,7 +481,7 @@ def _assert_wigner_needs_no_cutoff(capsys, tmp_path, argv):
 
 
 def test_overfilled_wigner_state_needs_no_cutoff(capsys, tmp_path):
-    # The r = 1 state puts more than the default tail tolerance on level 12,
+    # The r = 1 state puts more than the tail tolerance on level 12,
     # which the Fock route refused; the closed form prints the same grid
     # whatever cutoff an older sidecar recorded.
     argv = ["wigner", "--r", "1", "--sweep", "re_gamma=-0.01:0.01:2", "--sweep", "re_beta=-0.01:0.01:2"]

@@ -1,16 +1,17 @@
 """Tests for RangeSpec and the aggregated run configuration."""
 
 import copy
-import functools
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ecsim.config import QFI_GAUGES, RangeSpec, WeakMeasurementConfig, default_config
-from ecsim.errors import DegeneratePostSelectionError
+from ecsim.errors import TruncationWarning
+from ecsim import fock
 from ecsim.fock import FockCutoff, ModeOperator, TwoModeState, coherent_column
 from ecsim.measurement import (
     CouplingParams,
@@ -89,7 +90,7 @@ def test_default_config_baseline_values():
     assert cfg.theta_big == HALF_PI
     assert cfg.qfi_gauge == "fixed-kappa"
     # The config holds the scenario alone; the Fock routes take the cutoff
-    # and the tail tolerance as arguments.
+    # as their one argument.
     assert WeakMeasurementConfig.__slots__ == ("ecs", "wv", "coupling", "theta_big", "qfi_gauge")
     assert len(cfg.to_dict()) == 11
     override = default_config(theta_big=0.0)
@@ -106,38 +107,31 @@ def test_config_validation():
 
 
 _BASE = default_config(coupling=CouplingParams(0.5, 0.5))
-# Each public route that takes a tail tolerance, called with tail_tol.
-TAIL_TOL_ROUTES = {
-    "coherent_column": lambda tol: coherent_column(0.1, 10, tol),
-    "build_ecs": lambda tol: build_ecs(_BASE.ecs, tail_tol=tol),
-    "build_pointer_state": lambda tol: build_pointer_state(build_ecs(_BASE.ecs), _BASE.wv, _BASE.coupling, tol),
-    "ecs_state": lambda tol: _BASE.ecs_state(tail_tol=tol),
-    "raw_pointer_state": lambda tol: _BASE.raw_pointer_state(tail_tol=tol),
-    "pointer_outcome": lambda tol: _BASE.pointer_outcome(tail_tol=tol),
-    "qfi_finite_difference": lambda tol: qfi_finite_difference(_BASE, tail_tol=tol),
+# Each public Fock route at _BASE, called with a cutoff.
+FOCK_ROUTES = {
+    "coherent_column": lambda cutoff: coherent_column(_BASE.ecs.alpha, cutoff.n_max_a),
+    "build_ecs": lambda cutoff: build_ecs(_BASE.ecs, cutoff),
+    "build_pointer_state": lambda cutoff: build_pointer_state(build_ecs(_BASE.ecs, cutoff), _BASE.wv, _BASE.coupling),
+    "ecs_state": lambda cutoff: _BASE.ecs_state(cutoff),
+    "raw_pointer_state": lambda cutoff: _BASE.raw_pointer_state(cutoff),
+    "pointer_outcome": lambda cutoff: _BASE.pointer_outcome(cutoff),
+    "qfi_finite_difference": lambda cutoff: qfi_finite_difference(_BASE, cutoff),
 }
 
 
-@pytest.mark.parametrize("tail_tol", [0.0, 1e-3])
-@pytest.mark.parametrize("route", TAIL_TOL_ROUTES.values(), ids=TAIL_TOL_ROUTES)
-def test_every_fock_route_checks_its_tail_tolerance(route, tail_tol):
-    with pytest.raises(ValueError, match=re.escape(f"tail_tolerance must lie in (0, 1e-4], got {tail_tol!r}")):
-        route(tail_tol)
-
-
-def test_a_degenerate_point_reports_its_bad_tail_tolerance_first():
-    # P_s is below the floor at this point.  Both post-selection routes check
-    # the tolerance before the floor, so a bad tolerance raises the same
-    # ValueError on the dense route as on the config's.
-    config = default_config(
-        wv=WeakValueParams(math.pi - 1e-9, HALF_PI, math.pi - 1e-9, HALF_PI), coupling=CouplingParams(0.0, 0.0)
-    )
-    dense = functools.partial(build_pointer_state, build_ecs(config.ecs), config.wv, config.coupling)
-    for route in (dense, config.pointer_outcome):
-        with pytest.raises(DegeneratePostSelectionError):
-            route()
-        with pytest.raises(ValueError, match=re.escape("tail_tolerance must lie in (0, 1e-4], got 0.0")):
-            route(tail_tol=0.0)
+@pytest.mark.parametrize("route", FOCK_ROUTES.values(), ids=FOCK_ROUTES)
+def test_every_fock_route_warns_past_the_fixed_tail_tolerance(route):
+    # At two levels per mode the r = 0.1 probe leaves about 1.7e-7 of its
+    # coherent column above the cutoff; at the default cutoff nothing is left.
+    assert fock.TAIL_TOL == 1e-10
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        route(FockCutoff(2, 2))
+    assert caught and all(w.category is TruncationWarning for w in caught)
+    assert all("exceeds tolerance 1.0e-10" in str(w.message) for w in caught)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        route(fock.DEFAULT_CUTOFF)
 
 
 def test_config_dict_round_trip_fixpoint():

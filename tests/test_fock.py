@@ -321,11 +321,11 @@ def test_warn_if_truncated_threshold():
     amp[2, 2] = 1e-4
     mass = float(oracles.top_level_mass(amp))
     assert abs(mass - 1e-8) < 1e-20
-    with pytest.warns(TruncationWarning):
-        fock.warn_if_truncated(mass, 1e-10, "test")
+    with pytest.warns(TruncationWarning, match="test: tail mass 1.000e-08 exceeds tolerance 1.0e-10"):
+        fock.warn_if_truncated(mass, "test")
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        fock.warn_if_truncated(mass, 1e-4, "test")
+        fock.warn_if_truncated(1e-11, "test")
 
 
 def test_apply_creation_grows_exactly():

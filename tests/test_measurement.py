@@ -234,6 +234,9 @@ def test_degenerate_post_selection_raises():
     wv = WeakValueParams(math.pi - 1e-8, HALF_PI, math.pi - 1e-8, HALF_PI)
     with pytest.raises(DegeneratePostSelectionError):
         build_pointer_state(ecs, wv, CouplingParams(0.0, 0.0))
+    # The config's route post-selects by the same rule.
+    with pytest.raises(DegeneratePostSelectionError):
+        default_config(wv=wv).pointer_outcome()
 
 
 def test_unnormalized_norm_squared_is_success_probability():
@@ -371,7 +374,7 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
             assert np.max(np.abs(raw[k] - dense_raw)) <= 1e-13
             expected = oracles.brute_force_raw_pointer(r, mu, varphi, *angles, s1, s2, n_max)
             assert np.max(np.abs(raw[k] - expected)) <= 1e-13
-            selected = measurement._post_select(raw[k], cutoff, fock.DEFAULT_TAIL_TOL)
+            selected = measurement._post_select(raw[k], cutoff)
             assert np.max(np.abs(selected.state.amplitudes - outcome.state.amplitudes)) <= 1e-13
             assert abs(selected.success_probability - outcome.success_probability) <= 1e-13
 

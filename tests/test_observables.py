@@ -533,11 +533,11 @@ def reference_states(config, s1, s2):
 
 def truncated_reference(config, s1, s2):
     """Whether the dense probe at cutoff 40, or its pointer state at (s1, s2),
-    puts more than the default tail tolerance on its top Fock level."""
+    puts more than the tail tolerance on its top Fock level."""
     probe = config.ecs_state(cutoff=CUT40)
     outcome = build_pointer_state(probe, config.wv, CouplingParams(s1, s2))
     masses = oracles.top_level_mass(probe.amplitudes), oracles.top_level_mass(outcome.state.amplitudes)
-    return max(masses) > fock.DEFAULT_TAIL_TOL
+    return max(masses) > fock.TAIL_TOL
 
 
 def gram_config(r, mu, varphi, angles, **changes):
