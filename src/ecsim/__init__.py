@@ -10,6 +10,7 @@ numpy.
 import importlib
 import sys
 
+from .coherent import qcrb
 from .config import RangeSpec, WeakMeasurementConfig, default_config
 from .errors import DegeneratePostSelectionError, NumericalRangeError, TruncationWarning
 from .params import CouplingParams, EcsParams, WeakValueParams
@@ -22,7 +23,7 @@ _LAZY = {
     for module, names in {
         "fock": ("FockCutoff", "TwoModeState", "coherent_column"),
         "measurement": ("PostSelectedOutcome", "build_ecs", "build_pointer_state"),
-        "observables": ("SqueezingReport", "WignerGrid", "hz_correlation", "joint_wigner_grid", "qcrb",
+        "observables": ("SqueezingReport", "WignerGrid", "hz_correlation", "joint_wigner_grid",
                         "qfi_analytic", "qfi_finite_difference", "squeezing_report"),
     }.items()
     for name in names
@@ -39,6 +40,7 @@ __all__ = [
     "WeakMeasurementConfig",
     "WeakValueParams",
     "default_config",
+    "qcrb",
     *_LAZY,
 ]
 

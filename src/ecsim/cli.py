@@ -15,10 +15,11 @@ module): no Fock cutoff, no truncation and no numpy.  The config's
 qfi_gauge, which only the library's finite-difference QFI reads, keeps its
 default and is echoed in --meta; no flag sets it.
 
-Exit codes: 0 success; 2 configuration or argument validation error (an
-input whose meter exponent, axis width or squared amplitude overflows a
-double, and a closed-form cell that is not a finite double, included), or
-an --out/--meta path that cannot be written; 4 degenerate post-selection
+Exit codes: 0 success; 2 configuration or argument validation error (a
+flag for a config field that the command's axes set, an input whose meter
+exponent, axis width or squared amplitude overflows a double, and a
+closed-form cell that is not a finite double, included), or an
+--out/--meta path that cannot be written; 4 degenerate post-selection
 at a single point, whose NA row is written, or at the wigner coupling.
 Exit 2 writes no CSV: the sidecar is written first.  Multi-point sweeps
 write NA rows instead, and exit 0, as does an NA cell that is a value (the
@@ -76,20 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    base = default_config()
-    ecs, wv, coupling = base.ecs, base.wv, base.coupling
     for name, info in _COMMANDS.items():
-        p = sub.add_parser(name, help=info["help"])
-        p.add_argument("--r", type=float, default=ecs.r, help="coherent amplitude r >= 0")
-        p.add_argument("--mu", type=parse_angle, default=ecs.mu, help="phase of alpha (radians or e.g. 0.5pi)")
-        p.add_argument("--varphi", type=parse_angle, default=ecs.varphi, help="mode-b phase shift")
-        p.add_argument("--theta1", type=parse_angle, default=wv.theta1, help="meter-1 polar angle in [0, pi)")
-        p.add_argument("--delta1", type=parse_angle, default=wv.delta1, help="meter-1 azimuth in [0, 2pi]")
-        p.add_argument("--theta2", type=parse_angle, default=wv.theta2, help="meter-2 polar angle in [0, pi)")
-        p.add_argument("--delta2", type=parse_angle, default=wv.delta2, help="meter-2 azimuth in [0, 2pi]")
-        p.add_argument("--s1", type=float, default=coupling.s1, help="mode-a coupling strength")
-        p.add_argument("--s2", type=float, default=coupling.s2, help="mode-b coupling strength")
-        p.add_argument("--theta-big", type=parse_angle, default=base.theta_big, help="squeezing phase angle")
+        # A config flag that is not given stays out of the namespace, and its field keeps its default.
+        p = sub.add_parser(name, help=info["help"], argument_default=argparse.SUPPRESS)
+        p.add_argument("--r", type=float, help="coherent amplitude r >= 0")
+        p.add_argument("--mu", type=parse_angle, help="phase of alpha (radians or e.g. 0.5pi)")
+        p.add_argument("--varphi", type=parse_angle, help="mode-b phase shift")
+        p.add_argument("--theta1", type=parse_angle, help="meter-1 polar angle in [0, pi)")
+        p.add_argument("--delta1", type=parse_angle, help="meter-1 azimuth in [0, 2pi]")
+        p.add_argument("--theta2", type=parse_angle, help="meter-2 polar angle in [0, pi)")
+        p.add_argument("--delta2", type=parse_angle, help="meter-2 azimuth in [0, 2pi]")
+        p.add_argument("--s1", type=float, help="mode-a coupling strength")
+        p.add_argument("--s2", type=float, help="mode-b coupling strength")
+        p.add_argument("--theta-big", type=parse_angle, help="squeezing phase angle")
         p.add_argument("--sweep", action="append", default=[], metavar="NAME=MIN:MAX:POINTS",
                        help=f"override a sweep axis (allowed: {', '.join(info['axes'])}); repeatable")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
@@ -129,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     info = _COMMANDS[args.command]
 
     try:
+        for field, axis in info["swept"].items():
+            if field in vars(args):
+                raise ValueError(f"--{field} is swept by {args.command}: set it with --sweep {axis}=MIN:MAX:POINTS")
         config = WeakMeasurementConfig.from_dict({**default_config().to_dict(), **vars(args)})
         ranges, order = _resolve_axes(args.command, args.sweep)
     except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -205,3 +205,10 @@ def pointer_qfi(ecs: EcsParams, wv: WeakValueParams, coupling: CouplingParams) -
             "not a finite double"
         )
     return q
+
+
+def qcrb(qfi: float) -> float:
+    """The single-shot quantum Cramer-Rao bound delta_phi = 1 / sqrt(qfi); ValueError unless qfi > 0 is finite."""
+    if not (qfi > 0.0 and math.isfinite(qfi)):
+        raise ValueError(f"qcrb requires qfi > 0, got {qfi!r}")
+    return 1.0 / math.sqrt(qfi)

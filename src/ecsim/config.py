@@ -93,14 +93,12 @@ class WeakMeasurementConfig(_Record):
     def raw_pointer_state(self, cutoff: FockCutoff | None = None) -> TwoModeState:
         from .measurement import DEFAULT_CUTOFF, TwoModeState, _pointer_grid
 
-        cutoff = cutoff or DEFAULT_CUTOFF
-        return TwoModeState(_pointer_grid(self, cutoff), cutoff)
+        return TwoModeState(_pointer_grid(self, cutoff or DEFAULT_CUTOFF))
 
     def pointer_outcome(self, cutoff: FockCutoff | None = None) -> PostSelectedOutcome:
         from .measurement import DEFAULT_CUTOFF, _pointer_grid, _post_select
 
-        cutoff = cutoff or DEFAULT_CUTOFF
-        return _post_select(_pointer_grid(self, cutoff), cutoff)
+        return _post_select(_pointer_grid(self, cutoff or DEFAULT_CUTOFF))
 
     def to_dict(self) -> dict:
         """The flat record: each sub-record of _RECORDS spelled out as its own

@@ -65,20 +65,22 @@ DEFAULT_CUTOFF = FockCutoff(40, 40)
 
 
 class TwoModeState(_ArrayRecord):
-    """Immutable two-mode ket; amplitudes[n_a, n_b] = <n_a, n_b|psi>."""
+    """Immutable two-mode ket; amplitudes[n_a, n_b] = <n_a, n_b|psi> on a 2-D grid
+    whose shape (n_max_a + 1, n_max_b + 1) is its cutoff, held to FockCutoff's checks."""
 
-    __slots__ = ("amplitudes", "cutoff")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes: np.ndarray, cutoff: FockCutoff) -> None:
-        amp = np.asarray(amplitudes, dtype=np.complex128)
-        if amp.shape != (cutoff.dim_a, cutoff.dim_b):
-            raise ValueError(
-                f"amplitude grid shape {amp.shape} does not match cutoff "
-                f"({cutoff.dim_a}, {cutoff.dim_b})"
-            )
-        amp = amp.copy()
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        amp = np.array(amplitudes, dtype=np.complex128)
+        if amp.ndim != 2:
+            raise ValueError(f"amplitude grid must be 2-D, got shape {amp.shape}")
+        FockCutoff(amp.shape[0] - 1, amp.shape[1] - 1)
         amp.setflags(write=False)
-        self._set(amp, cutoff)
+        self._set(amp)
+
+    @property
+    def cutoff(self) -> FockCutoff:
+        return FockCutoff(self.amplitudes.shape[0] - 1, self.amplitudes.shape[1] - 1)
 
 
 class ModeOperator(_ArrayRecord):
@@ -211,7 +213,7 @@ def apply_to_mode(op: ModeOperator, mode: str, state: TwoModeState) -> TwoModeSt
         out = amp @ op.matrix.T
     else:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return TwoModeState(out, state.cutoff)
+    return TwoModeState(out)
 
 
 def warn_if_truncated(mass: float, context: str) -> None:

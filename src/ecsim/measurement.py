@@ -119,7 +119,7 @@ def build_ecs(params: EcsParams, cutoff: FockCutoff = DEFAULT_CUTOFF) -> TwoMode
     deliberately not renormalized so the tail deficit stays observable.
     """
     left, right = ecs_factors(params, cutoff)
-    return TwoModeState(left @ right.T, cutoff)
+    return TwoModeState(left @ right.T)
 
 
 def _pointer_factors(
@@ -145,7 +145,7 @@ def apply_displacement_branches(
     applied to state as the factor pair L = amp, R = identity."""
     identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
     fac_a, fac_b = _pointer_factors(state.amplitudes, identity, wv, coupling)
-    return TwoModeState(fac_a @ fac_b.T, state.cutoff)
+    return TwoModeState(fac_a @ fac_b.T)
 
 
 def _pointer_grid(config: WeakMeasurementConfig, cutoff: FockCutoff) -> np.ndarray:
@@ -155,22 +155,9 @@ def _pointer_grid(config: WeakMeasurementConfig, cutoff: FockCutoff) -> np.ndarr
     return fac_a @ fac_b.T
 
 
-def _phase_fixed(amp: np.ndarray, scale: float) -> np.ndarray:
-    """amp times scale, rotated so its first largest-magnitude entry is real
-    positive; ties resolve to the first flat index, so repeated builds are
-    byte-reproducible.  The magnitude is compared as |x|^2 = re^2 + im^2 of
-    amp's real view.  amp must be a nonzero grid."""
-    squares = np.square(amp.ravel().view(np.float64))
-    pivot = divmod(int(np.argmax(squares[::2] + squares[1::2])), amp.shape[1])
-    mag = abs(amp[pivot])
-    fixed = amp * (scale * (mag / amp[pivot]))
-    # pivot * (mag / pivot) can keep an imaginary part of order eps^2 * mag.
-    fixed[pivot] = scale * mag
-    return fixed
-
-
-def _post_select(raw: np.ndarray, cutoff: FockCutoff) -> PostSelectedOutcome:
-    """The normalized, phase-fixed outcome of a raw pointer grid; raises
+def _post_select(raw: np.ndarray) -> PostSelectedOutcome:
+    """The outcome raw / sqrt(P_s) of a raw pointer grid, with no phase
+    convention: every diagnostic is blind to a global phase.  Raises
     _check_p_floor's error below DEFAULT_P_FLOOR, and warns when the
     normalized top-level mass, the top row plus the top column below it (the
     corner cell once), exceeds fock.TAIL_TOL."""
@@ -178,9 +165,8 @@ def _post_select(raw: np.ndarray, cutoff: FockCutoff) -> PostSelectedOutcome:
     _check_p_floor(p_s)
     top_row, top_col = raw[-1], raw[:-1, -1]
     top = float(np.vdot(top_row, top_row).real + np.vdot(top_col, top_col).real) / p_s
-    state = _phase_fixed(raw, 1.0 / math.sqrt(p_s))
     warn_if_truncated(top, "build_pointer_state")
-    return PostSelectedOutcome(TwoModeState(state, cutoff), p_s)
+    return PostSelectedOutcome(TwoModeState(raw / math.sqrt(p_s)), p_s)
 
 
 def build_pointer_state(
@@ -194,4 +180,4 @@ def build_pointer_state(
     the measure-zero regime where the conditional state is undefined.
     """
     raw = apply_displacement_branches(ecs, wv, coupling)
-    return _post_select(raw.amplitudes, ecs.cutoff)
+    return _post_select(raw.amplitudes)

@@ -2,8 +2,8 @@
 
 Covers the two-mode sum-squeezing parameter (direct variance form and
 normal-ordered moment form), the joint parity Wigner cross-section, the
-two-mode intensity correlation witness, and phase-estimation figures of
-merit (quantum Fisher information and the resulting Cramer-Rao bound).
+two-mode intensity correlation witness, and the quantum Fisher
+information of phase estimation (its Cramer-Rao bound is coherent.qcrb).
 
 This is the library's Fock route, and the tests' reference for the
 closed-form sweeps of the coherent module.  squeezing_report and
@@ -51,11 +51,11 @@ from .fock import (
     warn_if_truncated,
 )
 from .measurement import _pointer_factors, ecs_factors
-from .params import DEFAULT_P_FLOOR, _ArrayRecord, _check_p_floor, _Record, _positive_int
+from .params import DEFAULT_P_FLOOR, _ArrayRecord, _check_p_floor, _Record
 
 # Displaced states whose top-level mass exceeds this are outside the
 # trustworthy window of the truncated basis.
-DEFAULT_RANGE_TOL = 1e-6
+RANGE_TOL = 1e-6
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -188,37 +188,29 @@ def _tail_mass(fac_a: np.ndarray, fac_b: np.ndarray, gram_b: np.ndarray) -> np.n
     return top_row + _contract(_gram(below_a, below_a), _gram(top_b, top_b)).real
 
 
-def joint_wigner_grid(
-    state: TwoModeState,
-    re_gamma: RangeSpec,
-    re_beta: RangeSpec,
-    range_tol: float = DEFAULT_RANGE_TOL,
-) -> WignerGrid:
+def joint_wigner_grid(state: TwoModeState, re_gamma: RangeSpec, re_beta: RangeSpec) -> WignerGrid:
     """P_J(gamma, beta) = <D_a^dag(gamma) D_b^dag(beta) parity_a parity_b ...>
     over real gamma and beta, rows indexed by Re(gamma): in [-1, 1] to
     rounding, and (4 / pi^2) P_J is the phase-space density.
 
     P_J and the displaced top-level mass are moments of the factor pair
     (D_a(-gamma) amplitudes, D_b(-beta)), as in the module docstring.  Raises
-    ValueError unless range_tol is finite and > 0, and NumericalRangeError
-    naming the first point, in row-major order, whose displaced top-level
-    mass exceeds range_tol.  A complex point (e^{i phi_a} t_a, e^{i phi_b} t_b),
-    t real, is the real point (t_a, t_b) of the state rotated by
-    diag(e^{-i phi n}) on each mode, which commutes with parity and keeps the
-    top-level mass.
+    NumericalRangeError naming the first point, in row-major order, whose
+    displaced top-level mass exceeds RANGE_TOL.  A complex point
+    (e^{i phi_a} t_a, e^{i phi_b} t_b), t real, is the real point (t_a, t_b)
+    of the state rotated by diag(e^{-i phi n}) on each mode, which commutes
+    with parity and keeps the top-level mass.
     """
-    if not 0.0 < range_tol < math.inf:
-        raise ValueError(f"range_tol must be finite and > 0, got {range_tol!r}")
     gammas, betas = (np.array(axis) for axis in _wigner_axes(re_gamma, re_beta))
-    identity = np.eye(state.cutoff.dim_b, dtype=np.complex128)
+    identity = np.eye(state.amplitudes.shape[1], dtype=np.complex128)
     shifted_a, shifted_b = meter(-gammas, (1, 1), state.amplitudes), meter(-betas, (1, 1), identity)
     top = _tail_mass(shifted_a, shifted_b, _gram(shifted_b, shifted_b))
-    failing = np.argwhere(top > range_tol)
+    failing = np.argwhere(top > RANGE_TOL)
     if failing.size:
         i, j = failing[0]
         raise NumericalRangeError(
             f"displacement (gamma={complex(gammas[i])}, beta={complex(betas[j])}) pushes tail "
-            f"mass {float(top[i, j]):.3e} past the validated range tolerance {range_tol:.1e}"
+            f"mass {float(top[i, j]):.3e} past the validated range tolerance {RANGE_TOL:.1e}"
         )
     values = _contract(_parity_gram(shifted_a), _parity_gram(shifted_b)).real
     return WignerGrid(re_gamma_axis=gammas, re_beta_axis=betas, values=values)
@@ -229,13 +221,6 @@ def hz_correlation(state: TwoModeState) -> float:
     arr = state.amplitudes
     n_a, n_b = _mode_occupations(arr)
     return n_a * n_b - abs(complex(np.vdot(arr[:-1, :-1], _lowered(arr)))) ** 2
-
-
-def qcrb(qfi: float, shots: int = 1) -> float:
-    """delta_phi = 1 / sqrt(shots * qfi)."""
-    if not (qfi > 0.0 and math.isfinite(qfi)):
-        raise ValueError(f"qcrb requires qfi > 0, got {qfi!r}")
-    return 1.0 / math.sqrt(_positive_int("shots", shots) * qfi)
 
 
 def _richardson(q_h: float, q_h2: float, q_h4: float) -> tuple[float, bool]:
@@ -283,8 +268,7 @@ def qfi_finite_difference(config: WeakMeasurementConfig, cutoff: FockCutoff = DE
     Y's one 8 x 8 Gram, on Python scalars.  The difference is formed before
     the meter, so no step subtracts two rounded members.  With kappa_+-k
     the members' scales, 1/sqrt(P_0) ("fixed-kappa") or their own
-    1/sqrt(P_+-k) ("renormalized"; not phase-fixed, as the raw family is
-    analytic in varphi and the projection term removes a global phase),
+    1/sqrt(P_+-k) ("renormalized"),
 
         dX_k = [kappa' Y_0, kappa' Y_ck + (kappa_+k + kappa_-k) Y_sk / (2 delta_k)],
 

@@ -12,14 +12,14 @@ the walker writes as NA cells and counts in the metadata's "na_rows".
 probability, squeezing, hz and wigner read every cell from the closed-form
 coherent-state Grams of the coherent module, each side's built once per
 axis value and contracted per row, and qcrb is coherent.pointer_qfi at each
-point: no Fock basis, no cutoff and no numpy.  So the config's QFI gauge,
-which only qfi_finite_difference reads, changes no row.  The CSV rendering
-of the resulting SweepResult is deterministic: every cell is a str, an int
-or a float, written as itself or its repr (shortest-round-trip floats), UNIX
-newlines, mandatory header, and "NA" for the rows of NA_CAUSES and the
-phase bound of a vanishing QFI.  Every cell is scalar math/cmath with no
-BLAS call, so reruns are byte-identical and the bytes do not depend on the
-numpy or BLAS build.
+point with its bound coherent.qcrb: no Fock basis, no cutoff and no numpy.
+So the config's QFI gauge, which only qfi_finite_difference reads, changes
+no row.  The CSV rendering of the resulting SweepResult is deterministic:
+every cell is a str, an int or a float, written as itself or its repr
+(shortest-round-trip floats), UNIX newlines, mandatory header, and "NA" for
+the rows of NA_CAUSES and the phase bound of a vanishing QFI.  Every cell
+is scalar math/cmath with no BLAS call, so reruns are byte-identical and
+the bytes do not depend on the numpy or BLAS build.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import itertools
 import math
 
 from . import __version__
-from .coherent import contract, parity_grams, pointer_qfi, probe_sides, side_grams
+from .coherent import contract, parity_grams, pointer_qfi, probe_sides, qcrb, side_grams
 from .config import RangeSpec, WeakMeasurementConfig, _wigner_axes
 from .errors import DegeneratePostSelectionError
 from .params import DEFAULT_P_FLOOR, CouplingParams, EcsParams, _check_p_floor, _meter_rows, _Record
@@ -252,7 +252,7 @@ def _qcrb_cell(config: WeakMeasurementConfig, r: float, s: float):
         q = pointer_qfi(EcsParams(r, config.ecs.mu, config.ecs.varphi), config.wv, CouplingParams(s, s))
     except DegeneratePostSelectionError:
         return "degenerate"
-    return q, 1.0 / math.sqrt(q) if q >= QFI_SENTINEL_FLOOR else NA
+    return q, qcrb(q) if q >= QFI_SENTINEL_FLOOR else NA
 
 
 def _qcrb_cells(config: WeakMeasurementConfig, rs: list[float], ss: list[float]):
@@ -274,14 +274,16 @@ def cmd_qcrb(config: WeakMeasurementConfig, r_range: RangeSpec, s_range: RangeSp
     return _sweep(config, "qcrb", (r_range, s_range), order)
 
 
-# Per command: canonical axis order (also the CSV leading columns), the
-# built-in default ranges used when an axis is not overridden, the output
+# Per command: canonical axis order (also the CSV leading columns), each
+# config field that an axis sets, with that axis (the CLI refuses its flag),
+# the built-in default ranges used when an axis is not overridden, the output
 # columns, the CLI help text, the runner, called as
 # runner(config, *ranges in canonical order, order=declared order), and the
 # cells function that _sweep calls with the axes' values (see there).
 _COMMANDS = {
     "probability": {
         "axes": ("s", "theta"),
+        "swept": {"s1": "s", "s2": "s", "theta1": "theta", "theta2": "theta"},
         "defaults": {
             "s": RangeSpec(0.0, 3.0, 31),
             "theta": RangeSpec(0.2 * math.pi, 0.8 * math.pi, 4),
@@ -293,6 +295,7 @@ _COMMANDS = {
     },
     "squeezing": {
         "axes": ("s1", "s2"),
+        "swept": {"s1": "s1", "s2": "s2"},
         "defaults": {"s1": RangeSpec(0.0, 3.0, 16), "s2": RangeSpec(0.0, 3.0, 16)},
         "columns": ("S2s_direct", "S2s_normal"),
         "help": "sum squeezing of the post-selected state over (s1, s2)",
@@ -301,6 +304,7 @@ _COMMANDS = {
     },
     "wigner": {
         "axes": ("re_gamma", "re_beta"),
+        "swept": {},
         "defaults": {
             "re_gamma": RangeSpec(-2.0, 2.0, 51),
             "re_beta": RangeSpec(-2.0, 2.0, 51),
@@ -312,6 +316,7 @@ _COMMANDS = {
     },
     "hz": {
         "axes": ("s1", "s2"),
+        "swept": {"s1": "s1", "s2": "s2"},
         "defaults": {"s1": RangeSpec(0.0, 3.0, 16), "s2": RangeSpec(0.0, 3.0, 16)},
         "columns": ("E", "entangled_flag"),
         "help": "intensity-correlation entanglement witness over (s1, s2)",
@@ -320,6 +325,7 @@ _COMMANDS = {
     },
     "qcrb": {
         "axes": ("r", "s"),
+        "swept": {"r": "r", "s1": "s", "s2": "s"},
         "defaults": {"r": RangeSpec(0.05, 0.5, 10), "s": RangeSpec(0.0, 2.0, 5)},
         "columns": ("Q_fi", "delta_phi"),
         "help": "quantum Fisher information and phase bound over (r, s)",

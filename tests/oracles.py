@@ -137,18 +137,6 @@ def controlled_displacement(sigma, u, n_max):
     )
 
 
-def pivot_phase(amp):
-    """Rotate so the largest-magnitude entry is real positive (first flat
-    index wins ties), matching the library's output convention."""
-    flat = amp.ravel()
-    idx = int(np.argmax(np.abs(flat)))
-    pivot = flat[idx]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return amp
-    return amp * (mag / pivot)
-
-
 def brute_force_raw_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
                             n_max, scale=0.5):
     """Unnormalized post-selected pointer amplitudes from the explicit tensor
@@ -177,12 +165,12 @@ def brute_force_raw_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s
 
 def brute_force_pointer(r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2,
                         n_max, scale=0.5):
-    """Normalized phase-fixed pointer amplitudes and the success probability."""
+    """Normalized pointer amplitudes raw / sqrt(P_s) and the success probability P_s."""
     amp = brute_force_raw_pointer(
         r, mu, varphi, theta1, delta1, theta2, delta2, s1, s2, n_max, scale
     )
     p_s = float(np.sum(np.abs(amp) ** 2))
-    return pivot_phase(amp / math.sqrt(p_s)), p_s
+    return amp / math.sqrt(p_s), p_s
 
 
 def qfi_from_family(family, phi0, h=1e-5):

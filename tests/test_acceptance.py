@@ -15,6 +15,7 @@ import oracles
 from golden_cases import GOLDEN_CASES
 
 from ecsim.cli import main
+from ecsim.coherent import qcrb
 from ecsim.config import RangeSpec, default_config
 from ecsim.errors import TruncationWarning
 from ecsim.fock import FockCutoff, TwoModeState, coherent_column
@@ -22,7 +23,6 @@ from ecsim.measurement import CouplingParams, EcsParams, WeakValueParams, build_
 from ecsim.observables import (
     hz_correlation,
     joint_wigner_grid,
-    qcrb,
     qfi_analytic,
     qfi_finite_difference,
     squeezing_report,
@@ -55,7 +55,7 @@ def test_c02_two_form_equivalence():
     for _ in range(100):
         amp = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
         amp /= np.linalg.norm(amp)
-        state = TwoModeState(amp, cutoff)
+        state = TwoModeState(amp)
         theta_big = float(rng.uniform(0.0, 2.0 * math.pi))
         report = squeezing_report(state, theta_big)
         gap = abs(report.s2s_direct - report.s2s_normal_ordered)
@@ -77,7 +77,7 @@ def test_c03_wigner_bounds_and_gaussian():
     cutoff = FockCutoff(40, 40)
     alpha, beta0 = 0.3, -0.2
     amp = np.outer(coherent_column(alpha, 40), coherent_column(beta0, 40))
-    state = TwoModeState(amp, cutoff)
+    state = TwoModeState(amp)
     grid = joint_wigner_grid(state, RangeSpec(-1.0, 1.0, 21), RangeSpec(-1.0, 1.0, 21))
     bound_excess = max(0.0, float(np.max(np.abs(grid.values))) - 1.0)
     gs = grid.re_gamma_axis[:, None]

@@ -177,6 +177,22 @@ def test_invalid_theta_exits_two(capsys):
     assert "theta1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, axis", [
+    ("probability", "--s1", "s"), ("probability", "--s2", "s"),
+    ("probability", "--theta1", "theta"), ("probability", "--theta2", "theta"),
+    ("squeezing", "--s1", "s1"), ("squeezing", "--s2", "s2"), ("hz", "--s1", "s1"), ("hz", "--s2", "s2"),
+    ("qcrb", "--r", "r"), ("qcrb", "--s1", "s"), ("qcrb", "--s2", "s"),
+])
+def test_flag_of_a_swept_field_exits_two(tmp_path, capsys, command, flag, axis):
+    """A flag for a field that the command sweeps would be overwritten by the
+    axis, so it is refused, naming the axis to sweep instead; nothing is written."""
+    out, meta = tmp_path / "out.csv", tmp_path / "meta.json"
+    assert main([command, flag, "0.5", "--out", str(out), "--meta", str(meta)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists() and not meta.exists()
+    assert captured.err == f"ecsim: {flag} is swept by {command}: set it with --sweep {axis}=MIN:MAX:POINTS\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--mu", "--varphi"])
 def test_non_finite_phase_exits_two(capsys, flag, value):
@@ -353,11 +369,11 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
-# Run in a fresh interpreter: the import of ecsim and ecsim.cli, the five
-# golden invocations, a single-point qcrb and an hz run with --meta,
-# recording after each step which of the modules that the CLI must not
-# load are loaded, and after the CLI's import the ecsim modules it loaded,
-# then every public name's lookup.  A module that the interpreter loaded
+# Run in a fresh interpreter: the import of ecsim, ecsim.qcrb(4.0), the
+# import of ecsim.cli, the five golden invocations, a single-point qcrb and
+# an hz run with --meta, recording after each step which of the modules that
+# the CLI must not load are loaded, and after the CLI's import the ecsim
+# modules it loaded, then every public name's lookup.  A module that the interpreter loaded
 # before the probe (site loads typing) is not counted.
 # json is imported only to print the result, after the last step.
 _IMPORT_PROBE = """
@@ -368,6 +384,7 @@ loaded = lambda: [module for module in WATCHED if module in sys.modules]
 steps = {}
 import ecsim
 steps["import ecsim"] = (0, loaded())
+steps["qcrb"] = (ecsim.qcrb(4.0), loaded())
 import ecsim.cli
 steps["import ecsim.cli"] = (0, loaded())
 steps["ecsim modules"] = sorted(name for name in sys.modules if name.partition(".")[0] == "ecsim")
@@ -403,6 +420,8 @@ def test_sweeps_run_without_numpy():
         steps = json.loads(proc.stdout)
         assert steps.pop("names", None) == (None if flags else [])
         assert steps.pop("meta") == [0, ["json"]]
+        # The phase bound is scalar math, imported with the package.
+        assert steps.pop("qcrb") == [0.5, []]
         # The CLI loads the scenario's records and the closed form, and no Fock module.
         assert steps.pop("ecsim modules") == [f"ecsim{name}" for name in (
             "", ".cli", ".coherent", ".config", ".errors", ".params", ".sweep")]
@@ -421,6 +440,8 @@ def test_package_exports_its_24_public_names():
         "joint_wigner_grid", "qcrb", "qfi_analytic", "qfi_finite_difference",
         "squeezing_report",
     ])
+    # dir lists the lazily loaded Fock names with the eager ones.
+    assert set(ecsim.__all__) <= set(dir(ecsim))
     assert all(hasattr(ecsim, name) for name in ecsim.__all__)
 
 
@@ -769,9 +790,22 @@ REPLAY_FLAGS = [
 ]
 
 
-def replay_argv(meta: dict) -> list[str]:
-    """The argv tail of the run a --meta sidecar describes, from the sidecar alone."""
-    config = {key: value for key, value in meta["config"].items() if key not in FOCK_KEYS}
+def _swept(command: str) -> set[str]:
+    """The config fields that a command's axes set, whose flags it refuses."""
+    return set(sweep._COMMANDS[command]["swept"])
+
+
+def replay_flags(command: str) -> list[str]:
+    """REPLAY_FLAGS less the flags of the fields that the command sweeps."""
+    pairs = zip(REPLAY_FLAGS[::2], REPLAY_FLAGS[1::2])
+    return [item for flag, value in pairs if flag[2:] not in _swept(command) for item in (flag, value)]
+
+
+def replay_argv(command: str, meta: dict) -> list[str]:
+    """The argv tail of the command's run that a --meta sidecar describes,
+    from the sidecar alone; a field the command sweeps is its axis, not a flag."""
+    skip = {*FOCK_KEYS, *_swept(command)}
+    config = {key: value for key, value in meta["config"].items() if key not in skip}
     argv = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
     for name, start, stop, points in meta["axes"]:
         argv += ["--sweep", f"{name}={start}:{stop}:{points}"]
@@ -791,10 +825,11 @@ REPLAY_SWEEPS = {
 @pytest.mark.parametrize("command", sorted(REPLAY_SWEEPS))
 def test_sidecar_replays_its_run(tmp_path, command):
     """A run rebuilt from its --meta sidecar alone writes the same CSV and
-    sidecar bytes: each config key maps back to its flag, and the axes keep
-    their declared order.  The 14-key config of an older sidecar, with its
-    cutoff and tail tolerance, loads to the same config and CSV bytes."""
-    argv = [command, *REPLAY_FLAGS]
+    sidecar bytes: each config key that the command does not sweep maps back
+    to its flag, and the axes keep their declared order.  The 14-key config
+    of an older sidecar, with its cutoff and tail tolerance, loads to the
+    same config and CSV bytes."""
+    argv = [command, *replay_flags(command)]
     for flag in REPLAY_SWEEPS[command]:
         argv += ["--sweep", flag]
     first, again = tmp_path / "first", tmp_path / "again"
@@ -802,8 +837,8 @@ def test_sidecar_replays_its_run(tmp_path, command):
     meta = json.loads(_read_text(f"{first}.json"))
     defaults = default_config().to_dict()
     for key, value in defaults.items():
-        assert (meta["config"][key] == value) == (key in FOCK_KEYS)
-    assert main([command, *replay_argv(meta), "--out", f"{again}.csv", "--meta", f"{again}.json"]) == 0
+        assert (meta["config"][key] == value) == (key in FOCK_KEYS or key in _swept(command))
+    assert main([command, *replay_argv(command, meta), "--out", f"{again}.csv", "--meta", f"{again}.json"]) == 0
     for suffix in (".csv", ".json"):
         assert _read_text(f"{again}{suffix}") == _read_text(f"{first}{suffix}")
     assert len(meta["config"]) == 11 and len({**meta["config"], **OLDER_FOCK_KEYS}) == 14
@@ -818,7 +853,7 @@ def test_sidecar_of_a_tiny_negative_phase_replays_its_run(capsys, tmp_path):
     first = capsys.readouterr().out
     recorded = json.loads(_read_text(meta))
     assert recorded["config"]["mu"] == 0.0
-    assert main(["hz", *replay_argv(recorded)]) == 0
+    assert main(["hz", *replay_argv("hz", recorded)]) == 0
     assert capsys.readouterr().out == first
 
 

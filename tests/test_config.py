@@ -169,7 +169,7 @@ def test_config_state_builders():
 
 
 _AMPLITUDES = np.arange(4).reshape(2, 2) * (1 + 1j)
-_STATE_TEXT = f"TwoModeState(amplitudes={_AMPLITUDES!r}, cutoff=FockCutoff(n_max_a=1, n_max_b=1))"
+_STATE_TEXT = f"TwoModeState(amplitudes={_AMPLITUDES!r})"
 _CONFIG_TEXT = (
     "WeakMeasurementConfig(ecs=EcsParams(r=0.1, mu=0.0, varphi=0.0), wv=WeakValueParams(theta1=0.5, delta1=0.0, "
     "theta2=0.5, delta2=0.0), coupling=CouplingParams(s1=1.0, s2=2.0), theta_big=0.25, qfi_gauge='fixed-kappa')"
@@ -201,11 +201,11 @@ RECORD_CASES = {
                     None, False),
     "SqueezingReport": (lambda: SqueezingReport(-0.1, -0.2, 0.3),
                         "SqueezingReport(s2s_direct=-0.1, s2s_normal_ordered=-0.2, theta_big=0.3)", None, False),
-    "TwoModeState": (lambda: TwoModeState(_AMPLITUDES, FockCutoff(1, 1)), _STATE_TEXT,
-                     ({"cutoff": FockCutoff(2, 2)}, "amplitude grid shape (2, 2) does not match cutoff (3, 3)"), True),
+    "TwoModeState": (lambda: TwoModeState(_AMPLITUDES), _STATE_TEXT,
+                     ({"amplitudes": np.zeros(3)}, "amplitude grid must be 2-D, got shape (3,)"), True),
     "ModeOperator": (lambda: ModeOperator(np.eye(2)), f"ModeOperator(matrix={np.eye(2, dtype=complex)!r})",
                      ({"matrix": np.ones(3)}, "operator matrix must be square, got shape (3,)"), True),
-    "PostSelectedOutcome": (lambda: PostSelectedOutcome(TwoModeState(_AMPLITUDES, FockCutoff(1, 1)), 0.25),
+    "PostSelectedOutcome": (lambda: PostSelectedOutcome(TwoModeState(_AMPLITUDES), 0.25),
                             f"PostSelectedOutcome(state={_STATE_TEXT}, success_probability=0.25)", None, True),
     "WignerGrid": (lambda: WignerGrid([0.0, 1.0], [2.0], [[1.0], [2.0]]),
                    f"WignerGrid(re_gamma_axis={np.array([0.0, 1.0])!r}, re_beta_axis={np.array([2.0])!r}, "
@@ -231,6 +231,8 @@ def test_records_are_immutable_values(make, text, bad, by_identity):
         assert record == record and record != twin and len({record, twin}) == 2
     else:
         assert record == twin and not record != twin
+        # Another type is not an equal record: __eq__ leaves it to the other operand.
+        assert record.__eq__(text) is NotImplemented and record != text
         if isinstance(record, SweepResult):
             # Its dict fields are unhashable, so the record is too.
             with pytest.raises(TypeError):

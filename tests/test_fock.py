@@ -24,12 +24,12 @@ def random_state(rng, cutoff):
         size=(cutoff.dim_a, cutoff.dim_b)
     )
     amp /= np.linalg.norm(amp)
-    return fock.TwoModeState(amp, cutoff)
+    return fock.TwoModeState(amp)
 
 
 def vacuum_state(cutoff):
     """|0, 0> on the given truncated basis."""
-    return fock.TwoModeState(np.pad([[1.0]], ((0, cutoff.n_max_a), (0, cutoff.n_max_b))), cutoff)
+    return fock.TwoModeState(np.pad([[1.0]], ((0, cutoff.n_max_a), (0, cutoff.n_max_b))))
 
 
 def test_cutoff_validation():
@@ -64,11 +64,18 @@ def test_cutoff_validation():
 
 def test_state_shape_validation_and_immutability():
     cut = fock.FockCutoff(2, 2)
-    with pytest.raises(ValueError):
-        fock.TwoModeState(np.zeros((3, 4)), cut)
     state = vacuum_state(cut)
     with pytest.raises(ValueError):
         state.amplitudes[0, 0] = 2.0
+
+
+def test_state_cutoff_is_its_grid_shape():
+    for rows, cols in ((2, 2), (3, 5), (41, 41)):
+        assert fock.TwoModeState(np.zeros((rows, cols))).cutoff == fock.FockCutoff(rows - 1, cols - 1)
+    # FockCutoff's checks hold: at least 2 levels per mode, a 2-D grid.
+    for grid in (np.zeros(4), np.zeros((1, 4)), np.zeros((4, 1)), np.zeros((2, 2, 2)), np.zeros((1002, 2))):
+        with pytest.raises(ValueError):
+            fock.TwoModeState(grid)
 
 
 def test_coherent_column_matches_factorial_form():

@@ -217,15 +217,20 @@ def test_pointer_state_normalized_and_bounded():
         assert 0.0 <= outcome.success_probability <= 1.0 + 1e-9
 
 
-def test_phase_convention_pivot_real_positive():
+def test_pointer_state_rebuild_is_byte_equal():
     ecs = build_ecs(EcsParams(0.1, HALF_PI, HALF_PI), CUT40)
     outcome = build_pointer_state(ecs, baseline_wv(), CouplingParams(0.8, 0.8))
-    amp = outcome.state.amplitudes
-    pivot = amp.flat[int(np.argmax(np.abs(amp)))]
-    assert pivot.imag == 0.0
-    assert pivot.real > 0.0
     again = build_pointer_state(ecs, baseline_wv(), CouplingParams(0.8, 0.8))
     assert np.array_equal(outcome.state.amplitudes, again.state.amplitudes)
+
+
+def test_post_selection_only_normalizes():
+    """The outcome is the raw pointer state over sqrt(P_s), bit for bit: no
+    phase convention, as no diagnostic depends on a global phase."""
+    config = default_config(coupling=CouplingParams(0.8, 0.3))
+    outcome = config.pointer_outcome()
+    expected = config.raw_pointer_state().amplitudes / math.sqrt(outcome.success_probability)
+    assert np.array_equal(outcome.state.amplitudes, expected)
 
 
 def test_degenerate_post_selection_raises():
@@ -336,7 +341,7 @@ def test_branches_match_eight_product_reference(seed, support, dims, angles, s1,
         keep[1, 1] = support == "one_inside"
         amp = np.where(keep, amp, 0.0)
     amp /= np.linalg.norm(amp)
-    state = fock.TwoModeState(amp, fock.FockCutoff(*dims))
+    state = fock.TwoModeState(amp)
     wv, coupling = WeakValueParams(*angles), CouplingParams(s1, s2)
     out = apply_displacement_branches(state, wv, coupling)
     expected = eight_product_reference(amp, wv, coupling)
@@ -374,7 +379,7 @@ def test_family_slices_match_dense_route(r, mu, varphis, angles, s1, s2, n_max):
             assert np.max(np.abs(raw[k] - dense_raw)) <= 1e-13
             expected = oracles.brute_force_raw_pointer(r, mu, varphi, *angles, s1, s2, n_max)
             assert np.max(np.abs(raw[k] - expected)) <= 1e-13
-            selected = measurement._post_select(raw[k], cutoff)
+            selected = measurement._post_select(raw[k])
             assert np.max(np.abs(selected.state.amplitudes - outcome.state.amplitudes)) <= 1e-13
             assert abs(selected.success_probability - outcome.success_probability) <= 1e-13
 
@@ -423,7 +428,7 @@ def dense_derivative_qfi(config, cutoff=CUT40):
     col_b = fock.coherent_column(beta, cutoff.n_max_b)
     lifted = np.zeros((cutoff.dim_a, cutoff.dim_b), dtype=complex)
     lifted[0, 1:] = np.sqrt(np.arange(1.0, cutoff.dim_b)) * col_b[:-1]
-    dphi = fock.TwoModeState(1j * beta * ecs.normalization * lifted, cutoff)
+    dphi = fock.TwoModeState(1j * beta * ecs.normalization * lifted)
     draw = apply_displacement_branches(dphi, wv, coupling).amplitudes
     kappa = 1.0 / np.linalg.norm(raw0)
     psi, dpsi = kappa * raw0, kappa * draw
